@@ -10,11 +10,12 @@ must agree; the test-suite grid enforces it.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HypothesisFailed, InvalidParams, OutOfDomain
+from .errors import EndolabError, HypothesisFailed, InvalidParams, OutOfDomain
 from .families import base_field, family_matrix, nu_of_u
 from .groups import (
     GroupId,
@@ -27,7 +28,7 @@ from .groups import (
     theta,
 )
 from .linalg import mat_mul
-from .residue import QuadExtension, make_field, norm_trace
+from .residue import make_field, norm_trace, quad_extension
 from .sums import (
     gl_theta_spec,
     kl_simple,
@@ -87,6 +88,8 @@ class CharElement:
     phi_u: int | None = None  # twisted-GL coset parameter
     phi_ab: tuple | None = None  # even-orthogonal coset parameters
     sign: int = 1
+    # slot-residue histograms of the brute-force route, keyed by coset data
+    _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -127,44 +130,38 @@ def _slot_residue(m, scale, mod, p, slot, pre=1, post=1):
 # the inducing character evaluated through residue data
 
 
-def _psi_weights(params: SSCParams, p: int):
-    """Multipliers pairing each component slot with the additive character."""
+def _psi_form(params: SSCParams, p: int):
+    """(k, weights): the linear form pairing the component values with the
+    additive character of k, one int weight per slot.  The unramified middle
+    slot h0 + h1*s takes two, (c0, c1), with Tr(eps~^kappa * h) = c0*h0 + c1*h1."""
     k = make_field(p)
     n = params.group.n
     kind = params.group.kind
     a = params.a % p
     eps = k.eps.a
     if kind is GroupKind.TWISTED_GL:
-        return [1] * (2 * n - 1) + [a]
+        return k, [1] * (2 * n - 1) + [a]
     if kind is GroupKind.SP:
-        return [1] * (n - 1) + [pow(eps, params.kappa, p)] + [a]
+        return k, [1] * (n - 1) + [pow(eps, params.kappa, p)] + [a]
     if kind is GroupKind.SO_RAM:
-        return [1] * (n - 1) + [a]
+        return k, [1] * (n - 1) + [a]
     if kind is GroupKind.SO_SPL:
-        return [1] * n + [pow(eps, params.kappa, p)] + [a]
+        return k, [1] * n + [pow(eps, params.kappa, p)] + [a]
     if kind is GroupKind.SO_UR:
-        return [1] * (n - 1) + [("eps_tilde", params.kappa)] + [a]
+        # the trace form read off on the basis 1, s of the quadratic extension
+        ext = quad_extension(k)
+        one, s = (k.one, k.zero), (k.zero, k.one)
+        w = ext.eps_tilde() if params.kappa else one
+        mid = [ext.trace(ext.mul(w, e)).a for e in (one, s)]
+        return k, [1] * (n - 1) + mid + [a]
     raise InvalidParams(f"no affine generic character for {kind}")
 
 
-def _psi_value(params: SSCParams, p: int, slot_values):
-    """psi of the weighted component sum; slot values are ints, with the
-    unramified middle slot given as a pair (plain, sqrt-eps part)."""
-    k = make_field(p)
-    weights = _psi_weights(params, p)
-    total = 0
-    for w, h in zip(weights, slot_values):
-        if isinstance(w, tuple):
-            # Tr(eps~^kappa * h) over the quadratic extension
-            _, kappa = w
-            ext = QuadExtension(k)
-            hx = (k.elem(h[0]), k.elem(h[1]))
-            if kappa:
-                hx = ext.mul(ext.eps_tilde(), hx)
-            total = (total + ext.trace(hx).a) % p
-        else:
-            total = (total + w * h) % p
-    return k._add_roots[total]
+def _psi_value(form, slot_values):
+    """psi of the weighted component sum; slot values are ints, laid out as
+    the form's weights (the unramified middle slot as plain, sqrt-eps part)."""
+    k, weights = form
+    return k._add_roots[sum(map(operator.mul, weights, slot_values)) % k.p]
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +276,6 @@ def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
     return CharValue(val, "brute_force")
 
 
-def _hist_cache(element: CharElement):
-    if not hasattr(element, "_hists"):
-        element._hists = {}
-    return element._hists
-
-
 def _standard_histogram(params: SSCParams, element: CharElement):
     """Slot-residue histogram of the torus conjugates, cached per element.
 
@@ -298,10 +289,9 @@ def _standard_histogram(params: SSCParams, element: CharElement):
     key = None
     if element.coset == "phi":
         key = (params.a % p, params.kappa)
-    cache = _hist_cache(element)
+    cache = element._hists
     if key in cache:
         return cache[key]
-    n = group.n
     if element.coset == "phi":
         phi = phi_element(group, element.matrix.base, *element.phi_ab)
         hpart = element.matrix * phi.inv()
@@ -345,7 +335,7 @@ def _standard_histogram(params: SSCParams, element: CharElement):
                     * (m[i1][j1] * yinv[0] + m[i1][j2] * ((eps * yinv[1]) % p))
                 ) % mod
                 a2 = (diag[i1] * (m[i1][j1] * yinv[1] + m[i1][j2] * yinv[0])) % mod
-                vals.append((a1 % p, a2 % p))
+                vals += (a1 % p, a2 % p)
             else:
                 i, j, piw = slot
                 pre = diag[i] if diag[i] is not None else 1
@@ -360,15 +350,15 @@ def _standard_histogram(params: SSCParams, element: CharElement):
 
 
 def _brute_standard(params: SSCParams, element: CharElement) -> complex:
-    p = element.matrix.base.p
     sign, hist = _standard_histogram(params, element)
     if not hist:
         return 0.0 + 0.0j
     zeta_fac = params.zeta if element.coset == "phi" else 1.0
     central = params.xi if (sign < 0) else 1
+    form = _psi_form(params, element.matrix.base.p)
     total = 0.0 + 0.0j
     for tup, count in hist.items():
-        total += count * _psi_value(params, p, tup)
+        total += count * _psi_value(form, tup)
     return central * zeta_fac * total
 
 
@@ -379,7 +369,7 @@ def _gl_histogram(params: SSCParams, element: CharElement):
     n = group.n
     N = 2 * n
     key = ("gl", params.a % p) if element.coset == "phi" else ("gl", None)
-    cache = _hist_cache(element)
+    cache = element._hists
     if key in cache:
         return cache[key]
     scale, m, mod = to_int_matrix(element.matrix, 5)
@@ -439,10 +429,11 @@ def _brute_twisted_gl(params: SSCParams, element: CharElement) -> complex:
     hist = _gl_histogram(params, element)
     if not hist:
         return 0.0 + 0.0j
+    form = _psi_form(params, p)
     total = 0.0 + 0.0j
     for tup, count in hist.items():
         z_res, vals = tup[0], tup[1:]
-        total += count * w0(k.elem(z_res)) * _psi_value(params, p, vals)
+        total += count * w0(k.elem(z_res)) * _psi_value(form, vals)
     if element.coset == "phi":
         total *= params.zeta
     return total
@@ -597,7 +588,6 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
 def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
     """Value of the inducing character itself at a domain element."""
     p = element.matrix.base.p
-    k = make_field(p)
     if element.coset == "phi":
         if params.group.kind is GroupKind.TWISTED_GL:
             phi = phi_element(params.group, element.matrix.base, element.phi_u)
@@ -617,9 +607,11 @@ def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
         else:
             raise OutOfDomain("element does not lie in the character's domain")
     comps = simple_affine_components(hpart)
-    vals = [c.key() if c.field.f == 2 else c.a for c in comps]
+    vals = []
+    for c in comps:
+        vals += c.key() if c.field.f == 2 else (c.a,)
     central = params.xi if sign < 0 else 1
-    return central * zfac * _psi_value(params, p, vals)
+    return central * zfac * _psi_value(_psi_form(params, p), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +631,7 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random, tries=200)
                 nm = GroupMatrix(group, base, mat_mul(g.entries, theta(g).entries))
                 if iwahori_level(nm) >= Level.IPLUS and _generic(nm):
                     return CharElement(group, g)
-            except Exception:
+            except EndolabError:
                 continue
             continue
         factors = []
@@ -660,7 +652,7 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random, tries=200)
         try:
             if iwahori_level(g) >= Level.IPLUS and _generic(g):
                 return CharElement(group, g)
-        except Exception:
+        except EndolabError:
             continue
     raise HypothesisFailed("could not sample an affine generic element")
 

@@ -9,7 +9,7 @@ character is psi(x) = exp(2*pi*i*Tr(x)/p).
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     EvenCharacteristic,
@@ -341,13 +341,12 @@ class QuadExtension:
             raise ZeroArgument("chi~ at a norm-zero element")
         return chi(nr)
 
+    @cached_property
+    def _eps_tilde(self):
+        return next(u for u in self.units() if self.norm(u) == self.eps)
+
     def eps_tilde(self):
-        """An element with relative norm eps, found by scan and cached."""
-        if not hasattr(self, "_eps_tilde"):
-            for u in self.units():
-                if self.norm(u) == self.eps:
-                    self._eps_tilde = u
-                    break
+        """An element with relative norm eps, found by scan once per extension."""
         return self._eps_tilde
 
 
@@ -362,6 +361,12 @@ def _make_field_cached(p: int, f: int) -> FiniteField:
 def make_field(p: int, f: int = 1) -> FiniteField:
     """Construct (and cache) the residue field F_{p^f}."""
     return _make_field_cached(p, f)
+
+
+@lru_cache(maxsize=None)
+def quad_extension(k: FiniteField) -> QuadExtension:
+    """Construct (and cache) the quadratic extension of the residue field k."""
+    return QuadExtension(k)
 
 
 def eval_mult_char(chi: MultCharacter, x: FFElem) -> complex:

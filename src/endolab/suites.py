@@ -93,7 +93,7 @@ class ReportRow:
 
 
 def _row(suite, params, lhs, rhs, delta, passed, t0=None, timings=False):
-    elapsed = round(time.time() - t0, 3) if (timings and t0) else 0.0
+    elapsed = round(time.perf_counter() - t0, 3) if (timings and t0) else 0.0
     return ReportRow(suite, params, str(lhs), str(rhs), float(delta), bool(passed), elapsed)
 
 
@@ -113,7 +113,7 @@ def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=DEFAULT_TOL, timings=False):
     rows = []
     for q in qs:
         k = _field_for(q)
-        t0 = time.time()
+        t0 = time.perf_counter()
         w0 = k.omega0()
         g2 = gauss_sum(w0, k) ** 2
         target = q * w0(k.coerce(-1))
@@ -121,7 +121,7 @@ def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=DEFAULT_TOL, timings=False):
             _row("gauss_square", f"q={q}", g2, target, abs(g2 - target), abs(g2 - target) <= tol, t0, timings)
         )
         for spec in catalog(k):
-            t0 = time.time()
+            t0 = time.perf_counter()
             worst = 0.0
             ok = True
             for idx in range(q - 1):
@@ -131,16 +131,16 @@ def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=DEFAULT_TOL, timings=False):
             rows.append(
                 _row("fourier", f"q={q} spec={spec.name}", "sum_u chi(u) Kl_u", "prod G", worst, ok, t0, timings)
             )
-        t0 = time.time()
+        t0 = time.perf_counter()
         okp = all(hd_product_check(MultCharacter(k, i), tol) for i in range(q - 1))
         rows.append(_row("hd_product", f"q={q}", "G(chi w0)G(chi)", "G(chi^2)G(w0)/chi(4)", 0.0 if okp else 1.0, okp, t0, timings))
-        t0 = time.time()
+        t0 = time.perf_counter()
         okl = all(hd_lift_check(MultCharacter(k, i), tol) for i in range(q - 1))
         rows.append(_row("hd_lift", f"q={q}", "G(chi o Nr, psi o Tr)", "-G(chi)^2", 0.0 if okl else 1.0, okl, t0, timings))
     # vanishing at nonsquares, exact to 1e-10
     for q in (3, 5, 7, 11):
         k = _field_for(q)
-        t0 = time.time()
+        t0 = time.perf_counter()
         worst = 0.0
         for n in (1, 2, 3):
             spec = sp_spec(k, n, twisted=True)
@@ -230,7 +230,7 @@ def char_oracle_suite(
         for n in ns:
             for q in qs:
                 rng = random.Random(seed + 1000 * n + q)
-                t0 = time.time()
+                t0 = time.perf_counter()
                 elements = _family_elements(kind, n, q)
                 for _ in range(n_random):
                     gid = GroupId(kind, n, rng.choice((0, 1)) if kind is GroupKind.SO_RAM else 0)
@@ -269,7 +269,7 @@ def ecr_ram_suite(ns=(2, 3), qs=(3, 5, 7, 11), timings=False):
     rows = []
     for n in ns:
         for q in qs:
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok = True
             msg = ""
             for xi in (1, -1):
@@ -299,7 +299,7 @@ def ecr_gl_suite(ns=(2, 3), qs=(3, 5, 7), tol=1e-9, timings=False):
     rows = []
     for n in ns:
         for q in qs:
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok = True
             msg = ""
             k = make_field(q)
@@ -333,7 +333,7 @@ def ecr_soeven_suite(ns=(2,), qs=(3, 5, 7), timings=False):
     for kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
         for n in ns:
             for q in qs:
-                t0 = time.time()
+                t0 = time.perf_counter()
                 ok = True
                 msg = ""
                 for xi_p in (1, -1):
@@ -378,7 +378,7 @@ def transfer_suite(
     for n in ns:
         for p in ps:
             k = make_field(p)
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok = True
             for pair in ALL_PAIRS:
                 for var in _variants(pair):
@@ -390,7 +390,7 @@ def transfer_suite(
                 _row("delta_iv_closed", f"n={n} p={p} all pairs, all u", "sign formula", "tabulated constant", 0.0 if ok else 1.0, ok, t0, timings)
             )
     for n, p in direct:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok = True
         k = make_field(p)
         for pair in ALL_PAIRS:
@@ -402,7 +402,7 @@ def transfer_suite(
         rows.append(
             _row("delta_iv_direct", f"n={n} p={p}", "root-product route", "tabulated constant", 0.0 if ok else 1.0, ok, t0, timings)
         )
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     k5 = make_field(5)
     for (pair, var), expect in TRANSFER_EXPECTED.items():
@@ -418,7 +418,7 @@ def transfer_suite(
 def disc_suite(cases=((2, 5), (2, 13), (3, 7), (3, 13)), timings=False):
     rows = []
     for n, p in cases:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok = True
         for kind, variants in (
             (GroupKind.SP, ("plus",)),
@@ -450,7 +450,7 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
     rows = []
     rng = random.Random(seed)
     gid = GroupId(GroupKind.TWISTED_GL, n)
-    t0 = time.time()
+    t0 = time.perf_counter()
     done = 0
     ok = True
     while done < samples:
@@ -471,7 +471,7 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
     N = 2 * n + 1
     gid5 = GroupId(GroupKind.GL, N)
     plus, _ = px_masks(n)
-    t0 = time.time()
+    t0 = time.perf_counter()
     done = 0
     ok = True
     while done < samples:
@@ -492,7 +492,7 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
         _row("charpoly_twisted_norm", f"q={q} N={N} {samples} random", "a0, a1", "vanishing and entry product", 0.0 if ok else 1.0, ok, t0, timings)
     )
     # factorization against the supplied norm on the family
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for u in range(1, q):
         ok = ok and norm_family_check(Pair.GL_ODD_SP, q, n, u)
@@ -508,12 +508,12 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
 def heisenberg_suite(cases=((3, 1), (5, 1), (3, 2)), timings=False):
     rows = []
     for p, e in cases:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok = q_group_check(HeisParams(p, e))
         rows.append(
             _row("heis_group_axioms", f"p={p} e={e}", "multiplication table", "group laws", 0.0 if ok else 1.0, ok, t0, timings)
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = char_table_checks(p, e)
         rows.append(
             _row(
@@ -527,7 +527,7 @@ def heisenberg_suite(cases=((3, 1), (5, 1), (3, 2)), timings=False):
                 timings,
             )
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         td = tensor_decompositions(p, e)
         rows.append(
             _row("heis_tensor_rules", f"p={p} e={e}", "character products", "stated decompositions", 0.0 if td["ok"] else 1.0, td["ok"], t0, timings)
@@ -538,7 +538,7 @@ def heisenberg_suite(cases=((3, 1), (5, 1), (3, 2)), timings=False):
 def conductor_suite(cases=((3, 1, 2), (5, 1, 4), (3, 2, 2)), timings=False):
     rows = []
     for p, e, nprime in cases:
-        t0 = time.time()
+        t0 = time.perf_counter()
         filt = ramification_jumps(p, e, nprime)
         expected = (
             nprime * p ** (2 * e + 1) * (p**e + 1),
@@ -548,7 +548,7 @@ def conductor_suite(cases=((3, 1, 2), (5, 1, 4), (3, 2, 2)), timings=False):
         rows.append(
             _row("ramification_jumps", f"p={p} e={e} n'={nprime}", str(filt.orders), str(expected), 0.0 if ok else 1.0, ok, t0, timings)
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             r = swan_artin_gamma(p, e, nprime)
             n = r["n"]
@@ -577,7 +577,7 @@ def formal_degree_suite(ns=(1, 2, 3, 4), qs=(3, 5, 7, 9), timings=False):
     rows = []
     for n in ns:
         for q in qs:
-            t0 = time.time()
+            t0 = time.perf_counter()
             rep = formal_degree_ineq(n, q)
             label = "exceptional" if rep["exceptional"] else "generic"
             rows.append(

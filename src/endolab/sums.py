@@ -111,13 +111,17 @@ def _convolve(a, b, order):
     return out
 
 
+# keyed by value: fields of the same (p, f) are built identically, so they
+# share generator, discrete logs and hence tables
 _TABLE_CACHE: dict = {}
 
 
 def kloosterman_table(spec: KloostermanSpec):
     """All values Kl_u for u in k^x, indexed by dlog(u)."""
+    spec.guard()
     key = (
-        id(spec.field),
+        spec.field.p,
+        spec.field.f,
         spec.weights,
         tuple(c.index for c in spec.chis),
         spec.norm_weights,
@@ -125,7 +129,6 @@ def kloosterman_table(spec: KloostermanSpec):
     )
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
-    spec.guard()
     order = spec.field.q - 1
     table = None
     for t in _position_tables(spec):

@@ -6,6 +6,7 @@ import pytest
 from endolab.characters import (
     CharElement,
     SSCParams,
+    _psi_form,
     affine_char_eval,
     char_brute_force,
     char_closed_form,
@@ -18,7 +19,7 @@ from endolab.characters import (
 from endolab.errors import InvalidParams, OutOfDomain
 from endolab.families import base_field, family_matrix, nu_of_u
 from endolab.groups import GroupId, GroupKind, group_identity, phi_element
-from endolab.residue import make_field
+from endolab.residue import QuadExtension, make_field, quad_extension
 from endolab.sums import kl_simple, kloosterman_eval, sp_spec
 
 P = 5
@@ -28,6 +29,32 @@ K = make_field(P)
 
 def gl_zeta(k):
     return 1.0 if k.dlog(k.coerce(-1)) % 2 == 0 else 1.0j
+
+
+# the inducing character's linear form ----------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_unramified_form_matches_extension_trace(p, kappa):
+    """The middle-slot pair (c0, c1) reproduces Tr(eps~^kappa * h) computed
+    through a fresh QuadExtension, for every h in F_p^2."""
+    k = make_field(p)
+    ext = QuadExtension(k)
+    n = 3
+    _, weights = _psi_form(SSCParams(GroupId(GroupKind.SO_UR, n), 1, kappa=kappa), p)
+    c0, c1 = weights[n - 1 : n + 1]
+    for h0 in range(p):
+        for h1 in range(p):
+            hx = (k.elem(h0), k.elem(h1))
+            if kappa:
+                hx = ext.mul(ext.eps_tilde(), hx)
+            assert (c0 * h0 + c1 * h1) % p == ext.trace(hx).a
+
+
+def test_quad_extension_cached_per_field():
+    for p in (3, 5, 7):
+        assert quad_extension(make_field(p)) is quad_extension(make_field(p))
 
 
 # parameter validation ------------------------------------------------------

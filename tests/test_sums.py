@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endolab.errors import CapExceeded, HypothesisFailed, ZeroPoint
-from endolab.residue import MultCharacter, make_field
+from endolab import sums
+from endolab.residue import FiniteField, MultCharacter, make_field
 from endolab.sums import (
     KloostermanSpec,
     catalog,
@@ -17,6 +18,7 @@ from endolab.sums import (
     kl_simple,
     kloosterman_eval,
     kloosterman_eval_direct,
+    kloosterman_table,
     nonvanishing_scan,
     sp_spec,
     so_unramified_spec,
@@ -186,6 +188,26 @@ def test_variable_cap_guard():
     big = KloostermanSpec(k, (1,) * 6, (triv,) * 6)
     with pytest.raises(CapExceeded):
         kloosterman_eval(big, k.one)
+
+
+def test_table_cache_survives_freed_fields():
+    """Fields built directly are freed between lookups and their ids get
+    reused; every lookup must still return the table of its own field."""
+    for i in range(120):
+        fld = FiniteField((3, 5, 7)[i % 3])
+        spec = kl_simple(fld, 2)
+        table = kloosterman_table(spec)
+        assert len(table) == fld.q - 1
+        assert abs(table[0] - kloosterman_eval_direct(spec, fld.one)) < 1e-9
+
+
+def test_cap_guard_runs_on_cache_hit(monkeypatch):
+    k = make_field(7)
+    spec = kl_simple(k, 2)
+    kloosterman_table(spec)
+    monkeypatch.setattr(sums, "BRUTE_Q_CAP", 5)
+    with pytest.raises(CapExceeded):
+        kloosterman_table(spec)
 
 
 @settings(max_examples=20, deadline=None)
