@@ -23,10 +23,11 @@ from .errors import (
     UnsupportedDegree,
 )
 from . import suites
-from .characters import CharElement, SSCParams, char_brute_force, char_closed_form, describe
+from .suites import _char_element
+from .characters import SSCParams, char_brute_force, char_closed_form, describe
 from .conductors import swan_artin_gamma
 from .endoscopy import Pair, transfer_factor
-from .families import family_matrix, get_tower, nu_of_u, so_even_phi_params
+from .families import family_matrix, get_tower, nu_of_u
 from .groups import GroupId, GroupKind, simple_affine_components
 from .padic import extract_jumps, herbrand_compose, tame_hilbert
 from .residue import make_field
@@ -294,22 +295,6 @@ def cmd_group(args):
         args,
     )
     return 0
-
-
-def _char_element(kind, n, q, u, variant):
-    nu = nu_of_u(make_field(q), n, u) if kind is GroupKind.SO_RAM else 0
-    gid = GroupId(kind, n, nu)
-    if variant == "phi_coset" and kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-        al, be = so_even_phi_params(gid, q, u)
-        return CharElement(
-            gid, family_matrix(gid, q, u, "phi_coset"), coset="phi", phi_ab=(al, be)
-        )
-    if variant == "minus" and kind is GroupKind.TWISTED_GL:
-        return CharElement(
-            gid, family_matrix(gid, q, u, "minus"), coset="phi", phi_u=u
-        )
-    sign = -1 if variant == "minus" else 1
-    return CharElement(gid, family_matrix(gid, q, u, variant), sign=sign)
 
 
 def cmd_char(args):

@@ -72,7 +72,6 @@ class GF:
         # x^{p^k} == x mod (f) must fail for proper divisors and hold for m
         p, m = self.p, self.m
         x = tuple([0, 1] + [0] * (m - 2)) if m > 1 else (0,)
-        self._tmp_modulus = cs
         t = x
         for k in range(1, m + 1):
             t = self._pow_mod(t, p, cs)
@@ -582,10 +581,6 @@ class QPrimeTable:
             if c is not None and ell[g] != c % p:
                 raise IncompatibleParams("splitting misses the center")
         return ell
-
-    def _fp(self, t: int):
-        out = [t % self.p] + [0] * (4 * self.params.e - 1)
-        return tuple(out)
 
     @lru_cache(maxsize=None)
     def table(self):

@@ -438,8 +438,6 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int, tol: float = TOL) ->
     orthogonal character sum, with genericity sign 1."""
     k = make_field(p)
     w0 = k.omega0()
-    q = k.q
-    G = gauss_sum(w0, k)
     nu = nu_mu(n, a, p)
     xi_prime = xi * (1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1)
     a_prime_sq = k.coerce(-1) ** (n - 1) * k.eps**nu * k.coerce(4 * a)

@@ -85,15 +85,7 @@ class OutOfDomain(EndolabError):
     pass
 
 
-class UnknownElementClass(EndolabError):
-    pass
-
-
 class UnknownPair(EndolabError):
-    pass
-
-
-class InadmissibleU(EndolabError):
     pass
 
 

@@ -124,10 +124,6 @@ class WaldsFamilyData:
         t = self.tower
         return -t.phi() / (t.from_int(2 * self.n) * t.pi() * t.from_int(self.u))
 
-    def c_so_ram(self):
-        t = self.tower
-        return t.from_int((-1) ** self.n) / (t.from_int(2 * self.n) * t.pi() * t.from_int(self.u))
-
     def c_plus(self, t_invariant: int):
         t = self.tower
         sign = (-1) ** (self.n + 1) if t_invariant == 0 else (-1) ** self.n

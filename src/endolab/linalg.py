@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import PrecisionExhausted
-from .padic import LocalElem, TowerSpec
+from .padic import TowerSpec
 
 
 def mat_id(base: TowerSpec, n: int):
@@ -24,14 +24,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def mat_transpose(a):
@@ -180,10 +172,3 @@ def poly_shift_basis(coeffs, base):
             out[k] = out[k] + c * binom
             binom = binom * (i - k) // (k + 1)
     return out
-
-
-def poly_eval(coeffs, x, base):
-    acc = base.zero()
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

@@ -282,12 +282,6 @@ class LocalElem:
             raise IndistinguishableFromZero("no leading unit of zero")
         return self.tower._cres(self.unit[0])
 
-    def residue_coeff(self, i, digits=1):
-        """Integer data of unit coefficient i mod p^digits (f = 1 only)."""
-        if self.is_zero():
-            return 0
-        return self.unit[i] % self.tower.p**digits
-
     def _check(self, other):
         if not isinstance(other, LocalElem):
             if isinstance(other, int):
@@ -381,19 +375,6 @@ class LocalElem:
         ]
         return LocalElem(self.tower, self.shift, coeffs, self.rprec)
 
-    def galois_phi_scale(self, zeta):
-        """The automorphism phi -> zeta*phi for a root of unity zeta."""
-        if self.is_zero():
-            return self
-        t = self.tower
-        out = t.zero(self.abs_prec())
-        for i, c in enumerate(self.unit):
-            if i >= self.rprec:
-                break
-            term = _make(t, self.shift + i, [c] + [t._czero()] * (t.e - 1), self.rprec - i)
-            out = out + term * zeta ** (self.shift + i)
-        return out
-
     def equal_mod(self, other, phi_digits):
         d = self - self._check(other)
         return d.is_zero() or d.shift >= phi_digits
@@ -441,27 +422,6 @@ def sqrt_unit(x: LocalElem, prefer=None) -> LocalElem:
     for _ in range(t.rprec_cap.bit_length() + 1):
         y = (y + x / y) * inv2
     return y
-
-
-def elem_arith(x: LocalElem, y, op: str) -> LocalElem:
-    """Dispatcher form of the arithmetic (add/mul/inv/pow)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    if op == "pow":
-        return x**y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def val(x: LocalElem) -> Fraction:
-    return x.valuation()
-
-
-def leading_unit(x: LocalElem):
-    return x.leading_unit()
 
 
 # tame quadratic symbols ------------------------------------------------------

@@ -265,9 +265,6 @@ class MultCharacter:
         m = self.field.dlog(x)
         return self.field._mult_roots[(self.index * m) % (self.field.q - 1)]
 
-    def is_trivial(self) -> bool:
-        return self.index == 0
-
     def value_at_index(self, m: int) -> complex:
         return self.field._mult_roots[(self.index * m) % (self.field.q - 1)]
 
@@ -367,14 +364,6 @@ def make_field(p: int, f: int = 1) -> FiniteField:
 def quad_extension(k: FiniteField) -> QuadExtension:
     """Construct (and cache) the quadratic extension of the residue field k."""
     return QuadExtension(k)
-
-
-def eval_mult_char(chi: MultCharacter, x: FFElem) -> complex:
-    return chi(x)
-
-
-def eval_add_char(field: FiniteField, x) -> complex:
-    return field.psi(x)
 
 
 def norm_trace(x: FFElem):

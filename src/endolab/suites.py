@@ -8,6 +8,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 from .conductors import (
     HeisParams,
@@ -97,6 +99,26 @@ def _row(suite, params, lhs, rhs, delta, passed, t0=None, timings=False):
     return ReportRow(suite, params, str(lhs), str(rhs), float(delta), bool(passed), elapsed)
 
 
+def _bit_row(suite, params, lhs, rhs, passed, t0=None, timings=False):
+    """A pass/fail-only row: delta 0.0 on pass, 1.0 on fail."""
+    return _row(suite, params, lhs, rhs, 0.0 if passed else 1.0, passed, t0, timings)
+
+
+def _identity_row(suite, params, lhs, rhs, checks, t0=None, timings=False):
+    """A bit row over identity checks.  Every check is called; one that returns
+    a false value or raises IdentityFailed fails the row, and the message of
+    the last one raised replaces `rhs`."""
+    ok = True
+    msg = ""
+    for check in checks:
+        try:
+            ok = check() and ok
+        except IdentityFailed as exc:
+            ok = False
+            msg = str(exc)
+    return _bit_row(suite, params, lhs, msg or rhs, ok, t0, timings)
+
+
 def _field_for(q: int):
     for p in (3, 5, 7, 11, 13):
         if q == p:
@@ -133,10 +155,10 @@ def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=DEFAULT_TOL, timings=False):
             )
         t0 = time.perf_counter()
         okp = all(hd_product_check(MultCharacter(k, i), tol) for i in range(q - 1))
-        rows.append(_row("hd_product", f"q={q}", "G(chi w0)G(chi)", "G(chi^2)G(w0)/chi(4)", 0.0 if okp else 1.0, okp, t0, timings))
+        rows.append(_bit_row("hd_product", f"q={q}", "G(chi w0)G(chi)", "G(chi^2)G(w0)/chi(4)", okp, t0, timings))
         t0 = time.perf_counter()
         okl = all(hd_lift_check(MultCharacter(k, i), tol) for i in range(q - 1))
-        rows.append(_row("hd_lift", f"q={q}", "G(chi o Nr, psi o Tr)", "-G(chi)^2", 0.0 if okl else 1.0, okl, t0, timings))
+        rows.append(_bit_row("hd_lift", f"q={q}", "G(chi o Nr, psi o Tr)", "-G(chi)^2", okl, t0, timings))
     # vanishing at nonsquares, exact to 1e-10
     for q in (3, 5, 7, 11):
         k = _field_for(q)
@@ -162,7 +184,7 @@ def _gl_zeta(k):
 
 
 def _params_grid(group: GroupId, q: int):
-    k = make_field(q) if q in (3, 5, 7, 11, 13) else _field_for(q)
+    k = _field_for(q)
     units = range(1, k.p)
     if group.kind is GroupKind.TWISTED_GL:
         z0 = _gl_zeta(k)
@@ -180,58 +202,38 @@ def _params_grid(group: GroupId, q: int):
     ]
 
 
-def _family_elements(kind: GroupKind, n: int, p: int):
-    k = make_field(p)
-    out = []
-    for u in range(1, p):
-        if kind is GroupKind.SO_RAM:
-            group = GroupId(kind, n, nu_of_u(k, n, u))
-        else:
-            group = GroupId(kind, n)
-        out.append(CharElement(group, family_matrix(group, p, u)))
-        if kind in (GroupKind.SP, GroupKind.SO_RAM):
-            out.append(
-                CharElement(group, family_matrix(group, p, u, "minus"), sign=-1)
-            )
-        if kind is GroupKind.TWISTED_GL:
-            out.append(
-                CharElement(
-                    group, family_matrix(group, p, u, "minus"), coset="phi", phi_u=u
-                )
-            )
-        if kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-            out.append(
-                CharElement(group, family_matrix(group, p, u, "minus"), sign=-1)
-            )
-            al, be = so_even_phi_params(group, p, u)
-            out.append(
-                CharElement(
-                    group,
-                    family_matrix(group, p, u, "phi_coset"),
-                    coset="phi",
-                    phi_ab=(al, be),
-                )
-            )
-    return out
+# family variants per group kind, in report order
+_FAMILY_VARIANTS = {
+    GroupKind.SP: ("plus", "minus"),
+    GroupKind.SO_RAM: ("plus", "minus"),
+    GroupKind.SO_SPL: ("plus", "minus", "phi_coset"),
+    GroupKind.SO_UR: ("plus", "minus", "phi_coset"),
+    GroupKind.TWISTED_GL: ("plus", "minus"),
+}
+
+
+def _char_element(kind, n, q, u, variant):
+    nu = nu_of_u(make_field(q), n, u) if kind is GroupKind.SO_RAM else 0
+    gid = GroupId(kind, n, nu)
+    if variant == "phi_coset" and kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
+        phi_ab = so_even_phi_params(gid, q, u)
+        return CharElement(gid, family_matrix(gid, q, u, "phi_coset"), coset="phi", phi_ab=phi_ab)
+    if variant == "minus" and kind is GroupKind.TWISTED_GL:
+        return CharElement(gid, family_matrix(gid, q, u, "minus"), coset="phi", phi_u=u)
+    sign = -1 if variant == "minus" else 1
+    return CharElement(gid, family_matrix(gid, q, u, variant), sign=sign)
 
 
 def char_oracle_suite(
     ns=(2, 3), qs=(3, 5, 7), n_random=20, seed=0, tol=DEFAULT_TOL, timings=False
 ):
     rows = []
-    kinds = (
-        GroupKind.SP,
-        GroupKind.SO_RAM,
-        GroupKind.SO_SPL,
-        GroupKind.SO_UR,
-        GroupKind.TWISTED_GL,
-    )
-    for kind in kinds:
+    for kind, variants in _FAMILY_VARIANTS.items():
         for n in ns:
             for q in qs:
                 rng = random.Random(seed + 1000 * n + q)
                 t0 = time.perf_counter()
-                elements = _family_elements(kind, n, q)
+                elements = [_char_element(kind, n, q, u, var) for u in range(1, q) for var in variants]
                 for _ in range(n_random):
                     gid = GroupId(kind, n, rng.choice((0, 1)) if kind is GroupKind.SO_RAM else 0)
                     elements.append(random_affine_generic(gid, q, rng))
@@ -247,18 +249,8 @@ def char_oracle_suite(
                         worst = max(worst, d)
                         ok = ok and d <= tol
                         count += 1
-                rows.append(
-                    _row(
-                        "char_oracle",
-                        f"group={kind.value} n={n} q={q} ({count} comparisons)",
-                        "brute_force",
-                        "closed_form",
-                        worst,
-                        ok,
-                        t0,
-                        timings,
-                    )
-                )
+                params = f"group={kind.value} n={n} q={q} ({count} comparisons)"
+                rows.append(_row("char_oracle", params, "brute_force", "closed_form", worst, ok, t0, timings))
     return rows
 
 
@@ -266,28 +258,21 @@ def char_oracle_suite(
 
 
 def ecr_ram_suite(ns=(2, 3), qs=(3, 5, 7, 11), timings=False):
+    def check(n, q, xi, a):
+        return ecr_ram_descent_verify(n, q, xi, a).genericity_sign == 1
+
     rows = []
     for n in ns:
         for q in qs:
             t0 = time.perf_counter()
-            ok = True
-            msg = ""
-            for xi in (1, -1):
-                for a in range(1, q):
-                    try:
-                        sol = ecr_ram_descent_verify(n, q, xi, a)
-                        ok = ok and sol.genericity_sign == 1
-                    except IdentityFailed as exc:
-                        ok = False
-                        msg = str(exc)
+            checks = [partial(check, n, q, xi, a) for xi in (1, -1) for a in range(1, q)]
             rows.append(
-                _row(
+                _identity_row(
                     "ecr_ram_descent",
                     f"n={n} q={q} all (xi,a)",
                     "character difference",
-                    msg or "weighted orthogonal side",
-                    0.0 if ok else 1.0,
-                    ok,
+                    "weighted orthogonal side",
+                    checks,
                     t0,
                     timings,
                 )
@@ -296,31 +281,24 @@ def ecr_ram_suite(ns=(2, 3), qs=(3, 5, 7, 11), timings=False):
 
 
 def ecr_gl_suite(ns=(2, 3), qs=(3, 5, 7), tol=1e-9, timings=False):
+    def check(n, q, xi, a, w0m1):
+        b, zeta, passed = ecr_gl_lift_verify(n, q, xi, a)
+        return passed and b == (4 * a) % q and abs(zeta**2 - w0m1) <= tol
+
     rows = []
     for n in ns:
         for q in qs:
             t0 = time.perf_counter()
-            ok = True
-            msg = ""
             k = make_field(q)
-            w0 = k.omega0()
-            for xi in (1, -1):
-                for a in range(1, q):
-                    try:
-                        b, zeta, passed = ecr_gl_lift_verify(n, q, xi, a)
-                        ok = ok and passed and b == (4 * a) % q
-                        ok = ok and abs(zeta**2 - w0(k.coerce(-1))) <= tol
-                    except IdentityFailed as exc:
-                        ok = False
-                        msg = str(exc)
+            w0m1 = k.omega0()(k.coerce(-1))
+            checks = [partial(check, n, q, xi, a, w0m1) for xi in (1, -1) for a in range(1, q)]
             rows.append(
-                _row(
+                _identity_row(
                     "ecr_gl_lift",
                     f"n={n} q={q} all (xi,a)",
                     "twisted character",
-                    msg or "symplectic difference",
-                    0.0 if ok else 1.0,
-                    ok,
+                    "symplectic difference",
+                    checks,
                     t0,
                     timings,
                 )
@@ -329,29 +307,23 @@ def ecr_gl_suite(ns=(2, 3), qs=(3, 5, 7), tol=1e-9, timings=False):
 
 
 def ecr_soeven_suite(ns=(2,), qs=(3, 5, 7), timings=False):
+    def check(kind, n, q, xi_p, a_p, nu):
+        so_even_packet_verify(kind, n, q, xi_p, a_p, nu)
+        return True
+
     rows = []
     for kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
         for n in ns:
             for q in qs:
                 t0 = time.perf_counter()
-                ok = True
-                msg = ""
-                for xi_p in (1, -1):
-                    for a_p in range(1, q):
-                        for nu in (0, 1):
-                            try:
-                                so_even_packet_verify(kind, n, q, xi_p, a_p, nu)
-                            except IdentityFailed as exc:
-                                ok = False
-                                msg = str(exc)
+                checks = [partial(check, kind, n, q, *c) for c in product((1, -1), range(1, q), (0, 1))]
                 rows.append(
-                    _row(
+                    _identity_row(
                         "ecr_so_even",
                         f"kind={kind.value} n={n} q={q} all (xi+,a+,nu)",
                         "even orthogonal difference",
-                        msg or "ramified side",
-                        0.0 if ok else 1.0,
-                        ok,
+                        "ramified side",
+                        checks,
                         t0,
                         timings,
                     )
@@ -366,42 +338,29 @@ ALL_PAIRS = (Pair.GL_SORAM, Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H)
 
 
 def _variants(pair):
-    return ("plus", "minus") + (
-        ("phi_coset",) if pair in (Pair.SOSPL_H, Pair.SOUR_H) else ()
-    )
+    return ("plus", "minus") + (("phi_coset",) if pair in (Pair.SOSPL_H, Pair.SOUR_H) else ())
 
 
 def transfer_suite(
     ns=(2, 3), ps=(3, 5, 7, 11, 13), direct=((2, 5), (2, 13), (3, 7), (3, 13)), timings=False
 ):
     rows = []
-    for n in ns:
-        for p in ps:
-            k = make_field(p)
-            t0 = time.perf_counter()
-            ok = True
-            for pair in ALL_PAIRS:
-                for var in _variants(pair):
-                    expect = DELTA_IV_EXPECTED[(pair, var)].evaluate(k)
-                    for u in range(1, p):
-                        got = delta_iv_walds(pair, p, n, u, var)
-                        ok = ok and abs(got - expect) < 1e-9
-            rows.append(
-                _row("delta_iv_closed", f"n={n} p={p} all pairs, all u", "sign formula", "tabulated constant", 0.0 if ok else 1.0, ok, t0, timings)
-            )
-    for n, p in direct:
+    cells = [(n, p, False) for n in ns for p in ps] + [(n, p, True) for n, p in direct]
+    for n, p, is_direct in cells:
         t0 = time.perf_counter()
-        ok = True
         k = make_field(p)
+        ok = True
         for pair in ALL_PAIRS:
             for var in _variants(pair):
                 expect = DELTA_IV_EXPECTED[(pair, var)].evaluate(k)
                 for u in range(1, p):
-                    got = delta_iv_walds(pair, p, n, u, var, direct=True)
+                    got = delta_iv_walds(pair, p, n, u, var, direct=is_direct)
                     ok = ok and abs(got - expect) < 1e-9
-        rows.append(
-            _row("delta_iv_direct", f"n={n} p={p}", "root-product route", "tabulated constant", 0.0 if ok else 1.0, ok, t0, timings)
-        )
+        if is_direct:
+            suite, params, lhs = "delta_iv_direct", f"n={n} p={p}", "root-product route"
+        else:
+            suite, params, lhs = "delta_iv_closed", f"n={n} p={p} all pairs, all u", "sign formula"
+        rows.append(_bit_row(suite, params, lhs, "tabulated constant", ok, t0, timings))
     t0 = time.perf_counter()
     ok = True
     k5 = make_field(5)
@@ -409,9 +368,7 @@ def transfer_suite(
         for n in (2, 3):
             got = transfer_factor(pair, 5, n, 1, var)
             ok = ok and got.symbolic_eq(expect, k5)
-    rows.append(
-        _row("transfer_symbolic", "p=5 n in (2,3)", "Delta product", "tabulated", 0.0 if ok else 1.0, ok, t0, timings)
-    )
+    rows.append(_bit_row("transfer_symbolic", "p=5 n in (2,3)", "Delta product", "tabulated", ok, t0, timings))
     return rows
 
 
@@ -435,9 +392,7 @@ def disc_suite(cases=((2, 5), (2, 13), (3, 7), (3, 13)), timings=False):
                         weyl_disc_val(gid, p, u, var, direct=True)
                     except EndolabError:
                         ok = False
-        rows.append(
-            _row("weyl_disc", f"n={n} p={p}", "eigenvalue route", "closed table", 0.0 if ok else 1.0, ok, t0, timings)
-        )
+        rows.append(_bit_row("weyl_disc", f"n={n} p={p}", "eigenvalue route", "closed table", ok, t0, timings))
     return rows
 
 
@@ -463,8 +418,9 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
         passed, _ = charpoly_eisenstein_check(g)
         ok = ok and passed
         done += 1
+    params = f"q={q} N={2*n} {samples} random"
     rows.append(
-        _row("charpoly_eisenstein", f"q={q} N={2*n} {samples} random", "shifted coefficients", "maximal-ideal pattern", 0.0 if ok else 1.0, ok, t0, timings)
+        _bit_row("charpoly_eisenstein", params, "shifted coefficients", "maximal-ideal pattern", ok, t0, timings)
     )
     # random odd-size twisted-norm checks
     base = base_field(q)
@@ -488,16 +444,15 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
         passed, _ = twisted_norm_charpoly_check(x)
         ok = ok and passed
         done += 1
-    rows.append(
-        _row("charpoly_twisted_norm", f"q={q} N={N} {samples} random", "a0, a1", "vanishing and entry product", 0.0 if ok else 1.0, ok, t0, timings)
-    )
+    params = f"q={q} N={N} {samples} random"
+    rows.append(_bit_row("charpoly_twisted_norm", params, "a0, a1", "vanishing and entry product", ok, t0, timings))
     # factorization against the supplied norm on the family
     t0 = time.perf_counter()
     ok = True
     for u in range(1, q):
         ok = ok and norm_family_check(Pair.GL_ODD_SP, q, n, u)
     rows.append(
-        _row("charpoly_factorization", f"q={q} n={n} family", "p_(x,theta)", "p_y * (T-1)", 0.0 if ok else 1.0, ok, t0, timings)
+        _bit_row("charpoly_factorization", f"q={q} n={n} family", "p_(x,theta)", "p_y * (T-1)", ok, t0, timings)
     )
     return rows
 
@@ -508,20 +463,18 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
 def heisenberg_suite(cases=((3, 1), (5, 1), (3, 2)), timings=False):
     rows = []
     for p, e in cases:
+        params = f"p={p} e={e}"
         t0 = time.perf_counter()
         ok = q_group_check(HeisParams(p, e))
-        rows.append(
-            _row("heis_group_axioms", f"p={p} e={e}", "multiplication table", "group laws", 0.0 if ok else 1.0, ok, t0, timings)
-        )
+        rows.append(_bit_row("heis_group_axioms", params, "multiplication table", "group laws", ok, t0, timings))
         t0 = time.perf_counter()
         rep = char_table_checks(p, e)
         rows.append(
-            _row(
+            _bit_row(
                 "heis_char_table",
-                f"p={p} e={e}",
+                params,
                 f"{rep['n_linear']} linear + {rep['n_big']} big, dims^2 = {rep['dims_sq_sum']}",
                 f"order {rep['order']}",
-                0.0 if rep["ok"] else 1.0,
                 rep["ok"],
                 t0,
                 timings,
@@ -530,7 +483,7 @@ def heisenberg_suite(cases=((3, 1), (5, 1), (3, 2)), timings=False):
         t0 = time.perf_counter()
         td = tensor_decompositions(p, e)
         rows.append(
-            _row("heis_tensor_rules", f"p={p} e={e}", "character products", "stated decompositions", 0.0 if td["ok"] else 1.0, td["ok"], t0, timings)
+            _bit_row("heis_tensor_rules", params, "character products", "stated decompositions", td["ok"], t0, timings)
         )
     return rows
 
@@ -540,33 +493,29 @@ def conductor_suite(cases=((3, 1, 2), (5, 1, 4), (3, 2, 2)), timings=False):
     for p, e, nprime in cases:
         t0 = time.perf_counter()
         filt = ramification_jumps(p, e, nprime)
-        expected = (
-            nprime * p ** (2 * e + 1) * (p**e + 1),
-            p ** (2 * e + 1),
-        ) + (p,) * (p**e)
+        expected = (nprime * p ** (2 * e + 1) * (p**e + 1), p ** (2 * e + 1)) + (p,) * (p**e)
+        params = f"p={p} e={e} n'={nprime}"
         ok = filt.orders == expected
-        rows.append(
-            _row("ramification_jumps", f"p={p} e={e} n'={nprime}", str(filt.orders), str(expected), 0.0 if ok else 1.0, ok, t0, timings)
-        )
+        rows.append(_bit_row("ramification_jumps", params, filt.orders, expected, ok, t0, timings))
         t0 = time.perf_counter()
         try:
             r = swan_artin_gamma(p, e, nprime)
-            n = r["n"]
-            ok = r["swan"] == n and r["artin"] == 2 * n * n + 2 * n and r["fdc_pass"]
-            rows.append(
-                _row(
-                    "swan_artin",
-                    f"p={p} e={e} n'={nprime}",
-                    f"swan={r['swan']} artin={r['artin']} log_q|gamma|={r['log_q_gamma']}",
-                    f"n={n}, 2n^2+2n={2*n*n+2*n}, n^2+n={n*n+n}",
-                    0.0 if ok else 1.0,
-                    ok,
-                    t0,
-                    timings,
-                )
-            )
         except EndolabError as exc:
-            rows.append(_row("swan_artin", f"p={p} e={e} n'={nprime}", "error", str(exc), 1.0, False, t0, timings))
+            rows.append(_bit_row("swan_artin", params, "error", exc, False, t0, timings))
+            continue
+        n = r["n"]
+        ok = r["swan"] == n and r["artin"] == 2 * n * n + 2 * n and r["fdc_pass"]
+        rows.append(
+            _bit_row(
+                "swan_artin",
+                params,
+                f"swan={r['swan']} artin={r['artin']} log_q|gamma|={r['log_q_gamma']}",
+                f"n={n}, 2n^2+2n={2*n*n+2*n}, n^2+n={n*n+n}",
+                ok,
+                t0,
+                timings,
+            )
+        )
     return rows
 
 
@@ -581,12 +530,11 @@ def formal_degree_suite(ns=(1, 2, 3, 4), qs=(3, 5, 7, 9), timings=False):
             rep = formal_degree_ineq(n, q)
             label = "exceptional" if rep["exceptional"] else "generic"
             rows.append(
-                _row(
+                _bit_row(
                     "formal_degree",
                     f"n={n} q={q} ({label})",
                     "cuspidal dimension bound",
                     "Iwahori volume bound",
-                    0.0 if rep["holds"] else 1.0,
                     rep["holds"],
                     t0,
                     timings,
@@ -631,10 +579,7 @@ def run_all(names=None, seed=0, tol=DEFAULT_TOL, timings=False, jobs=1):
             results = pool.map(_run_one, calls)
     else:
         results = [_run_one(c) for c in calls]
-    out = []
-    for rows in results:
-        out.extend(rows)
-    return out
+    return [row for rows in results for row in rows]
 
 
 def _run_one(call):
