@@ -686,29 +686,15 @@ def _random_torus(group: GroupId, p: int, rng: random.Random):
     N = group.size
     n = group.n
     rows = [[base.zero() for _ in range(N)] for _ in range(N)]
-    if group.kind in (GroupKind.SP, GroupKind.TWISTED_GL):
-        ts = [rng.randrange(1, p) for _ in range(n)]
-        diag = ts + [None] * n
-        for i in range(n):
-            rows[i][i] = base.from_int(ts[i])
-            rows[N - 1 - i][N - 1 - i] = base.from_int(ts[i]).inv()
-    elif group.kind is GroupKind.SO_RAM:
-        ts = [rng.randrange(1, p) for _ in range(n - 1)]
-        for i in range(n - 1):
-            rows[i][i] = base.from_int(ts[i])
-            rows[N - 1 - i][N - 1 - i] = base.from_int(ts[i]).inv()
+    rank = {GroupKind.SO_RAM: n - 1, GroupKind.SO_SPL: n + 1}.get(group.kind, n)
+    for i in range(rank):
+        t = rng.randrange(1, p)
+        rows[i][i] = base.from_int(t)
+        rows[N - 1 - i][N - 1 - i] = base.from_int(t).inv()
+    if group.kind is GroupKind.SO_RAM:
         rows[n - 1][n - 1] = base.one()
         rows[n][n] = base.one()
-    elif group.kind is GroupKind.SO_SPL:
-        ts = [rng.randrange(1, p) for _ in range(n + 1)]
-        for i in range(n + 1):
-            rows[i][i] = base.from_int(ts[i])
-            rows[N - 1 - i][N - 1 - i] = base.from_int(ts[i]).inv()
     elif group.kind is GroupKind.SO_UR:
-        ts = [rng.randrange(1, p) for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = base.from_int(ts[i])
-            rows[N - 1 - i][N - 1 - i] = base.from_int(ts[i]).inv()
         sgn = rng.choice([1, -1])
         rows[n][n] = base.from_int(sgn)
         rows[n + 1][n + 1] = base.from_int(sgn)

@@ -402,7 +402,7 @@ class QPrimeTable:
     """Exact character table of the Heisenberg group Q' = {(b, c)}."""
 
     def __init__(self, params: HeisParams):
-        p, e = params.p, params.e
+        p = params.p
         if params.qprime_order > ENUM_CAP:
             raise CapExceeded(f"|Q'| = {params.qprime_order} beyond cap")
         self.params = params
@@ -518,8 +518,7 @@ class QPrimeTable:
     def big_characters(self):
         """The p-1 irreducible characters of dimension p^e, induced from a
         character of a maximal abelian subgroup extending the center."""
-        F = self.Q.F
-        p, e = self.p, self.params.e
+        p = self.p
         B0 = self.isotropic_subgroup()
         A = [(b, c) for b in B0 for c in self.Q.c_set[b]]
         ell = self._split_character(A)
@@ -633,7 +632,6 @@ def char_table_checks(p: int, e: int) -> dict:
             total = Cyclo(T.p)
             for (_, _, vals) in tab:
                 total = total + vals[T.index[g]] * vals[T.index[h]].conj()
-            expected = T.n // cg if g == h else None
             if g == h:
                 second = second and total == Cyclo.integer(T.p, T.n // cg)
             else:

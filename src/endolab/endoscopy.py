@@ -64,7 +64,6 @@ class TransferValue:
 
     def canonical(self, field):
         """(total sign, halfq, gauss in {0,1}) using G^2 = q*w0(-1)."""
-        w0 = field.omega0()
         s = self.sign
         u = field.coerce(self.unit)
         if u.is_zero():
@@ -129,7 +128,7 @@ def _eta_recipe(kind: GroupKind, n: int):
     if kind in (GroupKind.GL, GroupKind.TWISTED_GL, GroupKind.SP):
         N = n if kind is GroupKind.GL else 2 * n
         mat = [[1 if j == i + 1 else 0 for j in range(N)] for i in range(N)]
-        power, jpow = N - 1, None
+        power = N - 1
         J = [[0] * N for _ in range(N)]
         for i in range(N):
             J[i][N - 1 - i] = (-1) ** i
@@ -493,7 +492,6 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = TOL):
         if abs(lhs - rhs) > tol:
             raise IdentityFailed(f"plain lift identity fails at u={u}")
         # coset identity: q^(1/2) w0(-2) Theta^{GL}(phi_u g_u) = (diff)(-g_u^Sp)
-        au = k.coerce(a) * u
         bu = k.coerce(b) * u
         if not bu.is_square():
             lhs2 = 0.0
@@ -523,7 +521,6 @@ def so_even_packet_verify(
     if kind not in (GroupKind.SO_SPL, GroupKind.SO_UR):
         raise UnknownPair(str(kind))
     t_inv = 1 if kind is GroupKind.SO_UR else 0
-    pair = Pair.SOUR_H if t_inv else Pair.SOSPL_H
     k = make_field(p)
     w0 = k.omega0()
     q = k.q

@@ -292,7 +292,6 @@ def simple_affine_components(g: GroupMatrix):
 
 def _components_unchecked(g: GroupMatrix):
     base = g.base
-    k = base.residue_field
     out = []
     for slot in g.group.component_slots():
         if isinstance(slot[0], tuple):

@@ -216,10 +216,14 @@ def _char_element(kind, n, q, u, variant):
     nu = nu_of_u(make_field(q), n, u) if kind is GroupKind.SO_RAM else 0
     gid = GroupId(kind, n, nu)
     if variant == "phi_coset" and kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-        phi_ab = so_even_phi_params(gid, q, u)
-        return CharElement(gid, family_matrix(gid, q, u, "phi_coset"), coset="phi", phi_ab=phi_ab)
+        al, be = so_even_phi_params(gid, q, u)
+        return CharElement(
+            gid, family_matrix(gid, q, u, "phi_coset"), coset="phi", phi_ab=(al, be)
+        )
     if variant == "minus" and kind is GroupKind.TWISTED_GL:
-        return CharElement(gid, family_matrix(gid, q, u, "minus"), coset="phi", phi_u=u)
+        return CharElement(
+            gid, family_matrix(gid, q, u, "minus"), coset="phi", phi_u=u
+        )
     sign = -1 if variant == "minus" else 1
     return CharElement(gid, family_matrix(gid, q, u, variant), sign=sign)
 
@@ -249,8 +253,18 @@ def char_oracle_suite(
                         worst = max(worst, d)
                         ok = ok and d <= tol
                         count += 1
-                params = f"group={kind.value} n={n} q={q} ({count} comparisons)"
-                rows.append(_row("char_oracle", params, "brute_force", "closed_form", worst, ok, t0, timings))
+                rows.append(
+                    _row(
+                        "char_oracle",
+                        f"group={kind.value} n={n} q={q} ({count} comparisons)",
+                        "brute_force",
+                        "closed_form",
+                        worst,
+                        ok,
+                        t0,
+                        timings,
+                    )
+                )
     return rows
 
 
@@ -338,15 +352,22 @@ ALL_PAIRS = (Pair.GL_SORAM, Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H)
 
 
 def _variants(pair):
-    return ("plus", "minus") + (("phi_coset",) if pair in (Pair.SOSPL_H, Pair.SOUR_H) else ())
+    return ("plus", "minus") + (
+        ("phi_coset",) if pair in (Pair.SOSPL_H, Pair.SOUR_H) else ()
+    )
 
 
 def transfer_suite(
     ns=(2, 3), ps=(3, 5, 7, 11, 13), direct=((2, 5), (2, 13), (3, 7), (3, 13)), timings=False
 ):
     rows = []
-    cells = [(n, p, False) for n in ns for p in ps] + [(n, p, True) for n, p in direct]
-    for n, p, is_direct in cells:
+    # (n, p, direct route, suite, parameters, lhs), closed-form cells first
+    cells = [
+        (n, p, False, "delta_iv_closed", f"n={n} p={p} all pairs, all u", "sign formula")
+        for n in ns
+        for p in ps
+    ] + [(n, p, True, "delta_iv_direct", f"n={n} p={p}", "root-product route") for n, p in direct]
+    for n, p, is_direct, suite, params, lhs in cells:
         t0 = time.perf_counter()
         k = make_field(p)
         ok = True
@@ -356,10 +377,6 @@ def transfer_suite(
                 for u in range(1, p):
                     got = delta_iv_walds(pair, p, n, u, var, direct=is_direct)
                     ok = ok and abs(got - expect) < 1e-9
-        if is_direct:
-            suite, params, lhs = "delta_iv_direct", f"n={n} p={p}", "root-product route"
-        else:
-            suite, params, lhs = "delta_iv_closed", f"n={n} p={p} all pairs, all u", "sign formula"
         rows.append(_bit_row(suite, params, lhs, "tabulated constant", ok, t0, timings))
     t0 = time.perf_counter()
     ok = True
@@ -368,7 +385,9 @@ def transfer_suite(
         for n in (2, 3):
             got = transfer_factor(pair, 5, n, 1, var)
             ok = ok and got.symbolic_eq(expect, k5)
-    rows.append(_bit_row("transfer_symbolic", "p=5 n in (2,3)", "Delta product", "tabulated", ok, t0, timings))
+    rows.append(
+        _bit_row("transfer_symbolic", "p=5 n in (2,3)", "Delta product", "tabulated", ok, t0, timings)
+    )
     return rows
 
 
@@ -392,7 +411,9 @@ def disc_suite(cases=((2, 5), (2, 13), (3, 7), (3, 13)), timings=False):
                         weyl_disc_val(gid, p, u, var, direct=True)
                     except EndolabError:
                         ok = False
-        rows.append(_bit_row("weyl_disc", f"n={n} p={p}", "eigenvalue route", "closed table", ok, t0, timings))
+        rows.append(
+            _bit_row("weyl_disc", f"n={n} p={p}", "eigenvalue route", "closed table", ok, t0, timings)
+        )
     return rows
 
 
@@ -445,7 +466,9 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
         ok = ok and passed
         done += 1
     params = f"q={q} N={N} {samples} random"
-    rows.append(_bit_row("charpoly_twisted_norm", params, "a0, a1", "vanishing and entry product", ok, t0, timings))
+    rows.append(
+        _bit_row("charpoly_twisted_norm", params, "a0, a1", "vanishing and entry product", ok, t0, timings)
+    )
     # factorization against the supplied norm on the family
     t0 = time.perf_counter()
     ok = True
@@ -466,7 +489,9 @@ def heisenberg_suite(cases=((3, 1), (5, 1), (3, 2)), timings=False):
         params = f"p={p} e={e}"
         t0 = time.perf_counter()
         ok = q_group_check(HeisParams(p, e))
-        rows.append(_bit_row("heis_group_axioms", params, "multiplication table", "group laws", ok, t0, timings))
+        rows.append(
+            _bit_row("heis_group_axioms", params, "multiplication table", "group laws", ok, t0, timings)
+        )
         t0 = time.perf_counter()
         rep = char_table_checks(p, e)
         rows.append(
@@ -493,10 +518,15 @@ def conductor_suite(cases=((3, 1, 2), (5, 1, 4), (3, 2, 2)), timings=False):
     for p, e, nprime in cases:
         t0 = time.perf_counter()
         filt = ramification_jumps(p, e, nprime)
-        expected = (nprime * p ** (2 * e + 1) * (p**e + 1), p ** (2 * e + 1)) + (p,) * (p**e)
+        expected = (
+            nprime * p ** (2 * e + 1) * (p**e + 1),
+            p ** (2 * e + 1),
+        ) + (p,) * (p**e)
         params = f"p={p} e={e} n'={nprime}"
         ok = filt.orders == expected
-        rows.append(_bit_row("ramification_jumps", params, filt.orders, expected, ok, t0, timings))
+        rows.append(
+            _bit_row("ramification_jumps", params, filt.orders, expected, ok, t0, timings)
+        )
         t0 = time.perf_counter()
         try:
             r = swan_artin_gamma(p, e, nprime)
@@ -579,7 +609,10 @@ def run_all(names=None, seed=0, tol=DEFAULT_TOL, timings=False, jobs=1):
             results = pool.map(_run_one, calls)
     else:
         results = [_run_one(c) for c in calls]
-    return [row for rows in results for row in rows]
+    out = []
+    for rows in results:
+        out.extend(rows)
+    return out
 
 
 def _run_one(call):

@@ -288,8 +288,9 @@ def catalog(fld: FiniteField, ns=(2, 3)):
         out.append(sp_spec(fld, n))
         out.append(sp_spec(fld, n, twisted=True))
         out.append(gl_theta_spec(fld, n))
-        out.append(so_split_spec(fld, n))
-        out.append(so_split_spec(fld, n, twisted=True))
-        out.append(so_unramified_spec(fld, n))
-        out.append(so_unramified_spec(fld, n, twisted=True))
+        if n >= 2:  # the even-orthogonal specs need n >= 2; `sums eval --n` may be 1
+            out.append(so_split_spec(fld, n))
+            out.append(so_split_spec(fld, n, twisted=True))
+            out.append(so_unramified_spec(fld, n))
+            out.append(so_unramified_spec(fld, n, twisted=True))
     return [s for s in out if s.n + 2 * s.m <= BRUTE_VAR_CAP]

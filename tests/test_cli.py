@@ -48,6 +48,21 @@ def test_char_eval_json(capsys):
     assert data["pass"] and data["delta"] <= 1e-6
 
 
+def test_sums_eval_rank_one(capsys):
+    # the named catalog is built for the requested rank before --spec is read,
+    # so rank 1 (no even-orthogonal specs) must not break the plain sum
+    from endolab.residue import make_field
+    from endolab.sums import kl_simple, kloosterman_eval
+
+    code, out = run_capture(["sums", "eval", "--q", "5", "--n", "1", "--u", "2"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    k = make_field(5)
+    want = kloosterman_eval(kl_simple(k, 1), k.coerce(2))
+    assert data["spec"] == "Kl^1"
+    assert abs(complex(*data["value"]) - want) < 1e-12
+
+
 def test_sums_verify_seed_determinism(capsys):
     code1, out1 = run_capture(["sums", "verify", "--q", "3"], capsys)
     code2, out2 = run_capture(["sums", "verify", "--q", "3"], capsys)
