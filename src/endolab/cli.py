@@ -276,8 +276,22 @@ def cmd_tower(args):
     return 0
 
 
+def _unknown_variant(args, kind):
+    """Print a usage error when the group's family has no ``--variant``."""
+    variants = suites._FAMILY_VARIANTS.get(kind)
+    if variants is None or args.variant in variants:
+        return False
+    print(
+        f"usage error: --variant for --group {args.group} is one of {', '.join(variants)}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_group(args):
     kind = KIND_NAMES[args.group]
+    if _unknown_variant(args, kind):
+        return 2
     nu = nu_of_u(make_field(args.p), args.n, args.u) if kind is GroupKind.SO_RAM else 0
     gid = GroupId(kind, args.n, nu)
     g = family_matrix(gid, args.p, args.u, args.variant)
@@ -300,6 +314,8 @@ def cmd_group(args):
 def cmd_char(args):
     if args.sub == "eval":
         kind = KIND_NAMES[args.group]
+        if _unknown_variant(args, kind):
+            return 2
         el = _char_element(kind, args.n, args.q, args.u, args.variant)
         if args.zeta is not None:
             zeta = args.zeta

@@ -31,28 +31,28 @@ class GF:
     def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
-        self.modulus = self._find_irreducible()
         self.zero = (0,) * m
         self.one = tuple([1] + [0] * (m - 1))
+        self.modulus = self._find_irreducible()
         self._dlog = None
         if p**m <= 20000:
             self._build_dlog()
 
     def _build_dlog(self):
+        """Exp/log tables of the first generator in `elements()` order; each
+        candidate's power walk stops when it returns to one."""
         order = self.p**self.m - 1
         for g in self.elements():
             if g == self.zero:
                 continue
-            seen = {}
-            x = self.one
-            for k in range(order):
-                seen[x] = k
+            exp = [self.one]
+            x = g
+            while x != self.one:
+                exp.append(x)
                 x = self._mul_mod(x, g, self.modulus)
-            if len(seen) == order:
-                self._dlog = seen
-                self._exp = [None] * order
-                for el, k in seen.items():
-                    self._exp[k] = el
+            if len(exp) == order:
+                self._exp = exp
+                self._dlog = {el: k for k, el in enumerate(exp)}
                 return
 
     def _find_irreducible(self):
@@ -95,7 +95,7 @@ class GF:
         return tuple(out[:m])
 
     def _pow_mod(self, a, n, cs):
-        out = self.one if hasattr(self, "one") else tuple([1] + [0] * (self.m - 1))
+        out = self.one
         base = a
         while n:
             if n & 1:
@@ -105,13 +105,13 @@ class GF:
         return out
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return tuple([(x + y) % self.p for x, y in zip(a, b)])
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return tuple([(x - y) % self.p for x, y in zip(a, b)])
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return tuple([(-x) % self.p for x in a])
 
     def mul(self, a, b):
         if self._dlog is not None:
@@ -143,12 +143,23 @@ class GF:
         return all(x == 0 for x in a[1:])
 
 
+@lru_cache(maxsize=None)
+def make_gf(p: int, m: int) -> GF:
+    """Construct (and cache) F_{p^m}, so its modulus and log tables are found once."""
+    return GF(p, m)
+
+
 # ---------------------------------------------------------------------------
 # exact cyclotomic integers over Z[zeta_p]
 
 
 class Cyclo:
-    """Elements of Z[zeta_p] (or Q[zeta_p]) in the basis 1..zeta^{p-2}."""
+    """Elements of Z[zeta_p] (or Q[zeta_p]) in the basis 1..zeta^{p-2}.
+
+    Products and conjugates are first formed as length-p coefficient vectors,
+    exact modulo zeta^p = 1; `_reduced` then removes the zeta^{p-1}
+    coefficient once, through 1 + zeta + ... + zeta^{p-1} = 0.
+    """
 
     __slots__ = ("p", "coeffs")
 
@@ -179,38 +190,22 @@ class Cyclo:
         return Cyclo(self.p, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyclo(self.p, [a * other for a in self.coeffs])
         p = self.p
-        acc = [0] * (2 * p - 3)
+        if isinstance(other, int):
+            return Cyclo(p, [a * other for a in self.coeffs])
+        acc = [0] * p
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    acc[i + j] += a * b
-        out = list(acc[: p - 1])
-        for d in range(p - 1, 2 * p - 3):
-            c = acc[d]
-            if c:
-                # zeta^d = zeta^{d-p} * zeta^p = zeta^{d mod p}; d < 2p-2 so
-                # d - p + 1 <= p - 3: zeta^{d} with d >= p-1: use the relation
-                k = d % p
-                if k < p - 1:
-                    out[k] += c
-                else:
-                    for t in range(p - 1):
-                        out[t] -= c
-        return Cyclo(p, out)
+                for j, b in enumerate(other.coeffs, i):
+                    acc[j % p] += a * b
+        return _reduced(p, acc)
 
     __rmul__ = __mul__
 
     def conj(self):
-        """Complex conjugation zeta -> zeta^{-1}."""
-        p = self.p
-        out = Cyclo(p)
-        for k, a in enumerate(self.coeffs):
-            if a:
-                out = out + Cyclo.zeta_pow(p, -k) * a
-        return out
+        """Complex conjugation zeta -> zeta^{-1}: zeta^k moves to zeta^{p-k}."""
+        a = self.coeffs
+        return _reduced(self.p, (a[0], 0) + a[:0:-1])
 
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
@@ -228,6 +223,12 @@ class Cyclo:
 
     def __repr__(self):
         return f"Cyclo(p={self.p}, {self.coeffs})"
+
+
+def _reduced(p, c):
+    """The Cyclo with length-p coefficients ``c`` over 1..zeta^{p-1}."""
+    top = c[p - 1]
+    return Cyclo(p, [x - top for x in c[: p - 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ class QGroup:
         p, e = params.p, params.e
         if params.q_order > 10 * ENUM_CAP:
             raise CapExceeded(f"|Q| = {params.q_order} beyond enumeration cap")
-        self.F = GF(p, 4 * e)
+        self.F = make_gf(p, 4 * e)
         F = self.F
         self.a_set = [a for a in F.elements() if F.pow(a, p**e + 1) == F.one and a != F.zero]
         self.b_set = [b for b in F.elements() if F.add(F.pow(b, p ** (2 * e)), b) == F.zero]
@@ -421,6 +422,7 @@ class QPrimeTable:
         e_i = self.index[(F.zero, F.zero)]
         self.itable = [row.index(e_i) for row in self.mtable]
         self.sq_idx = [self.mtable[i][i] for i in range(self.n)]
+        self.table = self.linear_characters() + self.big_characters()
 
     def mul(self, x, y):
         F = self.Q.F
@@ -450,7 +452,6 @@ class QPrimeTable:
 
     # -- linear characters --------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def b_basis(self):
         """Greedy F_p-basis of the b-group with a coordinate map."""
         F = self.Q.F
@@ -581,14 +582,8 @@ class QPrimeTable:
                 raise IncompatibleParams("splitting misses the center")
         return ell
 
-    @lru_cache(maxsize=None)
-    def table(self):
-        return self.linear_characters() + self.big_characters()
-
     def inner(self, vals1, vals2):
-        total = Cyclo(self.p)
-        for v1, v2 in zip(vals1, vals2):
-            total = total + v1 * v2.conj()
+        total = _dot(vals1, [v.conj() for v in vals2], self.p)
         out = []
         for cf in total.coeffs:
             if cf % self.n:
@@ -599,7 +594,7 @@ class QPrimeTable:
 
     def dims(self):
         idx = self.index[(self.Q.F.zero, self.Q.F.zero)]
-        return [vals[idx].as_integer() for (_, _, vals) in self.table()]
+        return [vals[idx].as_integer() for (_, _, vals) in self.table]
 
 
 @lru_cache(maxsize=None)
@@ -608,9 +603,15 @@ def qprime_char_table(p: int, e: int) -> QPrimeTable:
 
 
 def char_table_checks(p: int, e: int) -> dict:
-    """Dimension count and the two orthogonality relations, exactly."""
+    """Dimension count, constancy on conjugacy classes and the two
+    orthogonality relations, exactly.
+
+    Both relations are sums over class representatives.  The first is
+    weighted by class size, which equals the sum over all elements because
+    every character is checked to be constant on every class.
+    """
     T = qprime_char_table(p, e)
-    tab = T.table()
+    tab = T.table
     dims = T.dims()
     report = {
         "n_linear": sum(1 for d in dims if d == 1),
@@ -618,27 +619,37 @@ def char_table_checks(p: int, e: int) -> dict:
         "dims_sq_sum": sum(d * d for d in dims),
         "order": T.n,
     }
+    classes = _class_reps(T)
+    report["class_functions"] = all(
+        vals[g] == vals[rep] for _, _, vals in tab for rep, cls in classes for g in cls
+    )
+    sizes = [len(cls) for _, cls in classes]
+    rows = [[vals[rep] for rep, _ in classes] for _, _, vals in tab]
+    # each distinct value is conjugated, and scaled by each class size, once;
+    # the cells share those objects
+    conj = {v: v.conj() for v in {v for row in rows for v in row}}
+    weighted = {(v, s): conj[v] * s for v in conj for s in set(sizes)}
+    bar_rows = [[weighted[v, s] for v, s in zip(row, sizes)] for row in rows]
+    k = len(tab)
     first = all(
-        T.inner(tab[i][2], tab[j][2]) == (1 if i == j else 0)
-        for i in range(len(tab))
-        for j in range(i, len(tab))
+        _dot(rows[i], bar_rows[j], p) == Cyclo.integer(p, T.n if i == j else 0)
+        for i in range(k)
+        for j in range(i, k)
     )
     report["first_orthogonality"] = first
-    # second orthogonality over a set of class representatives
-    reps = _class_reps(T)
-    second = True
-    for g, cg in reps:
-        for h, ch in reps:
-            total = Cyclo(T.p)
-            for (_, _, vals) in tab:
-                total = total + vals[T.index[g]] * vals[T.index[h]].conj()
-            if g == h:
-                second = second and total == Cyclo.integer(T.p, T.n // cg)
-            else:
-                second = second and total.is_zero()
+    # like the first, the second relation is Hermitian: (d, c) is the
+    # conjugate of (c, d), so c <= d covers every pair
+    cols = list(zip(*rows))
+    bar_cols = [[conj[v] for v in col] for col in cols]
+    second = all(
+        _dot(cols[c], bar_cols[d], p) == Cyclo.integer(p, T.n // sizes[c] if c == d else 0)
+        for c in range(len(cols))
+        for d in range(c, len(cols))
+    )
     report["second_orthogonality"] = second
     report["ok"] = (
-        first
+        report["class_functions"]
+        and first
         and second
         and report["dims_sq_sum"] == T.n
         and report["n_big"] == p - 1
@@ -647,7 +658,13 @@ def char_table_checks(p: int, e: int) -> dict:
     return report
 
 
+def _dot(xs, ys, p):
+    """sum(x * y) over paired cyclotomic integers, added coefficient-wise."""
+    return Cyclo(p, [sum(c) for c in zip(*[(x * y).coeffs for x, y in zip(xs, ys)])])
+
+
 def _class_reps(T: QPrimeTable):
+    """Conjugacy classes of Q' as (representative index, member indices)."""
     seen = set()
     reps = []
     mt, it = T.mtable, T.itable
@@ -656,7 +673,7 @@ def _class_reps(T: QPrimeTable):
             continue
         cls = {mt[mt[xi][gi]][it[xi]] for xi in range(T.n)}
         seen |= cls
-        reps.append((T.elements[gi], len(cls)))
+        reps.append((gi, cls))
     return reps
 
 
@@ -667,7 +684,7 @@ def _class_reps(T: QPrimeTable):
 def _decompose(T: QPrimeTable, vals):
     """Multiplicities of the exact character ``vals`` against the table."""
     out = []
-    for name, tag, irr in T.table():
+    for name, tag, irr in T.table:
         m = T.inner(vals, irr)
         if m is None:
             raise IncompatibleParams("character does not decompose integrally")
@@ -705,7 +722,7 @@ def tensor_decompositions(p: int, e: int) -> dict:
     the exterior square of tau is (p^e - 1)/2 copies of the doubled-center
     one, and distinct-center tensors give p^e copies."""
     T = qprime_char_table(p, e)
-    tab = T.table()
+    tab = T.table
     big = {tag: vals for name, tag, vals in tab if name == "big"}
     out = {}
     j = 1
@@ -794,7 +811,7 @@ def ad_phi_restriction(p: int, e: int, nprime: int):
     if len(set(orbit)) != nprime:
         raise IncompatibleParams("central-character orbit is not free")
     # exterior square of the direct sum, decomposed exactly
-    big = {tag: vals for name, tag, vals in T.table() if name == "big"}
+    big = {tag: vals for name, tag, vals in T.table if name == "big"}
     total = [Cyclo(T.p) for _ in range(T.n)]
     for jj in orbit:
         total = [a + b for a, b in zip(total, big[jj])]
@@ -888,15 +905,15 @@ def swan_artin_gamma(p: int, e: int, nprime: int) -> dict:
     swan_det = nprime * closed["big"]
     swan_total = swan_ext + swan_det
     # generic filtration route on one big and one nontrivial linear character
-    big_vals = next(vals for name, tag, vals in T.table() if name == "big")
+    big_vals = next(vals for name, tag, vals in T.table if name == "big")
     lin_vals = next(
         vals
-        for name, tag, vals in T.table()
+        for name, tag, vals in T.table
         if name == "linear" and any(t != 0 for t in tag)
     )
     triv_vals = next(
         vals
-        for name, tag, vals in T.table()
+        for name, tag, vals in T.table
         if name == "linear" and all(t == 0 for t in tag)
     )
     check_big = swan_of_rep(T, big_vals, filt)

@@ -106,12 +106,13 @@ def test_criterion_08_charpoly_lemmas():
 
 
 def test_criterion_09_heisenberg():
-    rows, _, ok = _run(
+    rows, elapsed, ok = _run(
         "criterion 9: Heisenberg suite ((3,1),(5,1),(3,2)), exact",
         suites.heisenberg_suite,
         cases=((3, 1), (5, 1), (3, 2)),
     )
     assert ok
+    assert elapsed < 30
 
 
 def test_criterion_10_conductors():

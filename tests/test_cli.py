@@ -48,6 +48,24 @@ def test_char_eval_json(capsys):
     assert data["pass"] and data["delta"] <= 1e-6
 
 
+@pytest.mark.parametrize("variant", ["bogus", "phi_coset"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1"],
+        ["group", "element", "--group", "sp", "--n", "2", "--p", "5", "--u", "1"],
+    ],
+)
+def test_variant_outside_family_is_usage_error(argv, variant, capsys):
+    # Sp has only the plus and minus families; another variant would evaluate
+    # the negated matrix under sign +1, an element no family defines
+    code = run(argv + ["--variant", variant])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--variant" in captured.err
+
+
 def test_sums_eval_rank_one(capsys):
     # the named catalog is built for the requested rank before --spec is read,
     # so rank 1 (no even-orthogonal specs) must not break the plain sum
