@@ -210,7 +210,7 @@ def torus_index_set(params: SSCParams, element: CharElement):
         au = k.coerce(params.a * element.phi_u)
         if not au.is_square():
             return []
-        w = _sqrt(k, au)
+        w = k.sqrt(au)
         return [t + (tn,) for t in tuples(n - 1) for tn in (w.a, (-w).a)]
     if kind is GroupKind.SO_SPL:
         alpha, beta = element.phi_ab
@@ -218,8 +218,8 @@ def torus_index_set(params: SSCParams, element: CharElement):
         c2 = k.coerce(alpha) * k.coerce(k.eps.a) ** (-params.kappa)
         if not (c1.is_square() and c2.is_square()):
             return []
-        x1 = _sqrt(k, c1)
-        xn1 = _sqrt(k, c2)
+        x1 = k.sqrt(c1)
+        xn1 = k.sqrt(c2)
         return [
             (x1.a,) + t + (s,)
             for t in tuples(n - 1)
@@ -232,13 +232,9 @@ def torus_index_set(params: SSCParams, element: CharElement):
         c1 = k.coerce(-params.a) * k.coerce(beta)
         if not c1.is_square():
             return []
-        x1 = _sqrt(k, c1)
+        x1 = k.sqrt(c1)
         return [(x1.a,) + t + (s,) for t in tuples(n - 1) for s in (1, -1)]
     raise HypothesisFailed(f"no index set for {kind}/{element.coset}")
-
-
-def _sqrt(k, x):
-    return k.gen ** (k.dlog(x) // 2)
 
 
 def _w0_sign(k, x) -> int:
@@ -538,7 +534,7 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
         au = a * u
         if not au.is_square():
             return CharValue(0.0 + 0.0j, "closed_form")
-        v_root = _sqrt(k, au)
+        v_root = k.sqrt(au)
         beta = (v_root * v_root * h[0] + a * h[-1]) / v_root
         for x in pairs:
             beta = beta * x
@@ -553,8 +549,8 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
             k, -a.inv()
         ):
             return CharValue(0.0 + 0.0j, "closed_form")
-        r1 = _sqrt(k, -beta * a)
-        r2 = _sqrt(k, alpha * k.coerce(k.eps.a) ** (-params.kappa))
+        r1 = k.sqrt(-beta * a)
+        r2 = k.sqrt(alpha * k.coerce(k.eps.a) ** (-params.kappa))
         delta = r1.inv() * r2.inv() * a * (-beta * h[0] + h[n + 1])
         for i in range(1, n - 1):
             delta = delta * h[i]
@@ -571,7 +567,7 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
             return CharValue(0.0 + 0.0j, "closed_form")
         if _w0_sign(k, beta) != _w0_sign(k, -a.inv()):
             return CharValue(0.0 + 0.0j, "closed_form")
-        r1 = _sqrt(k, -beta * a)
+        r1 = k.sqrt(-beta * a)
         _, tr = norm_trace(h[n - 1])
         delta = r1.inv() * a * (-beta * h[0] + h[n])
         for i in range(1, n - 1):

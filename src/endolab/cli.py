@@ -208,7 +208,7 @@ def _elem_json(x, digits=6):
         return {"val": None, "digits": []}
     p = x.tower.p
     out = []
-    c = x.unit[0] if x.tower.f == 1 else None
+    c = x.unit[0]
     for k in range(min(digits, x.rprec)):
         out.append(c % p)
         c //= p

@@ -284,12 +284,12 @@ class QGroup:
                     yield (a, b, c)
 
     def beta(self, b1, b2):
-        """The c-correction sum((b1^{p^e} b2)^{p^i}, i < e) for a = 1."""
+        """The c-correction sum((b1^{p^e} b2)^{p^i}, i < e); a product
+        (a1, b1, c1)(a2, b2, c2) takes it at (b1, a1*b2)."""
         F = self.F
         p, e = self.params.p, self.params.e
-        base = F.mul(F.pow(b1, p**self.params.e), b2)
+        t = F.mul(F.pow(b1, p**e), b2)
         out = F.zero
-        t = base
         for _ in range(e):
             out = F.add(out, t)
             t = F.pow(t, p)
@@ -299,14 +299,8 @@ class QGroup:
         a1, b1, c1 = x
         a2, b2, c2 = y
         F = self.F
-        p, e = self.params.p, self.params.e
-        base = F.mul(F.mul(a1, F.pow(b1, p**e)), b2)
-        corr = F.zero
-        t = base
-        for _ in range(e):
-            corr = F.add(corr, t)
-            t = F.pow(t, p)
-        return (F.mul(a1, a2), F.add(b1, F.mul(a1, b2)), F.add(F.add(c1, c2), corr))
+        a1b2 = F.mul(a1, b2)
+        return (F.mul(a1, a2), F.add(b1, a1b2), F.add(F.add(c1, c2), self.beta(b1, a1b2)))
 
     def identity(self):
         return (self.F.one, self.F.zero, self.F.zero)
@@ -331,8 +325,6 @@ def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
     except KeyError:
         return False
     if any(table[i][e_i] != i or table[e_i][i] != i for i in range(n)):
-        return False
-    if all(e_i not in table[i] for i in range(n)):
         return False
     if any(e_i not in table[i] for i in range(n)):
         return False

@@ -16,8 +16,10 @@ from fractions import Fraction
 from .errors import IdentityFailed, InvalidU, UnknownPair
 from .families import (
     WaldsFamilyData,
+    _u_tilde,
     family_matrix,
     gl_odd_family,
+    nu_of_u,
     so_even_phi_params,
     walds_family,
 )
@@ -253,13 +255,6 @@ def sgn_at(data: WaldsFamilyData, x) -> int:
     return tame_hilbert(x, data.tower.phi(2), sub=2)
 
 
-def _u_tilde_pair(pair: Pair, p: int, n: int, u: int) -> int:
-    k = make_field(p)
-    if pair is Pair.SOSPL_H:
-        return ((-1) ** (n + 1)) * u
-    return ((-1) ** (n + 1)) * u * k.eps.a
-
-
 def delta_iv_walds(
     pair: Pair, p: int, n: int, u: int, variant: str = "plus", direct: bool = False
 ) -> int:
@@ -292,13 +287,12 @@ def delta_iv_walds(
         return sgn_at(data, arg)
     if pair in (Pair.SOSPL_H, Pair.SOUR_H):
         t_inv = 0 if pair is Pair.SOSPL_H else 1
+        kind = GroupKind.SO_SPL if pair is Pair.SOSPL_H else GroupKind.SO_UR
         # the sign-character assembly needs the opposite sign from the eta
         # table on the even-orthogonal rows; the choice here is pinned by the
         # packet identities, which are verified independently
-        eta_g = -ETA_CLOSED[
-            GroupKind.SO_SPL if pair is Pair.SOSPL_H else GroupKind.SO_UR
-        ](n)
-        ut = _u_tilde_pair(pair, p, n, u)
+        eta_g = -ETA_CLOSED[kind](n)
+        ut = _u_tilde(GroupId(kind, n), p, u)
         w = t.pi() * t.from_int(ut)
         cplus = data.c_plus(t_inv)
         two = t.from_int(2)
@@ -409,12 +403,6 @@ def ecr_coefficient(pair: Pair, n: int, variant: str) -> TransferValue:
 # packet parameters
 
 
-def nu_mu(n: int, a: int, p: int) -> int:
-    """0 or 1 according to whether (-1)^(n-1) a is a square residue."""
-    k = make_field(p)
-    return 0 if (k.coerce(-1) ** (n - 1) * k.coerce(a)).is_square() else 1
-
-
 @dataclass(frozen=True)
 class PacketSolution:
     xi_prime: int
@@ -425,22 +413,16 @@ class PacketSolution:
     gl_zeta: complex | None = None
 
 
-def _sqrt_res(k, x):
-    if not x.is_square():
-        raise InvalidU(f"{x} has no square root")
-    return k.gen ** (k.dlog(x) // 2)
-
-
 def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int, tol: float = TOL) -> PacketSolution:
     """The descent identity chain: for every unit u, the difference of the two
     symplectic characters at the family element matches the weighted ramified-
     orthogonal character sum, with genericity sign 1."""
     k = make_field(p)
     w0 = k.omega0()
-    nu = nu_mu(n, a, p)
+    nu = nu_of_u(k, n, a)
     xi_prime = xi * (1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1)
     a_prime_sq = k.coerce(-1) ** (n - 1) * k.eps**nu * k.coerce(4 * a)
-    a_prime = _sqrt_res(k, a_prime_sq)
+    a_prime = k.sqrt(a_prime_sq)
     spec_tw = sp_spec(k, n, twisted=True)
     spec_n = kl_simple(k, n)
     coeff = ecr_coefficient(Pair.SP_SORAM, n, "plus").evaluate(k)
@@ -455,7 +437,7 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int, tol: float = TOL) ->
             if abs(lhs) > tol:
                 raise IdentityFailed(f"vanishing side fails at u={u}")
             continue
-        v = _sqrt_res(k, k.coerce(-1) ** (n - 1) * k.eps**nu * u.inv())
+        v = k.sqrt(k.coerce(-1) ** (n - 1) * k.eps**nu * u.inv())
         idx = two_n * a_prime * v.inv()
         rhs_kl = kloosterman_eval(spec_n, idx) + kloosterman_eval(spec_n, -idx)
         if abs(lhs - coeff * rhs_kl) > tol:
@@ -496,7 +478,7 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = TOL):
         if not bu.is_square():
             lhs2 = 0.0
         else:
-            vb = _sqrt_res(k, bu)
+            vb = k.sqrt(bu)
             beta = (vb * vb + k.coerce(b) * u) / vb  # components (1,..,1,u)
             for _ in range(n - 1):
                 beta = beta * k.coerce(2)
@@ -549,7 +531,7 @@ def so_even_packet_verify(
             if abs(lhs) > tol:
                 raise IdentityFailed(f"inadmissible side fails at u={u}")
             continue
-        v = _sqrt_res(k, k.coerce(-1) ** (n - 1) * u / k.eps**nu)
+        v = k.sqrt(k.coerce(-1) ** (n - 1) * u / k.eps**nu)
         idx = two**n * k.coerce(a_plus) * v
         rhs_kl = kloosterman_eval(spec_n, idx) + kloosterman_eval(spec_n, -idx)
         if abs(lhs - sign_main * q * rhs_kl) > tol:
@@ -558,20 +540,21 @@ def so_even_packet_verify(
         if abs(xi * lhs - xi_plus * (-1) ** t_inv * w0m1 * sign_main * q * rhs_kl) > tol:
             raise IdentityFailed(f"central identity fails at u={u}")
         # phi-coset identity: both zeta branches
-        coset = _so_even_coset_value(kind, k, n, a, u)
+        coset_plus, coset_minus = _so_even_coset_values(kind, k, n, a, u)
         target = w0(k.coerce(-2)) ** (1 - t_inv) * rhs_kl
-        if abs(coset - target) > tol:
+        if abs(coset_plus - target) > tol:
             raise IdentityFailed(f"coset identity fails at u={u} (zeta=+1)")
-        if abs(-coset - (-target)) > tol:
+        if abs(coset_minus - (-target)) > tol:
             raise IdentityFailed(f"coset identity fails at u={u} (zeta=-1)")
     b = ((-1) ** (n - 1) * 2 ** (2 + t_inv) * a) % p
     eta_lift = (-1) ** t_inv * q ** (-0.5) * gauss_sum(w0, k) * w0m1 * xi
     return xi, a, (1, -1), b, eta_lift
 
 
-def _so_even_coset_value(kind, k, n: int, a: int, u) -> complex:
-    """(Theta_{xi,0,a,1} - Theta_{xi,1,a/eps,1}) at the mixed-sign coset
-    element, through the closed form (the kappa selection happens there)."""
+def _so_even_coset_values(kind, k, n: int, a: int, u) -> list:
+    """(Theta_{xi,0,a,zeta} - Theta_{xi,1,a/eps,zeta}) at the mixed-sign coset
+    element for zeta = 1 and zeta = -1, through the closed form (the kappa
+    selection happens there)."""
     from .characters import CharElement, SSCParams, char_closed_form, describe
 
     p = k.p
@@ -581,12 +564,15 @@ def _so_even_coset_value(kind, k, n: int, a: int, u) -> complex:
     al, be = so_even_phi_params(group, p, uval)
     el = CharElement(group, mat, coset="phi", phi_ab=(al, be))
     desc = describe(el)
-    total = 0.0 + 0.0j
-    for kap, aa in ((0, a), (1, (a * pow(k.eps.a, -1, p)) % p)):
-        params = SSCParams(group, aa, 1, kap, 1)
-        val = char_closed_form(params, desc).value
-        total += val if kap == 0 else -val
-    return total
+    values = []
+    for zeta in (1, -1):
+        total = 0.0 + 0.0j
+        for kap, aa in ((0, a), (1, (a * pow(k.eps.a, -1, p)) % p)):
+            params = SSCParams(group, aa, 1, kap, zeta)
+            val = char_closed_form(params, desc).value
+            total += val if kap == 0 else -val
+        values.append(total)
+    return values
 
 
 def norm_family_check(pair: Pair, p: int, n: int, u: int) -> bool:

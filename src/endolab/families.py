@@ -24,8 +24,8 @@ FAMILY_PREC = 8
 
 
 @lru_cache(maxsize=None)
-def get_tower(p: int, e: int, u0: int, prec: int = FAMILY_PREC, f: int = 1) -> TowerSpec:
-    return TowerSpec(p, e, u0, prec, f)
+def get_tower(p: int, e: int, u0: int, prec: int = FAMILY_PREC) -> TowerSpec:
+    return TowerSpec(p, e, u0, prec)
 
 
 def base_field(p: int, prec: int = FAMILY_PREC) -> TowerSpec:
@@ -52,7 +52,7 @@ def _coordinates(base: TowerSpec, tower: TowerSpec, z, exponents):
     coords = [base.zero() for _ in exponents]
     if z.is_zero():
         return coords
-    pu = base.from_int(tower.p) * _exact_unit(base, tower.u0, tower)
+    pu = base.from_int(tower.p) * base.from_int(tower.u0)
     for i, c in enumerate(z.unit):
         if i >= z.rprec:
             break
@@ -60,15 +60,9 @@ def _coordinates(base: TowerSpec, tower: TowerSpec, z, exponents):
         pos, b = by_class[exp % e]
         m = (exp - b) // e
         digits = max(1, (z.rprec - i) // e)
-        cval = _exact_unit(base, c, tower) * pu ** m
+        cval = base.from_int(c) * pu ** m
         coords[pos] = coords[pos] + _cap(cval, m + digits)
     return coords
-
-
-def _exact_unit(base: TowerSpec, c, tower: TowerSpec):
-    if tower.f == 1:
-        return base.from_int(c if isinstance(c, int) else c[0])
-    raise UnsupportedDegree("family towers are defined over Q_p")
 
 
 def _cap(x, absprec):
@@ -85,18 +79,11 @@ def mult_matrix(base: TowerSpec, tower: TowerSpec, elt, exponents):
     return [list(row) for row in zip(*cols)]
 
 
-def _sqrt_residue(field, x, sign=1):
-    d = field.dlog(x)
-    if d % 2 != 0:
-        raise InvalidU(f"{x} is not a square")
-    root = field.gen ** (d // 2)
-    return root if sign > 0 else -root
-
-
 def so_ram_v(field, n: int, u, nu: int, sign: int = 1):
     """The residue unit v with v^2 * (-1)^(n-1) * u = eps^nu."""
     target = field.coerce(field.eps.a ** nu) / (field.coerce(-1) ** (n - 1) * field.coerce(u))
-    return _sqrt_residue(field, target, sign)
+    root = field.sqrt(target)
+    return root if sign > 0 else -root
 
 
 def nu_of_u(field, n: int, u) -> int:

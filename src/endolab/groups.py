@@ -213,9 +213,8 @@ def is_member(g: GroupMatrix, phi_digits: int | None = None) -> bool:
     if not mat_eq(lhs, J, digits):
         return False
     if g.group.kind in (GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR):
-        from .linalg import mat_det
-
-        if not mat_det(g.entries).equal_mod(g.base.one(), digits):
+        det = (-1) ** len(g.entries) * charpoly(g.entries)[0]
+        if not det.equal_mod(g.base.one(), digits):
             return False
     return True
 

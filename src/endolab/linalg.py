@@ -76,29 +76,6 @@ def mat_eq(a, b, phi_digits=None):
     return True
 
 
-def mat_det(a):
-    """Determinant by column-subset dynamic programming (no divisions)."""
-    n = len(a)
-    base = a[0][0].tower
-    # state: chosen column subset; value accumulated over first popcount rows
-    states = {0: base.one()}
-    for i in range(n):
-        new: dict = {}
-        for mask, val in states.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                sign = (-1) ** bin(mask >> (j + 1)).count("1")
-                term = val * a[i][j]
-                if sign < 0:
-                    term = -term
-                key = mask | bit
-                new[key] = new.get(key, base.zero()) + term
-        states = new
-    return states[(1 << n) - 1]
-
-
 # polynomials with LocalElem coefficients ------------------------------------
 
 

@@ -1,10 +1,10 @@
 """Fixed-precision arithmetic in Kummer towers over Q_p, tame symbols, and
 Herbrand functions.
 
-A tower is O = W[phi]/(phi^e - p*u0) with W the (possibly quadratic) unramified
-ring; elements are kept in capped-relative form phi^shift * unit with a unit
-part of tracked relative precision (in phi-digits).  Operations fail loudly
-when precision runs out instead of guessing digits.
+A tower is O = Z_p[phi]/(phi^e - p*u0); elements are kept in capped-relative
+form phi^shift * unit with a unit part of tracked relative precision (in
+phi-digits) whose coefficients are ints mod p^(prec + margin).  Operations
+fail loudly when precision runs out instead of guessing digits.
 
 Wildly ramified stages never get element arithmetic here; they enter only
 through their piecewise-linear Herbrand data (PLFunc).
@@ -21,7 +21,6 @@ from .errors import (
     PrecisionExhausted,
     RootOfUnityUnavailable,
     SquareDiscriminant,
-    UnsupportedDegree,
     WrongField,
 )
 from .residue import is_prime, make_field
@@ -31,96 +30,40 @@ _STORE_MARGIN = 8
 
 
 class TowerSpec:
-    """O = W[phi]/(phi^e - p*u0), W unramified of degree f, digits mod p^prec."""
+    """O = Z_p[phi]/(phi^e - p*u0), digits mod p^prec."""
 
-    def __init__(self, p, e=1, u0=1, prec=DEFAULT_PREC, f=1):
+    def __init__(self, p, e=1, u0=1, prec=DEFAULT_PREC):
         if not is_prime(p) or p == 2:
             raise WrongField("residue characteristic must be an odd prime")
-        if f not in (1, 2):
-            raise UnsupportedDegree("unramified degree must be 1 or 2")
         # Eisenstein-extension arithmetic is uniform in e (wild included);
         # only the root-of-unity and symbol helpers carry tameness demands
         if prec < 2:
             raise PrecisionExhausted("need at least 2 digits of precision")
+        if not isinstance(u0, int):
+            raise TypeError(f"bad coefficient {u0!r}")
         self.p = p
         self.e = e
-        self.f = f
         self.prec = prec
         self.store = p ** (prec + _STORE_MARGIN)
-        self.residue_field = make_field(p, f)
-        self.eps_int = self.residue_field._base_nonsquare
-        self.u0 = self._coerce_coeff(u0)
+        self.residue_field = make_field(p)
+        self.u0 = u0 % self.store
         if self._cvalp(self.u0) != 0:
             raise WrongField("the Kummer unit u0 must be a unit")
+        # phi^e = p*u0 wraps the top digits; dividing by phi unwraps them
+        self.pu0 = (p * self.u0) % self.store
+        self.u0_inv = pow(self.u0, -1, self.store)
         self.rprec_cap = e * prec
 
-    # coefficient-ring helpers (ints for f=1, pairs a+b*s for f=2) ----------
-
-    def _coerce_coeff(self, c):
-        if self.f == 1:
-            if isinstance(c, int):
-                return c % self.store
-            raise TypeError(f"bad coefficient {c!r}")
-        if isinstance(c, int):
-            return (c % self.store, 0)
-        a, b = c
-        return (a % self.store, b % self.store)
-
-    def _czero(self):
-        return 0 if self.f == 1 else (0, 0)
-
-    def _cadd(self, x, y):
-        if self.f == 1:
-            return (x + y) % self.store
-        return ((x[0] + y[0]) % self.store, (x[1] + y[1]) % self.store)
-
-    def _cneg(self, x):
-        if self.f == 1:
-            return (-x) % self.store
-        return ((-x[0]) % self.store, (-x[1]) % self.store)
-
-    def _cmul(self, x, y):
-        if self.f == 1:
-            return (x * y) % self.store
-        a = (x[0] * y[0] + self.eps_int * x[1] * y[1]) % self.store
-        b = (x[0] * y[1] + x[1] * y[0]) % self.store
-        return (a, b)
-
-    def _cvalp(self, x):
+    def _cvalp(self, c):
         """p-valuation of a coefficient, capped at prec + margin."""
         cap = self.prec + _STORE_MARGIN
-        vals = []
-        comps = (x,) if self.f == 1 else x
-        for c in comps:
-            if c == 0:
-                vals.append(cap)
-                continue
-            v = 0
-            while c % self.p == 0 and v < cap:
-                c //= self.p
-                v += 1
-            vals.append(v)
-        return min(vals)
-
-    def _cdivp(self, x):
-        if self.f == 1:
-            return x // self.p
-        return (x[0] // self.p, x[1] // self.p)
-
-    def _cinv(self, x):
-        """Inverse of a unit coefficient mod p^(prec+margin)."""
-        if self.f == 1:
-            return pow(x, -1, self.store)
-        a, b = x
-        nr = (a * a - self.eps_int * b * b) % self.store
-        nr_inv = pow(nr, -1, self.store)
-        return ((a * nr_inv) % self.store, (-b * nr_inv) % self.store)
-
-    def _cres(self, x):
-        k = self.residue_field
-        if self.f == 1:
-            return k.elem(x % self.p)
-        return k.elem(x[0] % self.p, x[1] % self.p)
+        if c == 0:
+            return cap
+        v = 0
+        while c % self.p == 0 and v < cap:
+            c //= self.p
+            v += 1
+        return v
 
     # element constructors ---------------------------------------------------
 
@@ -137,18 +80,16 @@ class TowerSpec:
 
     def from_residue(self, x):
         """Naive integer lift of a residue-field element."""
-        if hasattr(x, "a"):
-            c = x.a if self.f == 1 else (x.a, x.b)
-        else:
-            c = x
-        return self.from_coeffs([c] + [0] * (self.e - 1))
+        return self.from_int(x.a if hasattr(x, "a") else x)
 
     def from_coeffs(self, coeffs):
         """Element sum(coeffs[i] * phi^i), exact input."""
-        cs = [self._coerce_coeff(c) for c in coeffs]
-        if len(cs) != self.e:
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"bad coefficient {c!r}")
+        if len(coeffs) != self.e:
             raise ValueError(f"need exactly {self.e} coefficients")
-        return _make(self, 0, cs, self.rprec_cap)
+        return _make(self, 0, [c % self.store for c in coeffs], self.rprec_cap)
 
     def phi(self, k=1):
         x = self.from_int(1)
@@ -160,8 +101,6 @@ class TowerSpec:
 
     def zeta(self, m):
         """Primitive m-th root of unity, Hensel-lifted; needs m | p - 1."""
-        if self.f != 1:
-            raise RootOfUnityUnavailable("roots of unity lift only over Q_p")
         if (self.p - 1) % m != 0:
             raise RootOfUnityUnavailable(f"no primitive {m}-th root: p={self.p}")
         g = self.residue_field.gen.a
@@ -175,7 +114,7 @@ class TowerSpec:
         return self.from_int(x)
 
     def __repr__(self):
-        return f"TowerSpec(p={self.p}, e={self.e}, u0=.., prec={self.prec}, f={self.f})"
+        return f"TowerSpec(p={self.p}, e={self.e}, u0=.., prec={self.prec})"
 
 
 def _poly_valuation(tower, coeffs):
@@ -190,41 +129,33 @@ def _poly_valuation(tower, coeffs):
 
 
 def _poly_mul(tower, a, b):
+    """Schoolbook product, then phi^(k+e) = p*u0 * phi^k folds the top half."""
     e = tower.e
-    out = [tower._czero()] * e
+    full = [0] * (2 * e)
     for i, ca in enumerate(a):
-        if ca == 0 or ca == (0, 0):
+        if ca == 0:
             continue
         for j, cb in enumerate(b):
-            prod = tower._cmul(ca, cb)
-            k = i + j
-            if k >= e:
-                prod = tower._cmul(prod, tower._cmul(tower._coerce_coeff(tower.p), tower.u0))
-                k -= e
-            out[k] = tower._cadd(out[k], prod)
-    return out
+            full[i + j] += ca * cb
+    return [(full[k] + tower.pu0 * full[k + e]) % tower.store for k in range(e)]
 
 
 def _poly_shift_up(tower, coeffs, t):
     """Multiply by phi^t inside the quotient ring (exact)."""
     out = list(coeffs)
-    pu0 = tower._cmul(tower._coerce_coeff(tower.p), tower.u0)
     for _ in range(t):
-        top = out[-1]
-        out = [tower._cmul(top, pu0)] + out[:-1]
+        out = [(out[-1] * tower.pu0) % tower.store] + out[:-1]
     return out
 
 
 def _poly_shift_down(tower, coeffs, t):
     """Divide by phi^t; requires divisibility of the wrapped coefficients."""
     out = list(coeffs)
-    u0_inv = tower._cinv(tower.u0)
     for _ in range(t):
         c0 = out[0]
         if tower._cvalp(c0) < 1:
             raise DivisionByNonUnitBeyondPrecision("unit constant term under phi-division")
-        wrapped = tower._cmul(tower._cdivp(c0), u0_inv)
-        out = out[1:] + [wrapped]
+        out = out[1:] + [(c0 // tower.p * tower.u0_inv) % tower.store]
     return out
 
 
@@ -280,7 +211,7 @@ class LocalElem:
         """Residue of the valuation-zero unit part."""
         if self.is_zero():
             raise IndistinguishableFromZero("no leading unit of zero")
-        return self.tower._cres(self.unit[0])
+        return self.tower.residue_field.elem(self.unit[0] % self.tower.p)
 
     def _check(self, other):
         if not isinstance(other, LocalElem):
@@ -303,7 +234,7 @@ class LocalElem:
         v = min(self.shift, other.shift)
         a = _poly_shift_up(t, self.unit, self.shift - v)
         b = _poly_shift_up(t, other.unit, other.shift - v)
-        coeffs = [t._cadd(x, y) for x, y in zip(a, b)]
+        coeffs = [(x + y) % t.store for x, y in zip(a, b)]
         rprec = min(self.abs_prec(), other.abs_prec()) - v
         return _make(t, v, coeffs, rprec)
 
@@ -312,7 +243,7 @@ class LocalElem:
     def __neg__(self):
         if self.is_zero():
             return self
-        coeffs = [self.tower._cneg(c) for c in self.unit]
+        coeffs = [(-c) % self.tower.store for c in self.unit]
         return LocalElem(self.tower, self.shift, coeffs, self.rprec)
 
     def __sub__(self, other):
@@ -335,15 +266,12 @@ class LocalElem:
         if self.is_zero():
             raise DivisionByNonUnitBeyondPrecision("inverse of (precision-)zero")
         t = self.tower
-        c0 = self.unit[0]
-        x = [t._cinv(c0)] + [t._czero()] * (t.e - 1)
+        x = [pow(self.unit[0], -1, t.store)] + [0] * (t.e - 1)
         # Newton: x <- x*(2 - u*x), quadratic convergence in the phi-adic sense
         steps = max(1, (self.rprec).bit_length() + t.e.bit_length())
-        two = t._coerce_coeff(2)
         for _ in range(steps):
-            ux = _poly_mul(t, self.unit, x)
-            corr = [t._cneg(c) for c in ux]
-            corr[0] = t._cadd(corr[0], two)
+            corr = [-c for c in _poly_mul(t, self.unit, x)]
+            corr[0] += 2
             x = _poly_mul(t, x, corr)
         return _make(t, -self.shift, x, self.rprec)
 
@@ -370,7 +298,7 @@ class LocalElem:
         if self.is_zero():
             return self
         coeffs = [
-            c if (i + self.shift) % 2 == 0 else self.tower._cneg(c)
+            c if (i + self.shift) % 2 == 0 else (-c) % self.tower.store
             for i, c in enumerate(self.unit)
         ]
         return LocalElem(self.tower, self.shift, coeffs, self.rprec)
@@ -408,11 +336,8 @@ def sqrt_unit(x: LocalElem, prefer=None) -> LocalElem:
     if x.is_zero() or x.phi_valuation() != 0:
         raise SquareDiscriminant("square roots only for valuation-zero units")
     t = x.tower
-    r = x.leading_unit()
-    if not r.is_square():
-        raise SquareDiscriminant("residue is not a square")
     k = t.residue_field
-    root = k.gen ** (k.dlog(r) // 2)
+    root = k.sqrt(x.leading_unit())
     if prefer is not None and root != k.coerce(prefer):
         root = -root
     if prefer is not None and root != k.coerce(prefer):

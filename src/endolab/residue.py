@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 from .errors import (
     EvenCharacteristic,
     NotPrime,
+    SquareDiscriminant,
     UnsupportedDegree,
     WrongField,
     ZeroArgument,
@@ -189,6 +190,13 @@ class FiniteField:
         if x.is_zero():
             raise ZeroArgument("discrete log of zero")
         return self._dlog[x.key()]
+
+    def sqrt(self, x: FFElem) -> FFElem:
+        """The square root gen^(dlog(x)/2) of a nonzero square x."""
+        d = self.dlog(x)
+        if d % 2 != 0:
+            raise SquareDiscriminant(f"{x} is not a square")
+        return self.gen ** (d // 2)
 
     def _find_generator(self) -> FFElem:
         # deterministic: smallest a (then b) such that a + b*s generates

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceeded, HypothesisFailed, ZeroPoint
-from .residue import FFElem, FiniteField, MultCharacter, QuadExtension
+from .residue import FFElem, FiniteField, MultCharacter, quad_extension
 
 BRUTE_Q_CAP = 13
 BRUTE_VAR_CAP = 5
@@ -72,7 +72,7 @@ def gauss_sum(chi: MultCharacter, fld: FiniteField) -> complex:
 
 def gauss_sum_ext(chi: MultCharacter, fld: FiniteField) -> complex:
     """Gauss sum of chi o Nr against psi o Tr over the quadratic extension."""
-    ext = QuadExtension(fld)
+    ext = quad_extension(fld)
     total = 0j
     for y in ext.units():
         nr = ext.norm(y)
@@ -91,7 +91,7 @@ def _position_tables(spec: KloostermanSpec):
             t[(k * m) % order] += psi_by_index[m] * chi.value_at_index(m)
         tables.append(t)
     if spec.m:
-        ext = QuadExtension(fld)
+        ext = quad_extension(fld)
         for l, eta in zip(spec.norm_weights, spec.etas):
             t = [0j] * order
             for y in ext.units():
@@ -154,7 +154,7 @@ def kloosterman_eval_direct(spec: KloostermanSpec, u: FFElem) -> complex:
     u = fld.coerce(u)
     if u.is_zero():
         raise ZeroPoint("Kloosterman sums are evaluated at units only")
-    ext = QuadExtension(fld) if spec.m else None
+    ext = quad_extension(fld) if spec.m else None
     total = 0j
     norm_units = ext.units() if spec.m else []
     for xs in itertools.product(fld.units(), repeat=spec.n):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from endolab import characters
 from endolab.endoscopy import (
     DELTA_IV_EXPECTED,
     Pair,
@@ -12,13 +15,14 @@ from endolab.endoscopy import (
     epsilon_factor,
     eta,
     norm_family_check,
-    nu_mu,
     pol_products,
     sgn_at,
     so_even_packet_verify,
     transfer_factor,
     walds_family,
 )
+from endolab.errors import IdentityFailed
+from endolab.families import nu_of_u
 from endolab.groups import GroupId, GroupKind
 from endolab.residue import make_field
 from endolab.sums import gauss_sum
@@ -135,13 +139,13 @@ def test_transfer_u_independent():
 
 
 def test_nu_mu():
-    assert nu_mu(2, 1, 3) == 1  # -1 is not a square mod 3
+    assert nu_of_u(make_field(3), 2, 1) == 1  # -1 is not a square mod 3
     for n in (2, 3):
         for p in (3, 5, 7):
             k = make_field(p)
             a0 = (pow(-1, n - 1, p)) % p
-            assert nu_mu(n, a0, p) == 0
-            assert nu_mu(n, (a0 * k.eps.a) % p, p) == 1
+            assert nu_of_u(k, n, a0) == 0
+            assert nu_of_u(k, n, (a0 * k.eps.a) % p) == 1
 
 
 @pytest.mark.parametrize("p", [3, 7])
@@ -190,6 +194,21 @@ def test_so_even_packets():
                         assert a == expect_a
                         assert zetas == (1, -1)
                         assert b == ((-1) ** (2 - 1) * 2 ** (2 + t) * a) % p
+
+
+@pytest.mark.parametrize("kind", [GroupKind.SO_SPL, GroupKind.SO_UR])
+@pytest.mark.parametrize("p", [3, 5])
+def test_so_even_zeta_minus_branch_can_fail(monkeypatch, kind, p):
+    """A closed form that ignores zeta breaks the zeta = -1 coset identity."""
+    real = characters.char_closed_form
+
+    def zeta_blind(params, desc):
+        return real(dataclasses.replace(params, zeta=1), desc)
+
+    monkeypatch.setattr(characters, "char_closed_form", zeta_blind)
+    for nu in (0, 1):
+        with pytest.raises(IdentityFailed, match=r"\(zeta=-1\)"):
+            so_even_packet_verify(kind, 2, p, 1, 1, nu)
 
 
 def test_norm_family_checks():

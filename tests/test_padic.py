@@ -90,17 +90,37 @@ def test_tau_involution(T):
     assert T.phi().tau() == -T.phi()
 
 
-def test_quadratic_unramified_coefficients():
-    """Towers over the unramified quadratic extension: basic ring laws."""
-    T = TowerSpec(5, e=2, u0=1, prec=6, f=2)
-    s = T.from_coeffs([(0, 1), 0])  # the square root of the residue nonsquare
-    eps = T.residue_field._base_nonsquare
-    assert s * s == T.from_int(eps)
-    x = T.one() + T.phi() * s
-    y = x.inv()
-    assert x * y == T.one()
-    assert x.leading_unit() == T.residue_field.one
-    assert (T.phi() * s).valuation() == Fraction(1, 2)
+def _schoolbook(xs, ys, p, u0):
+    """Exact product of sum xs[i] phi^i and sum ys[j] phi^j, folding
+    phi^(k+e) = p*u0 * phi^k."""
+    e = len(xs)
+    c = [0] * (2 * e)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            c[i + j] += x * y
+    return [c[k] + c[k + e] * p * u0 for k in range(e)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("u0", [2, 3])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_products_match_schoolbook_reference(p, e, u0):
+    import random
+
+    rng = random.Random(p * 100 + e * 10 + u0)
+    T = TowerSpec(p, e=e, u0=u0, prec=6)
+    wrapped = 0
+    for _ in range(30):
+        xs = [rng.randrange(p**6) for _ in range(e)]
+        ys = [rng.randrange(p**6) for _ in range(e)]
+        x, y = T.from_coeffs(xs), T.from_coeffs(ys)
+        if x.is_zero() or y.is_zero():
+            continue
+        wrapped += any(xs[i] * ys[j] for i in range(e) for j in range(e) if i + j >= e)
+        assert x * y == T.from_coeffs(_schoolbook(xs, ys, p, u0))
+        assert y * x == x * y
+        assert x * x.inv() == T.one()
+    assert wrapped >= 20
 
 
 def test_sqrt_unit():

@@ -1,6 +1,13 @@
 import pytest
 
-from endolab.errors import NotPrime, EvenCharacteristic, UnsupportedDegree, ZeroArgument, WrongField
+from endolab.errors import (
+    EvenCharacteristic,
+    NotPrime,
+    SquareDiscriminant,
+    UnsupportedDegree,
+    WrongField,
+    ZeroArgument,
+)
 from endolab.residue import (
     FiniteField,
     MultCharacter,
@@ -128,6 +135,18 @@ def test_omega0_matches_squares(p, f):
     for x in k.units():
         expected = 1 if x.key() in squares else -1
         assert abs(w0(x) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_sqrt_squares_back_and_rejects_nonsquares(p, f):
+    k = make_field(p, f)
+    squares = {(x * x).key() for x in k.units()}
+    for x in k.units():
+        if x.key() in squares:
+            assert k.sqrt(x) * k.sqrt(x) == x
+        else:
+            with pytest.raises(SquareDiscriminant):
+                k.sqrt(x)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
