@@ -30,7 +30,7 @@ from .endoscopy import Pair, transfer_factor
 from .families import family_matrix, get_tower, nu_of_u
 from .groups import GroupId, GroupKind, simple_affine_components
 from .padic import extract_jumps, herbrand_compose, tame_hilbert
-from .residue import make_field
+from .residue import make_field, p_digits
 from .sums import catalog, kl_simple, kloosterman_eval
 
 CAPS = {"q": 13, "heis": 243, "n": 4}
@@ -206,13 +206,8 @@ def _emit_obj(obj, args):
 def _elem_json(x, digits=6):
     if x.is_zero():
         return {"val": None, "digits": []}
-    p = x.tower.p
-    out = []
-    c = x.unit[0]
-    for k in range(min(digits, x.rprec)):
-        out.append(c % p)
-        c //= p
-    return {"val": x.shift, "digits": out}
+    n = min(digits, x.rprec)
+    return {"val": x.shift, "digits": p_digits(x.unit[0], x.tower.p, n)}
 
 
 def matrix_json(g, digits=6):

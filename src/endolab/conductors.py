@@ -9,144 +9,18 @@ float comparisons.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import CapExceeded, IncompatibleParams
 from .padic import PLFunc, herbrand_compose
-from .residue import is_prime
+from .residue import is_prime, make_field, make_gf, p_digits
 
 ENUM_CAP = 3000
 ASSOC_CAP = 3_000_000
-
-
-# ---------------------------------------------------------------------------
-# tiny finite-field tower F_{p^m} on tuples
-
-
-class GF:
-    """F_{p^m} with a brute-force-found irreducible modulus."""
-
-    def __init__(self, p: int, m: int):
-        self.p = p
-        self.m = m
-        self.zero = (0,) * m
-        self.one = tuple([1] + [0] * (m - 1))
-        self.modulus = self._find_irreducible()
-        self._dlog = None
-        if p**m <= 20000:
-            self._build_dlog()
-
-    def _build_dlog(self):
-        """Exp/log tables of the first generator in `elements()` order; each
-        candidate's power walk stops when it returns to one."""
-        order = self.p**self.m - 1
-        for g in self.elements():
-            if g == self.zero:
-                continue
-            exp = [self.one]
-            x = g
-            while x != self.one:
-                exp.append(x)
-                x = self._mul_mod(x, g, self.modulus)
-            if len(exp) == order:
-                self._exp = exp
-                self._dlog = {el: k for k, el in enumerate(exp)}
-                return
-
-    def _find_irreducible(self):
-        p, m = self.p, self.m
-        # iterate monic polynomials x^m + c_{m-1}x^{m-1} + ... + c_0
-        for code in range(p**m):
-            cs = []
-            c = code
-            for _ in range(m):
-                cs.append(c % p)
-                c //= p
-            if self._is_irreducible(tuple(cs)):
-                return tuple(cs)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _is_irreducible(self, cs):
-        # x^{p^k} == x mod (f) must fail for proper divisors and hold for m
-        p, m = self.p, self.m
-        x = tuple([0, 1] + [0] * (m - 2)) if m > 1 else (0,)
-        t = x
-        for k in range(1, m + 1):
-            t = self._pow_mod(t, p, cs)
-            if k < m and m % k == 0 and t == x:
-                return False
-        return t == x
-
-    def _mul_mod(self, a, b, cs):
-        p, m = self.p, self.m
-        out = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        for d in range(2 * m - 2, m - 1, -1):
-            c = out[d]
-            if c:
-                out[d] = 0
-                for j in range(m):
-                    out[d - m + j] = (out[d - m + j] - c * cs[j]) % p
-        return tuple(out[:m])
-
-    def _pow_mod(self, a, n, cs):
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self._mul_mod(out, base, cs)
-            base = self._mul_mod(base, base, cs)
-            n >>= 1
-        return out
-
-    def add(self, a, b):
-        return tuple([(x + y) % self.p for x, y in zip(a, b)])
-
-    def sub(self, a, b):
-        return tuple([(x - y) % self.p for x, y in zip(a, b)])
-
-    def neg(self, a):
-        return tuple([(-x) % self.p for x in a])
-
-    def mul(self, a, b):
-        if self._dlog is not None:
-            if a == self.zero or b == self.zero:
-                return self.zero
-            order = self.p**self.m - 1
-            return self._exp[(self._dlog[a] + self._dlog[b]) % order]
-        return self._mul_mod(a, b, self.modulus)
-
-    def pow(self, a, n):
-        if self._dlog is not None:
-            if a == self.zero:
-                return self.zero if n else self.one
-            order = self.p**self.m - 1
-            return self._exp[(self._dlog[a] * n) % order]
-        return self._pow_mod(a, n, self.modulus)
-
-    def elements(self):
-        p, m = self.p, self.m
-        for code in range(p**m):
-            cs = []
-            c = code
-            for _ in range(m):
-                cs.append(c % p)
-                c //= p
-            yield tuple(cs)
-
-    def in_prime_field(self, a):
-        return all(x == 0 for x in a[1:])
-
-
-@lru_cache(maxsize=None)
-def make_gf(p: int, m: int) -> GF:
-    """Construct (and cache) F_{p^m}, so its modulus and log tables are found once."""
-    return GF(p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +140,16 @@ class QGroup:
             raise CapExceeded(f"|Q| = {params.q_order} beyond enumeration cap")
         self.F = make_gf(p, 4 * e)
         F = self.F
-        self.a_set = [a for a in F.elements() if F.pow(a, p**e + 1) == F.one and a != F.zero]
-        self.b_set = [b for b in F.elements() if F.add(F.pow(b, p ** (2 * e)), b) == F.zero]
+        self.a_set = tuple(a for a in F.elements() if F.pow(a, p**e + 1) == F.one and a != F.zero)
+        self.b_set = tuple(b for b in F.elements() if F.add(F.pow(b, p ** (2 * e)), b) == F.zero)
         # Artin-Schreier buckets: c^p - c = v
         buckets: dict = {}
         for c in F.elements():
             v = F.sub(F.pow(c, p), c)
             buckets.setdefault(v, []).append(c)
-        self.c_set = {
-            b: buckets.get(F.neg(F.pow(b, p**e + 1)), []) for b in self.b_set
-        }
+        self.c_set = MappingProxyType({
+            b: tuple(buckets.get(F.neg(F.pow(b, p**e + 1)), ())) for b in self.b_set
+        })
 
     def elements(self):
         for a in self.a_set:
@@ -306,11 +180,17 @@ class QGroup:
         return (self.F.one, self.F.zero, self.F.zero)
 
 
+@lru_cache(maxsize=None)
+def q_group(params: HeisParams) -> QGroup:
+    """Construct (and cache) Q for (p, e); its element sets are immutable."""
+    return QGroup(params)
+
+
 def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
     """Closure, identity and inverses exhaustively; associativity exhaustively
     on the index table when the triple count is small, deterministically
     sampled otherwise; the c-part must be central in the b-subgroup."""
-    Q = QGroup(params)
+    Q = q_group(params)
     els = list(Q.elements())
     n = len(els)
     if n != params.q_order:
@@ -328,8 +208,6 @@ def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
         return False
     if any(e_i not in table[i] for i in range(n)):
         return False
-    import random
-
     rng = random.Random(1)
     if n**3 <= ASSOC_CAP:
         rng_iter = (
@@ -355,8 +233,6 @@ def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
 def _q_group_check_sampled(Q, els, idx, e_i, samples):
     """Large-group fallback: exhaustive table on the wild subgroup, sampled
     closure/associativity on the full group."""
-    import random
-
     rng = random.Random(1)
     n = len(els)
     qprime = [x for x in els if x[0] == Q.F.one]
@@ -399,7 +275,7 @@ class QPrimeTable:
         if params.qprime_order > ENUM_CAP:
             raise CapExceeded(f"|Q'| = {params.qprime_order} beyond cap")
         self.params = params
-        self.Q = QGroup(params)
+        self.Q = q_group(params)
         F = self.Q.F
         self.p = p
         self.elements = [
@@ -432,15 +308,17 @@ class QPrimeTable:
         F = self.Q.F
         if x[0] != F.zero:
             return None
-        assert F.in_prime_field(x[1])
-        return x[1][0]
+        if not F.in_prime_field(x[1]):
+            raise IncompatibleParams("central coordinate outside the prime field")
+        return x[1]
 
     def pairing(self, b1, b2) -> int:
         """Commutator pairing on the b-group with values in F_p."""
         F = self.Q.F
         v = F.sub(self.Q.beta(b1, b2), self.Q.beta(b2, b1))
-        assert F.in_prime_field(v)
-        return v[0]
+        if not F.in_prime_field(v):
+            raise IncompatibleParams("commutator pairing outside the prime field")
+        return v
 
     # -- linear characters --------------------------------------------------
 
@@ -471,11 +349,7 @@ class QPrimeTable:
         p = self.p
         chars = []
         for code in range(p**dim):
-            ws = []
-            c = code
-            for _ in range(dim):
-                ws.append(c % p)
-                c //= p
+            ws = p_digits(code, p, dim)
             vals = []
             for (b, _c) in self.elements:
                 coord = span[b]
@@ -794,12 +668,8 @@ def ad_phi_restriction(p: int, e: int, nprime: int):
         raise IncompatibleParams("need an even nprime dividing p - 1")
     two_n = p**e * nprime
     T = qprime_char_table(p, e)
-    zeta = pow(_primitive_root(p), (p - 1) // nprime, p)
-    orbit = []
-    j = 1
-    for _ in range(nprime):
-        orbit.append(j)
-        j = (j * zeta) % p
+    zeta = pow(make_field(p).gen.a, (p - 1) // nprime, p)
+    orbit = [pow(zeta, i, p) for i in range(nprime)]
     if len(set(orbit)) != nprime:
         raise IncompatibleParams("central-character orbit is not free")
     # exterior square of the direct sum, decomposed exactly
@@ -829,12 +699,6 @@ def ad_phi_restriction(p: int, e: int, nprime: int):
     }
 
 
-def _primitive_root(p):
-    from .residue import _smallest_generator_mod
-
-    return _smallest_generator_mod(p)
-
-
 def swan_of_rep(T: QPrimeTable, vals, filt: FiltSpec) -> Fraction:
     """sum_j dim(V/V^{Q_j}) |Q_j|/|Q_0| from the restriction data; Q_1 is the
     whole wild part, Q_2..Q_{p^e+1} the center."""
@@ -861,7 +725,8 @@ def _invariant_dim(T: QPrimeTable, vals, which) -> int:
         total = total + vals[T.index[g]]
     out = []
     for cf in total.coeffs:
-        assert cf % len(subset) == 0
+        if cf % len(subset):
+            raise IncompatibleParams("invariant dimension is not an integer")
         out.append(cf // len(subset))
     return Cyclo(T.p, out).as_integer()
 

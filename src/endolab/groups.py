@@ -31,7 +31,7 @@ from .linalg import (
     poly_shift_basis,
 )
 from .padic import LocalElem, TowerSpec
-from .residue import make_field
+from .residue import make_field, norm_trace
 
 
 class GroupKind(enum.Enum):
@@ -362,8 +362,7 @@ def phi_element(group: GroupId, base: TowerSpec, *params) -> GroupMatrix:
         bi = _res_int(beta)
         if bi == 0:
             raise InvalidParams("phi parameter beta must be a unit")
-        nr = (al.a * al.a - k2._base_nonsquare * al.b * al.b) % base.p
-        if nr != 1:
+        if norm_trace(al)[0].a != 1:
             raise InvalidParams("alpha must have norm one")
         rows = [[Z() for _ in range(N)] for _ in range(N)]
         rows[0][N - 1] = (base.from_residue(bi) * base.pi()).inv()

@@ -1,9 +1,10 @@
-"""Arithmetic in small residue fields F_q (q = p^f, f <= 2) and their characters.
+"""The one finite field F_{p^m} (`GF`, table-driven on int codes), and the
+small residue fields F_q (q = p^f, f <= 2) with their characters.
 
 Elements of F_{p^2} are written a + b*s with s^2 equal to a fixed nonsquare
-of F_p, so all arithmetic reduces to integer arithmetic mod p.  Multiplicative
-characters are evaluated through a precomputed discrete-log table; the additive
-character is psi(x) = exp(2*pi*i*Tr(x)/p).
+of F_p, so residue arithmetic reduces to integer arithmetic mod p.  The
+generator, discrete logs and powers come from the tables of `make_gf(p, f)`;
+the additive character is psi(x) = exp(2*pi*i*Tr(x)/p).
 """
 
 from __future__ import annotations
@@ -89,16 +90,12 @@ class FFElem:
         return self.field.coerce(other) * self.inv()
 
     def __pow__(self, n: int):
+        fld = self.field
+        if not self.is_zero():
+            return fld._units_by_index[fld.dlog(self) * n % (fld.q - 1)]
         if n < 0:
-            return self.inv() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            raise ZeroArgument("inverse of zero")
+        return self if n else fld.one
 
     def conj(self):
         """Galois conjugate a - b*s (acts as x -> x^p for f = 2)."""
@@ -126,15 +123,142 @@ class FFElem:
         return f"FF({self.a}+{self.b}s mod {self.field.p})"
 
 
+class GF:
+    """F_{p^m} on the ints 0..q-1: the element sum(c_i * x^i) is coded as
+    sum(c_i * p^i), modulo the monic x^m + sum(modulus[i] * x^i).
+
+    Multiplication and powers go through the exp/log tables of one generator,
+    addition through the Zech table: g^i + g^j = g^(i + Z(j - i)), where
+    g^Z(n) = 1 + g^n.  The generator is the first code whose power walk has
+    length q - 1.
+    """
+
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int, m: int, modulus: tuple):
+        self.p = p
+        self.m = m
+        self.q = p**m
+        self.modulus = modulus
+        order = self._order = self.q - 1
+        one = p_digits(1, p, m)
+        for code in range(1, self.q):
+            g = p_digits(code, p, m)
+            x = g
+            exp = [one]
+            while x != one:
+                exp.append(x)
+                x = _mul_mod(x, g, modulus, p)
+            if len(exp) == order:
+                break
+        self._exp = exp = [sum(c * p**i for i, c in enumerate(x)) for x in exp]
+        self.gen = exp[1]
+        self._log = [None] * self.q
+        self._neg = [0] * self.q  # -1 = g^((q-1)/2)
+        for k, c in enumerate(exp):
+            self._log[c] = k
+            self._neg[c] = exp[(k + order // 2) % order]
+        # 1 + g^n adds one to the constant digit of g^n
+        self._zech = [self._log[c - c % p + (c + 1) % p] for c in exp]
+
+    def elements(self):
+        return range(self.q)
+
+    def add(self, a, b):
+        if not a or not b:
+            return a or b
+        i = self._log[a]
+        z = self._zech[(self._log[b] - i) % self._order]
+        return 0 if z is None else self._exp[(i + z) % self._order]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def sub(self, a, b):
+        return self.add(a, self._neg[b])
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % self._order]
+
+    def pow(self, a, n):
+        if not a:
+            return 0 if n else 1
+        return self._exp[(self._log[a] * n) % self._order]
+
+    def in_prime_field(self, a):
+        return a < self.p
+
+
+def p_digits(code: int, p: int, m: int) -> list:
+    """The base-p digits c_0, ..., c_{m-1} of code."""
+    return [code // p**i % p for i in range(m)]
+
+
+def _mul_mod(a, b, modulus, p):
+    """Digit vectors a * b modulo x^m + sum(modulus[i] * x^i)."""
+    m = len(modulus)
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for d in range(2 * m - 2, m - 1, -1):
+        c = out[d] % p
+        if c:
+            for j in range(m):
+                out[d - m + j] -= c * modulus[j]
+    return [c % p for c in out[:m]]
+
+
+def _is_irreducible(cs, p: int) -> bool:
+    # x^{p^k} == x mod f must fail for proper divisors k of m and hold for m
+    m = len(cs)
+    x = [0, 1] + [0] * (m - 2)
+    t = x
+    for k in range(1, m + 1):
+        u = t
+        for _ in range(p - 1):
+            u = _mul_mod(u, t, cs, p)
+        t = u
+        if k < m and m % k == 0 and t == x:
+            return False
+    return t == x
+
+
+def _modulus(p: int, m: int) -> tuple:
+    # F_p needs none.  F_{p^2} is x^2 - eps with eps the least primitive root
+    # mod p: the residue fields' a + b*s presentation, so their dlogs,
+    # character indices and report floats stay where they are.  Higher
+    # degrees take the first irreducible in code order, which fixes the
+    # Heisenberg sets, the greedy b-basis and the order of the character table.
+    if m < 3:
+        return (0,) if m == 1 else (-make_gf(p, 1).gen % p, 0)
+    return next(
+        tuple(cs)
+        for cs in (p_digits(code, p, m) for code in range(p**m))
+        if _is_irreducible(cs, p)
+    )
+
+
+@lru_cache(maxsize=None)
+def make_gf(p: int, m: int) -> GF:
+    """Construct (and cache) F_{p^m}, so its modulus and tables are found once."""
+    return GF(p, m, _modulus(p, m))
+
+
 class FiniteField:
     """F_q with q = p^f, an odd prime p and f in {1, 2}.
 
     Carries a fixed generator of the unit group, a fixed nonsquare ``eps``
     (taken to be the generator), the discrete-log table, and cached root-of-
-    unity values used by the characters.
+    unity values used by the characters.  The generator and logs are those of
+    ``make_gf(p, f)``; a + b*s has code a + b*p.
     """
 
-    def __init__(self, p: int, f: int = 1, dlog_cap: int = DLOG_CAP):
+    def __init__(self, p: int, f: int = 1):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if p == 2:
@@ -144,21 +268,16 @@ class FiniteField:
         self.p = p
         self.f = f
         self.q = p**f
-        if self.q > dlog_cap:
-            raise UnsupportedDegreeCap(self.q, dlog_cap)
+        if self.q > DLOG_CAP:
+            raise UnsupportedDegree(f"field size {self.q} exceeds discrete-log cap {DLOG_CAP}")
         # nonsquare of the prime field used to present F_{p^2} = F_p(s)
-        self._base_nonsquare = _smallest_generator_mod(p)
+        self._base_nonsquare = make_gf(p, 1).gen
         self.zero = FFElem(self, 0)
         self.one = FFElem(self, 1)
-        self.gen = self._find_generator()
+        self._log = make_gf(p, f)._log
+        self._units_by_index = [FFElem(self, c % p, c // p) for c in make_gf(p, f)._exp]
+        self.gen = self._units_by_index[1]
         self.eps = self.gen
-        self._dlog = {}
-        x = self.one
-        self._units_by_index = []
-        for m in range(self.q - 1):
-            self._dlog[x.key()] = m
-            self._units_by_index.append(x)
-            x = x * self.gen
         # exp(2*pi*i*m/(q-1)) and exp(2*pi*i*t/p) tables
         self._mult_roots = [
             cmath.exp(2j * cmath.pi * m / (self.q - 1)) for m in range(self.q - 1)
@@ -189,7 +308,7 @@ class FiniteField:
         x = self.coerce(x)
         if x.is_zero():
             raise ZeroArgument("discrete log of zero")
-        return self._dlog[x.key()]
+        return self._log[x.a + x.b * self.p]
 
     def sqrt(self, x: FFElem) -> FFElem:
         """The square root gen^(dlog(x)/2) of a nonzero square x."""
@@ -197,19 +316,6 @@ class FiniteField:
         if d % 2 != 0:
             raise SquareDiscriminant(f"{x} is not a square")
         return self.gen ** (d // 2)
-
-    def _find_generator(self) -> FFElem:
-        # deterministic: smallest a (then b) such that a + b*s generates
-        order = self.q - 1
-        factors = _prime_factors(order)
-        for b in range(self.p if self.f == 2 else 1):
-            for a in range(self.p):
-                if a == 0 and b == 0:
-                    continue
-                x = FFElem(self, a, b)
-                if all((x ** (order // r)) != self.one for r in factors):
-                    return x
-        raise AssertionError("no generator found")
 
     # characters -----------------------------------------------------------
 
@@ -229,34 +335,6 @@ class FiniteField:
         return f"FiniteField(p={self.p}, f={self.f})"
 
 
-class UnsupportedDegreeCap(UnsupportedDegree):
-    def __init__(self, q, cap):
-        super().__init__(f"field size {q} exceeds discrete-log cap {cap}")
-
-
-def _smallest_generator_mod(p: int) -> int:
-    order = p - 1
-    factors = _prime_factors(order)
-    for g in range(2, p):
-        if all(pow(g, order // r, p) != 1 for r in factors):
-            return g
-    raise AssertionError("no generator mod p")
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class MultCharacter:
     """Character of k^x sending gen^m to exp(2*pi*i*index*m/(q-1))."""
 
@@ -270,8 +348,7 @@ class MultCharacter:
         x = self.field.coerce(x)
         if x.is_zero():
             raise ZeroArgument("multiplicative character at zero")
-        m = self.field.dlog(x)
-        return self.field._mult_roots[(self.index * m) % (self.field.q - 1)]
+        return self.value_at_index(self.field.dlog(x))
 
     def value_at_index(self, m: int) -> complex:
         return self.field._mult_roots[(self.index * m) % (self.field.q - 1)]
@@ -364,7 +441,8 @@ def _make_field_cached(p: int, f: int) -> FiniteField:
 
 
 def make_field(p: int, f: int = 1) -> FiniteField:
-    """Construct (and cache) the residue field F_{p^f}."""
+    """Construct (and cache) the residue field F_{p^f}; the wrapper makes
+    make_field(p) and make_field(p, 1) one cache entry."""
     return _make_field_cached(p, f)
 
 

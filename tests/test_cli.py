@@ -1,8 +1,13 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import endolab
 
 from endolab.cli import run
 from endolab.errors import EndolabError
@@ -158,3 +163,35 @@ def test_console_entrypoint():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["jumps"] == [["1", "9"], ["4", "3"]]
+
+
+# The timings-off report of these suites is byte-stable; a refactor must keep
+# it.  The reference file is that report, kept to show the first changed row.
+PINNED_SUITES = "exp_sums,ecr_ram,ecr_gl,disc,formal_degree,conductor"
+PINNED_SHA256 = "86f212f8108b01701dbd5c9c554c2272f1a8cd6db495ee81648fe261218d160c"
+PINNED_REPORT = Path(__file__).parent / "data" / "report_seed0_subset.json"
+
+
+def test_report_is_byte_stable(tmp_path):
+    out = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(endolab.__file__).parents[1])}
+    argv = ["suite", "all", "--only", PINNED_SUITES, "--seed", "0", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "endolab.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(PINNED_REPORT.read_bytes()).hexdigest() == PINNED_SHA256
+    if hashlib.sha256(out.read_bytes()).hexdigest() != PINNED_SHA256:
+        old = json.loads(PINNED_REPORT.read_text())
+        new = json.loads(out.read_text())
+        first = next(
+            (i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new))
+        )
+        pytest.fail(
+            f"report changed at row {first} ({len(old)} rows pinned, {len(new)} now):\n"
+            f"pinned: {old[first] if first < len(old) else None}\n"
+            f"now:    {new[first] if first < len(new) else None}"
+        )

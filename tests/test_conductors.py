@@ -9,13 +9,12 @@ import pytest
 from endolab import conductors
 from endolab.conductors import (
     Cyclo,
-    GF,
     HeisParams,
     QGroup,
     QPrimeTable,
     ad_phi_restriction,
     char_table_checks,
-    make_gf,
+    q_group,
     q_group_check,
     qprime_char_table,
     ramification_jumps,
@@ -25,12 +24,13 @@ from endolab.conductors import (
     tensor_decompositions,
 )
 from endolab.errors import IncompatibleParams
+from endolab.residue import GF, make_field, make_gf
 
 
 def test_gf_basic():
-    F = GF(3, 4)
+    F = GF(3, 4, make_gf(3, 4).modulus)
     els = list(F.elements())
-    assert len(els) == 81
+    assert els == list(range(81))
     a = els[5]
     assert F.mul(a, F.one) == a
     assert F.pow(a, 81) == a  # Frobenius^4 fixes everything
@@ -44,25 +44,86 @@ def test_cyclo_arithmetic():
     assert z.conj() == Cyclo.zeta_pow(3, 2)
 
 
-@pytest.mark.parametrize("p,m", [(3, 8), (5, 4)])
+def _digits(F, a):
+    return [(a // F.p**i) % F.p for i in range(F.m)]
+
+
+def _code(F, digits):
+    return sum((c % F.p) * F.p**i for i, c in enumerate(digits))
+
+
+def _schoolbook_mul(F, a, b):
+    """a * b by polynomial long multiplication, then division by F.modulus."""
+    m = F.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits(F, a)):
+        for j, y in enumerate(_digits(F, b)):
+            prod[i + j] += x * y
+    # x^m = -(modulus[0] + ... + modulus[m-1] x^{m-1}), from the top down
+    for d in reversed(range(m, 2 * m - 1)):
+        top, prod[d] = prod[d], 0
+        for i, c in enumerate(F.modulus):
+            prod[d - m + i] -= top * c
+    return _code(F, prod[:m])
+
+
+@pytest.mark.parametrize(
+    "p,m", [(3, 8), (5, 4), (3, 4)] + [(p, 2) for p in (3, 5, 7, 11, 13)]
+)
 def test_gf_log_tables_are_inverse_bijections(p, m):
     F = make_gf(p, m)
     nonzero = [x for x in F.elements() if x != F.zero]
-    assert sorted(F._exp) == sorted(nonzero)
-    assert len(F._dlog) == len(nonzero)
-    assert all(F._dlog[x] == k for k, x in enumerate(F._exp))
+    assert sorted(F._exp) == nonzero
+    assert len(F._log) == F.q and F._log[F.zero] is None
+    assert all(F._log[x] == k for k, x in enumerate(F._exp))
     # consecutive entries are consecutive powers of one generator
     g = F._exp[1]
+    assert g == F.gen
     assert all(
-        F._mul_mod(x, g, F.modulus) == F._exp[(k + 1) % len(nonzero)]
+        _schoolbook_mul(F, x, g) == F._exp[(k + 1) % len(nonzero)]
         for k, x in enumerate(F._exp)
     )
+
+
+def test_gf_products_match_schoolbook_on_all_pairs():
+    F = make_gf(3, 4)
+    for a in F.elements():
+        for b in F.elements():
+            assert F.mul(a, b) == _schoolbook_mul(F, a, b)
+
+
+def _digitwise(F, a, b, sign):
+    return _code(F, [x + sign * y for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def _check_zech_addition(F, pairs):
+    for a, b in pairs:
+        assert F.add(a, b) == _digitwise(F, a, b, 1)
+        assert F.sub(a, b) == _digitwise(F, a, b, -1)
+        assert F.neg(b) == _digitwise(F, 0, b, -1)
+
+
+def test_gf_zech_addition_is_digitwise():
+    F = make_gf(3, 4)
+    _check_zech_addition(F, [(a, b) for a in F.elements() for b in F.elements()])
+    F = make_gf(3, 8)
+    rng = random.Random(0)
+    _check_zech_addition(F, [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(20000)])
+
+
+def test_gf_prime_field_is_the_small_codes():
+    F = make_gf(5, 4)
+    subfield = [x for x in F.elements() if F.pow(x, F.p) == x]
+    assert subfield == list(range(F.p))
+    assert all(F.in_prime_field(x) == (x < F.p) for x in F.elements())
 
 
 def test_gf_cached_per_field():
     assert make_gf(3, 4) is make_gf(3, 4)
     assert make_gf(3, 4) is not make_gf(5, 4)
     assert QGroup(HeisParams(3, 1)).F is make_gf(3, 4)
+    # the residue fields read the same tables
+    assert make_field(5, 2)._log is make_gf(5, 2)._log
 
 
 def _add_term(out, p, k, c):
@@ -104,6 +165,40 @@ def test_q_group_orders():
 
 def test_q_group_axioms_small():
     assert q_group_check(HeisParams(3, 1))
+
+
+def test_q_group_built_once_per_params(monkeypatch):
+    built = []
+    init = QGroup.__init__
+
+    def counting_init(self, params):
+        built.append(params)
+        init(self, params)
+
+    monkeypatch.setattr(QGroup, "__init__", counting_init)
+    q_group.cache_clear()
+    assert q_group_check(HeisParams(3, 1))
+    T = QPrimeTable(HeisParams(3, 1))
+    assert T.Q is q_group(HeisParams(3, 1))
+    assert built == [HeisParams(3, 1)]
+    # the shared sets cannot be changed in place
+    assert isinstance(T.Q.a_set, tuple) and isinstance(T.Q.b_set, tuple)
+    with pytest.raises(TypeError):
+        T.Q.c_set[T.Q.F.zero] = ()
+    assert all(isinstance(cs, tuple) for cs in T.Q.c_set.values())
+
+
+def test_pairing_outside_prime_field_raises(monkeypatch):
+    T = QPrimeTable(HeisParams(3, 1))
+    F = T.Q.F
+    b1, b2 = T.Q.b_set[1], T.Q.b_set[2]
+    monkeypatch.setattr(
+        QGroup, "beta", lambda self, x, y: F.gen if (x, y) == (b1, b2) else F.zero
+    )
+    with pytest.raises(IncompatibleParams):
+        T.pairing(b1, b2)
+    with pytest.raises(IncompatibleParams):
+        T.center_int((F.zero, F.gen))
 
 
 def test_qprime_center_is_prime_field():

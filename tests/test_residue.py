@@ -37,6 +37,38 @@ def test_make_field_f7_generator_by_enumeration():
     assert k.gen.a == 3
 
 
+def _first_generator(p, f):
+    """The first code a + b*p of order p^f - 1, by counting orders with
+    F_{p^2} = F_p(s), s^2 = the least primitive root mod p."""
+    def order(mul, g, one):
+        x, m = g, 1
+        while x != one:
+            x = mul(x, g)
+            m += 1
+        return m
+
+    eps = next(g for g in range(1, p) if order(lambda x, y: x * y % p, g, 1) == p - 1)
+    if f == 1:
+        return eps
+
+    def mul2(x, y):
+        (a, b), (c, d) = x, y
+        return ((a * c + eps * b * d) % p, (a * d + b * c) % p)
+
+    return next(
+        code
+        for code in range(1, p * p)
+        if order(mul2, (code % p, code // p), (1, 0)) == p * p - 1
+    )
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_make_field_generator_is_first_in_code_order(p, f):
+    k = make_field(p, f)
+    assert k.gen.a + k.gen.b * p == _first_generator(p, f)
+
+
 def test_make_field_f9():
     k = make_field(3, 2)
     assert k.q == 9
