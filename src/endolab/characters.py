@@ -22,12 +22,14 @@ from .groups import (
     GroupKind,
     GroupMatrix,
     Level,
+    is_affine_generic,
     iwahori_level,
+    iwahori_mask_at,
     phi_element,
+    random_iplus,
     simple_affine_components,
     theta,
 )
-from .linalg import mat_mul
 from .residue import make_field, norm_trace, quad_extension
 from .sums import (
     gl_theta_spec,
@@ -582,7 +584,12 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
 
 
 def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
-    """Value of the inducing character itself at a domain element."""
+    """Value of the inducing character itself at a domain element.
+
+    This is the tests' direct evaluator of the inducing character, not a
+    second ``describe``: it splits g * phi^-1 for every kind (the twisted
+    linear coset included) and applies the central-sign rule to every kind.
+    """
     p = element.matrix.base.p
     if element.coset == "phi":
         if params.group.kind is GroupKind.TWISTED_GL:
@@ -622,10 +629,11 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random, tries=200)
     units = [x.a for x in k.units()]
     for _ in range(tries):
         if group.kind is GroupKind.TWISTED_GL:
-            g = _random_gl_iwahori(group, p, rng)
+            mask = iwahori_mask_at(group, Fraction(1, group.coxeter))
+            g = random_iplus(group, base, mask, rng)
             try:
-                nm = GroupMatrix(group, base, mat_mul(g.entries, theta(g).entries))
-                if iwahori_level(nm) >= Level.IPLUS and _generic(nm):
+                nm = g * theta(g)
+                if iwahori_level(nm) >= Level.IPLUS and is_affine_generic(nm):
                     return CharElement(group, g)
             except EndolabError:
                 continue
@@ -638,71 +646,43 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random, tries=200)
                 if nu != group.nu_mu:
                     u = (u * k.eps.a) % p
             t = _random_torus(group, p, rng)
+            tinv = [x.inv() for x in t]
             gm = family_matrix(group, p, u)
-            factors.append(
-                GroupMatrix(group, base, mat_mul(t, mat_mul(gm.entries, _inv_diagish(t, base))))
-            )
+            # t g t^-1 for the diagonal t, entry by entry
+            conj = [
+                [ti * (x * tj) for x, tj in zip(row, tinv)] for ti, row in zip(t, gm.entries)
+            ]
+            factors.append(GroupMatrix(group, base, conj))
         g = factors[0]
         for f in factors[1:]:
             g = g * f
         try:
-            if iwahori_level(g) >= Level.IPLUS and _generic(g):
+            if iwahori_level(g) >= Level.IPLUS and is_affine_generic(g):
                 return CharElement(group, g)
         except EndolabError:
             continue
     raise HypothesisFailed("could not sample an affine generic element")
 
 
-def _generic(g: GroupMatrix) -> bool:
-    return all(not c.is_zero() for c in simple_affine_components(g))
-
-
-def _random_gl_iwahori(group: GroupId, p: int, rng: random.Random) -> GroupMatrix:
-    base = base_field(p)
-    N = group.size
-    from .groups import _mask
-
-    mask = _mask(group, Fraction(1, group.coxeter), False)
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            if i == j:
-                row.append(base.from_int(1 + p * rng.randrange(p)))
-            else:
-                lo = mask[i][j]
-                row.append(base.from_int(rng.randrange(p) * p**lo))
-        rows.append(row)
-    return GroupMatrix(group, base, rows)
-
-
 def _random_torus(group: GroupId, p: int, rng: random.Random):
-    """An exact integral lift of a residue torus element (as a matrix)."""
+    """The diagonal of an exact integral lift of a residue torus element."""
     base = base_field(p)
     N = group.size
     n = group.n
-    rows = [[base.zero() for _ in range(N)] for _ in range(N)]
+    diag = [None] * N
     rank = {GroupKind.SO_RAM: n - 1, GroupKind.SO_SPL: n + 1}.get(group.kind, n)
     for i in range(rank):
         t = rng.randrange(1, p)
-        rows[i][i] = base.from_int(t)
-        rows[N - 1 - i][N - 1 - i] = base.from_int(t).inv()
+        diag[i] = base.from_int(t)
+        diag[N - 1 - i] = base.from_int(t).inv()
     if group.kind is GroupKind.SO_RAM:
-        rows[n - 1][n - 1] = base.one()
-        rows[n][n] = base.one()
+        diag[n - 1] = base.one()
+        diag[n] = base.one()
     elif group.kind is GroupKind.SO_UR:
         sgn = rng.choice([1, -1])
-        rows[n][n] = base.from_int(sgn)
-        rows[n + 1][n + 1] = base.from_int(sgn)
-    return rows
-
-
-def _inv_diagish(t, base):
-    N = len(t)
-    out = [[base.zero() for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        out[i][i] = t[i][i].inv()
-    return out
+        diag[n] = base.from_int(sgn)
+        diag[n + 1] = base.from_int(sgn)
+    return diag
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
 from . import suites
 from .suites import _char_element
 from .characters import SSCParams, char_brute_force, char_closed_form, describe
-from .conductors import swan_artin_gamma
+from .conductors import ramification_stages, swan_artin_gamma
 from .endoscopy import Pair, transfer_factor
 from .families import family_matrix, get_tower, nu_of_u
 from .groups import GroupId, GroupKind, simple_affine_components
@@ -242,8 +242,6 @@ def cmd_sums(args):
 
 def cmd_tower(args):
     if args.sub == "herbrand":
-        from .conductors import ramification_stages
-
         comp = herbrand_compose(ramification_stages(args.p, args.e, args.nprime))
         _emit_obj(
             {

@@ -13,8 +13,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IdentityFailed, InvalidU, UnknownPair
+from . import characters
+from .errors import IdentityFailed, IncompatibleParams, InvalidU, UnknownPair
 from .families import (
+    DISC_TABLE,
     WaldsFamilyData,
     _u_tilde,
     family_matrix,
@@ -358,13 +360,14 @@ def delta4(pair: Pair, n: int, variant: str = "plus") -> TransferValue:
         Pair.SOSPL_H: (GroupKind.SO_SPL, Fraction(n - 1, 2)),
         Pair.SOUR_H: (GroupKind.SO_UR, Fraction(n - 1, 2)),
     }[pair]
-    from .families import DISC_TABLE
-
     if pair is Pair.GL_ODD_SP:
         return TransferValue()
     g_val = DISC_TABLE[(g_kind, variant)](n)
     halfq = -2 * (g_val - h_val)
-    assert halfq.denominator == 1
+    if halfq.denominator != 1:
+        raise IncompatibleParams(
+            f"discriminant ratio q^{-(g_val - h_val)} is not a half-integral q-power"
+        )
     return TransferValue(halfq=int(halfq))
 
 
@@ -555,21 +558,19 @@ def _so_even_coset_values(kind, k, n: int, a: int, u) -> list:
     """(Theta_{xi,0,a,zeta} - Theta_{xi,1,a/eps,zeta}) at the mixed-sign coset
     element for zeta = 1 and zeta = -1, through the closed form (the kappa
     selection happens there)."""
-    from .characters import CharElement, SSCParams, char_closed_form, describe
-
     p = k.p
     group = GroupId(kind, n)
-    uval = u.a if hasattr(u, "a") else u % p
+    uval = u.a
     mat = family_matrix(group, p, uval, "phi_coset")
     al, be = so_even_phi_params(group, p, uval)
-    el = CharElement(group, mat, coset="phi", phi_ab=(al, be))
-    desc = describe(el)
+    el = characters.CharElement(group, mat, coset="phi", phi_ab=(al, be))
+    desc = characters.describe(el)
     values = []
     for zeta in (1, -1):
         total = 0.0 + 0.0j
         for kap, aa in ((0, a), (1, (a * pow(k.eps.a, -1, p)) % p)):
-            params = SSCParams(group, aa, 1, kap, zeta)
-            val = char_closed_form(params, desc).value
+            params = characters.SSCParams(group, aa, 1, kap, zeta)
+            val = characters.char_closed_form(params, desc).value
             total += val if kap == 0 else -val
         values.append(total)
     return values

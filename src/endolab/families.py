@@ -17,7 +17,7 @@ from functools import lru_cache
 from .errors import InvalidU, RootOfUnityUnavailable, UnsupportedDegree
 from .groups import GroupId, GroupKind, GroupMatrix, group_identity, phi_element
 from .linalg import mat_id, mat_inv, mat_mul
-from .padic import TowerSpec, sqrt_unit
+from .padic import TowerSpec, _cap_abs, sqrt_unit
 from .residue import make_field
 
 FAMILY_PREC = 8
@@ -61,14 +61,8 @@ def _coordinates(base: TowerSpec, tower: TowerSpec, z, exponents):
         m = (exp - b) // e
         digits = max(1, (z.rprec - i) // e)
         cval = base.from_int(c) * pu ** m
-        coords[pos] = coords[pos] + _cap(cval, m + digits)
+        coords[pos] = coords[pos] + _cap_abs(cval, m + digits)
     return coords
-
-
-def _cap(x, absprec):
-    from .padic import _cap_abs
-
-    return _cap_abs(x, absprec)
 
 
 def mult_matrix(base: TowerSpec, tower: TowerSpec, elt, exponents):

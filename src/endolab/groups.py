@@ -10,12 +10,16 @@ quadratic-extension pair for the unramified even orthogonal group).
 from __future__ import annotations
 
 import enum
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InvalidParams,
     NotAffineGeneric,
+    NotInFiltration,
     NotInIplus,
     PrecisionExhausted,
     UnsupportedDegree,
@@ -228,19 +232,24 @@ def theta(g: GroupMatrix) -> GroupMatrix:
     return GroupMatrix(g.group, g.base, out)
 
 
-def _mask(group: GroupId, level: Fraction, strict: bool):
-    x = group.weight_vector()
-    N = group.size
-    out = [[0] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            t = level - x[i] + x[j]
-            if strict:
-                m = t.numerator // t.denominator + 1  # floor + 1
-            else:
-                m = -((-t.numerator) // t.denominator)  # ceil
-            out[i][j] = m
-    return out
+def _ceil_rule(x, level: Fraction):
+    """Entry-valuation mask ceil(level - x_i + x_j) at the alcove point x."""
+    return tuple(tuple(math.ceil(level - xi + xj) for xj in x) for xi in x)
+
+
+@lru_cache(maxsize=None)
+def iwahori_mask_at(group: GroupId, level: Fraction):
+    """The group's filtration mask at ``level`` (0, 1/h, 2/h for I, I+, I++)."""
+    return _ceil_rule(group.weight_vector(), level)
+
+
+@lru_cache(maxsize=None)
+def px_plus_mask_at(n: int):
+    """The I+ mask of the odd general linear group GL_{2n+1} at the point
+    whose weights are (2n+1-i)/2n, at level 1/2n."""
+    N = 2 * n + 1
+    x = [Fraction(N - i, 2 * n) for i in range(1, N + 1)]
+    return _ceil_rule(x, Fraction(1, 2 * n))
 
 
 def _entry_val_ge(x: LocalElem, m: int, e: int) -> bool:
@@ -250,46 +259,54 @@ def _entry_val_ge(x: LocalElem, m: int, e: int) -> bool:
     return x.phi_valuation() >= m * e
 
 
-def iwahori_level(g: GroupMatrix) -> Level:
-    """Deepest of I, I+, I++ containing g (entry-mask classification)."""
-    base = g.base
-    e = base.e
-    h = g.group.coxeter
-    one = base.one()
-
-    def fits(level: Fraction, strict: bool, unipotent: bool) -> bool:
-        mask = _mask(g.group, level, strict)
-        for i in range(g.group.size):
-            for j in range(g.group.size):
-                x = g.entries[i][j]
-                if i == j:
-                    d = x - one
-                    if unipotent and not _entry_val_ge(d, 1, e):
-                        return False
-                    if not unipotent and (x.is_zero() or x.phi_valuation() != 0):
-                        return False
-                    continue
+def _fits(g: GroupMatrix, mask, unipotent: bool) -> bool:
+    """Off-diagonal entries meet the mask; diagonal entries are units, or
+    1 mod pi when ``unipotent``."""
+    e = g.base.e
+    one = g.base.one()
+    for i, row in enumerate(g.entries):
+        for j, x in enumerate(row):
+            if i != j:
                 if not _entry_val_ge(x, mask[i][j], e):
                     return False
-        return True
+            elif unipotent:
+                if not _entry_val_ge(x - one, 1, e):
+                    return False
+            elif x.is_zero() or x.phi_valuation() != 0:
+                return False
+    return True
 
-    if not fits(Fraction(0), False, False):
+
+def iwahori_level(g: GroupMatrix) -> Level:
+    """Deepest of I, I+, I++ containing g (entry-mask classification)."""
+    h = g.group.coxeter
+    if not _fits(g, iwahori_mask_at(g.group, Fraction(0)), False):
         return Level.OUTSIDE
-    if not fits(Fraction(1, h), False, True):
+    if not _fits(g, iwahori_mask_at(g.group, Fraction(1, h)), True):
         return Level.I
-    if not fits(Fraction(2, h), False, True):
+    if not _fits(g, iwahori_mask_at(g.group, Fraction(2, h)), True):
         return Level.IPLUS
     return Level.IPLUSPLUS
+
+
+def random_iplus(group: GroupId, base: TowerSpec, mask, rng: random.Random) -> GroupMatrix:
+    """A seeded element with diagonal entries 1 + p*r and off-diagonal
+    entries r*p^mask, r drawn row by row from 0..p-1."""
+    p = base.p
+    rows = []
+    for i in range(group.size):
+        row = []
+        for j in range(group.size):
+            r = rng.randrange(p)
+            row.append(base.from_int(1 + p * r if i == j else r * p ** mask[i][j]))
+        rows.append(row)
+    return GroupMatrix(group, base, rows)
 
 
 def simple_affine_components(g: GroupMatrix):
     """Residue tuple attached to an element of I+."""
     if iwahori_level(g) < Level.IPLUS:
         raise NotInIplus("components are defined on I+ only")
-    return _components_unchecked(g)
-
-
-def _components_unchecked(g: GroupMatrix):
     base = g.base
     out = []
     for slot in g.group.component_slots():
@@ -389,38 +406,8 @@ def _res_int(a):
 # characteristic-polynomial lemmas --------------------------------------------
 
 
-def px_masks(n: int):
-    """Filtration masks for the odd general linear group at the point whose
-    weights are (2n+1-i)/2n: returns (plus_mask, plusplus_mask)."""
-    N = 2 * n + 1
-    x = [Fraction(2 * n + 1 - i, 2 * n) for i in range(1, N + 1)]
-    r = Fraction(1, 2 * n)
-    plus = [
-        [-((-(r - x[i] + x[j]).numerator) // (r - x[i] + x[j]).denominator) for j in range(N)]
-        for i in range(N)
-    ]
-    pp = [
-        [
-            (r - x[i] + x[j]).numerator // (r - x[i] + x[j]).denominator + 1
-            for j in range(N)
-        ]
-        for i in range(N)
-    ]
-    return plus, pp
-
-
 def in_px_plus(g: GroupMatrix) -> bool:
-    n = (g.group.size - 1) // 2
-    plus, _ = px_masks(n)
-    e = g.base.e
-    one = g.base.one()
-    for i in range(g.group.size):
-        for j in range(g.group.size):
-            x = g.entries[i][j] if i != j else g.entries[i][j] - one
-            m = plus[i][j] if i != j else 1
-            if not _entry_val_ge(x, m, e):
-                return False
-    return True
+    return _fits(g, px_plus_mask_at((g.group.size - 1) // 2), True)
 
 
 def charpoly_shifted(g: GroupMatrix):
@@ -455,8 +442,6 @@ def twisted_norm_charpoly_check(x: GroupMatrix, norm_y: GroupMatrix | None = Non
     group: constant term vanishes, the linear term has the stated residue,
     and the polynomial factors through the supplied norm."""
     if not in_px_plus(x):
-        from .errors import NotInFiltration
-
         raise NotInFiltration("element is not in the odd filtration subgroup")
     base = x.base
     N = x.group.size

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -50,14 +51,14 @@ from .families import (
 from .groups import (
     GroupId,
     GroupKind,
-    GroupMatrix,
     charpoly_eisenstein_check,
     in_px_plus,
     is_affine_generic,
-    px_masks,
+    iwahori_mask_at,
+    px_plus_mask_at,
+    random_iplus,
     twisted_norm_charpoly_check,
 )
-from .linalg import mat_id
 from .residue import MultCharacter, make_field
 from .sums import (
     catalog,
@@ -421,16 +422,16 @@ def disc_suite(cases=((2, 5), (2, 13), (3, 7), (3, 13)), timings=False):
 
 
 def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
-    import endolab.characters as ch
-
     rows = []
     rng = random.Random(seed)
+    base = base_field(q)
     gid = GroupId(GroupKind.TWISTED_GL, n)
+    iplus = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     t0 = time.perf_counter()
     done = 0
     ok = True
     while done < samples:
-        g = ch._random_gl_iwahori(gid, q, rng)
+        g = random_iplus(gid, base, iplus, rng)
         try:
             if not is_affine_generic(g):
                 continue
@@ -444,22 +445,13 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
         _bit_row("charpoly_eisenstein", params, "shifted coefficients", "maximal-ideal pattern", ok, t0, timings)
     )
     # random odd-size twisted-norm checks
-    base = base_field(q)
     N = 2 * n + 1
     gid5 = GroupId(GroupKind.GL, N)
-    plus, _ = px_masks(n)
     t0 = time.perf_counter()
     done = 0
     ok = True
     while done < samples:
-        rows_m = mat_id(base, N)
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    rows_m[i][j] = base.from_int(1 + q * rng.randrange(q))
-                else:
-                    rows_m[i][j] = base.from_int(rng.randrange(q) * q ** max(plus[i][j], 0))
-        x = GroupMatrix(gid5, base, rows_m)
+        x = random_iplus(gid5, base, px_plus_mask_at(n), rng)
         if not in_px_plus(x):
             continue
         passed, _ = twisted_norm_charpoly_check(x)

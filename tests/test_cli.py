@@ -172,10 +172,10 @@ PINNED_SHA256 = "86f212f8108b01701dbd5c9c554c2272f1a8cd6db495ee81648fe261218d160
 PINNED_REPORT = Path(__file__).parent / "data" / "report_seed0_subset.json"
 
 
-def test_report_is_byte_stable(tmp_path):
+def _report_sha256(argv, tmp_path):
+    """sha256 and path of the report the CLI writes for argv (a subprocess)."""
     out = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": str(Path(endolab.__file__).parents[1])}
-    argv = ["suite", "all", "--only", PINNED_SUITES, "--seed", "0", "--format", "json"]
     proc = subprocess.run(
         [sys.executable, "-m", "endolab.cli", *argv, "--out", str(out)],
         capture_output=True,
@@ -183,8 +183,14 @@ def test_report_is_byte_stable(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(out.read_bytes()).hexdigest(), out
+
+
+def test_report_is_byte_stable(tmp_path):
+    argv = ["suite", "all", "--only", PINNED_SUITES, "--seed", "0", "--format", "json"]
+    digest, out = _report_sha256(argv, tmp_path)
     assert hashlib.sha256(PINNED_REPORT.read_bytes()).hexdigest() == PINNED_SHA256
-    if hashlib.sha256(out.read_bytes()).hexdigest() != PINNED_SHA256:
+    if digest != PINNED_SHA256:
         old = json.loads(PINNED_REPORT.read_text())
         new = json.loads(out.read_text())
         first = next(
@@ -195,3 +201,23 @@ def test_report_is_byte_stable(tmp_path):
             f"pinned: {old[first] if first < len(old) else None}\n"
             f"now:    {new[first] if first < len(new) else None}"
         )
+
+
+# Reports that run the seeded samplers: 20 random affine generic elements per
+# kind, and both I+ samplers of the charpoly suite.
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["char", "verify", "--n", "2", "--q", "3", "--seed", "0", "--format", "json"],
+            "45f822c4111525486bf57104d8cbd93ce9fb90d5acc89a89c96c9ec9f06be1c3",
+        ),
+        (
+            ["suite", "all", "--only", "charpoly", "--seed", "0", "--format", "json"],
+            "06b94cd34c38a9eed6843243d2a9ea31ed22a23c5268c0ee1d61ee1b88792721",
+        ),
+    ],
+    ids=["char_verify", "charpoly"],
+)
+def test_sampling_report_is_byte_stable(argv, sha256, tmp_path):
+    assert _report_sha256(argv, tmp_path)[0] == sha256

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +22,8 @@ from endolab.endoscopy import (
     transfer_factor,
     walds_family,
 )
-from endolab.errors import IdentityFailed
-from endolab.families import nu_of_u
+from endolab.errors import IdentityFailed, IncompatibleParams
+from endolab.families import DISC_TABLE, nu_of_u
 from endolab.groups import GroupId, GroupKind
 from endolab.residue import make_field
 from endolab.sums import gauss_sum
@@ -120,6 +121,13 @@ def test_delta4_values():
     assert delta4(Pair.GL_SORAM, 2, "minus").halfq == 0
     assert delta4(Pair.SOSPL_H, 2, "plus").halfq == -2
     assert delta4(Pair.SOSPL_H, 2, "phi_coset").halfq == 0
+
+
+def test_delta4_rejects_non_half_integral_ratio(monkeypatch):
+    """The invariant is a raised error, so it holds under python -O too."""
+    monkeypatch.setitem(DISC_TABLE, (GroupKind.SP, "plus"), lambda n: Fraction(n, 3))
+    with pytest.raises(IncompatibleParams):
+        delta4(Pair.SP_SORAM, 2)
 
 
 def test_transfer_factors_symbolic():

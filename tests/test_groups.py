@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,10 @@ from endolab.groups import (
     is_affine_generic,
     is_member,
     iwahori_level,
+    iwahori_mask_at,
     phi_element,
+    px_plus_mask_at,
+    random_iplus,
     simple_affine_components,
     theta,
     twisted_norm_charpoly_check,
@@ -158,6 +162,45 @@ def test_iwahori_levels():
     assert iwahori_level(d) == Level.OUTSIDE
 
 
+def _explicit_ceil_rule(x, level):
+    """The explicit numerator/denominator ceil rule the int masks replace."""
+    out = []
+    for xi in x:
+        row = []
+        for xj in x:
+            t = level - xi + xj
+            row.append(-((-t.numerator) // t.denominator))
+        out.append(row)
+    return out
+
+
+def _assert_cached_int_grid(get, expect):
+    mask = get()
+    assert isinstance(mask, tuple) and all(isinstance(row, tuple) for row in mask)
+    assert all(type(m) is int for row in mask for m in row)
+    assert [list(row) for row in mask] == expect
+    assert get() is mask
+
+
+@pytest.mark.parametrize("kind", list(GroupKind))
+def test_iwahori_masks_match_ceil_rule(kind):
+    for n in range(1, 5):
+        gid = GroupId(kind, n)
+        h = gid.coxeter
+        for level in (Fraction(0), Fraction(1, h), Fraction(2, h)):
+            expect = _explicit_ceil_rule(gid.weight_vector(), level)
+            _assert_cached_int_grid(lambda: iwahori_mask_at(gid, level), expect)
+
+
+def test_px_plus_mask_matches_ceil_rule():
+    for n in range(1, 5):
+        x = [Fraction(2 * n + 1 - i, 2 * n) for i in range(1, 2 * n + 2)]
+        expect = _explicit_ceil_rule(x, Fraction(1, 2 * n))
+        _assert_cached_int_grid(lambda: px_plus_mask_at(n), expect)
+        # the sampler scales entries by p^mask, so no entry may be negative
+        assert min(map(min, expect)) >= 0
+
+
 def test_family_components():
     k = make_field(P)
     sp = family_matrix(GroupId(GroupKind.SP, 2), P, 3)
@@ -206,10 +249,9 @@ def test_twisted_norm_components_pattern():
     """The components of g*theta(g) are (g_1+g_{2n-1}, ..., 2 g_0)."""
     gid = GroupId(GroupKind.TWISTED_GL, 2)
     rng = random.Random(2)
-    import endolab.characters as ch
-
+    mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     for _ in range(5):
-        g = ch._random_gl_iwahori(gid, P, rng)
+        g = random_iplus(gid, B, mask, rng)
         nm = GroupMatrix(gid, B, mat_mul(g.entries, theta(g).entries))
         if iwahori_level(nm) < Level.IPLUS:
             continue
@@ -247,13 +289,12 @@ def test_eisenstein_requires_genericity():
 
 
 def test_eisenstein_random_small():
-    import endolab.characters as ch
-
     rng = random.Random(7)
     gid = GroupId(GroupKind.TWISTED_GL, 2)
+    mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     done = 0
     while done < 15:
-        g = ch._random_gl_iwahori(gid, 3, rng)
+        g = random_iplus(gid, base_field(3), mask, rng)
         try:
             if not is_affine_generic(g):
                 continue
