@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EndolabError, HypothesisFailed, InvalidParams, OutOfDomain
-from .families import base_field, family_matrix, nu_of_u
+from .families import base_field, family_matrix, nu_of_u, so_even_phi_params
 from .groups import (
+    SAMPLE_TRIES,
     GroupId,
     GroupKind,
     GroupMatrix,
@@ -26,7 +27,7 @@ from .groups import (
     iwahori_level,
     iwahori_mask_at,
     phi_element,
-    random_iplus,
+    sample_iplus,
     simple_affine_components,
     theta,
 )
@@ -82,16 +83,28 @@ class CharValue:
 
 @dataclass
 class CharElement:
-    """An element of the character's domain: sign * h * phi^k with h in I+."""
+    """An element of the character's domain: +-h * phi^k with h in I+."""
 
     group: GroupId
     matrix: GroupMatrix
     coset: str = "plain"  # "plain" or "phi"
     phi_u: int | None = None  # twisted-GL coset parameter
     phi_ab: tuple | None = None  # even-orthogonal coset parameters
-    sign: int = 1
     # slot-residue histograms of the brute-force route, keyed by coset data
     _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def family_element(kind: GroupKind, n: int, q: int, u: int, variant: str) -> CharElement:
+    """The ``variant`` family element at the unit u, with the coset data of
+    the phi-coset families (the twisted linear minus family included)."""
+    nu = nu_of_u(make_field(q), n, u) if kind is GroupKind.SO_RAM else 0
+    gid = GroupId(kind, n, nu)
+    g = family_matrix(gid, q, u, variant)
+    if variant == "phi_coset":
+        return CharElement(gid, g, coset="phi", phi_ab=so_even_phi_params(gid, q, u))
+    if variant == "minus" and kind is GroupKind.TWISTED_GL:
+        return CharElement(gid, g, coset="phi", phi_u=u)
+    return CharElement(gid, g)
 
 
 # ---------------------------------------------------------------------------
@@ -621,23 +634,22 @@ def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
 # random affine generic elements
 
 
-def random_affine_generic(group: GroupId, p: int, rng: random.Random, tries=200):
+def _generic_in_iplus(g: GroupMatrix) -> bool:
+    return iwahori_level(g) >= Level.IPLUS and is_affine_generic(g)
+
+
+def random_affine_generic(group: GroupId, p: int, rng: random.Random):
     """A random affine generic element of I+ (meeting the group when it has a
-    form), built from torus-conjugated family elements."""
+    form), built from torus-conjugated family elements; a twisted linear
+    element is an I+ draw whose twisted norm g*theta(g) is affine generic."""
     k = make_field(p)
     base = base_field(p)
+    if group.kind is GroupKind.TWISTED_GL:
+        mask = iwahori_mask_at(group, Fraction(1, group.coxeter))
+        g = sample_iplus(group, base, mask, rng, lambda g: _generic_in_iplus(g * theta(g)))
+        return CharElement(group, g)
     units = [x.a for x in k.units()]
-    for _ in range(tries):
-        if group.kind is GroupKind.TWISTED_GL:
-            mask = iwahori_mask_at(group, Fraction(1, group.coxeter))
-            g = random_iplus(group, base, mask, rng)
-            try:
-                nm = g * theta(g)
-                if iwahori_level(nm) >= Level.IPLUS and is_affine_generic(nm):
-                    return CharElement(group, g)
-            except EndolabError:
-                continue
-            continue
+    for _ in range(SAMPLE_TRIES):
         factors = []
         for _ in range(rng.randint(1, 2)):
             u = rng.choice(units)
@@ -657,7 +669,7 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random, tries=200)
         for f in factors[1:]:
             g = g * f
         try:
-            if iwahori_level(g) >= Level.IPLUS and is_affine_generic(g):
+            if _generic_in_iplus(g):
                 return CharElement(group, g)
         except EndolabError:
             continue

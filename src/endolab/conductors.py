@@ -21,6 +21,7 @@ from .residue import is_prime, make_field, make_gf, p_digits
 
 ENUM_CAP = 3000
 ASSOC_CAP = 3_000_000
+ASSOC_SAMPLES = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,7 @@ def q_group(params: HeisParams) -> QGroup:
     return QGroup(params)
 
 
-def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
+def q_group_check(params: HeisParams) -> bool:
     """Closure, identity and inverses exhaustively; associativity exhaustively
     on the index table when the triple count is small, deterministically
     sampled otherwise; the c-part must be central in the b-subgroup."""
@@ -198,7 +199,7 @@ def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
     idx = {x: i for i, x in enumerate(els)}
     e_i = idx[Q.identity()]
     if n * n > 300_000:
-        return _q_group_check_sampled(Q, els, idx, e_i, assoc_samples)
+        return _q_group_check_sampled(Q, els, idx)
     # closure is implied by a total multiplication table
     try:
         table = [[idx[Q.mul(x, y)] for y in els] for x in els]
@@ -216,7 +217,7 @@ def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
     else:
         rng_iter = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(assoc_samples)
+            for _ in range(ASSOC_SAMPLES)
         )
     for i, j, kk in rng_iter:
         if table[table[i][j]][kk] != table[i][table[j][kk]]:
@@ -230,7 +231,7 @@ def q_group_check(params: HeisParams, assoc_samples: int = 20000) -> bool:
     return True
 
 
-def _q_group_check_sampled(Q, els, idx, e_i, samples):
+def _q_group_check_sampled(Q, els, idx):
     """Large-group fallback: exhaustive table on the wild subgroup, sampled
     closure/associativity on the full group."""
     rng = random.Random(1)
@@ -245,7 +246,7 @@ def _q_group_check_sampled(Q, els, idx, e_i, samples):
     esub = qidx[Q.identity()]
     if any(esub not in row for row in sub):
         return False
-    for _ in range(samples):
+    for _ in range(ASSOC_SAMPLES):
         x, y, z = (els[rng.randrange(n)] for _ in range(3))
         xy = Q.mul(x, y)
         if xy not in idx:

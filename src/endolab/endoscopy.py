@@ -17,12 +17,12 @@ from . import characters
 from .errors import IdentityFailed, IncompatibleParams, InvalidU, UnknownPair
 from .families import (
     DISC_TABLE,
+    FAMILY_VARIANTS,
     WaldsFamilyData,
     _u_tilde,
     family_matrix,
     gl_odd_family,
     nu_of_u,
-    so_even_phi_params,
     walds_family,
 )
 from .groups import (
@@ -100,6 +100,16 @@ class Pair(enum.Enum):
     SP_SORAM = "sp_soram"        # Sp_{2n} with SO_{2n}^mu
     SOSPL_H = "sospl_h"          # SO_{2n+2} with SO_{2n}^mu x SO_2^mu
     SOUR_H = "sour_h"            # SO_{2n+2}^ur with SO_{2n}^mu x SO_2^mubar
+
+
+# the kind of each pair's group G; its family variants are the pair's variants
+PAIR_GROUP = {
+    Pair.GL_ODD_SP: GroupKind.TWISTED_GL,
+    Pair.GL_SORAM: GroupKind.TWISTED_GL,
+    Pair.SP_SORAM: GroupKind.SP,
+    Pair.SOSPL_H: GroupKind.SO_SPL,
+    Pair.SOUR_H: GroupKind.SO_UR,
+}
 
 
 def epsilon_factor(pair: Pair) -> TransferValue:
@@ -262,6 +272,10 @@ def delta_iv_walds(
 ) -> int:
     """The product of the first three factors at the family pair, through the
     explicit sign-character formula."""
+    if pair is Pair.GL_ODD_SP:
+        return 1
+    if variant not in FAMILY_VARIANTS[PAIR_GROUP[pair]]:
+        raise InvalidU(f"no variant {variant} for {pair}")
     data = walds_family(p, n, u)
     t = data.tower
     one = t.one()
@@ -269,27 +283,21 @@ def delta_iv_walds(
     y = data.y()
     pp = pol_products(data, "+", direct)
     pm = pol_products(data, "-", direct)
-    if pair is Pair.GL_ODD_SP:
-        return 1
     if pair is Pair.GL_SORAM:
         if variant == "plus":
             arg = -data.x_gl().inv() * pp * y ** (1 - n) * (one + y)
-        elif variant == "minus":
-            arg = -(phi * data.x_gl()).inv() * pm * (-y) ** (1 - n) * (one - y)
         else:
-            raise InvalidU(f"no variant {variant} for {pair}")
+            arg = -(phi * data.x_gl()).inv() * pm * (-y) ** (1 - n) * (one - y)
         return sgn_at(data, arg)
     if pair is Pair.SP_SORAM:
         if variant == "plus":
             arg = data.c_sp() * pp * y ** (1 - n)
-        elif variant == "minus":
-            arg = data.c_sp() * pm * (-y) ** (1 - n)
         else:
-            raise InvalidU(f"no variant {variant} for {pair}")
+            arg = data.c_sp() * pm * (-y) ** (1 - n)
         return sgn_at(data, arg)
     if pair in (Pair.SOSPL_H, Pair.SOUR_H):
         t_inv = 0 if pair is Pair.SOSPL_H else 1
-        kind = GroupKind.SO_SPL if pair is Pair.SOSPL_H else GroupKind.SO_UR
+        kind = PAIR_GROUP[pair]
         # the sign-character assembly needs the opposite sign from the eta
         # table on the even-orthogonal rows; the choice here is pinned by the
         # packet identities, which are verified independently
@@ -298,20 +306,15 @@ def delta_iv_walds(
         w = t.pi() * t.from_int(ut)
         cplus = data.c_plus(t_inv)
         two = t.from_int(2)
+        if variant == "phi_coset":
+            dfac = two**2 * (one - phi**2 * w) / ((one - phi) ** 2 * (one - w))
+        else:
+            dfac = two**2 * (phi**2 - w) / ((one - phi) ** 2 * (one - w))
         if variant == "plus":
-            dfac = two**2 * (phi**2 - w) / ((one - phi) ** 2 * (one - w))
             cfac = two**2 / (one - w)
-            arg = (
-                t.from_int(2 * eta_g)
-                * cplus
-                * (pp * dfac * cfac)
-                * y ** (-n)
-                * (one + y)
-                / (y - one)
-            )
-        elif variant == "minus":
-            dfac = two**2 * (phi**2 - w) / ((one - phi) ** 2 * (one - w))
+        else:
             cfac = -(two**2) * w / (one - w)
+        if variant == "minus":
             arg = (
                 t.from_int(2 * eta_g)
                 * cplus
@@ -320,9 +323,7 @@ def delta_iv_walds(
                 * (one - y)
                 / (-y - one)
             )
-        elif variant == "phi_coset":
-            dfac = two**2 * (one - phi**2 * w) / ((one - phi) ** 2 * (one - w))
-            cfac = -(two**2) * w / (one - w)
+        else:
             arg = (
                 t.from_int(2 * eta_g)
                 * cplus
@@ -331,8 +332,6 @@ def delta_iv_walds(
                 * (one + y)
                 / (y - one)
             )
-        else:
-            raise InvalidU(f"no variant {variant} for {pair}")
         return sgn_at(data, arg)
     raise UnknownPair(str(pair))
 
@@ -352,17 +351,12 @@ DELTA_IV_EXPECTED = {
 
 
 def delta4(pair: Pair, n: int, variant: str = "plus") -> TransferValue:
-    """Weyl-discriminant ratio D_{G,theta}(delta)/D_H(gamma) as a q-power."""
-    g_kind, h_val = {
-        Pair.GL_ODD_SP: (GroupKind.TWISTED_GL, Fraction(n, 2)),
-        Pair.GL_SORAM: (GroupKind.TWISTED_GL, Fraction(n - 1, 2)),
-        Pair.SP_SORAM: (GroupKind.SP, Fraction(n - 1, 2)),
-        Pair.SOSPL_H: (GroupKind.SO_SPL, Fraction(n - 1, 2)),
-        Pair.SOUR_H: (GroupKind.SO_UR, Fraction(n - 1, 2)),
-    }[pair]
+    """Weyl-discriminant ratio D_{G,theta}(delta)/D_H(gamma) as a q-power
+    (1 on the odd pair; D_H has valuation (n-1)/2 on the others)."""
     if pair is Pair.GL_ODD_SP:
         return TransferValue()
-    g_val = DISC_TABLE[(g_kind, variant)](n)
+    g_val = DISC_TABLE[(PAIR_GROUP[pair], variant)](n)
+    h_val = Fraction(n - 1, 2)
     halfq = -2 * (g_val - h_val)
     if halfq.denominator != 1:
         raise IncompatibleParams(
@@ -416,7 +410,7 @@ class PacketSolution:
     gl_zeta: complex | None = None
 
 
-def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int, tol: float = TOL) -> PacketSolution:
+def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
     """The descent identity chain: for every unit u, the difference of the two
     symplectic characters at the family element matches the weighted ramified-
     orthogonal character sum, with genericity sign 1."""
@@ -437,23 +431,23 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int, tol: float = TOL) ->
             spec_tw, k.coerce(2) ** (2 * n) * au
         )
         if not au.is_square():
-            if abs(lhs) > tol:
+            if abs(lhs) > TOL:
                 raise IdentityFailed(f"vanishing side fails at u={u}")
             continue
         v = k.sqrt(k.coerce(-1) ** (n - 1) * k.eps**nu * u.inv())
         idx = two_n * a_prime * v.inv()
         rhs_kl = kloosterman_eval(spec_n, idx) + kloosterman_eval(spec_n, -idx)
-        if abs(lhs - coeff * rhs_kl) > tol:
+        if abs(lhs - coeff * rhs_kl) > TOL:
             raise IdentityFailed(f"descent identity fails at u={u}")
         # central-sign variant at the negative family element
         lhs_minus = xi * lhs
         rhs_minus = xi_prime * coeff_minus * rhs_kl
-        if abs(lhs_minus - rhs_minus) > tol:
+        if abs(lhs_minus - rhs_minus) > TOL:
             raise IdentityFailed(f"central-sign identity fails at u={u}")
     return PacketSolution(xi_prime, a_prime_sq.a, nu, 1)
 
 
-def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = TOL):
+def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int):
     """The two lifting identities determining the linear-group data (b, zeta)."""
     k = make_field(p)
     w0 = k.omega0()
@@ -474,7 +468,7 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = TOL):
         rhs = w0(k.coerce(2 * a) * u) * kloosterman_eval(
             spec_tw, k.coerce(2) ** (2 * n) * k.coerce(a) * u
         )
-        if abs(lhs - rhs) > tol:
+        if abs(lhs - rhs) > TOL:
             raise IdentityFailed(f"plain lift identity fails at u={u}")
         # coset identity: q^(1/2) w0(-2) Theta^{GL}(phi_u g_u) = (diff)(-g_u^Sp)
         bu = k.coerce(b) * u
@@ -492,13 +486,13 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = TOL):
                 * (kloosterman_eval(spec_n, beta) + kloosterman_eval(spec_n, -beta))
             )
         rhs2 = xi * rhs
-        if abs(lhs2 - rhs2) > tol:
+        if abs(lhs2 - rhs2) > TOL:
             raise IdentityFailed(f"coset lift identity fails at u={u}")
     return b, zeta, True
 
 
 def so_even_packet_verify(
-    kind: GroupKind, n: int, p: int, xi_plus: int, a_plus: int, nu: int, tol: float = TOL
+    kind: GroupKind, n: int, p: int, xi_plus: int, a_plus: int, nu: int
 ):
     """The even-orthogonal packet identity chain: the main descent identity at
     each admissible u, the central-sign comparison, and the phi-coset identity
@@ -531,23 +525,23 @@ def so_even_packet_verify(
         )
         lhs = kloosterman_eval(spec_big, gamma)
         if not admissible:
-            if abs(lhs) > tol:
+            if abs(lhs) > TOL:
                 raise IdentityFailed(f"inadmissible side fails at u={u}")
             continue
         v = k.sqrt(k.coerce(-1) ** (n - 1) * u / k.eps**nu)
         idx = two**n * k.coerce(a_plus) * v
         rhs_kl = kloosterman_eval(spec_n, idx) + kloosterman_eval(spec_n, -idx)
-        if abs(lhs - sign_main * q * rhs_kl) > tol:
+        if abs(lhs - sign_main * q * rhs_kl) > TOL:
             raise IdentityFailed(f"main identity fails at u={u} ({kind})")
         # central-sign comparison at the negative elements
-        if abs(xi * lhs - xi_plus * (-1) ** t_inv * w0m1 * sign_main * q * rhs_kl) > tol:
+        if abs(xi * lhs - xi_plus * (-1) ** t_inv * w0m1 * sign_main * q * rhs_kl) > TOL:
             raise IdentityFailed(f"central identity fails at u={u}")
         # phi-coset identity: both zeta branches
         coset_plus, coset_minus = _so_even_coset_values(kind, k, n, a, u)
         target = w0(k.coerce(-2)) ** (1 - t_inv) * rhs_kl
-        if abs(coset_plus - target) > tol:
+        if abs(coset_plus - target) > TOL:
             raise IdentityFailed(f"coset identity fails at u={u} (zeta=+1)")
-        if abs(coset_minus - (-target)) > tol:
+        if abs(coset_minus - (-target)) > TOL:
             raise IdentityFailed(f"coset identity fails at u={u} (zeta=-1)")
     b = ((-1) ** (n - 1) * 2 ** (2 + t_inv) * a) % p
     eta_lift = (-1) ** t_inv * q ** (-0.5) * gauss_sum(w0, k) * w0m1 * xi
@@ -559,17 +553,13 @@ def _so_even_coset_values(kind, k, n: int, a: int, u) -> list:
     element for zeta = 1 and zeta = -1, through the closed form (the kappa
     selection happens there)."""
     p = k.p
-    group = GroupId(kind, n)
-    uval = u.a
-    mat = family_matrix(group, p, uval, "phi_coset")
-    al, be = so_even_phi_params(group, p, uval)
-    el = characters.CharElement(group, mat, coset="phi", phi_ab=(al, be))
+    el = characters.family_element(kind, n, p, u.a, "phi_coset")
     desc = characters.describe(el)
     values = []
     for zeta in (1, -1):
         total = 0.0 + 0.0j
         for kap, aa in ((0, a), (1, (a * pow(k.eps.a, -1, p)) % p)):
-            params = characters.SSCParams(group, aa, 1, kap, zeta)
+            params = characters.SSCParams(el.group, aa, 1, kap, zeta)
             val = characters.char_closed_form(params, desc).value
             total += val if kap == 0 else -val
         values.append(total)

@@ -3,7 +3,8 @@
 Each family element is the matrix of multiplication by y = (1+phi)/(1-phi) on
 an explicit basis of the Kummer field F[phi_u] (phi_u^{2n} = pi*u), possibly
 glued with the 2-dimensional piece F[sqrt(pi*u~)] and conjugated into the
-standard form by the fixed base-change matrices Q and D.  Weyl-discriminant
+standard form by a fixed base-change matrix Q.  ``FAMILY_VARIANTS`` lists
+the families of each group kind.  Weyl-discriminant
 valuations are available both as closed values and through the eigenvalue
 route when the needed root of unity lies in Q_p.
 """
@@ -22,19 +23,28 @@ from .residue import make_field
 
 FAMILY_PREC = 8
 
+# family variants per group kind, in report order
+FAMILY_VARIANTS = {
+    GroupKind.SP: ("plus", "minus"),
+    GroupKind.SO_RAM: ("plus", "minus"),
+    GroupKind.SO_SPL: ("plus", "minus", "phi_coset"),
+    GroupKind.SO_UR: ("plus", "minus", "phi_coset"),
+    GroupKind.TWISTED_GL: ("plus", "minus"),
+}
+
 
 @lru_cache(maxsize=None)
 def get_tower(p: int, e: int, u0: int, prec: int = FAMILY_PREC) -> TowerSpec:
     return TowerSpec(p, e, u0, prec)
 
 
-def base_field(p: int, prec: int = FAMILY_PREC) -> TowerSpec:
-    return get_tower(p, 1, 1, prec)
+def base_field(p: int) -> TowerSpec:
+    return get_tower(p, 1, 1)
 
 
-def family_tower(p: int, n: int, u: int, prec: int = FAMILY_PREC) -> TowerSpec:
+def family_tower(p: int, n: int, u: int) -> TowerSpec:
     """F[phi_u] with phi_u^{2n} = pi*u."""
-    return get_tower(p, 2 * n, u % p, prec)
+    return get_tower(p, 2 * n, u % p)
 
 
 def y_element(tower: TowerSpec):
@@ -111,23 +121,25 @@ class WaldsFamilyData:
         return t.from_int(sign) / (t.from_int(2 * self.n) * t.pi() * t.from_int(self.u))
 
 
-def walds_family(p: int, n: int, u: int, prec: int = FAMILY_PREC) -> WaldsFamilyData:
-    return WaldsFamilyData(p, n, u, family_tower(p, n, u, prec))
+def walds_family(p: int, n: int, u: int) -> WaldsFamilyData:
+    return WaldsFamilyData(p, n, u, family_tower(p, n, u))
 
 
 # family matrices --------------------------------------------------------------
 
 
 def family_matrix(
-    group: GroupId, p: int, u: int, variant: str = "plus", v_sign: int = 1, prec: int = FAMILY_PREC
+    group: GroupId, p: int, u: int, variant: str = "plus", v_sign: int = 1
 ) -> GroupMatrix:
+    if variant not in FAMILY_VARIANTS.get(group.kind, ()):
+        raise InvalidU(f"no {variant} family for {group.kind.value}")
     k = make_field(p)
     if k.coerce(u).is_zero():
         raise InvalidU("the family parameter must be a unit")
-    base = base_field(p, prec)
+    base = base_field(p)
     n = group.n
     if group.kind is GroupKind.SP:
-        tower = family_tower(p, n, u, prec)
+        tower = family_tower(p, n, u)
         m = mult_matrix(base, tower, y_element(tower), list(range(2 * n, 0, -1)))
         g = GroupMatrix(group, base, m)
         return g if variant == "plus" else g.neg()
@@ -138,11 +150,7 @@ def family_matrix(
             [one.entries[i][j] + phi.entries[i][j] for j in range(2 * n)]
             for i in range(2 * n)
         ])
-        if variant == "plus":
-            return g
-        if variant == "minus":
-            return phi * g
-        raise InvalidU(f"unknown twisted-GL variant {variant}")
+        return g if variant == "plus" else phi * g
     if group.kind is GroupKind.SO_RAM:
         nu = nu_of_u(k, n, u)
         if nu != group.nu_mu:
@@ -152,7 +160,7 @@ def family_matrix(
         v = so_ram_v(k, n, u, nu, v_sign)
         target = base.from_int(k.eps.a**nu) / base.from_int((-1) ** (n - 1) * u)
         v_exact = sqrt_unit(target, prefer=v)
-        tower = family_tower(p, n, u, prec)
+        tower = family_tower(p, n, u)
         exps = list(range(2 * n - 1, n - 1, -1)) + [2 * n] + list(range(n - 1, 0, -1))
         m = mult_matrix(base, tower, y_element(tower), exps)
         q = [base.one()] * n + [v_exact.inv()] + [
@@ -163,9 +171,8 @@ def family_matrix(
         ]
         gm = GroupMatrix(group, base, g)
         return gm if variant == "plus" else gm.neg()
-    if group.kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-        return _so_even_family(group, p, u, variant, prec)
-    raise InvalidU(f"no family for {group.kind}")
+    # the split and unramified even orthogonal groups
+    return _so_even_family(group, p, u, variant)
 
 
 def _u_tilde(group: GroupId, p: int, u: int) -> int:
@@ -177,26 +184,21 @@ def _u_tilde(group: GroupId, p: int, u: int) -> int:
     return ((-1) ** (n + 1)) * u * k.eps.a
 
 
-def _so_even_family(group, p, u, variant, prec):
-    base = base_field(p, prec)
+def _so_even_family(group, p, u, variant):
+    base = base_field(p)
     n = group.n
-    N = 2 * n + 2
-    tower = family_tower(p, n, u, prec)
+    tower = family_tower(p, n, u)
     ut = _u_tilde(group, p, u)
-    tower2 = get_tower(p, 2, ut, prec)
+    tower2 = get_tower(p, 2, ut)
     mplus = mult_matrix(base, tower, y_element(tower), list(range(2 * n, 0, -1)))
     mminus = mult_matrix(base, tower2, y_element(tower2), [2, 1])
-    minus_sign = {"plus": 1, "minus": 1, "phi_coset": -1}[variant]
-    block = [[base.zero() for _ in range(N)] for _ in range(N)]
-    for i in range(2 * n):
-        for j in range(2 * n):
-            block[i][j] = mplus[i][j]
-    for i in range(2):
-        for j in range(2):
-            x = mminus[i][j]
-            block[2 * n + i][2 * n + j] = -x if minus_sign < 0 else x
-    qd = mat_mul(_q_matrix(group, base, u), _d_matrix(group, base))
-    g = mat_mul(mat_inv(qd), mat_mul(block, qd))
+    if variant == "phi_coset":
+        mminus = [[-x for x in row] for row in mminus]
+    # the block-diagonal matrix diag(mplus, mminus)
+    block = [row + [base.zero(), base.zero()] for row in mplus]
+    block += [[base.zero() for _ in range(2 * n)] + row for row in mminus]
+    q = _q_matrix(group, base, u)
+    g = mat_mul(mat_inv(q), mat_mul(block, q))
     gm = GroupMatrix(group, base, g)
     if variant == "minus":
         return gm.neg()
@@ -217,7 +219,7 @@ def _q_matrix(group, base, u):
         rows[n][n] = -half
         rows[n][n + 1] = base.one()
         for i in range(n + 1, 2 * n):
-            rows[i][i + 1] = base.one()
+            rows[i][i + 1] = base.from_int((-1) ** (i - n - 1))
         rows[2 * n][0] = base.from_int(-1)
         rows[2 * n][N - 1] = base.from_int((-1) ** (n + 1)) * inv2pu
         rows[2 * n + 1][n] = half
@@ -229,24 +231,11 @@ def _q_matrix(group, base, u):
     for i in range(1, n + 1):
         rows[i][i] = base.one()
     for i in range(n + 1, 2 * n):
-        rows[i][i + 1] = base.one()
+        rows[i][i + 1] = base.from_int((-1) ** (i - n))
     rows[2 * n][n + 1] = base.one()
     rows[2 * n + 1][0] = base.from_int((-1) ** (n + 1) * u) * base.pi()
     rows[2 * n + 1][N - 1] = half
     return rows
-
-
-def _d_matrix(group, base):
-    n = group.n
-    N = 2 * n + 2
-    d = mat_id(base, N)
-    if group.kind is GroupKind.SO_SPL:
-        for i in range(n - 1):
-            d[n + 2 + i][n + 2 + i] = base.from_int((-1) ** i)
-    else:
-        for i in range(n - 1):
-            d[n + 2 + i][n + 2 + i] = base.from_int((-1) ** (i + 1))
-    return d
 
 
 def so_even_phi_params(group: GroupId, p: int, u: int):
@@ -261,9 +250,9 @@ def so_even_phi_params(group: GroupId, p: int, u: int):
     return k2.one, k.coerce(2 * u * (-1) ** n)
 
 
-def gl_odd_family(p: int, n: int, u: int, prec: int = FAMILY_PREC) -> GroupMatrix:
+def gl_odd_family(p: int, n: int, u: int) -> GroupMatrix:
     """1 + phi'_u in the odd linear group, phi' carrying pi*u/2 in two corners."""
-    base = base_field(p, prec)
+    base = base_field(p)
     N = 2 * n + 1
     group = GroupId(GroupKind.GL, N)
     half_u = base.from_int(u) * base.from_int(2).inv() * base.pi()
@@ -328,14 +317,6 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct:
             for j in range(i + 1, n):
                 total += (t[i] * t[j] - one).valuation()
                 total += ((t[i] * t[j]).inv() - one).valuation()
-    elif group.kind is GroupKind.SO_RAM:
-        t = eig[:n]
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += (t[i] / t[j] - one).valuation()
-                total += (t[j] / t[i] - one).valuation()
-                total += (t[i] * t[j] - one).valuation()
-                total += ((t[i] * t[j]).inv() - one).valuation()
     elif group.kind is GroupKind.TWISTED_GL:
         # order the eigenvalues so positions i and 2n+1-i pair z with -z
         order = list(range(1, n + 1)) + list(range(2 * n, n, -1))
@@ -351,13 +332,8 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct:
                     total += (
                         one - (s[i] / s[j]) * (s[2 * n - 1 - j] / s[2 * n - 1 - i])
                     ).valuation()
-    elif group.kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-        ut = _u_tilde(group, p, u)
-        # trace of the 2-dimensional eigenvalue pair y, y^{-1}
-        w = tower.pi() * tower.from_int(ut)
-        s_tr = tower.from_int(2) * (one + w) / (one - w)
-        if variant == "phi_coset":
-            s_tr = -s_tr
+    elif group.kind in (GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR):
+        # roots {+-e_i +- e_j (i<j)} on eigenvalues t_1..t_n
         t = eig[:n]
         for i in range(n):
             for j in range(i + 1, n):
@@ -365,13 +341,18 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct:
                 total += (t[j] / t[i] - one).valuation()
                 total += (t[i] * t[j] - one).valuation()
                 total += ((t[i] * t[j]).inv() - one).valuation()
-        # cross pairs with the last eigenvalue pair: (t - y)(t - 1/y) products
-        for x in eig:
-            q1 = x * x - s_tr * x + one  # (x - y)(x - 1/y)
-            total += q1.valuation() - x.valuation()
-        # alpha(t) - 1 for alpha = e_i -+ e_{n+1}: product over both signs is
-        # (t/y - 1)(t*y - 1) = (t^2 - s*t + 1)/ (t*y) * y ... handled above:
-        # Prod_{i,j}(x_i - y_j) has the same valuation as Prod (x/y - 1)(x*y-1)
+        if group.kind is not GroupKind.SO_RAM:
+            ut = _u_tilde(group, p, u)
+            # trace of the 2-dimensional eigenvalue pair y, y^{-1}
+            w = tower.pi() * tower.from_int(ut)
+            s_tr = tower.from_int(2) * (one + w) / (one - w)
+            if variant == "phi_coset":
+                s_tr = -s_tr
+            # cross pairs with the last eigenvalue pair, roots e_i -+ e_{n+1}:
+            # (x/y - 1)(x*y - 1) = (x - y)(x - 1/y)
+            for x in eig:
+                q1 = x * x - s_tr * x + one  # (x - y)(x - 1/y)
+                total += q1.valuation() - x.valuation()
     else:
         raise UnsupportedDegree(f"no discriminant for {group.kind}")
     val = total / 2

@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    EndolabError,
+    HypothesisFailed,
     InvalidParams,
     NotAffineGeneric,
     NotInFiltration,
@@ -167,14 +169,6 @@ def form(group: GroupId, base: TowerSpec):
     raise UnsupportedDegree(f"no form for {group.kind}")
 
 
-def anti_j(base: TowerSpec, N: int):
-    """The antidiagonal matrix with (i, N+1-i) entry (-1)^(i-1)."""
-    rows = [[base.zero() for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        rows[i][N - 1 - i] = base.from_int((-1) ** i)
-    return rows
-
-
 @dataclass
 class GroupMatrix:
     group: GroupId
@@ -192,9 +186,6 @@ class GroupMatrix:
             self.group, self.base, [[-x for x in row] for row in self.entries]
         )
 
-    def entry(self, i, j) -> LocalElem:
-        return self.entries[i][j]
-
 
 def group_identity(group: GroupId, base: TowerSpec) -> GroupMatrix:
     return GroupMatrix(group, base, mat_id(base, group.size))
@@ -203,10 +194,9 @@ def group_identity(group: GroupId, base: TowerSpec) -> GroupMatrix:
 CHECK_DIGITS = 2
 
 
-def is_member(g: GroupMatrix, phi_digits: int | None = None) -> bool:
-    """Form-compatibility (and det 1 for the orthogonal kinds) within precision."""
+def is_member(g: GroupMatrix) -> bool:
+    """Form-compatibility (and det 1 for the orthogonal kinds) to CHECK_DIGITS."""
     J = form(g.group, g.base)
-    digits = phi_digits if phi_digits is not None else CHECK_DIGITS
     if J is None:
         try:
             mat_inv(g.entries)
@@ -214,21 +204,25 @@ def is_member(g: GroupMatrix, phi_digits: int | None = None) -> bool:
         except PrecisionExhausted:
             return False
     lhs = mat_mul(mat_transpose(g.entries), mat_mul(J, g.entries))
-    if not mat_eq(lhs, J, digits):
+    if not mat_eq(lhs, J, CHECK_DIGITS):
         return False
     if g.group.kind in (GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR):
         det = (-1) ** len(g.entries) * charpoly(g.entries)[0]
-        if not det.equal_mod(g.base.one(), digits):
+        if not det.equal_mod(g.base.one(), CHECK_DIGITS):
             return False
     return True
 
 
 def theta(g: GroupMatrix) -> GroupMatrix:
-    """The outer involution g -> J_N (g^T)^{-1} J_N^{-1} of the linear group."""
+    """The outer involution g -> J_N (g^T)^{-1} J_N^{-1} of the linear group,
+    J_N antidiagonal with (i, N+1-i) entry (-1)^(i-1): entry (i, j) is
+    (-1)^(i+j) t[N-1-i][N-1-j] for t = (g^T)^{-1}."""
     N = g.group.size
-    J = anti_j(g.base, N)
-    Jinv = mat_inv(J)
-    out = mat_mul(J, mat_mul(mat_inv(mat_transpose(g.entries)), Jinv))
+    t = mat_inv(mat_transpose(g.entries))
+    out = [
+        [t[N - 1 - i][N - 1 - j] if (i + j) % 2 == 0 else -t[N - 1 - i][N - 1 - j] for j in range(N)]
+        for i in range(N)
+    ]
     return GroupMatrix(g.group, g.base, out)
 
 
@@ -301,6 +295,23 @@ def random_iplus(group: GroupId, base: TowerSpec, mask, rng: random.Random) -> G
             row.append(base.from_int(1 + p * r if i == j else r * p ** mask[i][j]))
         rows.append(row)
     return GroupMatrix(group, base, rows)
+
+
+SAMPLE_TRIES = 200
+
+
+def sample_iplus(group: GroupId, base: TowerSpec, mask, rng: random.Random, accept) -> GroupMatrix:
+    """The first ``random_iplus`` draw that ``accept`` takes.  A draw on which
+    ``accept`` raises an EndolabError is skipped; after SAMPLE_TRIES draws
+    without one taken, HypothesisFailed is raised."""
+    for _ in range(SAMPLE_TRIES):
+        g = random_iplus(group, base, mask, rng)
+        try:
+            if accept(g):
+                return g
+        except EndolabError:
+            continue
+    raise HypothesisFailed(f"no accepted element in {SAMPLE_TRIES} draws")
 
 
 def simple_affine_components(g: GroupMatrix):
@@ -393,9 +404,10 @@ def phi_element(group: GroupId, base: TowerSpec, *params) -> GroupMatrix:
         for i in range(n + 2, N - 1):
             rows[i][i] = base.one()
         rows[N - 1][0] = base.from_residue(bi) * base.pi()
-        flip = mat_id(base, N)
-        flip[n + 1][n + 1] = base.from_int(-1)
-        return GroupMatrix(group, base, mat_mul(rows, flip))
+        # the form's -eps slot: negate column n+1
+        for row in rows:
+            row[n + 1] = -row[n + 1]
+        return GroupMatrix(group, base, rows)
     raise InvalidParams(f"no phi element for {group.kind}")
 
 

@@ -21,16 +21,17 @@ from .conductors import (
     tensor_decompositions,
 )
 from .characters import (
-    CharElement,
     SSCParams,
     char_brute_force,
     char_closed_form,
     describe,
+    family_element,
     formal_degree_ineq,
     random_affine_generic,
 )
 from .endoscopy import (
     DELTA_IV_EXPECTED,
+    PAIR_GROUP,
     Pair,
     TRANSFER_EXPECTED,
     delta_iv_walds,
@@ -41,13 +42,7 @@ from .endoscopy import (
     transfer_factor,
 )
 from .errors import EndolabError, IdentityFailed
-from .families import (
-    base_field,
-    family_matrix,
-    nu_of_u,
-    so_even_phi_params,
-    weyl_disc_val,
-)
+from .families import FAMILY_VARIANTS, base_field, nu_of_u, weyl_disc_val
 from .groups import (
     GroupId,
     GroupKind,
@@ -56,7 +51,7 @@ from .groups import (
     is_affine_generic,
     iwahori_mask_at,
     px_plus_mask_at,
-    random_iplus,
+    sample_iplus,
     twisted_norm_charpoly_check,
 )
 from .residue import MultCharacter, make_field
@@ -203,42 +198,16 @@ def _params_grid(group: GroupId, q: int):
     ]
 
 
-# family variants per group kind, in report order
-_FAMILY_VARIANTS = {
-    GroupKind.SP: ("plus", "minus"),
-    GroupKind.SO_RAM: ("plus", "minus"),
-    GroupKind.SO_SPL: ("plus", "minus", "phi_coset"),
-    GroupKind.SO_UR: ("plus", "minus", "phi_coset"),
-    GroupKind.TWISTED_GL: ("plus", "minus"),
-}
-
-
-def _char_element(kind, n, q, u, variant):
-    nu = nu_of_u(make_field(q), n, u) if kind is GroupKind.SO_RAM else 0
-    gid = GroupId(kind, n, nu)
-    if variant == "phi_coset" and kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-        al, be = so_even_phi_params(gid, q, u)
-        return CharElement(
-            gid, family_matrix(gid, q, u, "phi_coset"), coset="phi", phi_ab=(al, be)
-        )
-    if variant == "minus" and kind is GroupKind.TWISTED_GL:
-        return CharElement(
-            gid, family_matrix(gid, q, u, "minus"), coset="phi", phi_u=u
-        )
-    sign = -1 if variant == "minus" else 1
-    return CharElement(gid, family_matrix(gid, q, u, variant), sign=sign)
-
-
 def char_oracle_suite(
     ns=(2, 3), qs=(3, 5, 7), n_random=20, seed=0, tol=DEFAULT_TOL, timings=False
 ):
     rows = []
-    for kind, variants in _FAMILY_VARIANTS.items():
+    for kind, variants in FAMILY_VARIANTS.items():
         for n in ns:
             for q in qs:
                 rng = random.Random(seed + 1000 * n + q)
                 t0 = time.perf_counter()
-                elements = [_char_element(kind, n, q, u, var) for u in range(1, q) for var in variants]
+                elements = [family_element(kind, n, q, u, var) for u in range(1, q) for var in variants]
                 for _ in range(n_random):
                     gid = GroupId(kind, n, rng.choice((0, 1)) if kind is GroupKind.SO_RAM else 0)
                     elements.append(random_affine_generic(gid, q, rng))
@@ -353,9 +322,7 @@ ALL_PAIRS = (Pair.GL_SORAM, Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H)
 
 
 def _variants(pair):
-    return ("plus", "minus") + (
-        ("phi_coset",) if pair in (Pair.SOSPL_H, Pair.SOUR_H) else ()
-    )
+    return FAMILY_VARIANTS[PAIR_GROUP[pair]]
 
 
 def transfer_suite(
@@ -428,18 +395,11 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
     gid = GroupId(GroupKind.TWISTED_GL, n)
     iplus = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     t0 = time.perf_counter()
-    done = 0
     ok = True
-    while done < samples:
-        g = random_iplus(gid, base, iplus, rng)
-        try:
-            if not is_affine_generic(g):
-                continue
-        except EndolabError:
-            continue
+    for _ in range(samples):
+        g = sample_iplus(gid, base, iplus, rng, is_affine_generic)
         passed, _ = charpoly_eisenstein_check(g)
         ok = ok and passed
-        done += 1
     params = f"q={q} N={2*n} {samples} random"
     rows.append(
         _bit_row("charpoly_eisenstein", params, "shifted coefficients", "maximal-ideal pattern", ok, t0, timings)
@@ -448,15 +408,11 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0, timings=False):
     N = 2 * n + 1
     gid5 = GroupId(GroupKind.GL, N)
     t0 = time.perf_counter()
-    done = 0
     ok = True
-    while done < samples:
-        x = random_iplus(gid5, base, px_plus_mask_at(n), rng)
-        if not in_px_plus(x):
-            continue
+    for _ in range(samples):
+        x = sample_iplus(gid5, base, px_plus_mask_at(n), rng, in_px_plus)
         passed, _ = twisted_norm_charpoly_check(x)
         ok = ok and passed
-        done += 1
     params = f"q={q} N={N} {samples} random"
     rows.append(
         _bit_row("charpoly_twisted_norm", params, "a0, a1", "vanishing and entry product", ok, t0, timings)

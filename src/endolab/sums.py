@@ -60,10 +60,10 @@ class KloostermanSpec:
             raise CapExceeded(f"{self.n}+2*{self.m} variables beyond cap")
 
 
-def kl_simple(field: FiniteField, n: int, name: str = "") -> KloostermanSpec:
+def kl_simple(field: FiniteField, n: int) -> KloostermanSpec:
     """The plain n-variable sum Kl^n_u(psi)."""
     triv = field.trivial_char()
-    return KloostermanSpec(field, (1,) * n, (triv,) * n, name=name or f"Kl^{n}")
+    return KloostermanSpec(field, (1,) * n, (triv,) * n, name=f"Kl^{n}")
 
 
 def gauss_sum(chi: MultCharacter, fld: FiniteField) -> complex:

@@ -71,6 +71,25 @@ def test_variant_outside_family_is_usage_error(argv, variant, capsys):
     assert "--variant" in captured.err
 
 
+@pytest.mark.parametrize("pair, variant", [("gl2n1_sp", "bogus"), ("sp_soram", "phi_coset")])
+def test_transfer_variant_outside_pair_is_usage_error(pair, variant, capsys):
+    argv = ["transfer", "eval", "--pair", pair, "--p", "5", "--n", "2", "--u", "1"]
+    code = run(argv + ["--variant", variant])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--variant" in captured.err
+
+
+def test_transfer_eval_phi_coset(capsys):
+    code, out = run_capture(
+        ["transfer", "eval", "--pair", "sospl_h", "--p", "5", "--n", "2", "--u", "1", "--variant", "phi_coset"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["variant"] == "phi_coset"
+
+
 def test_sums_eval_rank_one(capsys):
     # the named catalog is built for the requested rank before --spec is read,
     # so rank 1 (no even-orthogonal specs) must not break the plain sum

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from endolab.errors import NotAffineGeneric
+from endolab import groups, suites
+from endolab.characters import random_affine_generic
+from endolab.errors import HypothesisFailed, NotAffineGeneric
 from endolab.families import (
     base_field,
     family_matrix,
@@ -29,11 +31,12 @@ from endolab.groups import (
     phi_element,
     px_plus_mask_at,
     random_iplus,
+    sample_iplus,
     simple_affine_components,
     theta,
     twisted_norm_charpoly_check,
 )
-from endolab.linalg import mat_eq, mat_id, mat_mul, mat_scale
+from endolab.linalg import mat_eq, mat_id, mat_inv, mat_mul, mat_scale, mat_transpose
 from endolab.residue import make_field
 
 P = 5
@@ -110,6 +113,31 @@ def test_theta_involution_and_phi():
     half = B.from_int(2).inv()
     for i in range(4):
         assert td.entries[i][i] == half
+
+
+def _entry(x):
+    return None if x.is_zero() else (x.shift, x.unit, x.rprec)
+
+
+@pytest.mark.parametrize(
+    "gid",
+    [GroupId(GroupKind.TWISTED_GL, 2), GroupId(GroupKind.TWISTED_GL, 3), GroupId(GroupKind.GL, 5)],
+    ids=str,
+)
+def test_theta_matches_the_antidiagonal_product(gid):
+    """theta(g) is J (g^T)^-1 J^-1 for the antidiagonal J with entries
+    (-1)^(i-1), digit for digit."""
+    N = gid.size
+    J = [[B.zero() for _ in range(N)] for _ in range(N)]
+    for i in range(N):
+        J[i][N - 1 - i] = B.from_int((-1) ** i)
+    mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
+    rng = random.Random(11)
+    for _ in range(20):
+        g = random_iplus(gid, B, mask, rng)
+        want = mat_mul(J, mat_mul(mat_inv(mat_transpose(g.entries)), mat_inv(J)))
+        got = theta(g).entries
+        assert [[_entry(x) for x in row] for row in got] == [[_entry(x) for x in row] for row in want]
 
 
 def test_phi_power_is_scalar():
@@ -292,17 +320,43 @@ def test_eisenstein_random_small():
     rng = random.Random(7)
     gid = GroupId(GroupKind.TWISTED_GL, 2)
     mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
-    done = 0
-    while done < 15:
-        g = random_iplus(gid, base_field(3), mask, rng)
-        try:
-            if not is_affine_generic(g):
-                continue
-        except Exception:
-            continue
+    for _ in range(15):
+        g = sample_iplus(gid, base_field(3), mask, rng, is_affine_generic)
         ok, _ = charpoly_eisenstein_check(g)
         assert ok
-        done += 1
+
+
+def _never_accepted(monkeypatch, kind):
+    """Make every I+ draw of ``kind`` the zero matrix, which no sampler
+    accepts; fail instead of looping once 2000 draws are made."""
+    real = groups.random_iplus
+    draws = []
+
+    def fake(group, base, mask, rng):
+        if group.kind is not kind:
+            return real(group, base, mask, rng)
+        draws.append(group)
+        assert len(draws) < 2000, "the sampling loop has no cap"
+        return GroupMatrix(group, base, [[base.zero()] * group.size for _ in range(group.size)])
+
+    monkeypatch.setattr(groups, "random_iplus", fake)
+    return draws
+
+
+@pytest.mark.parametrize(
+    "kind, sample",
+    [
+        (GroupKind.TWISTED_GL, lambda: suites.charpoly_suite(q=3, n=2, samples=1)),
+        (GroupKind.GL, lambda: suites.charpoly_suite(q=3, n=2, samples=1)),
+        (GroupKind.TWISTED_GL, lambda: random_affine_generic(GroupId(GroupKind.TWISTED_GL, 2), 3, random.Random(0))),
+    ],
+    ids=["charpoly_eisenstein", "charpoly_twisted_norm", "random_affine_generic"],
+)
+def test_iplus_sampling_is_capped(monkeypatch, kind, sample):
+    draws = _never_accepted(monkeypatch, kind)
+    with pytest.raises(HypothesisFailed):
+        sample()
+    assert len(draws) == groups.SAMPLE_TRIES
 
 
 def test_twisted_norm_family_values():
