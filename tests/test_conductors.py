@@ -1,5 +1,7 @@
 import copy
 import gc
+import hashlib
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -186,6 +188,42 @@ def test_q_group_built_once_per_params(monkeypatch):
     with pytest.raises(TypeError):
         T.Q.c_set[T.Q.F.zero] = ()
     assert all(isinstance(cs, tuple) for cs in T.Q.c_set.values())
+
+
+# sha256 of the dump below: the elements, multiplication table and exact
+# character table of Q' at (p, e) in (3, 1), (5, 1), (3, 2).
+QPRIME_PIN = "c6b63d50084405d5cf4096756c80ca5a1787630c9a3290d1ee87f1c1d45c7978"
+
+
+def test_qprime_tables_are_pinned():
+    dump = []
+    for p, e in ((3, 1), (5, 1), (3, 2)):
+        T = qprime_char_table(p, e)
+        chars = [
+            [name, list(tag) if isinstance(tag, tuple) else tag, [list(v.coeffs) for v in vals]]
+            for name, tag, vals in T.table
+        ]
+        dump.append([[list(x) for x in T.elements], T.mtable, chars])
+    assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == QPRIME_PIN
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
+def test_q_group_check_catches_a_broken_beta(monkeypatch, p, e):
+    """(3, 1) runs the full-table regime, (5, 1) the sampled one."""
+    beta = QGroup.beta
+
+    def broken(self, b1, b2):
+        out = beta(self, b1, b2)
+        if b1 == self.b_set[1] and b2 != self.F.zero:
+            out = self.F.add(out, self.F.one)
+        return out
+
+    monkeypatch.setattr(QGroup, "beta", broken)
+    q_group.cache_clear()
+    try:
+        assert not q_group_check(HeisParams(p, e))
+    finally:
+        q_group.cache_clear()
 
 
 def test_pairing_outside_prime_field_raises(monkeypatch):

@@ -1,6 +1,8 @@
 """Report-row plumbing of the suites: identity rows that fail, one `_row`
 call per row, and the keyword arguments `run_all` hands each suite."""
 
+import hashlib
+import json
 from types import SimpleNamespace
 
 from endolab import suites
@@ -103,3 +105,14 @@ def test_run_all_passes_tol_and_seed_by_name(monkeypatch):
     assert set(seen) == set(suites.SUITES)
     for name, kwargs in seen.items():
         assert kwargs == {"timings": True, **extra.get(name, {})}, name
+
+
+# sha256 of the character oracle rows over the family elements at
+# n in (2, 3), q in (3, 5, 7): every row's values and float residual.
+CHAR_GRID_PIN = "a52f69ee7d05f3d210ca07d41085c58ba90e58df09b93a165f70d511a5fa09b0"
+
+
+def test_family_character_grid_is_pinned():
+    rows = suites.char_oracle_suite(ns=(2, 3), qs=(3, 5, 7), n_random=0)
+    digest = hashlib.sha256(json.dumps([r.as_dict() for r in rows]).encode()).hexdigest()
+    assert digest == CHAR_GRID_PIN
