@@ -14,6 +14,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import EndolabError, HypothesisFailed, InvalidParams, OutOfDomain
 from .families import base_field, family_matrix, nu_of_u, so_even_phi_params
@@ -92,6 +93,19 @@ class CharElement:
     phi_ab: tuple | None = None  # even-orthogonal coset parameters
     # slot-residue histograms of the brute-force route, keyed by coset data
     _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def h_part(self) -> GroupMatrix:
+        """The matrix with its phi factor split off: g * phi^-1 on the
+        even-orthogonal cosets, phi^-1 * g on the twisted linear coset, g
+        off the cosets."""
+        if self.coset != "phi":
+            return self.matrix
+        if self.group.kind is GroupKind.TWISTED_GL:
+            phi = phi_element(self.group, self.matrix.base, self.phi_u)
+            return phi.inv() * self.matrix
+        phi = phi_element(self.group, self.matrix.base, *self.phi_ab)
+        return self.matrix * phi.inv()
 
 
 def family_element(kind: GroupKind, n: int, q: int, u: int, variant: str) -> CharElement:
@@ -303,12 +317,7 @@ def _standard_histogram(params: SSCParams, element: CharElement):
     cache = element._hists
     if key in cache:
         return cache[key]
-    if element.coset == "phi":
-        phi = phi_element(group, element.matrix.base, *element.phi_ab)
-        hpart = element.matrix * phi.inv()
-    else:
-        hpart = element.matrix
-    scale, m, mod = to_int_matrix(hpart, 4)
+    scale, m, mod = to_int_matrix(element.h_part, 4)
     if scale != 0:
         raise OutOfDomain("unexpected negative-valuation entry in the I+ part")
     sign = 1
@@ -467,16 +476,7 @@ class ElementDescriptor:
 
 
 def describe(element: CharElement) -> ElementDescriptor:
-    if element.coset == "phi" and element.group.kind is not GroupKind.TWISTED_GL:
-        # even-orthogonal cosets decompose as h * phi
-        phi = phi_element(element.group, element.matrix.base, *element.phi_ab)
-        hpart = element.matrix * phi.inv()
-    elif element.coset == "phi":
-        # the twisted linear coset decomposes as phi * g
-        phi = phi_element(element.group, element.matrix.base, element.phi_u)
-        hpart = phi.inv() * element.matrix
-    else:
-        hpart = element.matrix
+    hpart = element.h_part
     sign = 1
     if element.group.kind is not GroupKind.TWISTED_GL and iwahori_level(hpart) < Level.IPLUS:
         neg = hpart.neg()

@@ -2,7 +2,8 @@
 orchestration, and JSON/CSV reporting.
 
 Exit codes: 0 when every selected check passes, 1 on a check failure, 2 on
-usage errors, 3 when a cap or precision guard trips.  Flags fall back to
+usage errors, 3 when a cap or precision guard trips.  Each subcommand takes
+only the report flags its handler reads; they fall back to
 ``ENDOLAB_``-prefixed environment variables.  Reports are deterministic for a
 fixed seed; per-row timings are zeroed unless ``--timings`` is given.
 """
@@ -25,7 +26,7 @@ from .errors import (
 from . import suites
 from .characters import SSCParams, char_brute_force, char_closed_form, describe, family_element
 from .conductors import ramification_stages, swan_artin_gamma
-from .endoscopy import Pair, transfer_factor
+from .endoscopy import Pair, pair_variants, transfer_factor
 from .families import FAMILY_VARIANTS, get_tower
 from .groups import GroupKind, simple_affine_components
 from .padic import extract_jumps, herbrand_compose, tame_hilbert
@@ -37,14 +38,8 @@ CAPS = {"q": 13, "heis": 243, "n": 4}
 # the benchmark's query loop (perfbench/child.py) builds elements by this name
 _char_element = family_element
 
-KIND_NAMES = {
-    "sp": GroupKind.SP,
-    "so_ram": GroupKind.SO_RAM,
-    "so_spl": GroupKind.SO_SPL,
-    "so_ur": GroupKind.SO_UR,
-    "gl_theta": GroupKind.TWISTED_GL,
-    "gl": GroupKind.GL,
-}
+# the --group choices: the kinds that have families
+GROUP_CHOICES = sorted(kind.value for kind in FAMILY_VARIANTS)
 
 
 def _env_default(name, cast, fallback):
@@ -54,15 +49,18 @@ def _env_default(name, cast, fallback):
     return cast(raw)
 
 
-def _add_common(sub):
-    sub.add_argument("--tol", type=float, default=_env_default("tol", float, 1e-6))
-    sub.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
-    sub.add_argument("--out", default=_env_default("out", str, None))
-    sub.add_argument(
-        "--format", choices=("json", "csv"), default=_env_default("format", str, "json")
-    )
-    sub.add_argument("--jobs", type=int, default=_env_default("jobs", int, 1))
-    sub.add_argument("--timings", action="store_true")
+def _add_flags(sub, *names):
+    """Declare the report flags in ``names``, the ones the handler reads."""
+    flags = {
+        "tol": dict(type=float, default=_env_default("tol", float, 1e-6)),
+        "seed": dict(type=int, default=_env_default("seed", int, 0)),
+        "out": dict(default=_env_default("out", str, None)),
+        "format": dict(choices=("json", "csv"), default=_env_default("format", str, "json")),
+        "jobs": dict(type=int, default=_env_default("jobs", int, 1)),
+        "timings": dict(action="store_true"),
+    }
+    for name in names:
+        sub.add_argument(f"--{name}", **flags[name])
 
 
 def build_parser():
@@ -76,10 +74,10 @@ def build_parser():
     ev.add_argument("--n", type=int, default=2)
     ev.add_argument("--u", type=int, required=True)
     ev.add_argument("--spec", default="plain")
-    _add_common(ev)
+    _add_flags(ev, "out")
     ve = ss.add_parser("verify")
     ve.add_argument("--q", type=int, default=None)
-    _add_common(ve)
+    _add_flags(ve, "tol", "timings", "format", "out")
 
     t = sp.add_parser("tower", help="p-adic tower arithmetic")
     ts = t.add_subparsers(dest="sub", required=True)
@@ -89,7 +87,7 @@ def build_parser():
     tv.add_argument("--u0", type=int, default=1)
     tv.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
     tv.add_argument("--coeffs", required=True, help="comma list, constant first")
-    _add_common(tv)
+    _add_flags(tv, "out")
     th = ts.add_parser("hilbert")
     th.add_argument("--p", type=int, required=True)
     th.add_argument("--e", type=int, default=2)
@@ -98,28 +96,28 @@ def build_parser():
     th.add_argument("--x", required=True, help="comma list of coefficients")
     th.add_argument("--y", required=True)
     th.add_argument("--sub", type=int, default=1)
-    _add_common(th)
+    _add_flags(th, "out")
     tg = ts.add_parser("herbrand")
     tg.add_argument("--p", type=int, required=True)
     tg.add_argument("--e", type=int, default=1)
     tg.add_argument("--nprime", type=int, required=True)
-    _add_common(tg)
+    _add_flags(tg, "out")
 
     g = sp.add_parser("group", help="classical group elements")
     gs = g.add_subparsers(dest="sub", required=True)
     for name in ("element", "components"):
         ge = gs.add_parser(name)
-        ge.add_argument("--group", choices=sorted(KIND_NAMES), required=True)
+        ge.add_argument("--group", choices=GROUP_CHOICES, required=True)
         ge.add_argument("--n", type=int, required=True)
         ge.add_argument("--p", type=int, required=True)
         ge.add_argument("--u", type=int, required=True)
         ge.add_argument("--variant", default="plus")
-        _add_common(ge)
+        _add_flags(ge, "out")
 
     c = sp.add_parser("char", help="supercuspidal character values")
     cs = c.add_subparsers(dest="sub", required=True)
     ce = cs.add_parser("eval")
-    ce.add_argument("--group", choices=sorted(KIND_NAMES), required=True)
+    ce.add_argument("--group", choices=GROUP_CHOICES, required=True)
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--q", type=int, required=True)
     ce.add_argument("--xi", type=int, default=1)
@@ -128,12 +126,12 @@ def build_parser():
     ce.add_argument("--zeta", type=float, default=None)
     ce.add_argument("--u", type=int, required=True)
     ce.add_argument("--variant", default="plus")
-    _add_common(ce)
+    _add_flags(ce, "tol", "out")
     cv = cs.add_parser("verify")
-    cv.add_argument("--group", choices=sorted(KIND_NAMES), default=None)
+    cv.add_argument("--group", choices=GROUP_CHOICES, default=None)
     cv.add_argument("--n", type=int, default=None)
     cv.add_argument("--q", type=int, default=None)
-    _add_common(cv)
+    _add_flags(cv, "tol", "seed", "timings", "format", "out")
 
     tr = sp.add_parser("transfer", help="transfer factors")
     trs = tr.add_subparsers(dest="sub", required=True)
@@ -143,7 +141,7 @@ def build_parser():
     te.add_argument("--n", type=int, required=True)
     te.add_argument("--u", type=int, required=True)
     te.add_argument("--variant", default="plus")
-    _add_common(te)
+    _add_flags(te, "out")
 
     e = sp.add_parser("ecr", help="endoscopic character identities")
     es = e.add_subparsers(dest="sub", required=True)
@@ -151,7 +149,7 @@ def build_parser():
     ev2.add_argument("--case", choices=("ram", "gl", "soeven"), required=True)
     ev2.add_argument("--n", type=int, required=True)
     ev2.add_argument("--q", type=int, required=True)
-    _add_common(ev2)
+    _add_flags(ev2, "timings", "format", "out")
 
     co = sp.add_parser("conductor", help="Swan/Artin arithmetic")
     cos = co.add_subparsers(dest="sub", required=True)
@@ -159,13 +157,13 @@ def build_parser():
     cc.add_argument("--p", type=int, required=True)
     cc.add_argument("--e", type=int, required=True)
     cc.add_argument("--nprime", type=int, required=True)
-    _add_common(cc)
+    _add_flags(cc, "out")
 
     su = sp.add_parser("suite", help="acceptance suites")
     sus = su.add_subparsers(dest="sub", required=True)
     sa = sus.add_parser("all")
     sa.add_argument("--only", default=None, help="comma list of suite names")
-    _add_common(sa)
+    _add_flags(sa, "tol", "seed", "timings", "jobs", "format", "out")
     return ap
 
 
@@ -198,7 +196,7 @@ def report_emit(rows, fmt="json", out=None):
 
 def _emit_obj(obj, args):
     text = json.dumps(obj, indent=2, default=str) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -273,7 +271,7 @@ def cmd_tower(args):
 
 def _unknown_variant(args, variants, owner):
     """Print a usage error when ``--variant`` is not one of ``variants``."""
-    if variants is None or args.variant in variants:
+    if args.variant in variants:
         return False
     print(
         f"usage error: --variant for {owner} is one of {', '.join(variants)}",
@@ -283,8 +281,8 @@ def _unknown_variant(args, variants, owner):
 
 
 def cmd_group(args):
-    kind = KIND_NAMES[args.group]
-    if _unknown_variant(args, FAMILY_VARIANTS.get(kind), f"--group {args.group}"):
+    kind = GroupKind(args.group)
+    if _unknown_variant(args, FAMILY_VARIANTS[kind], f"--group {args.group}"):
         return 2
     g = family_element(kind, args.n, args.p, args.u, args.variant).matrix
     if args.sub == "element":
@@ -305,8 +303,8 @@ def cmd_group(args):
 
 def cmd_char(args):
     if args.sub == "eval":
-        kind = KIND_NAMES[args.group]
-        if _unknown_variant(args, FAMILY_VARIANTS.get(kind), f"--group {args.group}"):
+        kind = GroupKind(args.group)
+        if _unknown_variant(args, FAMILY_VARIANTS[kind], f"--group {args.group}"):
             return 2
         el = family_element(kind, args.n, args.q, args.u, args.variant)
         if args.zeta is not None:
@@ -333,14 +331,14 @@ def cmd_char(args):
     qs = (args.q,) if args.q else (3, 5, 7)
     rows = suites.char_oracle_suite(ns=ns, qs=qs, seed=args.seed, tol=args.tol, timings=args.timings)
     if args.group:
-        rows = [r for r in rows if f"group={args.group}" in r.parameters]
+        rows = [r for r in rows if f"group={args.group}" in r.parameters.split()]
     report_emit(rows, args.format, args.out)
     return 0 if all(r.passed for r in rows) else 1
 
 
 def cmd_transfer(args):
     pair = Pair(args.pair)
-    if _unknown_variant(args, suites._variants(pair), f"--pair {args.pair}"):
+    if _unknown_variant(args, pair_variants(pair), f"--pair {args.pair}"):
         return 2
     tv = transfer_factor(pair, args.p, args.n, args.u, args.variant)
     k = make_field(args.p)
@@ -416,6 +414,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        if getattr(args, "n", None) is not None and args.n > CAPS["n"]:
+            raise CapExceeded(f"n={args.n} beyond the rank cap {CAPS['n']}")
         return HANDLERS[args.command](args)
     except (CapExceeded, PrecisionExhausted, UnsupportedDegree) as exc:
         print(f"cap/precision error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from .padic import PLFunc, herbrand_compose
 from .residue import is_prime, make_field, make_gf, p_digits
 
 ENUM_CAP = 3000
-ASSOC_CAP = 3_000_000
 ASSOC_SAMPLES = 20_000
 
 
@@ -90,6 +89,12 @@ class Cyclo:
             return None
         return self.coeffs[0]
 
+    def exact_div(self, d: int):
+        """self / d when d divides every coefficient, else None."""
+        if any(a % d for a in self.coeffs):
+            return None
+        return Cyclo(self.p, [a // d for a in self.coeffs])
+
     def __eq__(self, other):
         return self.p == other.p and self.coeffs == other.coeffs
 
@@ -132,7 +137,13 @@ class HeisParams:
 
 class QGroup:
     """The finite group on triples (a, b, c) in the algebraic closure, with
-    a^{p^e+1} = 1, b^{p^{2e}} + b = 0, c^p - c + b^{p^e+1} = 0."""
+    a^{p^e+1} = 1, b^{p^{2e}} + b = 0, c^p - c + b^{p^e+1} = 0.
+
+    Its wild subgroup Q' = {(1, b, c)} is kept as the (b, c) codes in
+    ``wild`` (b in ``b_set`` order, then c in ``c_set[b]`` order), with
+    ``wild_index`` and the multiplication table ``wild_table`` on those
+    indices.  Building the table raises KeyError when a product leaves Q'.
+    """
 
     def __init__(self, params: HeisParams):
         self.params = params
@@ -151,6 +162,12 @@ class QGroup:
         self.c_set = MappingProxyType({
             b: tuple(buckets.get(F.neg(F.pow(b, p**e + 1)), ())) for b in self.b_set
         })
+        self.wild = tuple((b, c) for b in self.b_set for c in self.c_set[b])
+        self.wild_index = MappingProxyType({x: i for i, x in enumerate(self.wild)})
+        self.wild_table = tuple(
+            tuple(self.wild_index[self.mul((F.one, *x), (F.one, *y))[1:]] for y in self.wild)
+            for x in self.wild
+        )
 
     def elements(self):
         for a in self.a_set:
@@ -188,79 +205,57 @@ def q_group(params: HeisParams) -> QGroup:
 
 
 def q_group_check(params: HeisParams) -> bool:
-    """Closure, identity and inverses exhaustively; associativity exhaustively
-    on the index table when the triple count is small, deterministically
-    sampled otherwise; the c-part must be central in the b-subgroup."""
-    Q = q_group(params)
+    """Q' exhaustively on its table: closure (the table exists), inverses
+    and a c-part central in it.  Q: identity, inverses and associativity on
+    its full table when |Q|^2 is small; otherwise closure, identity and
+    associativity on deterministically sampled triples."""
+    try:
+        Q = q_group(params)
+    except KeyError:  # a product of Q' leaves Q'
+        return False
     els = list(Q.elements())
     n = len(els)
     if n != params.q_order:
         return False
+    F = Q.F
+    wt = Q.wild_table
+    e_w = Q.wild_index[(F.zero, F.zero)]
+    if any(e_w not in row for row in wt):
+        return False
+    for z in (Q.wild_index[(F.zero, c)] for c in Q.c_set[F.zero]):
+        for y in range(len(wt)):
+            if wt[z][y] != wt[y][z]:
+                return False
     idx = {x: i for i, x in enumerate(els)}
-    e_i = idx[Q.identity()]
     if n * n > 300_000:
-        return _q_group_check_sampled(Q, els, idx)
+        rng = random.Random(1)
+        for _ in range(ASSOC_SAMPLES):
+            x, y, z = (els[rng.randrange(n)] for _ in range(3))
+            xy = Q.mul(x, y)
+            if xy not in idx:
+                return False
+            if Q.mul(xy, z) != Q.mul(x, Q.mul(y, z)):
+                return False
+            if Q.mul(x, Q.identity()) != x:
+                return False
+        return True
     # closure is implied by a total multiplication table
     try:
         table = [[idx[Q.mul(x, y)] for y in els] for x in els]
     except KeyError:
         return False
+    e_i = idx[Q.identity()]
     if any(table[i][e_i] != i or table[e_i][i] != i for i in range(n)):
         return False
     if any(e_i not in table[i] for i in range(n)):
         return False
-    rng = random.Random(1)
-    if n**3 <= ASSOC_CAP:
-        rng_iter = (
-            (i, j, kk) for i in range(n) for j in range(n) for kk in range(n)
-        )
-    else:
-        rng_iter = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(ASSOC_SAMPLES)
-        )
-    for i, j, kk in rng_iter:
-        if table[table[i][j]][kk] != table[i][table[j][kk]]:
-            return False
-    zs = [idx[(Q.F.one, Q.F.zero, c)] for c in Q.c_set[Q.F.zero]]
-    qprime = [idx[x] for x in els if x[0] == Q.F.one]
-    for z in zs:
-        for y in qprime:
-            if table[z][y] != table[y][z]:
-                return False
-    return True
-
-
-def _q_group_check_sampled(Q, els, idx):
-    """Large-group fallback: exhaustive table on the wild subgroup, sampled
-    closure/associativity on the full group."""
-    rng = random.Random(1)
-    n = len(els)
-    qprime = [x for x in els if x[0] == Q.F.one]
-    qidx = {x: i for i, x in enumerate(qprime)}
-    try:
-        sub = [[qidx[Q.mul(x, y)] for y in qprime] for x in qprime]
-    except KeyError:
-        return False
-    m = len(qprime)
-    esub = qidx[Q.identity()]
-    if any(esub not in row for row in sub):
-        return False
-    for _ in range(ASSOC_SAMPLES):
-        x, y, z = (els[rng.randrange(n)] for _ in range(3))
-        xy = Q.mul(x, y)
-        if xy not in idx:
-            return False
-        if Q.mul(xy, z) != Q.mul(x, Q.mul(y, z)):
-            return False
-        if Q.mul(x, Q.identity()) != x:
-            return False
-    zs = [(Q.F.one, Q.F.zero, c) for c in Q.c_set[Q.F.zero]]
-    for z in zs:
-        zi = qidx[z]
-        for y in range(m):
-            if sub[zi][y] != sub[y][zi]:
-                return False
+    # under the caps only |Q| = 108 (p = 3, e = 1) has |Q|^2 <= 300,000, and
+    # its 108^3 < 1.3 * 10^6 triples are all checked
+    for i in range(n):
+        for j in range(n):
+            for kk in range(n):
+                if table[table[i][j]][kk] != table[i][table[j][kk]]:
+                    return False
     return True
 
 
@@ -269,7 +264,8 @@ def _q_group_check_sampled(Q, els, idx):
 
 
 class QPrimeTable:
-    """Exact character table of the Heisenberg group Q' = {(b, c)}."""
+    """Exact character table of the Heisenberg group Q' = {(b, c)}, on the
+    elements, index and multiplication table that Q holds for it."""
 
     def __init__(self, params: HeisParams):
         p = params.p
@@ -279,30 +275,15 @@ class QPrimeTable:
         self.Q = q_group(params)
         F = self.Q.F
         self.p = p
-        self.elements = [
-            (b, c) for b in self.Q.b_set for c in self.Q.c_set[b]
-        ]
-        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.elements = self.Q.wild
+        self.index = self.Q.wild_index
         self.n = len(self.elements)
-        self.mtable = [
-            [self.index[self.mul(x, y)] for y in self.elements]
-            for x in self.elements
-        ]
+        self.mtable = self.Q.wild_table
         e_i = self.index[(F.zero, F.zero)]
         self.itable = [row.index(e_i) for row in self.mtable]
         self.sq_idx = [self.mtable[i][i] for i in range(self.n)]
+        self.classes = _class_reps(self)
         self.table = self.linear_characters() + self.big_characters()
-
-    def mul(self, x, y):
-        F = self.Q.F
-        b = F.add(x[0], y[0])
-        c = F.add(F.add(x[1], y[1]), self.Q.beta(x[0], y[0]))
-        return (b, c)
-
-    def inv(self, x):
-        # (b, c)^{-1} = (-b, -c + beta(b, b))
-        F = self.Q.F
-        return (F.neg(x[0]), F.add(F.neg(x[1]), self.Q.beta(x[0], x[0])))
 
     def center_int(self, x) -> int | None:
         """F_p-coordinate when x is central (b = 0), else None."""
@@ -388,20 +369,19 @@ class QPrimeTable:
         character of a maximal abelian subgroup extending the center."""
         p = self.p
         B0 = self.isotropic_subgroup()
-        A = [(b, c) for b in B0 for c in self.Q.c_set[b]]
+        A = [self.index[(b, c)] for b in B0 for c in self.Q.c_set[b]]
         ell = self._split_character(A)
-        ell_by_idx = {self.index[g]: v for g, v in ell.items() if g in self.index}
-        # for each g, histogram the ell-values of its A-landing conjugates
-        mt, it = self.mtable, self.itable
-        hists = []
-        for gi in range(self.n):
+        # histogram the ell-values of the A-landing conjugates x g x^-1 of
+        # each class; they meet each member |Q'|/|class| times
+        hists = [None] * self.n
+        for _rep, cls in self.classes:
             hist = [0] * p
-            for xi in range(self.n):
-                ci = mt[mt[xi][gi]][it[xi]]
-                v = ell_by_idx.get(ci)
+            for ci in cls:
+                v = ell.get(ci)
                 if v is not None:
-                    hist[v] += 1
-            hists.append(hist)
+                    hist[v] += self.n // len(cls)
+            for gi in cls:
+                hists[gi] = hist
         chars = []
         for j in range(1, p):
             vals = []
@@ -410,32 +390,30 @@ class QPrimeTable:
                 for t, cnt in enumerate(hist):
                     if cnt:
                         total = total + Cyclo.zeta_pow(p, j * t) * cnt
-                coeffs = []
-                for cf in total.coeffs:
-                    if cf % len(A):
-                        raise IncompatibleParams("induction arithmetic failed")
-                    coeffs.append(cf // len(A))
-                vals.append(Cyclo(p, coeffs))
+                val = total.exact_div(len(A))
+                if val is None:
+                    raise IncompatibleParams("induction arithmetic failed")
+                vals.append(val)
             chars.append(("big", j, vals))
         return chars
 
     def _split_character(self, A):
-        """An F_p-valued homomorphism on the abelian subgroup A restricting to
-        the identity coordinate on the center (exists: A has exponent p)."""
-        p = self.p
-        ident = (self.Q.F.zero, self.Q.F.zero)
-        ell = {ident: 0}
+        """An F_p-valued homomorphism, keyed by table index, on the abelian
+        subgroup A (table indices) restricting to the identity coordinate on
+        the center (exists: A has exponent p)."""
+        p, mt = self.p, self.mtable
+        ell = {self.index[(self.Q.F.zero, self.Q.F.zero)]: 0}
         for g in A:
             if g in ell:
                 continue
-            forced = self.center_int(g)
+            forced = self.center_int(self.elements[g])
             ell[g] = forced if forced is not None else 0
             changed = True
             while changed:
                 changed = False
                 for x in list(ell):
                     for y in list(ell):
-                        z = self.mul(x, y)
+                        z = mt[x][y]
                         v = (ell[x] + ell[y]) % p
                         if z in ell:
                             if ell[z] != v:
@@ -444,20 +422,14 @@ class QPrimeTable:
                             ell[z] = v
                             changed = True
         for g in A:
-            c = self.center_int(g)
+            c = self.center_int(self.elements[g])
             if c is not None and ell[g] != c % p:
                 raise IncompatibleParams("splitting misses the center")
         return ell
 
     def inner(self, vals1, vals2):
-        total = _dot(vals1, [v.conj() for v in vals2], self.p)
-        out = []
-        for cf in total.coeffs:
-            if cf % self.n:
-                return None
-            out.append(cf // self.n)
-        c = Cyclo(self.p, out)
-        return c.as_integer()
+        c = _dot(vals1, [v.conj() for v in vals2], self.p).exact_div(self.n)
+        return None if c is None else c.as_integer()
 
     def dims(self):
         idx = self.index[(self.Q.F.zero, self.Q.F.zero)]
@@ -486,7 +458,7 @@ def char_table_checks(p: int, e: int) -> dict:
         "dims_sq_sum": sum(d * d for d in dims),
         "order": T.n,
     }
-    classes = _class_reps(T)
+    classes = T.classes
     report["class_functions"] = all(
         vals[g] == vals[rep] for _, _, vals in tab for rep, cls in classes for g in cls
     )
@@ -531,7 +503,8 @@ def _dot(xs, ys, p):
 
 
 def _class_reps(T: QPrimeTable):
-    """Conjugacy classes of Q' as (representative index, member indices)."""
+    """Conjugacy classes of Q' as (representative index, member indices),
+    through x g x^-1 on the table."""
     seen = set()
     reps = []
     mt, it = T.mtable, T.itable
@@ -560,7 +533,7 @@ def _decompose(T: QPrimeTable, vals):
     return out
 
 
-def _char_mul(T, v1, v2):
+def _char_mul(v1, v2):
     return [a * b for a, b in zip(v1, v2)]
 
 
@@ -570,17 +543,14 @@ def _char_square_map(T, vals):
 
 def _exterior_square(T, vals):
     """Exact character of the exterior square (values may need division by 2)."""
-    sq = _char_mul(T, vals, vals)
+    sq = _char_mul(vals, vals)
     psq = _char_square_map(T, vals)
     out = []
     for a, b in zip(sq, psq):
-        d = a - b
-        coeffs = []
-        for cf in d.coeffs:
-            if cf % 2:
-                raise IncompatibleParams("exterior square is not a character")
-            coeffs.append(cf // 2)
-        out.append(Cyclo(T.p, coeffs))
+        half = (a - b).exact_div(2)
+        if half is None:
+            raise IncompatibleParams("exterior square is not a character")
+        out.append(half)
     return out
 
 
@@ -595,18 +565,17 @@ def tensor_decompositions(p: int, e: int) -> dict:
     j = 1
     tau = big[j]
     tau_inv = big[p - 1]  # central character psi^{-1}
-    dec = _decompose(T, _char_mul(T, tau, tau_inv))
+    dec = _decompose(T, _char_mul(tau, tau_inv))
     out["tau_times_dual_all_linear"] = (
         sorted(dec) == sorted(((("linear", tag), 1) for name, tag, _ in tab if name == "linear"))
     )
     ext = _decompose(T, _exterior_square(T, tau))
     out["exterior_square"] = ext == [(("big", (2 * j) % p), (p**e - 1) // 2)]
-    if p > 3:
-        dec2 = _decompose(T, _char_mul(T, big[1], big[2]))
-        out["distinct_tensor"] = dec2 == [(("big", 3 % p), p**e)]
-    else:
-        dec2 = _decompose(T, _char_mul(T, big[1], big[1]))
-        out["distinct_tensor"] = dec2 == [(("big", 2), p**e)]
+    # central characters add: big[1] x big[j2] is p^e copies of big[1 + j2];
+    # at p = 3, j2 = 1 keeps 1 + j2 off the trivial central character
+    j2 = min(2, p - 2)
+    dec2 = _decompose(T, _char_mul(big[1], big[j2]))
+    out["distinct_tensor"] = dec2 == [(("big", 1 + j2), p**e)]
     out["ok"] = all(v for k, v in out.items() if k != "ok")
     return out
 
@@ -704,9 +673,11 @@ def swan_of_rep(T: QPrimeTable, vals, filt: FiltSpec) -> Fraction:
     """sum_j dim(V/V^{Q_j}) |Q_j|/|Q_0| from the restriction data; Q_1 is the
     whole wild part, Q_2..Q_{p^e+1} the center."""
     p, e = T.p, T.params.e
-    dim = vals[T.index[(T.Q.F.zero, T.Q.F.zero)]].as_integer()
-    inv_full = _invariant_dim(T, vals, None)
-    inv_center = _invariant_dim(T, vals, "center")
+    F = T.Q.F
+    dim = vals[T.index[(F.zero, F.zero)]].as_integer()
+    center = [T.index[(F.zero, c)] for c in T.Q.c_set[F.zero]]
+    inv_full = _invariant_dim(vals, range(T.n))
+    inv_center = _invariant_dim(vals, center)
     total = Fraction(0)
     total += (dim - inv_full) * filt.ratio(1)
     for j in range(2, p**e + 2):
@@ -714,22 +685,15 @@ def swan_of_rep(T: QPrimeTable, vals, filt: FiltSpec) -> Fraction:
     return total
 
 
-def _invariant_dim(T: QPrimeTable, vals, which) -> int:
-    if which == "center":
-        subset = [
-            (T.Q.F.zero, c) for c in T.Q.c_set[T.Q.F.zero]
-        ]
-    else:
-        subset = T.elements
-    total = Cyclo(T.p)
-    for g in subset:
-        total = total + vals[T.index[g]]
-    out = []
-    for cf in total.coeffs:
-        if cf % len(subset):
-            raise IncompatibleParams("invariant dimension is not an integer")
-        out.append(cf // len(subset))
-    return Cyclo(T.p, out).as_integer()
+def _invariant_dim(vals, subgroup) -> int:
+    """The mean of the character over the subgroup (table indices)."""
+    total = Cyclo(vals[0].p)
+    for g in subgroup:
+        total = total + vals[g]
+    mean = total.exact_div(len(subgroup))
+    if mean is None:
+        raise IncompatibleParams("invariant dimension is not an integer")
+    return mean.as_integer()
 
 
 def swan_closed_values(p: int, e: int, nprime: int):

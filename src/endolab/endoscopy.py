@@ -102,7 +102,7 @@ class Pair(enum.Enum):
     SOUR_H = "sour_h"            # SO_{2n+2}^ur with SO_{2n}^mu x SO_2^mubar
 
 
-# the kind of each pair's group G; its family variants are the pair's variants
+# the kind of each pair's group G
 PAIR_GROUP = {
     Pair.GL_ODD_SP: GroupKind.TWISTED_GL,
     Pair.GL_SORAM: GroupKind.TWISTED_GL,
@@ -110,6 +110,14 @@ PAIR_GROUP = {
     Pair.SOSPL_H: GroupKind.SO_SPL,
     Pair.SOUR_H: GroupKind.SO_UR,
 }
+
+
+def pair_variants(pair: Pair) -> tuple:
+    """The pair's family variants: those of its group G, except on the odd
+    pair, whose one family is ``families.gl_odd_family``."""
+    if pair is Pair.GL_ODD_SP:
+        return ("plus",)
+    return FAMILY_VARIANTS[PAIR_GROUP[pair]]
 
 
 def epsilon_factor(pair: Pair) -> TransferValue:
@@ -272,28 +280,28 @@ def delta_iv_walds(
 ) -> int:
     """The product of the first three factors at the family pair, through the
     explicit sign-character formula."""
+    if variant not in pair_variants(pair):
+        raise InvalidU(f"no variant {variant} for {pair}")
     if pair is Pair.GL_ODD_SP:
         return 1
-    if variant not in FAMILY_VARIANTS[PAIR_GROUP[pair]]:
-        raise InvalidU(f"no variant {variant} for {pair}")
     data = walds_family(p, n, u)
     t = data.tower
     one = t.one()
     phi = t.phi()
     y = data.y()
-    pp = pol_products(data, "+", direct)
-    pm = pol_products(data, "-", direct)
+    # P'(-y)P(-1) for the minus family, P'(y)P(-1) for plus and phi_coset
+    prod = pol_products(data, "-" if variant == "minus" else "+", direct)
     if pair is Pair.GL_SORAM:
         if variant == "plus":
-            arg = -data.x_gl().inv() * pp * y ** (1 - n) * (one + y)
+            arg = -data.x_gl().inv() * prod * y ** (1 - n) * (one + y)
         else:
-            arg = -(phi * data.x_gl()).inv() * pm * (-y) ** (1 - n) * (one - y)
+            arg = -(phi * data.x_gl()).inv() * prod * (-y) ** (1 - n) * (one - y)
         return sgn_at(data, arg)
     if pair is Pair.SP_SORAM:
         if variant == "plus":
-            arg = data.c_sp() * pp * y ** (1 - n)
+            arg = data.c_sp() * prod * y ** (1 - n)
         else:
-            arg = data.c_sp() * pm * (-y) ** (1 - n)
+            arg = data.c_sp() * prod * (-y) ** (1 - n)
         return sgn_at(data, arg)
     if pair in (Pair.SOSPL_H, Pair.SOUR_H):
         t_inv = 0 if pair is Pair.SOSPL_H else 1
@@ -318,7 +326,7 @@ def delta_iv_walds(
             arg = (
                 t.from_int(2 * eta_g)
                 * cplus
-                * (pm * dfac * cfac)
+                * (prod * dfac * cfac)
                 * (-y) ** (-n)
                 * (one - y)
                 / (-y - one)
@@ -327,7 +335,7 @@ def delta_iv_walds(
             arg = (
                 t.from_int(2 * eta_g)
                 * cplus
-                * (pp * dfac * cfac)
+                * (prod * dfac * cfac)
                 * y ** (-n)
                 * (one + y)
                 / (y - one)

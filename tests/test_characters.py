@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from endolab import characters
 from endolab.characters import (
     CharElement,
     SSCParams,
@@ -11,6 +12,7 @@ from endolab.characters import (
     char_brute_force,
     char_closed_form,
     describe,
+    family_element,
     formal_degree_ineq,
     min_depth,
     random_affine_generic,
@@ -20,6 +22,7 @@ from endolab.errors import InvalidParams, OutOfDomain
 from endolab.families import base_field, family_matrix, nu_of_u
 from endolab.groups import GroupId, GroupKind, group_identity, phi_element
 from endolab.residue import QuadExtension, make_field, quad_extension
+from endolab.suites import _params_grid
 from endolab.sums import kl_simple, kloosterman_eval, sp_spec
 
 P = 5
@@ -244,3 +247,23 @@ def test_min_depth():
     assert min_depth(GroupId(GroupKind.GL, 5)) == Fraction(1, 5)
     assert min_depth(GroupId(GroupKind.SO_UR, 2)) == Fraction(1, 4)
     assert min_depth(GroupId(GroupKind.SO_SPL, 3)) == Fraction(1, 6)
+
+
+def test_coset_split_built_once_per_element(monkeypatch):
+    """describe and every brute-force histogram read one g * phi^-1."""
+    built = []
+    phi_element_ = characters.phi_element
+
+    def counting(*args):
+        built.append(args)
+        return phi_element_(*args)
+
+    monkeypatch.setattr(characters, "phi_element", counting)
+    for kind in (GroupKind.SO_SPL, GroupKind.SO_UR, GroupKind.TWISTED_GL):
+        variant = "minus" if kind is GroupKind.TWISTED_GL else "phi_coset"
+        el = family_element(kind, 2, 5, 2, variant)
+        built.clear()
+        desc = describe(el)
+        for params in _params_grid(el.group, 5):
+            assert abs(char_brute_force(params, el).value - char_closed_form(params, desc).value) < 1e-6
+        assert len(built) == 1

@@ -11,7 +11,7 @@ import endolab
 
 from endolab.cli import run
 from endolab.errors import EndolabError
-from endolab import cli
+from endolab import cli, suites
 
 
 def run_capture(argv, capsys):
@@ -240,3 +240,98 @@ def test_report_is_byte_stable(tmp_path):
 )
 def test_sampling_report_is_byte_stable(argv, sha256, tmp_path):
     assert _report_sha256(argv, tmp_path)[0] == sha256
+
+
+# the report flags each subcommand takes: exactly those its handler reads
+REPORT_FLAGS = {"--tol", "--seed", "--out", "--format", "--jobs", "--timings"}
+FLAGS_READ = {
+    ("suite", "all"): REPORT_FLAGS,
+    ("char", "verify"): {"--tol", "--seed", "--timings", "--format", "--out"},
+    ("sums", "verify"): {"--tol", "--timings", "--format", "--out"},
+    ("ecr", "verify"): {"--timings", "--format", "--out"},
+    ("char", "eval"): {"--tol", "--out"},
+}
+
+
+def _subcommands():
+    ap = cli.build_parser()
+    top = next(a for a in ap._actions if a.dest == "command")
+    for name, parser in top.choices.items():
+        sub = next(a for a in parser._actions if a.dest == "sub")
+        for subname, leaf in sub.choices.items():
+            yield (name, subname), leaf
+
+
+def test_each_subcommand_declares_the_flags_it_reads():
+    slots = 0
+    for key, leaf in _subcommands():
+        flags = {s for a in leaf._actions for s in a.option_strings} & REPORT_FLAGS
+        assert flags == FLAGS_READ.get(key, {"--out"}), key
+        slots += len(flags)
+    assert slots == 28
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--format", "csv"],
+        ["tower", "val", "--p", "3", "--coeffs", "1,2", "--jobs", "7"],
+    ],
+)
+def test_flag_a_handler_does_not_read_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "element", "--group", "gl", "--n", "3", "--p", "5", "--u", "1"],
+        ["group", "components", "--group", "gl", "--n", "3", "--p", "5", "--u", "1"],
+        ["char", "eval", "--group", "gl", "--n", "3", "--q", "5", "--u", "1", "--a", "1"],
+        ["char", "verify", "--group", "gl", "--n", "2", "--q", "3"],
+    ],
+)
+def test_group_without_families_is_usage_error(argv, capsys):
+    # GL has no family table; --group gl once matched the gl_theta rows
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_char_verify_keeps_the_exact_group(monkeypatch, capsys):
+    def fake_suite(**kwargs):
+        return [
+            suites._row("char_oracle", f"group={g} n=2 q=3", "a", "b", 0.0, True, 0.0, False)
+            for g in ("sp", "sp_x", "gl_theta")
+        ]
+
+    monkeypatch.setattr(suites, "char_oracle_suite", fake_suite)
+    code, out = run_capture(["char", "verify", "--group", "sp"], capsys)
+    assert code == 0
+    assert [r["parameters"] for r in json.loads(out)] == ["group=sp n=2 q=3"]
+
+
+def test_odd_pair_has_no_minus_variant(capsys):
+    argv = ["transfer", "eval", "--pair", "gl2n1_sp", "--p", "5", "--n", "2", "--u", "1"]
+    assert run(argv + ["--variant", "minus"]) == 2
+    assert "--variant" in capsys.readouterr().err
+    code, out = run_capture(argv + ["--variant", "plus"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "element", "--group", "sp", "--n", "9", "--p", "3", "--u", "1"],
+        ["transfer", "eval", "--pair", "sp_soram", "--p", "3", "--n", "9", "--u", "1"],
+    ],
+)
+def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("built an element beyond the rank cap")
+
+    monkeypatch.setattr(cli, "family_element", must_not_build)
+    monkeypatch.setattr(cli, "transfer_factor", must_not_build)
+    assert run(argv) == 3
+    assert "cap" in capsys.readouterr().err

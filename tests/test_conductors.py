@@ -188,6 +188,13 @@ def test_q_group_built_once_per_params(monkeypatch):
     with pytest.raises(TypeError):
         T.Q.c_set[T.Q.F.zero] = ()
     assert all(isinstance(cs, tuple) for cs in T.Q.c_set.values())
+    assert isinstance(T.Q.wild, tuple) and isinstance(T.Q.wild_table, tuple)
+    assert all(isinstance(row, tuple) for row in T.Q.wild_table)
+    with pytest.raises(TypeError):
+        T.Q.wild_index[T.Q.wild[0]] = 1
+    # the character table reads Q's wild subgroup and its table
+    assert T.elements is T.Q.wild and T.index is T.Q.wild_index
+    assert T.mtable is T.Q.wild_table
 
 
 # sha256 of the dump below: the elements, multiplication table and exact
@@ -248,10 +255,11 @@ def test_qprime_center_is_prime_field():
 
 def test_commutators_central():
     T = qprime_char_table(3, 1)
-    for x in T.elements[:9]:
-        for y in T.elements[:9]:
-            comm = T.mul(T.mul(x, y), T.inv(T.mul(y, x)))
-            assert comm[0] == T.Q.F.zero
+    mt, it = T.mtable, T.itable
+    for x in range(9):
+        for y in range(9):
+            comm = mt[mt[x][y]][it[mt[y][x]]]
+            assert T.elements[comm][0] == T.Q.F.zero
 
 
 def test_char_table_31():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from endolab import characters
+from endolab import characters, endoscopy
 from endolab.endoscopy import (
     DELTA_IV_EXPECTED,
     Pair,
@@ -16,13 +16,14 @@ from endolab.endoscopy import (
     epsilon_factor,
     eta,
     norm_family_check,
+    pair_variants,
     pol_products,
     sgn_at,
     so_even_packet_verify,
     transfer_factor,
     walds_family,
 )
-from endolab.errors import IdentityFailed, IncompatibleParams
+from endolab.errors import IdentityFailed, IncompatibleParams, InvalidU
 from endolab.families import DISC_TABLE, nu_of_u
 from endolab.groups import GroupId, GroupKind
 from endolab.residue import make_field
@@ -113,6 +114,25 @@ def test_odd_pair_is_trivial():
     assert delta_iv_walds(Pair.GL_ODD_SP, 5, 2, 1) == 1
     k = make_field(5)
     assert transfer_factor(Pair.GL_ODD_SP, 5, 2, 1).symbolic_eq(TransferValue(), k)
+    # the odd pair has one family, so no minus element
+    assert pair_variants(Pair.GL_ODD_SP) == ("plus",)
+    with pytest.raises(InvalidU):
+        delta_iv_walds(Pair.GL_ODD_SP, 5, 2, 1, "minus")
+
+
+def test_delta_iv_builds_only_the_product_it_reads(monkeypatch):
+    signs = []
+
+    def counting(data, sign, direct=False):
+        signs.append(sign)
+        return pol_products(data, sign, direct)
+
+    monkeypatch.setattr(endoscopy, "pol_products", counting)
+    for pair in (Pair.GL_SORAM, Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H):
+        for var in pair_variants(pair):
+            signs.clear()
+            delta_iv_walds(pair, 5, 2, 1, var)
+            assert signs == ["-" if var == "minus" else "+"]
 
 
 def test_delta4_values():
