@@ -329,7 +329,10 @@ def cmd_char(args):
         return 0 if abs(bf - cf) <= args.tol else 1
     ns = (args.n,) if args.n else (2, 3)
     qs = (args.q,) if args.q else (3, 5, 7)
-    rows = suites.char_oracle_suite(ns=ns, qs=qs, seed=args.seed, tol=args.tol, timings=args.timings)
+    kinds = (GroupKind(args.group),) if args.group else tuple(FAMILY_VARIANTS)
+    rows = suites.char_oracle_suite(
+        ns=ns, qs=qs, seed=args.seed, tol=args.tol, timings=args.timings, kinds=kinds
+    )
     if args.group:
         rows = [r for r in rows if f"group={args.group}" in r.parameters.split()]
     report_emit(rows, args.format, args.out)

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
 from .errors import CapExceeded, IncompatibleParams
@@ -428,7 +429,10 @@ class QPrimeTable:
         return ell
 
     def inner(self, vals1, vals2):
-        c = _dot(vals1, [v.conj() for v in vals2], self.p).exact_div(self.n)
+        conj = {v: v.conj() for v in set(vals2)}
+        codes, width = _pack(set(vals1) | set(conj.values()), self.p, self.n)
+        cell = sum(codes[x] * codes[conj[y]] for x, y in zip(vals1, vals2))
+        c = _unpack(cell, self.p, width).exact_div(self.n)
         return None if c is None else c.as_integer()
 
     def dims(self):
@@ -465,23 +469,28 @@ def char_table_checks(p: int, e: int) -> dict:
     sizes = [len(cls) for _, cls in classes]
     rows = [[vals[rep] for rep, _ in classes] for _, _, vals in tab]
     # each distinct value is conjugated, and scaled by each class size, once;
-    # the cells share those objects
+    # every value is then packed once, and a cell is a sum of int products
     conj = {v: v.conj() for v in {v for row in rows for v in row}}
     weighted = {(v, s): conj[v] * s for v in conj for s in set(sizes)}
-    bar_rows = [[weighted[v, s] for v, s in zip(row, sizes)] for row in rows]
     k = len(tab)
+    values = set(conj) | set(conj.values()) | set(weighted.values())
+    codes, width = _pack(values, p, max(k, len(classes)))
+    packed = [[codes[v] for v in row] for row in rows]
+    bar_rows = [[codes[weighted[v, s]] for v, s in zip(row, sizes)] for row in rows]
     first = all(
-        _dot(rows[i], bar_rows[j], p) == Cyclo.integer(p, T.n if i == j else 0)
+        _unpack(sum(map(mul, packed[i], bar_rows[j])), p, width)
+        == Cyclo.integer(p, T.n if i == j else 0)
         for i in range(k)
         for j in range(i, k)
     )
     report["first_orthogonality"] = first
     # like the first, the second relation is Hermitian: (d, c) is the
     # conjugate of (c, d), so c <= d covers every pair
-    cols = list(zip(*rows))
-    bar_cols = [[conj[v] for v in col] for col in cols]
+    cols = list(zip(*packed))
+    bar_cols = [[codes[conj[v]] for v in col] for col in zip(*rows)]
     second = all(
-        _dot(cols[c], bar_cols[d], p) == Cyclo.integer(p, T.n // sizes[c] if c == d else 0)
+        _unpack(sum(map(mul, cols[c], bar_cols[d])), p, width)
+        == Cyclo.integer(p, T.n // sizes[c] if c == d else 0)
         for c in range(len(cols))
         for d in range(c, len(cols))
     )
@@ -497,9 +506,31 @@ def char_table_checks(p: int, e: int) -> dict:
     return report
 
 
-def _dot(xs, ys, p):
-    """sum(x * y) over paired cyclotomic integers, added coefficient-wise."""
-    return Cyclo(p, [sum(c) for c in zip(*[(x * y).coeffs for x, y in zip(xs, ys)])])
+def _pack(values, p, terms):
+    """Kronecker codes of the distinct cyclotomic integers ``values``, and
+    their slot width, for sums of up to ``terms`` products of codes.
+
+    a + m * (1 + zeta + ... + zeta^{p-1}), m = max(0, -min a), is a again
+    with p coordinates >= 0; they fill ``width``-bit slots of one int.  A
+    product slot is at most p * top^2 (top: the largest coordinate), so a
+    sum of ``terms`` products never carries from one slot into the next.
+    """
+    shifted = {}
+    for v in values:
+        m = max(0, -min(v.coeffs))
+        shifted[v] = [c + m for c in v.coeffs] + [m]
+    top = max((max(cs) for cs in shifted.values()), default=0)
+    width = (terms * p * top * top).bit_length() + 1
+    codes = {v: sum(c << (width * i) for i, c in enumerate(cs)) for v, cs in shifted.items()}
+    return codes, width
+
+
+def _unpack(code, p, width):
+    """The Cyclo of a sum of products of `_pack` codes: its 2p - 1 slots,
+    slot t + p folded onto slot t (zeta^p = 1), then `_reduced`."""
+    mask = (1 << width) - 1
+    slots = [(code >> (width * t)) & mask for t in range(2 * p - 1)] + [0]
+    return _reduced(p, [slots[t] + slots[t + p] for t in range(p)])
 
 
 def _class_reps(T: QPrimeTable):

@@ -266,11 +266,16 @@ class LocalElem:
         if self.is_zero():
             raise DivisionByNonUnitBeyondPrecision("inverse of (precision-)zero")
         t = self.tower
-        x = [pow(self.unit[0], -1, t.store)] + [0] * (t.e - 1)
-        # Newton: x <- x*(2 - u*x), quadratic convergence in the phi-adic sense
+        one = [1] + [0] * (t.e - 1)
+        x = [pow(self.unit[0], -1, t.store)] + one[1:]
+        # Newton: x <- x*(2 - u*x), quadratic convergence in the phi-adic sense;
+        # once u*x is exactly one, every further step multiplies x by one
         steps = max(1, (self.rprec).bit_length() + t.e.bit_length())
         for _ in range(steps):
-            corr = [-c for c in _poly_mul(t, self.unit, x)]
+            ux = _poly_mul(t, self.unit, x)
+            if ux == one:
+                break
+            corr = [-c for c in ux]
             corr[0] += 2
             x = _poly_mul(t, x, corr)
         return _make(t, -self.shift, x, self.rprec)

@@ -129,8 +129,8 @@ class GF:
 
     Multiplication and powers go through the exp/log tables of one generator,
     addition through the Zech table: g^i + g^j = g^(i + Z(j - i)), where
-    g^Z(n) = 1 + g^n.  The generator is the first code whose power walk has
-    length q - 1.
+    g^Z(n) = 1 + g^n.  The generator is the first code of multiplicative
+    order q - 1, found by an order test on the prime factors of q - 1.
     """
 
     zero = 0
@@ -143,15 +143,18 @@ class GF:
         self.modulus = modulus
         order = self._order = self.q - 1
         one = p_digits(1, p, m)
-        for code in range(1, self.q):
-            g = p_digits(code, p, m)
-            x = g
-            exp = [one]
-            while x != one:
-                exp.append(x)
-                x = _mul_mod(x, g, modulus, p)
-            if len(exp) == order:
-                break
+        # the first code g with g^((q-1)/r) != 1 for every prime r | q - 1
+        cofactors = [order // r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+        g = next(
+            g
+            for g in (p_digits(code, p, m) for code in range(1, self.q))
+            if all(_pow_mod(g, k, modulus, p) != one for k in cofactors)
+        )
+        exp = [one]
+        x = g
+        while x != one:
+            exp.append(x)
+            x = _mul_mod(x, g, modulus, p)
         self._exp = exp = [sum(c * p**i for i, c in enumerate(x)) for x in exp]
         self.gen = exp[1]
         self._log = [None] * self.q
@@ -211,6 +214,17 @@ def _mul_mod(a, b, modulus, p):
             for j in range(m):
                 out[d - m + j] -= c * modulus[j]
     return [c % p for c in out[:m]]
+
+
+def _pow_mod(a, n, modulus, p):
+    """Digit vector a^n modulo the modulus, by square-and-multiply."""
+    out = p_digits(1, p, len(modulus))
+    while n:
+        if n & 1:
+            out = _mul_mod(out, a, modulus, p)
+        a = _mul_mod(a, a, modulus, p)
+        n >>= 1
+    return out
 
 
 def _is_irreducible(cs, p: int) -> bool:

@@ -199,10 +199,17 @@ def _params_grid(group: GroupId, q: int):
 
 
 def char_oracle_suite(
-    ns=(2, 3), qs=(3, 5, 7), n_random=20, seed=0, tol=DEFAULT_TOL, timings=False
+    ns=(2, 3),
+    qs=(3, 5, 7),
+    n_random=20,
+    seed=0,
+    tol=DEFAULT_TOL,
+    timings=False,
+    kinds=tuple(FAMILY_VARIANTS),
 ):
     rows = []
-    for kind, variants in FAMILY_VARIANTS.items():
+    for kind in kinds:
+        variants = FAMILY_VARIANTS[kind]
         for n in ns:
             for q in qs:
                 rng = random.Random(seed + 1000 * n + q)

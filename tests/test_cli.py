@@ -11,6 +11,7 @@ import endolab
 
 from endolab.cli import run
 from endolab.errors import EndolabError
+from endolab.groups import GroupKind
 from endolab import cli, suites
 
 
@@ -309,6 +310,25 @@ def test_char_verify_keeps_the_exact_group(monkeypatch, capsys):
     code, out = run_capture(["char", "verify", "--group", "sp"], capsys)
     assert code == 0
     assert [r["parameters"] for r in json.loads(out)] == ["group=sp n=2 q=3"]
+
+
+def test_char_verify_group_builds_only_its_kind(monkeypatch, capsys):
+    argv = ["char", "verify", "--n", "2", "--q", "3", "--seed", "0", "--format", "json"]
+    code, out = run_capture(argv, capsys)
+    assert code == 0
+    wanted = [r for r in json.loads(out) if "group=sp" in r["parameters"].split()]
+    built = []
+    family_element = suites.family_element
+
+    def spy(kind, *args):
+        built.append(kind)
+        return family_element(kind, *args)
+
+    monkeypatch.setattr(suites, "family_element", spy)
+    code, out = run_capture(argv + ["--group", "sp"], capsys)
+    assert code == 0
+    assert json.loads(out) == wanted
+    assert built and set(built) == {GroupKind.SP}
 
 
 def test_odd_pair_has_no_minus_variant(capsys):

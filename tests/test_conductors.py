@@ -157,6 +157,35 @@ def test_cyclo_kernel_matches_schoolbook(p):
         assert (3 * Cyclo(p, a)).coeffs == tuple(3 * x for x in a)
 
 
+def _dot_termwise(xs, ys, p):
+    """sum(x * y) by Cyclo.__mul__, one product at a time."""
+    total = Cyclo(p)
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+@pytest.mark.parametrize("length", [0, 1, 300])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_dot_matches_termwise_products(p, length):
+    rng = random.Random(1000 * p + length)
+
+    def vector(lo, hi):
+        return [Cyclo(p, [rng.randint(lo, hi) for _ in range(p - 1)]) for _ in range(length)]
+
+    big = 10**6
+    cases = [
+        (vector(-big, big), vector(-big, big)),
+        (vector(-big, -1), vector(-big, -1)),  # every coordinate shifted
+        (vector(-big, -1), vector(1, big)),
+        (vector(big, big), vector(-big, -big)),  # the largest slot sums
+    ]
+    for xs, ys in cases:
+        codes, width = conductors._pack(set(xs) | set(ys), p, length)
+        cell = sum(codes[x] * codes[y] for x, y in zip(xs, ys))
+        assert conductors._unpack(cell, p, width) == _dot_termwise(xs, ys, p)
+
+
 def test_q_group_orders():
     Q = QGroup(HeisParams(3, 1))
     els = list(Q.elements())

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endolab import padic
 from endolab.errors import (
     IndistinguishableFromZero,
     NonMonotone,
@@ -121,6 +122,42 @@ def test_products_match_schoolbook_reference(p, e, u0):
         assert y * x == x * y
         assert x * x.inv() == T.one()
     assert wrapped >= 20
+
+
+def _inv_fixed_steps(x):
+    """LocalElem.inv as a fixed number of Newton steps, with no early stop.
+    Returns the inverse and whether u * x became one before the last step."""
+    t = x.tower
+    y = [pow(x.unit[0], -1, t.store)] + [0] * (t.e - 1)
+    steps = max(1, (x.rprec).bit_length() + t.e.bit_length())
+    early = False
+    for k in range(steps):
+        corr = [-c for c in padic._poly_mul(t, x.unit, y)]
+        early = early or (k < steps - 1 and corr == [-1] + [0] * (t.e - 1))
+        corr[0] += 2
+        y = padic._poly_mul(t, y, corr)
+    return padic._make(t, -x.shift, y, x.rprec), early
+
+
+@pytest.mark.parametrize("e", [1, 2, 4, 6])
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_inv_stops_at_the_fixed_point_with_the_same_result(p, e):
+    import random
+
+    rng = random.Random(100 * p + e)
+    T = TowerSpec(p, e=e, u0=rng.randrange(1, p), prec=6)
+    early = 0
+    for rprec in sorted({1, 2, 3, e + 1, T.rprec_cap // 2, T.rprec_cap}):
+        for _ in range(8):
+            coeffs = [rng.randrange(1, p)] + [rng.randrange(T.store) for _ in range(e - 1)]
+            if rng.random() < 0.25:  # exact inverses: a unit of F_p, or 1
+                coeffs = [rng.randrange(1, p)] + [0] * (e - 1)
+            x = padic._make(T, rng.randrange(-3, 4), coeffs, rprec)
+            got = x.inv()
+            want, stopped = _inv_fixed_steps(x)
+            early += stopped
+            assert (got.unit, got.shift, got.rprec) == (want.unit, want.shift, want.rprec)
+    assert early > 0
 
 
 def test_sqrt_unit():

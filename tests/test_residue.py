@@ -13,6 +13,7 @@ from endolab.residue import (
     MultCharacter,
     QuadExtension,
     make_field,
+    make_gf,
     norm_trace,
 )
 
@@ -67,6 +68,40 @@ def _first_generator(p, f):
 def test_make_field_generator_is_first_in_code_order(p, f):
     k = make_field(p, f)
     assert k.gen.a + k.gen.b * p == _first_generator(p, f)
+
+
+def _digits_mul(a, b, modulus, p):
+    """Digit vectors a * b by long multiplication, then division by the monic
+    x^m + sum(modulus[i] * x^i) from the top down."""
+    m = len(modulus)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in reversed(range(m, 2 * m - 1)):
+        top, prod[d] = prod[d], 0
+        for i, c in enumerate(modulus):
+            prod[d - m + i] -= top * c
+    return [c % p for c in prod[:m]]
+
+
+@pytest.mark.parametrize("p,m,gen", [(3, 4, 3), (5, 4, 6), (3, 8, 38)])
+def test_gf_generator_is_first_code_of_full_order(p, m, gen):
+    F = make_gf(p, m)
+    one = [1] + [0] * (m - 1)
+
+    def walk_length(code):
+        # the multiplicative order of code, by walking its powers back to one
+        g = [code // p**i % p for i in range(m)]
+        x, n = g, 1
+        while x != one:
+            x = _digits_mul(x, g, F.modulus, p)
+            n += 1
+        return n
+
+    assert F.gen == gen
+    assert walk_length(F.gen) == F.q - 1
+    assert all(walk_length(code) < F.q - 1 for code in range(1, F.gen))
 
 
 def test_make_field_f9():
