@@ -68,13 +68,6 @@ class SSCParams:
             if self.zeta not in (1, -1):
                 raise InvalidParams("zeta must be a sign here")
 
-    def validate_theta_stable(self, p: int, tol: float = 1e-9):
-        """Twisted-GL data must satisfy zeta^2 = w0(-1)."""
-        k = make_field(p)
-        w0 = k.omega0()
-        if abs(self.zeta**2 - w0(k.coerce(-1))) > tol:
-            raise InvalidParams("zeta^2 must equal w0(-1)")
-
 
 @dataclass(frozen=True)
 class CharValue:
@@ -148,11 +141,11 @@ def to_int_matrix(g: GroupMatrix, digits: int = 4):
     return scale, out, mod
 
 
-def _slot_residue(m, scale, mod, p, slot, pre=1, post=1):
+def _slot_residue(m, mod, p, slot, pre=1, post=1):
     """Residue of entry pre*m[i][j]*post at its slot level."""
     i, j, piw = slot
     v = (pre * m[i][j] * post) % mod
-    return (v // p ** (piw + scale)) % p
+    return (v // p**piw) % p
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +173,7 @@ def _psi_form(params: SSCParams, p: int):
         # the trace form read off on the basis 1, s of the quadratic extension
         ext = quad_extension(k)
         one, s = (k.one, k.zero), (k.zero, k.one)
-        w = ext.eps_tilde() if params.kappa else one
+        w = ext.eps_tilde if params.kappa else one
         mid = [ext.trace(ext.mul(w, e)).a for e in (one, s)]
         return k, [1] * (n - 1) + mid + [a]
     raise InvalidParams(f"no affine generic character for {kind}")
@@ -360,9 +353,7 @@ def _standard_histogram(params: SSCParams, element: CharElement):
                 i, j, piw = slot
                 pre = diag[i] if diag[i] is not None else 1
                 post = pow(diag[j], -1, mod) if diag[j] is not None else 1
-                vals.append(
-                    _slot_residue(m, 0, mod, p, (i, j, piw), pre=pre, post=post)
-                )
+                vals.append(_slot_residue(m, mod, p, (i, j, piw), pre=pre, post=post))
         tup = tuple(vals)
         hist[tup] = hist.get(tup, 0) + 1
     cache[key] = (sign, hist)
@@ -434,7 +425,7 @@ def _gl_histogram(params: SSCParams, element: CharElement):
             raise OutOfDomain("conjugate fell outside Z*I+")
         zinv = pow(z_res, -1, mod_eff)
         vals = tuple(
-            _slot_residue(conj, 0, mod_eff, p, slot, pre=zinv) for slot in slots
+            _slot_residue(conj, mod_eff, p, slot, pre=zinv) for slot in slots
         )
         tup = (z_res,) + vals
         hist[tup] = hist.get(tup, 0) + 1
@@ -698,7 +689,7 @@ def _random_torus(group: GroupId, p: int, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# formal degrees and depths
+# formal degrees
 
 
 def sp_order(n: int, q: int) -> int:
@@ -732,7 +723,3 @@ def formal_degree_ineq(n: int, q: int) -> dict:
     report["cuspidal_dim"] = 2
     report["holds"] = 2 < bound
     return report
-
-
-def min_depth(group: GroupId) -> Fraction:
-    return Fraction(1, group.coxeter)

@@ -226,8 +226,11 @@ def cmd_sums(args):
         if args.q > CAPS["q"] ** 2:
             raise CapExceeded(f"q={args.q} beyond cap")
         k = suites._field_for(args.q)
-        named = {s.name: s for s in catalog(k, ns=(args.n,))}
-        spec = kl_simple(k, args.n) if args.spec == "plain" else named[args.spec]
+        named = {"plain": kl_simple(k, args.n)}
+        named.update((s.name, s) for s in catalog(k, ns=(args.n,)))
+        if _unknown_variant(args.spec, list(named), f"--spec for --n {args.n}"):
+            return 2
+        spec = named[args.spec]
         val = kloosterman_eval(spec, k.coerce(args.u))
         _emit_obj(
             {"spec": spec.name, "q": args.q, "u": args.u, "value": [val.real, val.imag]},
@@ -269,20 +272,18 @@ def cmd_tower(args):
     return 0
 
 
-def _unknown_variant(args, variants, owner):
-    """Print a usage error when ``--variant`` is not one of ``variants``."""
-    if args.variant in variants:
+def _unknown_variant(value, choices, flag):
+    """Print a usage error when ``value`` is not one of ``choices``; ``flag``
+    names the option and what its choices depend on."""
+    if value in choices:
         return False
-    print(
-        f"usage error: --variant for {owner} is one of {', '.join(variants)}",
-        file=sys.stderr,
-    )
+    print(f"usage error: {flag} is one of {', '.join(choices)}", file=sys.stderr)
     return True
 
 
 def cmd_group(args):
     kind = GroupKind(args.group)
-    if _unknown_variant(args, FAMILY_VARIANTS[kind], f"--group {args.group}"):
+    if _unknown_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}"):
         return 2
     g = family_element(kind, args.n, args.p, args.u, args.variant).matrix
     if args.sub == "element":
@@ -304,7 +305,7 @@ def cmd_group(args):
 def cmd_char(args):
     if args.sub == "eval":
         kind = GroupKind(args.group)
-        if _unknown_variant(args, FAMILY_VARIANTS[kind], f"--group {args.group}"):
+        if _unknown_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}"):
             return 2
         el = family_element(kind, args.n, args.q, args.u, args.variant)
         if args.zeta is not None:
@@ -341,7 +342,7 @@ def cmd_char(args):
 
 def cmd_transfer(args):
     pair = Pair(args.pair)
-    if _unknown_variant(args, pair_variants(pair), f"--pair {args.pair}"):
+    if _unknown_variant(args.variant, pair_variants(pair), f"--variant for --pair {args.pair}"):
         return 2
     tv = transfer_factor(pair, args.p, args.n, args.u, args.variant)
     k = make_field(args.p)

@@ -23,12 +23,9 @@ from .errors import (
     NotAffineGeneric,
     NotInFiltration,
     NotInIplus,
-    PrecisionExhausted,
-    UnsupportedDegree,
 )
 from .linalg import (
     charpoly,
-    mat_eq,
     mat_id,
     mat_inv,
     mat_mul,
@@ -84,10 +81,6 @@ class GroupId:
             return self.size
         return 2 * self.n
 
-    @property
-    def t_invariant(self):
-        return 1 if self.kind is GroupKind.SO_UR else 0
-
     def weight_vector(self):
         """Alcove point coordinates governing the filtration masks."""
         n = self.n
@@ -135,40 +128,6 @@ class GroupId:
         return f"GroupId({self.kind.value}, n={self.n})"
 
 
-def form(group: GroupId, base: TowerSpec):
-    """The defining bilinear form matrix (None for the general linear kinds)."""
-    N = group.size
-    n = group.n
-    k = base.residue_field
-    if group.kind in (GroupKind.GL, GroupKind.TWISTED_GL):
-        return None
-    rows = [[base.zero() for _ in range(N)] for _ in range(N)]
-    if group.kind is GroupKind.SP:
-        for i in range(N):
-            rows[i][N - 1 - i] = base.from_int((-1) ** i)
-        return rows
-    if group.kind is GroupKind.SO_SPL:
-        for i in range(N):
-            rows[i][N - 1 - i] = base.one()
-        return rows
-    if group.kind is GroupKind.SO_RAM:
-        for i in range(N):
-            if i not in (n - 1, n):
-                rows[i][N - 1 - i] = base.one()
-        rows[n - 1][n - 1] = base.one()
-        star = base.from_int(-(k.eps.a ** group.nu_mu)) * base.pi()
-        rows[n][n] = star
-        return rows
-    if group.kind is GroupKind.SO_UR:
-        for i in range(N):
-            if i not in (n, n + 1):
-                rows[i][N - 1 - i] = base.one()
-        rows[n][n] = base.one()
-        rows[n + 1][n + 1] = base.from_int(-k.eps.a)
-        return rows
-    raise UnsupportedDegree(f"no form for {group.kind}")
-
-
 @dataclass
 class GroupMatrix:
     group: GroupId
@@ -189,28 +148,6 @@ class GroupMatrix:
 
 def group_identity(group: GroupId, base: TowerSpec) -> GroupMatrix:
     return GroupMatrix(group, base, mat_id(base, group.size))
-
-
-CHECK_DIGITS = 2
-
-
-def is_member(g: GroupMatrix) -> bool:
-    """Form-compatibility (and det 1 for the orthogonal kinds) to CHECK_DIGITS."""
-    J = form(g.group, g.base)
-    if J is None:
-        try:
-            mat_inv(g.entries)
-            return True
-        except PrecisionExhausted:
-            return False
-    lhs = mat_mul(mat_transpose(g.entries), mat_mul(J, g.entries))
-    if not mat_eq(lhs, J, CHECK_DIGITS):
-        return False
-    if g.group.kind in (GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR):
-        det = (-1) ** len(g.entries) * charpoly(g.entries)[0]
-        if not det.equal_mod(g.base.one(), CHECK_DIGITS):
-            return False
-    return True
 
 
 def theta(g: GroupMatrix) -> GroupMatrix:
@@ -363,7 +300,7 @@ def phi_element(group: GroupId, base: TowerSpec, *params) -> GroupMatrix:
         rows = [[Z() for _ in range(N)] for _ in range(N)]
         for i in range(N - 1):
             rows[i][i + 1] = base.one()
-        rows[N - 1][0] = base.from_residue(_res_int(a)) * base.pi()
+        rows[N - 1][0] = base.from_int(_res_int(a)) * base.pi()
         return GroupMatrix(group, base, rows)
     if group.kind is GroupKind.SO_SPL:
         alpha, beta = params
@@ -372,15 +309,15 @@ def phi_element(group: GroupId, base: TowerSpec, *params) -> GroupMatrix:
         if ai == 0 or bi == 0:
             raise InvalidParams("phi parameters must be units")
         rows = [[Z() for _ in range(N)] for _ in range(N)]
-        binv = (base.from_residue(bi) * base.pi()).inv()
+        binv = (base.from_int(bi) * base.pi()).inv()
         rows[0][N - 1] = binv
         for i in range(1, n):
             rows[i][i] = base.one()
-        rows[n][n + 1] = base.from_residue(ai).inv()
-        rows[n + 1][n] = base.from_residue(ai)
+        rows[n][n + 1] = base.from_int(ai).inv()
+        rows[n + 1][n] = base.from_int(ai)
         for i in range(n + 2, N - 1):
             rows[i][i] = base.one()
-        rows[N - 1][0] = base.from_residue(bi) * base.pi()
+        rows[N - 1][0] = base.from_int(bi) * base.pi()
         return GroupMatrix(group, base, rows)
     if group.kind is GroupKind.SO_UR:
         alpha, beta = params
@@ -393,17 +330,17 @@ def phi_element(group: GroupId, base: TowerSpec, *params) -> GroupMatrix:
         if norm_trace(al)[0].a != 1:
             raise InvalidParams("alpha must have norm one")
         rows = [[Z() for _ in range(N)] for _ in range(N)]
-        rows[0][N - 1] = (base.from_residue(bi) * base.pi()).inv()
+        rows[0][N - 1] = (base.from_int(bi) * base.pi()).inv()
         for i in range(1, n):
             rows[i][i] = base.one()
         eps = base.residue_field.eps.a
-        rows[n][n] = base.from_residue(al.a)
-        rows[n][n + 1] = base.from_residue(al.b)
-        rows[n + 1][n] = base.from_residue((eps * al.b) % base.p)
-        rows[n + 1][n + 1] = base.from_residue(al.a)
+        rows[n][n] = base.from_int(al.a)
+        rows[n][n + 1] = base.from_int(al.b)
+        rows[n + 1][n] = base.from_int((eps * al.b) % base.p)
+        rows[n + 1][n + 1] = base.from_int(al.a)
         for i in range(n + 2, N - 1):
             rows[i][i] = base.one()
-        rows[N - 1][0] = base.from_residue(bi) * base.pi()
+        rows[N - 1][0] = base.from_int(bi) * base.pi()
         # the form's -eps slot: negate column n+1
         for row in rows:
             row[n + 1] = -row[n + 1]

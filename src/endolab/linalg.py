@@ -30,10 +30,6 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_inv(a):
     """Gaussian elimination with minimal-valuation pivoting."""
     n = len(a)
@@ -63,17 +59,6 @@ def mat_inv(a):
             work[r] = [x - c * y for x, y in zip(work[r], work[col])]
             inv[r] = [x - c * y for x, y in zip(inv[r], inv[col])]
     return inv
-
-
-def mat_eq(a, b, phi_digits=None):
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if phi_digits is None:
-                if not x == y:
-                    return False
-            elif not x.equal_mod(y, phi_digits):
-                return False
-    return True
 
 
 # polynomials with LocalElem coefficients ------------------------------------

@@ -78,10 +78,6 @@ class TowerSpec:
     def from_int(self, n):
         return self.from_coeffs([n] + [0] * (self.e - 1))
 
-    def from_residue(self, x):
-        """Naive integer lift of a residue-field element."""
-        return self.from_int(x.a if hasattr(x, "a") else x)
-
     def from_coeffs(self, coeffs):
         """Element sum(coeffs[i] * phi^i), exact input."""
         for c in coeffs:
@@ -347,7 +343,7 @@ def sqrt_unit(x: LocalElem, prefer=None) -> LocalElem:
         root = -root
     if prefer is not None and root != k.coerce(prefer):
         raise SquareDiscriminant("requested branch is not a square root")
-    y = t.from_residue(root)
+    y = t.from_int(root.a)
     inv2 = t.from_int(2).inv()
     for _ in range(t.rprec_cap.bit_length() + 1):
         y = (y + x / y) * inv2
@@ -384,20 +380,6 @@ def tame_hilbert(x: LocalElem, y: LocalElem, sub: int = 1) -> int:
     w0 = k.omega0()
     t = k.coerce(-1) ** (vx * vy) * ux**vy * uy ** (-vx)
     return 1 if abs(w0(t) - 1) < 0.5 else -1
-
-
-def sgn_quad(d: LocalElem, x: LocalElem, sub: int = 1) -> int:
-    """+1 iff x is a norm from K(sqrt(d)), for a nonsquare d of K = F[phi^sub]."""
-    if _is_square_in_subtower(d, sub):
-        raise SquareDiscriminant("discriminant is a square")
-    return tame_hilbert(x, d, sub)
-
-
-def _is_square_in_subtower(d: LocalElem, sub: int) -> bool:
-    v, u = _subfield_val_unit(d, sub)
-    if v % 2 != 0:
-        return False
-    return u.is_square()
 
 
 # piecewise-linear Herbrand functions ----------------------------------------

@@ -115,7 +115,8 @@ class FFElem:
         return self.field is other.field and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((id(self.field), self.a, self.b))
+        # by value; equal elements share one field, as make_field interns them
+        return hash((self.field.p, self.field.f, self.a, self.b))
 
     def __repr__(self):
         if self.field.f == 1:
@@ -383,7 +384,7 @@ class MultCharacter:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.index))
+        return hash((self.field.p, self.field.f, self.index))
 
     def __repr__(self):
         return f"MultCharacter(q={self.field.q}, index={self.index})"
@@ -394,8 +395,8 @@ class QuadExtension:
 
     Elements are pairs (x, y) of k-elements standing for x + y*sqrt(eps).
     Only the structure the exponential sums need is provided: enumeration,
-    multiplication, relative norm and trace, and the lifted characters
-    psi~ = psi o Tr and chi~ = chi o Nr.
+    multiplication, relative norm and trace, and the lifted additive
+    character psi~ = psi o Tr.
     """
 
     def __init__(self, base: FiniteField):
@@ -431,19 +432,10 @@ class QuadExtension:
     def psi_tilde(self, u) -> complex:
         return self.base.psi(self.trace(u))
 
-    def chi_tilde(self, chi: MultCharacter, u) -> complex:
-        nr = self.norm(u)
-        if nr.is_zero():
-            raise ZeroArgument("chi~ at a norm-zero element")
-        return chi(nr)
-
     @cached_property
-    def _eps_tilde(self):
-        return next(u for u in self.units() if self.norm(u) == self.eps)
-
     def eps_tilde(self):
         """An element with relative norm eps, found by scan once per extension."""
-        return self._eps_tilde
+        return next(u for u in self.units() if self.norm(u) == self.eps)
 
 
 # spec-level operation wrappers ---------------------------------------------

