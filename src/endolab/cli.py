@@ -2,10 +2,14 @@
 orchestration, and JSON/CSV reporting.
 
 Exit codes: 0 when every selected check passes, 1 on a check failure, 2 on
-usage errors, 3 when a cap or precision guard trips.  Each subcommand takes
-only the report flags its handler reads; they fall back to
-``ENDOLAB_``-prefixed environment variables.  Reports are deterministic for a
-fixed seed; per-row timings are zeroed unless ``--timings`` is given.
+usage errors, 3 when a cap or precision guard trips.  A value outside an
+option's domain is a usage error: ``--p`` and a prime field's ``--q`` are odd
+primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
+``--xi``, ``--kappa`` take their two values, and ``--u``, ``--a``, ``--u0`` are
+units mod the characteristic.  Each subcommand takes only the report flags its handler
+reads; they fall back to ``ENDOLAB_``-prefixed environment variables.  The
+suites time every row; the report is emitted with each row's ``elapsed``
+zeroed unless ``--timings`` is given, so it is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import sys
 from .errors import (
     CapExceeded,
     EndolabError,
+    NotPrime,
     PrecisionExhausted,
     UnsupportedDegree,
 )
@@ -30,16 +35,69 @@ from .endoscopy import Pair, pair_variants, transfer_factor
 from .families import FAMILY_VARIANTS, get_tower
 from .groups import GroupKind, simple_affine_components
 from .padic import extract_jumps, herbrand_compose, tame_hilbert
-from .residue import make_field, p_digits
+from .residue import field_size, make_field, p_digits
 from .sums import catalog, kl_simple, kloosterman_eval
 
-CAPS = {"q": 13, "heis": 243, "n": 4}
+CAPS = {"heis": 243, "n": 4}
 
 # the benchmark's query loop (perfbench/child.py) builds elements by this name
 _char_element = family_element
 
 # the --group choices: the kinds that have families
 GROUP_CHOICES = sorted(kind.value for kind in FAMILY_VARIANTS)
+
+
+class UsageError(Exception):
+    """A value outside its option's domain (exit code 2)."""
+
+
+def _field_type(degrees, what):
+    """An argparse type: a field size p^f (see `field_size`) with f in
+    ``degrees``; any other value is a usage error."""
+
+    def field(raw):
+        q = int(raw)
+        try:
+            ok = field_size(q)[1] in degrees
+        except NotPrime:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"{q} is not {what}")
+        return q
+
+    return field
+
+
+# --p, and --q of the commands over a prime field
+_prime = _field_type((1,), "an odd prime")
+# --q of the sums commands: F_p or F_{p^2}
+_field_size = _field_type((1, 2), "an odd prime or the square of one")
+
+
+def _rank(raw):
+    """An argparse type: --n, a positive rank."""
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive rank")
+    return n
+
+
+def _check_units(args):
+    """--u, --a and --u0 must be units mod the characteristic of --p or --q."""
+    units = [name for name in ("u", "a", "u0") if hasattr(args, name)]
+    if not units:
+        return
+    p = args.p if hasattr(args, "p") else field_size(args.q)[0]
+    for name in units:
+        if getattr(args, name) % p == 0:
+            raise UsageError(f"--{name} {getattr(args, name)} is not a unit mod {p}")
+
+
+def _check_variant(value, choices, flag):
+    """``value`` must be one of ``choices``; ``flag`` names the option and what
+    its choices depend on."""
+    if value not in choices:
+        raise UsageError(f"{flag} is one of {', '.join(choices)}")
 
 
 def _env_default(name, cast, fallback):
@@ -70,26 +128,26 @@ def build_parser():
     s = sp.add_parser("sums", help="exponential sums")
     ss = s.add_subparsers(dest="sub", required=True)
     ev = ss.add_parser("eval")
-    ev.add_argument("--q", type=int, required=True)
-    ev.add_argument("--n", type=int, default=2)
+    ev.add_argument("--q", type=_field_size, required=True)
+    ev.add_argument("--n", type=_rank, default=2)
     ev.add_argument("--u", type=int, required=True)
     ev.add_argument("--spec", default="plain")
     _add_flags(ev, "out")
     ve = ss.add_parser("verify")
-    ve.add_argument("--q", type=int, default=None)
+    ve.add_argument("--q", type=_field_size, default=None)
     _add_flags(ve, "tol", "timings", "format", "out")
 
     t = sp.add_parser("tower", help="p-adic tower arithmetic")
     ts = t.add_subparsers(dest="sub", required=True)
     tv = ts.add_parser("val")
-    tv.add_argument("--p", type=int, required=True)
+    tv.add_argument("--p", type=_prime, required=True)
     tv.add_argument("--e", type=int, default=1)
     tv.add_argument("--u0", type=int, default=1)
     tv.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
     tv.add_argument("--coeffs", required=True, help="comma list, constant first")
     _add_flags(tv, "out")
     th = ts.add_parser("hilbert")
-    th.add_argument("--p", type=int, required=True)
+    th.add_argument("--p", type=_prime, required=True)
     th.add_argument("--e", type=int, default=2)
     th.add_argument("--u0", type=int, default=1)
     th.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
@@ -98,7 +156,7 @@ def build_parser():
     th.add_argument("--sub", type=int, default=1)
     _add_flags(th, "out")
     tg = ts.add_parser("herbrand")
-    tg.add_argument("--p", type=int, required=True)
+    tg.add_argument("--p", type=_prime, required=True)
     tg.add_argument("--e", type=int, default=1)
     tg.add_argument("--nprime", type=int, required=True)
     _add_flags(tg, "out")
@@ -108,8 +166,8 @@ def build_parser():
     for name in ("element", "components"):
         ge = gs.add_parser(name)
         ge.add_argument("--group", choices=GROUP_CHOICES, required=True)
-        ge.add_argument("--n", type=int, required=True)
-        ge.add_argument("--p", type=int, required=True)
+        ge.add_argument("--n", type=_rank, required=True)
+        ge.add_argument("--p", type=_prime, required=True)
         ge.add_argument("--u", type=int, required=True)
         ge.add_argument("--variant", default="plus")
         _add_flags(ge, "out")
@@ -118,10 +176,10 @@ def build_parser():
     cs = c.add_subparsers(dest="sub", required=True)
     ce = cs.add_parser("eval")
     ce.add_argument("--group", choices=GROUP_CHOICES, required=True)
-    ce.add_argument("--n", type=int, required=True)
-    ce.add_argument("--q", type=int, required=True)
-    ce.add_argument("--xi", type=int, default=1)
-    ce.add_argument("--kappa", type=int, default=0)
+    ce.add_argument("--n", type=_rank, required=True)
+    ce.add_argument("--q", type=_prime, required=True)
+    ce.add_argument("--xi", type=int, choices=(1, -1), default=1)
+    ce.add_argument("--kappa", type=int, choices=(0, 1), default=0)
     ce.add_argument("--a", type=int, required=True)
     ce.add_argument("--zeta", type=float, default=None)
     ce.add_argument("--u", type=int, required=True)
@@ -129,16 +187,16 @@ def build_parser():
     _add_flags(ce, "tol", "out")
     cv = cs.add_parser("verify")
     cv.add_argument("--group", choices=GROUP_CHOICES, default=None)
-    cv.add_argument("--n", type=int, default=None)
-    cv.add_argument("--q", type=int, default=None)
+    cv.add_argument("--n", type=_rank, default=None)
+    cv.add_argument("--q", type=_prime, default=None)
     _add_flags(cv, "tol", "seed", "timings", "format", "out")
 
     tr = sp.add_parser("transfer", help="transfer factors")
     trs = tr.add_subparsers(dest="sub", required=True)
     te = trs.add_parser("eval")
     te.add_argument("--pair", choices=[p.value for p in Pair], required=True)
-    te.add_argument("--p", type=int, required=True)
-    te.add_argument("--n", type=int, required=True)
+    te.add_argument("--p", type=_prime, required=True)
+    te.add_argument("--n", type=_rank, required=True)
     te.add_argument("--u", type=int, required=True)
     te.add_argument("--variant", default="plus")
     _add_flags(te, "out")
@@ -147,14 +205,14 @@ def build_parser():
     es = e.add_subparsers(dest="sub", required=True)
     ev2 = es.add_parser("verify")
     ev2.add_argument("--case", choices=("ram", "gl", "soeven"), required=True)
-    ev2.add_argument("--n", type=int, required=True)
-    ev2.add_argument("--q", type=int, required=True)
+    ev2.add_argument("--n", type=_rank, required=True)
+    ev2.add_argument("--q", type=_prime, required=True)
     _add_flags(ev2, "timings", "format", "out")
 
     co = sp.add_parser("conductor", help="Swan/Artin arithmetic")
     cos = co.add_subparsers(dest="sub", required=True)
     cc = cos.add_parser("compute")
-    cc.add_argument("--p", type=int, required=True)
+    cc.add_argument("--p", type=_prime, required=True)
     cc.add_argument("--e", type=int, required=True)
     cc.add_argument("--nprime", type=int, required=True)
     _add_flags(cc, "out")
@@ -170,37 +228,44 @@ def build_parser():
 # reporting -------------------------------------------------------------------
 
 
-CSV_HEADER = ["suite", "parameters", "lhs", "rhs", "delta", "pass", "elapsed"]
-
-
-def report_emit(rows, fmt="json", out=None):
-    if not rows:
-        raise EndolabError("refusing to emit an empty report")
-    dicts = [r.as_dict() for r in rows]
-    if fmt == "json":
-        text = json.dumps(dicts, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=CSV_HEADER)
-        w.writeheader()
-        for d in dicts:
-            w.writerow(d)
-        text = buf.getvalue()
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return text
+
+
+def report_emit(rows, fmt="json", out=None, timings=False):
+    """Write the rows as JSON or CSV; `elapsed` is zeroed unless ``timings``."""
+    if not rows:
+        raise EndolabError("refusing to emit an empty report")
+    dicts = [r.as_dict(timings) for r in rows]
+    if fmt == "json":
+        text = json.dumps(dicts, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=list(dicts[0]))
+        w.writeheader()
+        w.writerows(dicts)
+        text = buf.getvalue()
+    _write(text, out)
+
+
+def _verdict(rows, args):
+    """Emit the report; the exit code is 0 when every row passes, else 1."""
+    report_emit(rows, args.format, args.out, args.timings)
+    return 0 if all(r.passed for r in rows) else 1
+
+
+def _grid(**given):
+    """The suite keywords of the grid values the user gave, each as a
+    one-value tuple; the suite's defaults fill the rest."""
+    return {key: (value,) for key, value in given.items() if value is not None}
 
 
 def _emit_obj(obj, args):
-    text = json.dumps(obj, indent=2, default=str) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(obj, indent=2, default=str) + "\n", args.out)
 
 
 def _elem_json(x):
@@ -223,13 +288,10 @@ def _parse_coeffs(raw):
 
 def cmd_sums(args):
     if args.sub == "eval":
-        if args.q > CAPS["q"] ** 2:
-            raise CapExceeded(f"q={args.q} beyond cap")
-        k = suites._field_for(args.q)
+        k = suites.field_for(args.q)
         named = {"plain": kl_simple(k, args.n)}
         named.update((s.name, s) for s in catalog(k, ns=(args.n,)))
-        if _unknown_variant(args.spec, list(named), f"--spec for --n {args.n}"):
-            return 2
+        _check_variant(args.spec, list(named), f"--spec for --n {args.n}")
         spec = named[args.spec]
         val = kloosterman_eval(spec, k.coerce(args.u))
         _emit_obj(
@@ -237,10 +299,7 @@ def cmd_sums(args):
             args,
         )
         return 0
-    qs = (args.q,) if args.q else (3, 5, 7, 9, 11, 13)
-    rows = suites.exp_sums_suite(qs=qs, tol=args.tol, timings=args.timings)
-    report_emit(rows, args.format, args.out)
-    return 0 if all(r.passed for r in rows) else 1
+    return _verdict(suites.exp_sums_suite(tol=args.tol, **_grid(qs=args.q)), args)
 
 
 def cmd_tower(args):
@@ -272,19 +331,9 @@ def cmd_tower(args):
     return 0
 
 
-def _unknown_variant(value, choices, flag):
-    """Print a usage error when ``value`` is not one of ``choices``; ``flag``
-    names the option and what its choices depend on."""
-    if value in choices:
-        return False
-    print(f"usage error: {flag} is one of {', '.join(choices)}", file=sys.stderr)
-    return True
-
-
 def cmd_group(args):
     kind = GroupKind(args.group)
-    if _unknown_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}"):
-        return 2
+    _check_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}")
     g = family_element(kind, args.n, args.p, args.u, args.variant).matrix
     if args.sub == "element":
         _emit_obj({"group": args.group, "n": args.n, "matrix": matrix_json(g)}, args)
@@ -305,8 +354,7 @@ def cmd_group(args):
 def cmd_char(args):
     if args.sub == "eval":
         kind = GroupKind(args.group)
-        if _unknown_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}"):
-            return 2
+        _check_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}")
         el = family_element(kind, args.n, args.q, args.u, args.variant)
         if args.zeta is not None:
             zeta = args.zeta
@@ -328,22 +376,18 @@ def cmd_char(args):
             args,
         )
         return 0 if abs(bf - cf) <= args.tol else 1
-    ns = (args.n,) if args.n else (2, 3)
-    qs = (args.q,) if args.q else (3, 5, 7)
-    kinds = (GroupKind(args.group),) if args.group else tuple(FAMILY_VARIANTS)
+    kind = GroupKind(args.group) if args.group else None
     rows = suites.char_oracle_suite(
-        ns=ns, qs=qs, seed=args.seed, tol=args.tol, timings=args.timings, kinds=kinds
+        seed=args.seed, tol=args.tol, **_grid(ns=args.n, qs=args.q, kinds=kind)
     )
     if args.group:
         rows = [r for r in rows if f"group={args.group}" in r.parameters.split()]
-    report_emit(rows, args.format, args.out)
-    return 0 if all(r.passed for r in rows) else 1
+    return _verdict(rows, args)
 
 
 def cmd_transfer(args):
     pair = Pair(args.pair)
-    if _unknown_variant(args.variant, pair_variants(pair), f"--variant for --pair {args.pair}"):
-        return 2
+    _check_variant(args.variant, pair_variants(pair), f"--variant for --pair {args.pair}")
     tv = transfer_factor(pair, args.p, args.n, args.u, args.variant)
     k = make_field(args.p)
     val = tv.evaluate(k)
@@ -364,10 +408,7 @@ def cmd_transfer(args):
 
 def cmd_ecr(args):
     case = {"ram": "ecr_ram", "gl": "ecr_gl", "soeven": "ecr_soeven"}[args.case]
-    fn = suites.SUITES[case]
-    rows = fn(ns=(args.n,), qs=(args.q,), timings=args.timings)
-    report_emit(rows, args.format, args.out)
-    return 0 if all(r.passed for r in rows) else 1
+    return _verdict(suites.SUITES[case](**_grid(ns=args.n, qs=args.q)), args)
 
 
 def cmd_conductor(args):
@@ -388,15 +429,17 @@ def cmd_conductor(args):
 
 def cmd_suite(args):
     names = args.only.split(",") if args.only else None
-    rows = suites.run_all(names=names, seed=args.seed, tol=args.tol, timings=args.timings, jobs=args.jobs)
-    report_emit(rows, args.format, args.out)
+    for name in names or ():
+        _check_variant(name, list(suites.SUITES), "each --only name")
+    rows = suites.run_all(names=names, seed=args.seed, tol=args.tol, jobs=args.jobs)
+    code = _verdict(rows, args)
     by_suite: dict = {}
     for r in rows:
         ok, tot = by_suite.get(r.suite, (0, 0))
         by_suite[r.suite] = (ok + (1 if r.passed else 0), tot + 1)
     for name, (ok, tot) in sorted(by_suite.items()):
         print(f"[{'PASS' if ok == tot else 'FAIL'}] {name}: {ok}/{tot}", file=sys.stderr)
-    return 0 if all(r.passed for r in rows) else 1
+    return code
 
 
 HANDLERS = {
@@ -420,7 +463,11 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "n", None) is not None and args.n > CAPS["n"]:
             raise CapExceeded(f"n={args.n} beyond the rank cap {CAPS['n']}")
+        _check_units(args)
         return HANDLERS[args.command](args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (CapExceeded, PrecisionExhausted, UnsupportedDegree) as exc:
         print(f"cap/precision error: {exc}", file=sys.stderr)
         return 3

@@ -10,6 +10,7 @@ the additive character is psi(x) = exp(2*pi*i*Tr(x)/p).
 from __future__ import annotations
 
 import cmath
+import math
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -33,6 +34,16 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def field_size(q: int) -> tuple[int, int]:
+    """(p, f) with q = p^f for an odd prime p and f in {1, 2}: the sizes a
+    residue field takes.  Any other q raises NotPrime."""
+    root = math.isqrt(q) if q > 0 else 0
+    p, f = (root, 2) if root * root == q else (q, 1)
+    if p == 2 or not is_prime(p):
+        raise NotPrime(f"{q} is not an odd prime or the square of one")
+    return p, f
 
 
 class FFElem:

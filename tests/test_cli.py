@@ -318,7 +318,7 @@ def test_group_without_families_is_usage_error(argv, capsys):
 def test_char_verify_keeps_the_exact_group(monkeypatch, capsys):
     def fake_suite(**kwargs):
         return [
-            suites._row("char_oracle", f"group={g} n=2 q=3", "a", "b", 0.0, True, 0.0, False)
+            suites._row("char_oracle", f"group={g} n=2 q=3", "a", "b", 0.0, True)
             for g in ("sp", "sp_x", "gl_theta")
         ]
 
@@ -371,3 +371,46 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "transfer_factor", must_not_build)
     assert run(argv) == 3
     assert "cap" in capsys.readouterr().err
+
+
+# values outside an option's domain, each with its exit code: 2 for a value no
+# command takes, 3 for a field size beyond the cap
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ecr", "verify", "--case", "ram", "--n", "2", "--q", "9"], 2),
+        (["char", "eval", "--group", "sp", "--n", "2", "--q", "4", "--u", "1", "--a", "1"], 2),
+        (["char", "verify", "--q", "9"], 2),
+        (["transfer", "eval", "--pair", "sp_soram", "--p", "9", "--n", "2", "--u", "1"], 2),
+        (["group", "element", "--group", "sp", "--n", "2", "--p", "4", "--u", "1"], 2),
+        (["tower", "val", "--p", "4", "--coeffs", "1"], 2),
+        (["sums", "eval", "--q", "4", "--u", "1"], 2),
+        (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--xi", "2"], 2),
+        (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "3"], 2),
+        (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "0"], 2),
+        (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "0", "--a", "1"], 2),
+        (["group", "components", "--group", "sp", "--n", "2", "--p", "5", "--u", "0"], 2),
+        (["transfer", "eval", "--pair", "sp_soram", "--p", "5", "--n", "2", "--u", "5"], 2),
+        (["sums", "eval", "--q", "9", "--u", "3"], 2),
+        (["char", "verify", "--n", "0", "--q", "3"], 2),
+        (["suite", "all", "--only", "disc,bogus"], 2),
+        (["group", "element", "--group", "sp", "--n", "0", "--p", "5", "--u", "1"], 2),
+        (["sums", "eval", "--q", "17", "--u", "1"], 3),
+        (["sums", "verify", "--q", "17"], 3),
+    ],
+)
+def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "check failed" not in captured.err
+
+
+def test_timings_fill_elapsed_only_when_asked(capsys):
+    argv = ["suite", "all", "--only", "disc"]
+    code, out = run_capture(argv + ["--timings"], capsys)
+    assert code == 0
+    assert any(r["elapsed"] > 0 for r in json.loads(out))
+    code, out = run_capture(argv, capsys)
+    assert code == 0
+    assert all(r["elapsed"] == 0.0 for r in json.loads(out))

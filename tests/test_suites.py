@@ -1,5 +1,6 @@
 """Report-row plumbing of the suites: identity rows that fail, one `_row`
-call per row, and the keyword arguments `run_all` hands each suite."""
+call per row, the wall time of each row, and the keyword arguments `run_all`
+hands each suite."""
 
 import hashlib
 import json
@@ -97,7 +98,7 @@ def test_run_all_passes_tol_and_seed_by_name(monkeypatch):
             return []
 
         monkeypatch.setitem(suites.SUITES, name, record)
-    assert suites.run_all(seed=5, tol=1e-3, timings=True) == []
+    assert suites.run_all(seed=5, tol=1e-3) == []
     extra = {
         "exp_sums": {"tol": 1e-3},
         "char_oracle": {"tol": 1e-3, "seed": 5},
@@ -105,7 +106,28 @@ def test_run_all_passes_tol_and_seed_by_name(monkeypatch):
     }
     assert set(seen) == set(suites.SUITES)
     for name, kwargs in seen.items():
-        assert kwargs == {"timings": True, **extra.get(name, {})}, name
+        assert kwargs == extra.get(name, {}), name
+
+
+def test_run_all_forks_the_same_rows():
+    names = ["formal_degree", "disc"]
+    forked = suites.run_all(names=names, jobs=2)
+    assert [r.as_dict() for r in forked] == [r.as_dict() for r in suites.run_all(names=names)]
+
+
+def test_rows_carry_the_wall_time_since_the_previous_row(monkeypatch):
+    ticks = iter([10.0, 10.25, 11.0, 11.0])
+    monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+    @suites._suite
+    def body(n):
+        for i in range(n):
+            yield suites._bit_row("tick", f"i={i}", "a", "b", True)
+
+    rows = body(n=3)
+    assert [r.elapsed for r in rows] == [0.25, 0.75, 0.0]
+    assert all(r.as_dict()["elapsed"] == 0.0 for r in rows)
+    assert [r.as_dict(timings=True)["elapsed"] for r in rows] == [0.25, 0.75, 0.0]
 
 
 # sha256 of the character oracle rows over the family elements at
