@@ -3,9 +3,11 @@ independent routes to character values at "shallow" elements.
 
 ``char_brute_force`` runs the compact-induction character formula: it sums the
 inducing character over the finite torus index set attached to the element's
-coset, conjugating honest matrix data.  ``char_closed_form`` evaluates the
-matching Kloosterman/Gauss expression through :mod:`endolab.sums`.  The two
-must agree; the test-suite grid enforces it.
+coset, conjugating honest matrix data.  Per element it takes the psi-sum over
+the torus histogram once per (kappa, a mod p) and applies xi and zeta after
+it.  ``char_closed_form`` evaluates the matching Kloosterman/Gauss expression
+through :mod:`endolab.sums`.  The two must agree; the test-suite grid enforces
+it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ class CharElement:
     coset: str = "plain"  # "plain" or "phi"
     phi_u: int | None = None  # twisted-GL coset parameter
     phi_ab: tuple | None = None  # even-orthogonal coset parameters
-    # slot-residue histograms of the brute-force route, keyed by coset data
+    # slot-residue histograms of the brute-force route, keyed by coset data,
+    # and their psi-sums, keyed by (kappa, a mod p), by a mod p on twisted GL
     _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -299,8 +302,7 @@ def _standard_histogram(params: SSCParams, element: CharElement):
 
     The histogram (and the sign of the I+ part) does not depend on the
     parameters except through the coset constraints, which enter the cache
-    key; evaluating the character for each parameter tuple is then a small
-    weighted sum over the histogram.
+    key; `_brute_standard` takes the psi-sum over it once per (kappa, a mod p).
     """
     group = params.group
     p = element.matrix.base.p
@@ -366,11 +368,17 @@ def _brute_standard(params: SSCParams, element: CharElement) -> complex:
         return 0.0 + 0.0j
     zeta_fac = params.zeta if element.coset == "phi" else 1.0
     central = params.xi if (sign < 0) else 1
-    form = _psi_form(params, element.matrix.base.p)
-    total = 0.0 + 0.0j
-    for tup, count in hist.items():
-        total += count * _psi_value(form, tup)
-    return central * zeta_fac * total
+    p = element.matrix.base.p
+    # the psi-sum reads the parameters only through (kappa, a mod p)
+    key = ("psi", params.kappa, params.a % p)
+    cache = element._hists
+    if key not in cache:
+        form = _psi_form(params, p)
+        total = 0.0 + 0.0j
+        for tup, count in hist.items():
+            total += count * _psi_value(form, tup)
+        cache[key] = total
+    return central * zeta_fac * cache[key]
 
 
 def _gl_histogram(params: SSCParams, element: CharElement):
@@ -435,16 +443,22 @@ def _gl_histogram(params: SSCParams, element: CharElement):
 
 def _brute_twisted_gl(params: SSCParams, element: CharElement) -> complex:
     p = element.matrix.base.p
-    k = make_field(p)
-    w0 = k.omega0()
     hist = _gl_histogram(params, element)
     if not hist:
         return 0.0 + 0.0j
-    form = _psi_form(params, p)
-    total = 0.0 + 0.0j
-    for tup, count in hist.items():
-        z_res, vals = tup[0], tup[1:]
-        total += count * w0(k.elem(z_res)) * _psi_value(form, vals)
+    # the psi-sum reads the parameters only through a mod p
+    key = ("gl_psi", params.a % p)
+    cache = element._hists
+    if key not in cache:
+        k = make_field(p)
+        w0 = k.omega0()
+        form = _psi_form(params, p)
+        total = 0.0 + 0.0j
+        for tup, count in hist.items():
+            z_res, vals = tup[0], tup[1:]
+            total += count * w0(k.elem(z_res)) * _psi_value(form, vals)
+        cache[key] = total
+    total = cache[key]
     if element.coset == "phi":
         total *= params.zeta
     return total

@@ -6,9 +6,12 @@ usage errors, 3 when a cap or precision guard trips.  A value outside an
 option's domain is a usage error: ``--p`` and a prime field's ``--q`` are odd
 primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
 ``--xi``, ``--kappa`` take their two values, and ``--u``, ``--a``, ``--u0`` are
-units mod the characteristic.  Each subcommand takes only the report flags its handler
-reads; they fall back to ``ENDOLAB_``-prefixed environment variables.  The
-suites time every row; the report is emitted with each row's ``elapsed``
+units mod the characteristic.  ``--nprime`` and the ``--e`` of ``tower val``,
+``tower hilbert`` and ``conductor compute`` are positive, ``--coeffs``, ``--x``
+and ``--y`` list ``--e`` integers, and ``conductor compute``'s ``--nprime`` is
+an even divisor of p - 1.  Each subcommand takes only the report flags its
+handler reads; they fall back to ``ENDOLAB_``-prefixed environment variables.
+The suites time every row; the report is emitted with each row's ``elapsed``
 zeroed unless ``--timings`` is given, so it is deterministic for a fixed seed.
 """
 
@@ -74,12 +77,21 @@ _prime = _field_type((1,), "an odd prime")
 _field_size = _field_type((1, 2), "an odd prime or the square of one")
 
 
-def _rank(raw):
-    """An argparse type: --n, a positive rank."""
-    n = int(raw)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is not a positive rank")
-    return n
+def _positive(what):
+    """An argparse type: a positive integer, named ``what`` in the error."""
+
+    def positive(raw):
+        n = int(raw)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{n} is not a positive {what}")
+        return n
+
+    return positive
+
+
+_rank = _positive("rank")  # --n
+_degree = _positive("ramification degree")  # --e of tower val, tower hilbert, conductor compute
+_tame_index = _positive("tame index")  # --nprime
 
 
 def _check_units(args):
@@ -141,14 +153,14 @@ def build_parser():
     ts = t.add_subparsers(dest="sub", required=True)
     tv = ts.add_parser("val")
     tv.add_argument("--p", type=_prime, required=True)
-    tv.add_argument("--e", type=int, default=1)
+    tv.add_argument("--e", type=_degree, default=1)
     tv.add_argument("--u0", type=int, default=1)
     tv.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
     tv.add_argument("--coeffs", required=True, help="comma list, constant first")
     _add_flags(tv, "out")
     th = ts.add_parser("hilbert")
     th.add_argument("--p", type=_prime, required=True)
-    th.add_argument("--e", type=int, default=2)
+    th.add_argument("--e", type=_degree, default=2)
     th.add_argument("--u0", type=int, default=1)
     th.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
     th.add_argument("--x", required=True, help="comma list of coefficients")
@@ -158,7 +170,7 @@ def build_parser():
     tg = ts.add_parser("herbrand")
     tg.add_argument("--p", type=_prime, required=True)
     tg.add_argument("--e", type=int, default=1)
-    tg.add_argument("--nprime", type=int, required=True)
+    tg.add_argument("--nprime", type=_tame_index, required=True)
     _add_flags(tg, "out")
 
     g = sp.add_parser("group", help="classical group elements")
@@ -213,8 +225,8 @@ def build_parser():
     cos = co.add_subparsers(dest="sub", required=True)
     cc = cos.add_parser("compute")
     cc.add_argument("--p", type=_prime, required=True)
-    cc.add_argument("--e", type=int, required=True)
-    cc.add_argument("--nprime", type=int, required=True)
+    cc.add_argument("--e", type=_degree, required=True)
+    cc.add_argument("--nprime", type=_tame_index, required=True)
     _add_flags(cc, "out")
 
     su = sp.add_parser("suite", help="acceptance suites")
@@ -282,8 +294,15 @@ def matrix_json(g):
 # command handlers --------------------------------------------------------------
 
 
-def _parse_coeffs(raw):
-    return [int(x) for x in raw.split(",")]
+def _parse_coeffs(raw, e, flag):
+    """The e integer coefficients that ``flag`` lists, constant first."""
+    try:
+        coeffs = [int(x) for x in raw.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} is a comma list of integers") from None
+    if len(coeffs) != e:
+        raise UsageError(f"{flag} takes --e {e} coefficients, not {len(coeffs)}")
+    return coeffs
 
 
 def cmd_sums(args):
@@ -314,9 +333,9 @@ def cmd_tower(args):
             args,
         )
         return 0
-    tower = get_tower(args.p, args.e, args.u0, args.precision)
     if args.sub == "val":
-        x = tower.from_coeffs(_parse_coeffs(args.coeffs))
+        coeffs = _parse_coeffs(args.coeffs, args.e, "--coeffs")
+        x = get_tower(args.p, args.e, args.u0, args.precision).from_coeffs(coeffs)
         _emit_obj(
             {
                 "valuation": str(x.valuation()),
@@ -325,8 +344,10 @@ def cmd_tower(args):
             args,
         )
         return 0
-    x = tower.from_coeffs(_parse_coeffs(args.x))
-    y = tower.from_coeffs(_parse_coeffs(args.y))
+    xs = _parse_coeffs(args.x, args.e, "--x")
+    ys = _parse_coeffs(args.y, args.e, "--y")
+    tower = get_tower(args.p, args.e, args.u0, args.precision)
+    x, y = tower.from_coeffs(xs), tower.from_coeffs(ys)
     _emit_obj({"symbol": tame_hilbert(x, y, sub=args.sub)}, args)
     return 0
 
@@ -412,6 +433,8 @@ def cmd_ecr(args):
 
 
 def cmd_conductor(args):
+    if args.nprime % 2 or (args.p - 1) % args.nprime:
+        raise UsageError(f"--nprime {args.nprime} is not an even divisor of p - 1 = {args.p - 1}")
     if args.p ** (2 * args.e + 1) > CAPS["heis"]:
         raise CapExceeded("Heisenberg order beyond cap")
     r = swan_artin_gamma(args.p, args.e, args.nprime)

@@ -17,7 +17,7 @@ from endolab.characters import (
     torus_index_set,
 )
 from endolab.errors import InvalidParams, OutOfDomain
-from endolab.families import base_field, family_matrix, nu_of_u
+from endolab.families import FAMILY_VARIANTS, base_field, family_matrix, nu_of_u
 from endolab.groups import GroupId, GroupKind, group_identity, phi_element
 from endolab.residue import QuadExtension, make_field, quad_extension
 from endolab.suites import _params_grid
@@ -265,3 +265,20 @@ def test_coset_split_built_once_per_element(monkeypatch):
         for params in _params_grid(el.group, 5):
             assert abs(char_brute_force(params, el).value - char_closed_form(params, desc).value) < 1e-6
         assert len(built) == 1
+
+
+@pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
+def test_psi_sum_memo_is_keyed_by_value(kind):
+    """One element evaluated over its whole parameter grid, a descending and
+    kappa = 1 before kappa = 0, gives for every tuple exactly the value of a
+    fresh element: the per-element psi-sums are keyed by (kappa, a mod p)."""
+    q, n, u = 5, 2, 2
+    for variant in FAMILY_VARIANTS[kind]:
+        el = family_element(kind, n, q, u, variant)
+        grid = sorted(_params_grid(el.group, q), key=lambda s: (-s.a, -s.kappa))
+        values = set()
+        for params in grid:
+            value = char_brute_force(params, el).value
+            assert value == char_brute_force(params, family_element(kind, n, q, u, variant)).value
+            values.add(value)
+        assert len(values) > 1

@@ -30,6 +30,20 @@ def test_conductor_compute(capsys):
     assert data["swan"] == "3" and data["artin"] == "24" and data["fdc_pass"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the tame index of the Herbrand stages need not be even
+        ["tower", "herbrand", "--p", "3", "--e", "1", "--nprime", "3"],
+        ["conductor", "compute", "--p", "5", "--e", "1", "--nprime", "4"],
+    ],
+)
+def test_tame_index_inside_its_domain(argv, capsys):
+    code, out = run_capture(argv, capsys)
+    assert code == 0
+    assert json.loads(out)
+
+
 def test_usage_error_is_exit_2(capsys):
     assert run(["conductor", "compute", "--p"]) == 2
     assert run(["nonsense"]) == 2
@@ -397,6 +411,16 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["group", "element", "--group", "sp", "--n", "0", "--p", "5", "--u", "1"], 2),
         (["sums", "eval", "--q", "17", "--u", "1"], 3),
         (["sums", "verify", "--q", "17"], 3),
+        (["tower", "val", "--p", "3", "--coeffs", "1,2"], 2),
+        (["tower", "val", "--p", "3", "--e", "0", "--coeffs", "1"], 2),
+        (["tower", "val", "--p", "3", "--coeffs", "x"], 2),
+        (["tower", "hilbert", "--p", "3", "--x", "1", "--y", "1,2"], 2),
+        (["tower", "hilbert", "--p", "3", "--x", "1,2", "--y", "1,2,3"], 2),
+        (["tower", "herbrand", "--p", "3", "--nprime", "0"], 2),
+        (["conductor", "compute", "--p", "5", "--e", "1", "--nprime", "3"], 2),
+        (["conductor", "compute", "--p", "7", "--e", "1", "--nprime", "4"], 2),
+        (["conductor", "compute", "--p", "5", "--e", "0", "--nprime", "2"], 2),
+        (["conductor", "compute", "--p", "5", "--e", "1", "--nprime", "0"], 2),
     ],
 )
 def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):

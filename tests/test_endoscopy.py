@@ -86,14 +86,26 @@ def test_eta_closed_values():
 
 
 def test_epsilon_table():
-    k = make_field(5)
-    G = gauss_sum(k.omega0(), k)
-    assert epsilon_factor(Pair.GL_ODD_SP).evaluate(k) == 1
-    assert abs(epsilon_factor(Pair.SP_SORAM).evaluate(k) - 5**0.5 / G) < 1e-9
-    assert abs(epsilon_factor(Pair.GL_SORAM).evaluate(k) - 5**0.5 / G) < 1e-9
-    w0m1 = k.omega0()(k.coerce(-1))
-    assert abs(epsilon_factor(Pair.SOSPL_H).evaluate(k) - w0m1) < 1e-9
-    assert abs(epsilon_factor(Pair.SOUR_H).evaluate(k) + w0m1) < 1e-9
+    # at p = 7, -1 is not a square, so w0 sees the sign of each tabulated unit
+    for p in (5, 7):
+        k = make_field(p)
+        G = gauss_sum(k.omega0(), k)
+        assert epsilon_factor(Pair.GL_ODD_SP).evaluate(k) == 1
+        assert abs(epsilon_factor(Pair.SP_SORAM).evaluate(k) - p**0.5 / G) < 1e-9, p
+        assert abs(epsilon_factor(Pair.GL_SORAM).evaluate(k) - p**0.5 / G) < 1e-9, p
+        w0m1 = k.omega0()(k.coerce(-1))
+        assert abs(epsilon_factor(Pair.SOSPL_H).evaluate(k) - w0m1) < 1e-9, p
+        assert abs(epsilon_factor(Pair.SOUR_H).evaluate(k) + w0m1) < 1e-9, p
+
+
+def test_transfer_table_at_a_nonsquare_minus_one():
+    """Every tabulated transfer factor at p = 7, where -1 is not a square,
+    for each rank and every unit u."""
+    k = make_field(7)
+    for (pair, var), expect in TRANSFER_EXPECTED.items():
+        for n in (2, 3):
+            for u in range(1, 7):
+                assert transfer_factor(pair, 7, n, u, var).symbolic_eq(expect, k), (pair, var, n, u)
 
 
 def test_transfer_value_canonicalization():
