@@ -253,8 +253,10 @@ def test_report_is_byte_stable(tmp_path):
         )
 
 
-# Reports that run the seeded samplers: 20 random affine generic elements per
-# kind, and both I+ samplers of the charpoly suite.
+# Reports pinned by hash alone: the two that run the seeded samplers (20
+# random affine generic elements per kind, and both I+ samplers of the charpoly
+# suite), and the transfer and even-orthogonal ECR rows, which run the sign
+# route and the closed-form character route.
 @pytest.mark.parametrize(
     "argv, sha256",
     [
@@ -266,8 +268,12 @@ def test_report_is_byte_stable(tmp_path):
             ["suite", "all", "--only", "charpoly", "--seed", "0", "--format", "json"],
             "06b94cd34c38a9eed6843243d2a9ea31ed22a23c5268c0ee1d61ee1b88792721",
         ),
+        (
+            ["suite", "all", "--only", "transfer,ecr_soeven", "--seed", "0", "--format", "json"],
+            "54351f1d250c07f60cc50bc1b3064d0f9fd19ba1b75a09f7f59e3addc236d193",
+        ),
     ],
-    ids=["char_verify", "charpoly"],
+    ids=["char_verify", "charpoly", "transfer_ecr_soeven"],
 )
 def test_sampling_report_is_byte_stable(argv, sha256, tmp_path):
     assert _report_sha256(argv, tmp_path)[0] == sha256
