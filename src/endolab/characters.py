@@ -3,11 +3,11 @@ independent routes to character values at "shallow" elements.
 
 ``char_brute_force`` runs the compact-induction character formula: it sums the
 inducing character over the finite torus index set attached to the element's
-coset, conjugating honest matrix data.  Per element it takes the psi-sum over
-the torus histogram once per (kappa, a mod p) and applies xi and zeta after
-it.  ``char_closed_form`` evaluates the matching Kloosterman/Gauss expression
-through :mod:`endolab.sums`.  The two must agree; the test-suite grid enforces
-it.
+coset, conjugating honest matrix data.  The sum reads the parameters only
+through (kappa, a mod p), so each element keeps one psi-sum per such key and
+xi and zeta are applied to it afterwards.  ``char_closed_form`` evaluates the
+matching Kloosterman/Gauss expression through :mod:`endolab.sums`.  The two
+must agree; the test-suite grid enforces it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .groups import (
 from .residue import make_field, norm_trace, quad_extension
 from .sums import (
     gl_theta_spec,
+    kl_pm,
     kl_simple,
     kloosterman_eval,
     so_split_spec,
@@ -74,7 +75,6 @@ class SSCParams:
 @dataclass(frozen=True)
 class CharValue:
     value: complex
-    provenance: str
 
 
 @dataclass
@@ -86,9 +86,10 @@ class CharElement:
     coset: str = "plain"  # "plain" or "phi"
     phi_u: int | None = None  # twisted-GL coset parameter
     phi_ab: tuple | None = None  # even-orthogonal coset parameters
-    # slot-residue histograms of the brute-force route, keyed by coset data,
-    # and their psi-sums, keyed by (kappa, a mod p), by a mod p on twisted GL
+    # the brute-force route's (coset sign, psi-sum) per (kappa, a mod p); the
+    # plain coset's slot-residue histogram reads no parameter and is kept once
     _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plain_hist: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def h_part(self) -> GroupMatrix:
@@ -121,27 +122,24 @@ def family_element(kind: GroupKind, n: int, q: int, u: int, variant: str) -> Cha
 # reduction of tower matrices to integer matrices
 
 
-def to_int_matrix(g: GroupMatrix, digits: int = 4):
-    """(scale, rows): rows are integers representing pi^scale * g mod p^digits."""
-    base = g.base
-    p = base.p
-    scale = 0
-    for row in g.entries:
-        for x in row:
-            if not x.is_zero() and x.phi_valuation() < 0:
-                scale = max(scale, -x.phi_valuation())
-    mod = p ** (digits + scale)
+def to_int_matrix(g: GroupMatrix, digits: int):
+    """(rows, mod): rows are integers representing g mod p^digits = mod.  The
+    route conjugates integral matrices only; an entry of negative valuation
+    puts the element outside the character's domain."""
+    p = g.base.p
+    mod = p**digits
     out = []
     for row in g.entries:
         r = []
         for x in row:
             if x.is_zero():
                 r.append(0)
+            elif x.phi_valuation() < 0:
+                raise OutOfDomain("entry of negative valuation: outside the character's domain")
             else:
-                c = x.unit[0] * p ** (x.shift + scale)
-                r.append(c % mod)
+                r.append(x.unit[0] * p**x.shift % mod)
         out.append(r)
-    return scale, out, mod
+    return out, mod
 
 
 def _slot_residue(m, mod, p, slot, pre=1, post=1):
@@ -289,32 +287,54 @@ def _norm_one(p: int):
 
 
 def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
-    kind = params.group.kind
-    if kind is GroupKind.TWISTED_GL:
-        val = _brute_twisted_gl(params, element)
+    """The torus sum of the character formula at the element: the psi-sum,
+    taken once per element and (kappa, a mod p), times xi on the minus coset
+    of I+ and zeta on the phi coset."""
+    key = (params.kappa, params.a % element.matrix.base.p)
+    if key not in element._hists:
+        element._hists[key] = _psi_sum(params, element)
+    sign, total = element._hists[key]
+    if total is None:
+        return CharValue(0.0 + 0.0j)
+    factor = params.zeta if element.coset == "phi" else 1.0
+    if sign < 0:
+        factor = params.xi * factor
+    return CharValue(total * factor)
+
+
+def _psi_sum(params: SSCParams, element: CharElement):
+    """(sign, sum): the sign of the element's coset of I+ and the psi-sum over
+    its slot-residue histogram, None when the torus index set is empty."""
+    gl = element.group.kind is GroupKind.TWISTED_GL
+    histogram = _gl_histogram if gl else _standard_histogram
+    if element.coset == "phi":
+        sign, hist = histogram(params, element)
     else:
-        val = _brute_standard(params, element)
-    return CharValue(val, "brute_force")
+        if element._plain_hist is None:
+            element._plain_hist = histogram(params, element)
+        sign, hist = element._plain_hist
+    if not hist:
+        return sign, None
+    p = element.matrix.base.p
+    form = _psi_form(params, p)
+    total = 0.0 + 0.0j
+    if gl:
+        k = make_field(p)
+        w0 = k.omega0()
+        for tup, count in hist.items():
+            total += count * w0(k.elem(tup[0])) * _psi_value(form, tup[1:])
+    else:
+        for tup, count in hist.items():
+            total += count * _psi_value(form, tup)
+    return sign, total
 
 
 def _standard_histogram(params: SSCParams, element: CharElement):
-    """Slot-residue histogram of the torus conjugates, cached per element.
-
-    The histogram (and the sign of the I+ part) does not depend on the
-    parameters except through the coset constraints, which enter the cache
-    key; `_brute_standard` takes the psi-sum over it once per (kappa, a mod p).
-    """
+    """(sign, histogram): the sign of the +-I+ coset and the slot residues of
+    the torus conjugates of the I+ part."""
     group = params.group
     p = element.matrix.base.p
-    key = None
-    if element.coset == "phi":
-        key = (params.a % p, params.kappa)
-    cache = element._hists
-    if key in cache:
-        return cache[key]
-    scale, m, mod = to_int_matrix(element.h_part, 4)
-    if scale != 0:
-        raise OutOfDomain("unexpected negative-valuation entry in the I+ part")
+    m, mod = to_int_matrix(element.h_part, 4)
     sign = 1
     d0 = m[0][0] % p
     if d0 == p - 1:
@@ -358,40 +378,17 @@ def _standard_histogram(params: SSCParams, element: CharElement):
                 vals.append(_slot_residue(m, mod, p, (i, j, piw), pre=pre, post=post))
         tup = tuple(vals)
         hist[tup] = hist.get(tup, 0) + 1
-    cache[key] = (sign, hist)
     return sign, hist
 
 
-def _brute_standard(params: SSCParams, element: CharElement) -> complex:
-    sign, hist = _standard_histogram(params, element)
-    if not hist:
-        return 0.0 + 0.0j
-    zeta_fac = params.zeta if element.coset == "phi" else 1.0
-    central = params.xi if (sign < 0) else 1
-    p = element.matrix.base.p
-    # the psi-sum reads the parameters only through (kappa, a mod p)
-    key = ("psi", params.kappa, params.a % p)
-    cache = element._hists
-    if key not in cache:
-        form = _psi_form(params, p)
-        total = 0.0 + 0.0j
-        for tup, count in hist.items():
-            total += count * _psi_value(form, tup)
-        cache[key] = total
-    return central * zeta_fac * cache[key]
-
-
 def _gl_histogram(params: SSCParams, element: CharElement):
+    """(1, histogram) of (central residue, slot residues) over the torus
+    conjugates, which lie in Z * I+."""
     group = params.group
-    base = element.matrix.base
-    p = base.p
+    p = element.matrix.base.p
     n = group.n
     N = 2 * n
-    key = ("gl", params.a % p) if element.coset == "phi" else ("gl", None)
-    cache = element._hists
-    if key in cache:
-        return cache[key]
-    scale, m, mod = to_int_matrix(element.matrix, 5)
+    m, mod = to_int_matrix(element.matrix, 5)
     slots = group.component_slots()
     a_lift = params.a % p
     hist: dict = {}
@@ -437,31 +434,7 @@ def _gl_histogram(params: SSCParams, element: CharElement):
         )
         tup = (z_res,) + vals
         hist[tup] = hist.get(tup, 0) + 1
-    cache[key] = hist
-    return hist
-
-
-def _brute_twisted_gl(params: SSCParams, element: CharElement) -> complex:
-    p = element.matrix.base.p
-    hist = _gl_histogram(params, element)
-    if not hist:
-        return 0.0 + 0.0j
-    # the psi-sum reads the parameters only through a mod p
-    key = ("gl_psi", params.a % p)
-    cache = element._hists
-    if key not in cache:
-        k = make_field(p)
-        w0 = k.omega0()
-        form = _psi_form(params, p)
-        total = 0.0 + 0.0j
-        for tup, count in hist.items():
-            z_res, vals = tup[0], tup[1:]
-            total += count * w0(k.elem(z_res)) * _psi_value(form, vals)
-        cache[key] = total
-    total = cache[key]
-    if element.coset == "phi":
-        total *= params.zeta
-    return total
+    return 1, hist
 
 
 # ---------------------------------------------------------------------------
@@ -504,39 +477,11 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
     eps_k = k.eps ** params.kappa
     sgn = params.xi if desc.sign < 0 else 1
     h = list(desc.components)
-    if kind is GroupKind.SP:
-        alpha = a * eps_k * h[-1]
-        for i in range(n - 1):
-            alpha = alpha * h[i] * h[i]
-        alpha = alpha * h[n - 1]
-        # the quadratic factor carries only a*h_0 (the constraint lives on
-        # the single twisted variable), matching the index-set computation
-        v = 0.5 * kloosterman_eval(sp_spec(k, n), alpha) + 0.5 * w0(
-            a * h[-1]
-        ) * kloosterman_eval(sp_spec(k, n, twisted=True), alpha)
-        return CharValue(sgn * v, "closed_form")
     if kind is GroupKind.SO_RAM:
         alpha = a
         for x in h:
             alpha = alpha * x
-        return CharValue(sgn * kloosterman_eval(kl_simple(k, n), alpha), "closed_form")
-    if kind is GroupKind.SO_SPL and desc.coset == "plain":
-        gamma = a * eps_k * h[0] * h[n - 1] * h[n] * h[n + 1]
-        for i in range(1, n - 1):
-            gamma = gamma * h[i] * h[i]
-        v = 0.5 * kloosterman_eval(so_split_spec(k, n), gamma) + 0.5 * w0(
-            eps_k * h[n - 1] * h[n]
-        ) * kloosterman_eval(so_split_spec(k, n, twisted=True), gamma)
-        return CharValue(sgn * v, "closed_form")
-    if kind is GroupKind.SO_UR and desc.coset == "plain":
-        nr, _ = norm_trace(h[n - 1])
-        gamma = a * eps_k * h[0] * nr * h[n]
-        for i in range(1, n - 1):
-            gamma = gamma * h[i] * h[i]
-        v = 0.5 * kloosterman_eval(so_unramified_spec(k, n), gamma) + 0.5 * w0(
-            nr * eps_k
-        ) * kloosterman_eval(so_unramified_spec(k, n, twisted=True), gamma)
-        return CharValue(sgn * v, "closed_form")
+        return CharValue(sgn * kloosterman_eval(kl_simple(k, n), alpha))
     if kind is GroupKind.TWISTED_GL and desc.coset == "plain":
         pairs = [h[i] + h[2 * n - 2 - i] for i in range(n - 1)]
         if any(x.is_zero() for x in pairs) or h[-1].is_zero() or h[n - 1].is_zero():
@@ -544,8 +489,35 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
         alpha = a * h[n - 1] * h[-1]
         for x in pairs:
             alpha = alpha * x * x
-        v = w0(a * h[-1]) * kloosterman_eval(gl_theta_spec(k, n), alpha)
-        return CharValue(sgn * v, "closed_form")
+        return CharValue(sgn * (w0(a * h[-1]) * kloosterman_eval(gl_theta_spec(k, n), alpha)))
+    if kind is GroupKind.SP or desc.coset == "plain":
+        # 1/2 (Kl(x) + w0(w) Kl~(x)), Kl~ the quadratic-twisted sum of `spec`
+        if kind is GroupKind.SP:
+            x = a * eps_k * h[-1]
+            for i in range(n - 1):
+                x = x * h[i] * h[i]
+            x = x * h[n - 1]
+            # the quadratic factor carries only a*h_0 (the constraint lives on
+            # the single twisted variable), matching the index-set computation
+            spec, w = sp_spec, a * h[-1]
+        elif kind is GroupKind.SO_SPL:
+            x = a * eps_k * h[0] * h[n - 1] * h[n] * h[n + 1]
+            for i in range(1, n - 1):
+                x = x * h[i] * h[i]
+            spec, w = so_split_spec, eps_k * h[n - 1] * h[n]
+        elif kind is GroupKind.SO_UR:
+            nr, _ = norm_trace(h[n - 1])
+            x = a * eps_k * h[0] * nr * h[n]
+            for i in range(1, n - 1):
+                x = x * h[i] * h[i]
+            spec, w = so_unramified_spec, nr * eps_k
+        else:
+            raise HypothesisFailed(f"no closed form for {kind}/{desc.coset}")
+        v = 0.5 * kloosterman_eval(spec(k, n), x) + 0.5 * w0(w) * kloosterman_eval(
+            spec(k, n, twisted=True), x
+        )
+        return CharValue(sgn * v)
+    # the phi-cosets: zeta (Kl(x) + Kl(-x)), or 0 off the admissible parameters
     if kind is GroupKind.TWISTED_GL:
         u = k.coerce(desc.phi_u)
         pairs = [h[i] + h[2 * n - 1 - i] for i in range(1, n)]
@@ -553,52 +525,37 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
             raise HypothesisFailed("the shifted twisted norm is not affine generic")
         au = a * u
         if not au.is_square():
-            return CharValue(0.0 + 0.0j, "closed_form")
+            return CharValue(0.0 + 0.0j)
         v_root = k.sqrt(au)
-        beta = (v_root * v_root * h[0] + a * h[-1]) / v_root
-        for x in pairs:
-            beta = beta * x
-        val = params.zeta * (
-            kloosterman_eval(kl_simple(k, n), beta)
-            + kloosterman_eval(kl_simple(k, n), -beta)
-        )
-        return CharValue(sgn * val, "closed_form")
-    if kind is GroupKind.SO_SPL:
-        alpha, beta = (k.coerce(x) for x in desc.phi_ab)
+        x = (v_root * v_root * h[0] + a * h[-1]) / v_root
+        for y in pairs:
+            x = x * y
+    elif kind is GroupKind.SO_SPL:
+        alpha, beta = (k.coerce(y) for y in desc.phi_ab)
         if _w0_sign(k, alpha) != (-1) ** params.kappa or _w0_sign(k, beta) != _w0_sign(
             k, -a.inv()
         ):
-            return CharValue(0.0 + 0.0j, "closed_form")
+            return CharValue(0.0 + 0.0j)
         r1 = k.sqrt(-beta * a)
         r2 = k.sqrt(alpha * k.coerce(k.eps.a) ** (-params.kappa))
-        delta = r1.inv() * r2.inv() * a * (-beta * h[0] + h[n + 1])
+        x = r1.inv() * r2.inv() * a * (-beta * h[0] + h[n + 1])
         for i in range(1, n - 1):
-            delta = delta * h[i]
-        delta = delta * (h[n - 1] + alpha * h[n])
-        val = params.zeta * (
-            kloosterman_eval(kl_simple(k, n), delta)
-            + kloosterman_eval(kl_simple(k, n), -delta)
-        )
-        return CharValue(sgn * val, "closed_form")
-    if kind is GroupKind.SO_UR:
+            x = x * h[i]
+        x = x * (h[n - 1] + alpha * h[n])
+    elif kind is GroupKind.SO_UR:
         alpha, beta = desc.phi_ab
         beta = k.coerce(beta)
-        if params.kappa != 0 or not _is_one(alpha):
-            return CharValue(0.0 + 0.0j, "closed_form")
-        if _w0_sign(k, beta) != _w0_sign(k, -a.inv()):
-            return CharValue(0.0 + 0.0j, "closed_form")
+        if params.kappa != 0 or not _is_one(alpha) or _w0_sign(k, beta) != _w0_sign(k, -a.inv()):
+            return CharValue(0.0 + 0.0j)
         r1 = k.sqrt(-beta * a)
         _, tr = norm_trace(h[n - 1])
-        delta = r1.inv() * a * (-beta * h[0] + h[n])
+        x = r1.inv() * a * (-beta * h[0] + h[n])
         for i in range(1, n - 1):
-            delta = delta * h[i]
-        delta = delta * tr
-        val = params.zeta * (
-            kloosterman_eval(kl_simple(k, n), delta)
-            + kloosterman_eval(kl_simple(k, n), -delta)
-        )
-        return CharValue(sgn * val, "closed_form")
-    raise HypothesisFailed(f"no closed form for {kind}/{desc.coset}")
+            x = x * h[i]
+        x = x * tr
+    else:
+        raise HypothesisFailed(f"no closed form for {kind}/{desc.coset}")
+    return CharValue(sgn * (params.zeta * kl_pm(k, n, x)))
 
 
 def affine_char_eval(params: SSCParams, element: CharElement) -> complex:

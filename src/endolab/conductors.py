@@ -662,9 +662,10 @@ def _segment_of(f: PLFunc, u: Fraction) -> int:
 
 
 def ad_phi_restriction(p: int, e: int, nprime: int):
-    """The wild-inertia restriction data of the adjoint of the parameter:
-    central-character indices of the direct summands, the exterior-square
-    bookkeeping count, and the det-twist part."""
+    """The wild-inertia restriction data of the adjoint of the parameter: the
+    central-character orbit of the direct summands and the big-character
+    count M of their exterior square, after checking the exterior square's
+    decomposition and the det twist's central character."""
     if (p - 1) % nprime != 0 or nprime % 2 != 0:
         raise IncompatibleParams("need an even nprime dividing p - 1")
     two_n = p**e * nprime
@@ -691,13 +692,7 @@ def ad_phi_restriction(p: int, e: int, nprime: int):
     det_central = sum(orbit) * (p**e) % p
     if det_central != 0:
         raise IncompatibleParams("det twist has nontrivial central character")
-    return {
-        "orbit": orbit,
-        "ext_big_count": big_mult,
-        "ext_linear_mult": nprime // 2,
-        "det_twist_orbit": orbit,
-        "M": M,
-    }
+    return {"orbit": orbit, "M": M}
 
 
 def swan_of_rep(T: QPrimeTable, vals, filt: FiltSpec) -> Fraction:
@@ -784,10 +779,7 @@ def swan_artin_gamma(p: int, e: int, nprime: int) -> dict:
     if swan_total != n:
         raise IncompatibleParams(f"Swan {swan_total} != n = {n}")
     artin = swan_total + n * (2 * n + 1)
-    out = {
-        "p": p,
-        "e": e,
-        "nprime": nprime,
+    return {
         "n": n,
         "swan": swan_total,
         "swan_exterior_part": swan_ext,
@@ -795,7 +787,4 @@ def swan_artin_gamma(p: int, e: int, nprime: int) -> dict:
         "artin": artin,
         "log_q_gamma": artin / 2,
         "fdc_pass": artin == 2 * n * n + 2 * n,
-        "s_phi_order": 2,
-        "jumps": filt.orders,
     }
-    return out

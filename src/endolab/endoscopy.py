@@ -34,7 +34,7 @@ from .residue import make_field
 from .sums import (
     gauss_sum,
     gl_theta_spec,
-    kl_simple,
+    kl_pm,
     kloosterman_eval,
     so_split_spec,
     so_unramified_spec,
@@ -176,20 +176,15 @@ def pol_products(data: WaldsFamilyData, sign: str = "+", direct: bool = False):
     roots = [
         (one + phi * zeta**j) / (one - phi * zeta**j) for j in range(1, 2 * n + 1)
     ]
-    if sign == "+":
-        dp = one
-        for r in roots[:-1]:
-            dp = dp * (y - r)
-        pm1 = one
-        for r in roots:
-            pm1 = pm1 * (-one - r)
-        return dp * pm1
+    if sign == "-":
+        # the minus polynomial is P(-X) up to sign: y -> -y, roots r -> -r
+        y, roots = -y, [-r for r in roots]
     dp = one
     for r in roots[:-1]:
-        dp = dp * (r - y)  # P'_{-xi}(-y) = - P'_xi(y)
+        dp = dp * (y - r)
     pm1 = one
     for r in roots:
-        pm1 = pm1 * (-one + r)
+        pm1 = pm1 * (-one - r)
     return dp * pm1
 
 
@@ -211,21 +206,16 @@ def delta_iv_walds(
     t = data.tower
     one = t.one()
     phi = t.phi()
-    y = data.y()
-    # P'(-y)P(-1) for the minus family, P'(y)P(-1) for plus and phi_coset
-    prod = pol_products(data, "-" if variant == "minus" else "+", direct)
+    # the minus family is the plus one at y -> -y: P'(-y)P(-1), and on the
+    # linear pair x -> phi * x, which keeps x / tau(x) = -y
+    minus = variant == "minus"
+    y = -data.y() if minus else data.y()
+    prod = pol_products(data, "-" if minus else "+", direct)
     if pair is Pair.GL_SORAM:
-        if variant == "plus":
-            arg = -data.x_gl().inv() * prod * y ** (1 - n) * (one + y)
-        else:
-            arg = -(phi * data.x_gl()).inv() * prod * (-y) ** (1 - n) * (one - y)
-        return sgn_at(data, arg)
+        x = phi * data.x_gl() if minus else data.x_gl()
+        return sgn_at(data, -x.inv() * prod * y ** (1 - n) * (one + y))
     if pair is Pair.SP_SORAM:
-        if variant == "plus":
-            arg = data.c_sp() * prod * y ** (1 - n)
-        else:
-            arg = data.c_sp() * prod * (-y) ** (1 - n)
-        return sgn_at(data, arg)
+        return sgn_at(data, data.c_sp() * prod * y ** (1 - n))
     if pair in (Pair.SOSPL_H, Pair.SOUR_H):
         t_inv = 0 if pair is Pair.SOSPL_H else 1
         kind = PAIR_GROUP[pair]
@@ -245,24 +235,14 @@ def delta_iv_walds(
             cfac = two**2 / (one - w)
         else:
             cfac = -(two**2) * w / (one - w)
-        if variant == "minus":
-            arg = (
-                t.from_int(2 * eta_g)
-                * cplus
-                * (prod * dfac * cfac)
-                * (-y) ** (-n)
-                * (one - y)
-                / (-y - one)
-            )
-        else:
-            arg = (
-                t.from_int(2 * eta_g)
-                * cplus
-                * (prod * dfac * cfac)
-                * y ** (-n)
-                * (one + y)
-                / (y - one)
-            )
+        arg = (
+            t.from_int(2 * eta_g)
+            * cplus
+            * (prod * dfac * cfac)
+            * y ** (-n)
+            * (one + y)
+            / (y - one)
+        )
         return sgn_at(data, arg)
     raise UnknownPair(str(pair))
 
@@ -352,7 +332,6 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
     a_prime_sq = k.coerce(-1) ** (n - 1) * k.eps**nu * k.coerce(4 * a)
     a_prime = k.sqrt(a_prime_sq)
     spec_tw = sp_spec(k, n, twisted=True)
-    spec_n = kl_simple(k, n)
     coeff = ecr_coefficient(Pair.SP_SORAM, n, "plus").evaluate(k)
     coeff_minus = ecr_coefficient(Pair.SP_SORAM, n, "minus").evaluate(k)
     two_n = k.coerce(2) ** n
@@ -366,8 +345,7 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
                 raise IdentityFailed(f"vanishing side fails at u={u}")
             continue
         v = k.sqrt(k.coerce(-1) ** (n - 1) * k.eps**nu * u.inv())
-        idx = two_n * a_prime * v.inv()
-        rhs_kl = kloosterman_eval(spec_n, idx) + kloosterman_eval(spec_n, -idx)
+        rhs_kl = kl_pm(k, n, two_n * a_prime * v.inv())
         if abs(lhs - coeff * rhs_kl) > TOL:
             raise IdentityFailed(f"descent identity fails at u={u}")
         # central-sign variant at the negative family element
@@ -390,7 +368,6 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int):
         raise IdentityFailed("zeta^2 != w0(-1)")
     spec_gl = gl_theta_spec(k, n)
     spec_tw = sp_spec(k, n, twisted=True)
-    spec_n = kl_simple(k, n)
     w02 = w0(k.coerce(2))
     for u in k.units():
         # plain identity: w0(2) Theta^{GL}(g_u) = (Theta difference)(g_u^Sp)
@@ -410,12 +387,7 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int):
             beta = (vb * vb + k.coerce(b) * u) / vb  # components (1,..,1,u)
             for _ in range(n - 1):
                 beta = beta * k.coerce(2)
-            lhs2 = (
-                q**0.5
-                * w0(k.coerce(-2))
-                * zeta
-                * (kloosterman_eval(spec_n, beta) + kloosterman_eval(spec_n, -beta))
-            )
+            lhs2 = q**0.5 * w0(k.coerce(-2)) * zeta * kl_pm(k, n, beta)
         rhs2 = xi * rhs
         if abs(lhs2 - rhs2) > TOL:
             raise IdentityFailed(f"coset lift identity fails at u={u}")
@@ -443,7 +415,6 @@ def so_even_packet_verify(
         if t_inv
         else so_split_spec(k, n, twisted=True)
     )
-    spec_n = kl_simple(k, n)
     sign_main = w0m1 if not t_inv else -w0m1
     two = k.coerce(2)
     for u in k.units():
@@ -460,8 +431,7 @@ def so_even_packet_verify(
                 raise IdentityFailed(f"inadmissible side fails at u={u}")
             continue
         v = k.sqrt(k.coerce(-1) ** (n - 1) * u / k.eps**nu)
-        idx = two**n * k.coerce(a_plus) * v
-        rhs_kl = kloosterman_eval(spec_n, idx) + kloosterman_eval(spec_n, -idx)
+        rhs_kl = kl_pm(k, n, two**n * k.coerce(a_plus) * v)
         if abs(lhs - sign_main * q * rhs_kl) > TOL:
             raise IdentityFailed(f"main identity fails at u={u} ({kind})")
         # central-sign comparison at the negative elements

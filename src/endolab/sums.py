@@ -147,6 +147,13 @@ def kloosterman_eval(spec: KloostermanSpec, u: FFElem) -> complex:
     return kloosterman_table(spec)[spec.field.dlog(u)]
 
 
+def kl_pm(fld: FiniteField, n: int, u: FFElem) -> complex:
+    """Kl^n_u + Kl^n_{-u}: the sum over both square roots on the phi-cosets
+    and in the packet identities."""
+    spec = kl_simple(fld, n)
+    return kloosterman_eval(spec, u) + kloosterman_eval(spec, -u)
+
+
 def kloosterman_eval_direct(spec: KloostermanSpec, u: FFElem) -> complex:
     """Transparent oracle: enumerate every tuple and filter by the constraint."""
     spec.guard()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from endolab import characters, suites
+from endolab import characters, sums, suites
 from endolab.characters import (
     CharElement,
     SSCParams,
@@ -18,7 +18,7 @@ from endolab.characters import (
 )
 from endolab.errors import InvalidParams, OutOfDomain
 from endolab.families import FAMILY_VARIANTS, base_field, family_matrix, nu_of_u
-from endolab.groups import GroupId, GroupKind, group_identity, phi_element
+from endolab.groups import GroupId, GroupKind, GroupMatrix, group_identity, phi_element
 from endolab.residue import QuadExtension, make_field, quad_extension
 from endolab.suites import _params_grid
 from endolab.sums import kl_simple, kloosterman_eval, sp_spec
@@ -282,3 +282,36 @@ def test_psi_sum_memo_is_keyed_by_value(kind):
             assert value == char_brute_force(params, family_element(kind, n, q, u, variant)).value
             values.add(value)
         assert len(values) > 1
+
+
+@pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
+def test_negative_valuation_entry_is_out_of_domain(kind):
+    """An entry p^-1 puts the element outside the character's domain on every
+    kind; the brute-force route must refuse it, not rescale it."""
+    el = family_element(kind, 2, 5, 1, "plus")
+    entries = [list(row) for row in el.matrix.entries]
+    entries[0][0] = el.matrix.base.from_int(5).inv()
+    bad = CharElement(el.group, GroupMatrix(el.group, el.matrix.base, entries))
+    with pytest.raises(OutOfDomain):
+        char_brute_force(SSCParams(el.group, 1), bad)
+
+
+def test_brute_force_route_reads_no_closed_form(monkeypatch):
+    """The brute-force route evaluates every kind's families and a random
+    element with the Kloosterman evaluators and the closed form disabled."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the brute-force route reached the closed-form side")
+
+    monkeypatch.setattr(characters, "kloosterman_eval", forbidden)
+    monkeypatch.setattr(sums, "kloosterman_table", forbidden)
+    monkeypatch.setattr(characters, "char_closed_form", forbidden)
+    q, n = 5, 2
+    rng = random.Random(0)
+    for kind, variants in FAMILY_VARIANTS.items():
+        elements = [family_element(kind, n, q, u, v) for u in range(1, q) for v in variants]
+        nu = nu_of_u(K, n, 1) if kind is GroupKind.SO_RAM else 0
+        elements.append(random_affine_generic(GroupId(kind, n, nu), q, rng))
+        for el in elements:
+            for params in _params_grid(el.group, q):
+                assert isinstance(char_brute_force(params, el).value, complex)
