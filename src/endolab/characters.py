@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EndolabError, HypothesisFailed, InvalidParams, OutOfDomain
-from .families import base_field, family_matrix, nu_of_u, so_even_phi_params
+from .families import base_field, family_matrix, family_phi, nu_of_u
 from .groups import (
     SAMPLE_TRIES,
     GroupId,
@@ -46,6 +46,11 @@ from .sums import (
 )
 
 
+# the kinds whose characters take kappa, resp. zeta
+KAPPA_KINDS = frozenset({GroupKind.SP, GroupKind.SO_SPL, GroupKind.SO_UR})
+ZETA_KINDS = frozenset({GroupKind.TWISTED_GL, GroupKind.SO_SPL, GroupKind.SO_UR})
+
+
 @dataclass(frozen=True)
 class SSCParams:
     """Parameters of a simple supercuspidal representation.
@@ -54,6 +59,7 @@ class SSCParams:
     group uses (a, zeta) with the quadratic central character implied; the
     symplectic group uses (xi, kappa, a); the ramified even orthogonal group
     (xi, a); the split/unramified even orthogonal groups (xi, kappa, a, zeta).
+    kappa = 1 is refused on a kind without kappa.
     """
 
     group: GroupId
@@ -67,6 +73,8 @@ class SSCParams:
             raise InvalidParams("xi must be a sign")
         if self.kappa not in (0, 1):
             raise InvalidParams("kappa must be 0 or 1")
+        if self.kappa and self.group.kind not in KAPPA_KINDS:
+            raise InvalidParams(f"kappa is not a parameter of {self.group.kind.value}")
         if self.group.kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
             if self.zeta not in (1, -1):
                 raise InvalidParams("zeta must be a sign here")
@@ -79,13 +87,13 @@ class CharValue:
 
 @dataclass
 class CharElement:
-    """An element of the character's domain: +-h * phi^k with h in I+."""
+    """An element of the character's domain: +-h * phi^k with h in I+;
+    ``phi`` holds the residue parameters of ``phi_element`` on the phi coset
+    (k = 1) and is empty off it."""
 
     group: GroupId
     matrix: GroupMatrix
-    coset: str = "plain"  # "plain" or "phi"
-    phi_u: int | None = None  # twisted-GL coset parameter
-    phi_ab: tuple | None = None  # even-orthogonal coset parameters
+    phi: tuple = ()
     # the brute-force route's (coset sign, psi-sum) per (kappa, a mod p); the
     # plain coset's slot-residue histogram reads no parameter and is kept once
     _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -96,26 +104,19 @@ class CharElement:
         """The matrix with its phi factor split off: g * phi^-1 on the
         even-orthogonal cosets, phi^-1 * g on the twisted linear coset, g
         off the cosets."""
-        if self.coset != "phi":
+        if not self.phi:
             return self.matrix
+        phi = phi_element(self.group, self.matrix.base, *self.phi)
         if self.group.kind is GroupKind.TWISTED_GL:
-            phi = phi_element(self.group, self.matrix.base, self.phi_u)
             return phi.inv() * self.matrix
-        phi = phi_element(self.group, self.matrix.base, *self.phi_ab)
         return self.matrix * phi.inv()
 
 
 def family_element(kind: GroupKind, n: int, q: int, u: int, variant: str) -> CharElement:
-    """The ``variant`` family element at the unit u, with the coset data of
-    the phi-coset families (the twisted linear minus family included)."""
+    """The ``variant`` family element at the unit u, with its phi coset."""
     nu = nu_of_u(make_field(q), n, u) if kind is GroupKind.SO_RAM else 0
     gid = GroupId(kind, n, nu)
-    g = family_matrix(gid, q, u, variant)
-    if variant == "phi_coset":
-        return CharElement(gid, g, coset="phi", phi_ab=so_even_phi_params(gid, q, u))
-    if variant == "minus" and kind is GroupKind.TWISTED_GL:
-        return CharElement(gid, g, coset="phi", phi_u=u)
-    return CharElement(gid, g)
+    return CharElement(gid, family_matrix(gid, q, u, variant), family_phi(gid, q, u, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +217,9 @@ def torus_index_set(params: SSCParams, element: CharElement):
         return [h + t for h in [(x,) for x in half] for t in tuples(n - 1)]
     if kind is GroupKind.SO_RAM:
         return tuples(n - 1)
-    if kind is GroupKind.SO_SPL and element.coset == "plain":
+    if kind is GroupKind.SO_SPL and not element.phi:
         return [h + t for h in [(x,) for x in half] for t in tuples(n)]
-    if kind is GroupKind.SO_UR and element.coset == "plain":
+    if kind is GroupKind.SO_UR and not element.phi:
         ext_units = _norm_one(p)
         return [
             h + t + (tt,)
@@ -226,17 +227,17 @@ def torus_index_set(params: SSCParams, element: CharElement):
             for t in tuples(n - 1)
             for tt in ext_units
         ]
-    if kind is GroupKind.TWISTED_GL and element.coset == "plain":
+    if kind is GroupKind.TWISTED_GL and not element.phi:
         # (t_1..t_{n-1}, z) with t_n = 1
         return [t + (z,) for t in tuples(n - 1) for z in units]
     if kind is GroupKind.TWISTED_GL:
-        au = k.coerce(params.a * element.phi_u)
+        au = k.coerce(params.a * element.phi[0])
         if not au.is_square():
             return []
         w = k.sqrt(au)
         return [t + (tn,) for t in tuples(n - 1) for tn in (w.a, (-w).a)]
     if kind is GroupKind.SO_SPL:
-        alpha, beta = element.phi_ab
+        alpha, beta = element.phi
         c1 = k.coerce(-params.a) * k.coerce(beta)
         c2 = k.coerce(alpha) * k.coerce(k.eps.a) ** (-params.kappa)
         if not (c1.is_square() and c2.is_square()):
@@ -249,25 +250,15 @@ def torus_index_set(params: SSCParams, element: CharElement):
             for s in (xn1.a, (-xn1).a)
         ]
     if kind is GroupKind.SO_UR:
-        alpha, beta = element.phi_ab
-        if params.kappa != 0 or not _is_one(alpha):
+        (beta,) = element.phi
+        if params.kappa != 0:
             return []
         c1 = k.coerce(-params.a) * k.coerce(beta)
         if not c1.is_square():
             return []
         x1 = k.sqrt(c1)
         return [(x1.a,) + t + (s,) for t in tuples(n - 1) for s in (1, -1)]
-    raise HypothesisFailed(f"no index set for {kind}/{element.coset}")
-
-
-def _w0_sign(k, x) -> int:
-    return 1 if k.dlog(k.coerce(x)) % 2 == 0 else -1
-
-
-def _is_one(alpha):
-    if hasattr(alpha, "a"):
-        return alpha.a == 1 and alpha.b == 0
-    return alpha == 1
+    raise HypothesisFailed(f"no index set for {kind}")
 
 
 def _norm_one(p: int):
@@ -296,7 +287,7 @@ def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
     sign, total = element._hists[key]
     if total is None:
         return CharValue(0.0 + 0.0j)
-    factor = params.zeta if element.coset == "phi" else 1.0
+    factor = params.zeta if element.phi else 1.0
     if sign < 0:
         factor = params.xi * factor
     return CharValue(total * factor)
@@ -307,7 +298,7 @@ def _psi_sum(params: SSCParams, element: CharElement):
     its slot-residue histogram, None when the torus index set is empty."""
     gl = element.group.kind is GroupKind.TWISTED_GL
     histogram = _gl_histogram if gl else _standard_histogram
-    if element.coset == "phi":
+    if element.phi:
         sign, hist = histogram(params, element)
     else:
         if element._plain_hist is None:
@@ -393,7 +384,7 @@ def _gl_histogram(params: SSCParams, element: CharElement):
     a_lift = params.a % p
     hist: dict = {}
     for rep in torus_index_set(params, element):
-        if element.coset == "plain":
+        if not element.phi:
             ts = list(rep[:-1])
             z = rep[-1]
             t = [0] * N
@@ -403,7 +394,7 @@ def _gl_histogram(params: SSCParams, element: CharElement):
             for i in range(n, N):
                 t[i] = (z * pow(t[N - 1 - i], -1, mod)) % mod
         else:
-            au = (params.a * element.phi_u) % p
+            au = (params.a * element.phi[0]) % p
             ts = list(rep[:-1]) + [rep[-1] % p]
             t = [0] * N
             for i in range(n):
@@ -415,7 +406,7 @@ def _gl_histogram(params: SSCParams, element: CharElement):
             [(t[i] * m[i][j] * t[N - 1 - j]) % mod for j in range(N)]
             for i in range(N)
         ]
-        if element.coset == "phi":
+        if element.phi:
             x = [[0] * N for _ in range(N)]
             for j in range(N):
                 for i in range(1, N):
@@ -443,13 +434,12 @@ def _gl_histogram(params: SSCParams, element: CharElement):
 
 @dataclass(frozen=True)
 class ElementDescriptor:
-    """Group kind, simple affine components, and coset data of an element."""
+    """Group kind, simple affine components, phi coset (``CharElement.phi``)
+    and +-I+ sign of an element."""
 
     group: GroupId
     components: tuple
-    coset: str = "plain"
-    phi_u: int | None = None
-    phi_ab: tuple | None = None
+    phi: tuple = ()
     sign: int = 1
 
 
@@ -462,9 +452,7 @@ def describe(element: CharElement) -> ElementDescriptor:
             raise OutOfDomain("element is not in the character's domain")
         hpart, sign = neg, -1
     comps = tuple(simple_affine_components(hpart))
-    return ElementDescriptor(
-        element.group, comps, element.coset, element.phi_u, element.phi_ab, sign
-    )
+    return ElementDescriptor(element.group, comps, element.phi, sign)
 
 
 def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
@@ -482,7 +470,7 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
         for x in h:
             alpha = alpha * x
         return CharValue(sgn * kloosterman_eval(kl_simple(k, n), alpha))
-    if kind is GroupKind.TWISTED_GL and desc.coset == "plain":
+    if kind is GroupKind.TWISTED_GL and not desc.phi:
         pairs = [h[i] + h[2 * n - 2 - i] for i in range(n - 1)]
         if any(x.is_zero() for x in pairs) or h[-1].is_zero() or h[n - 1].is_zero():
             raise HypothesisFailed("the twisted norm is not affine generic")
@@ -490,7 +478,7 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
         for x in pairs:
             alpha = alpha * x * x
         return CharValue(sgn * (w0(a * h[-1]) * kloosterman_eval(gl_theta_spec(k, n), alpha)))
-    if kind is GroupKind.SP or desc.coset == "plain":
+    if kind is GroupKind.SP or not desc.phi:
         # 1/2 (Kl(x) + w0(w) Kl~(x)), Kl~ the quadratic-twisted sum of `spec`
         if kind is GroupKind.SP:
             x = a * eps_k * h[-1]
@@ -512,14 +500,14 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
                 x = x * h[i] * h[i]
             spec, w = so_unramified_spec, nr * eps_k
         else:
-            raise HypothesisFailed(f"no closed form for {kind}/{desc.coset}")
+            raise HypothesisFailed(f"no closed form for {kind}")
         v = 0.5 * kloosterman_eval(spec(k, n), x) + 0.5 * w0(w) * kloosterman_eval(
             spec(k, n, twisted=True), x
         )
         return CharValue(sgn * v)
     # the phi-cosets: zeta (Kl(x) + Kl(-x)), or 0 off the admissible parameters
     if kind is GroupKind.TWISTED_GL:
-        u = k.coerce(desc.phi_u)
+        u = k.coerce(desc.phi[0])
         pairs = [h[i] + h[2 * n - 1 - i] for i in range(1, n)]
         if any(x.is_zero() for x in pairs) or (u * h[0] + h[-1]).is_zero():
             raise HypothesisFailed("the shifted twisted norm is not affine generic")
@@ -531,30 +519,26 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
         for y in pairs:
             x = x * y
     elif kind is GroupKind.SO_SPL:
-        alpha, beta = (k.coerce(y) for y in desc.phi_ab)
-        if _w0_sign(k, alpha) != (-1) ** params.kappa or _w0_sign(k, beta) != _w0_sign(
-            k, -a.inv()
-        ):
+        alpha, beta = (k.coerce(y) for y in desc.phi)
+        c1, c2 = -beta * a, alpha / eps_k
+        if not (c1.is_square() and c2.is_square()):
             return CharValue(0.0 + 0.0j)
-        r1 = k.sqrt(-beta * a)
-        r2 = k.sqrt(alpha * k.coerce(k.eps.a) ** (-params.kappa))
-        x = r1.inv() * r2.inv() * a * (-beta * h[0] + h[n + 1])
+        x = k.sqrt(c1).inv() * k.sqrt(c2).inv() * a * (-beta * h[0] + h[n + 1])
         for i in range(1, n - 1):
             x = x * h[i]
         x = x * (h[n - 1] + alpha * h[n])
     elif kind is GroupKind.SO_UR:
-        alpha, beta = desc.phi_ab
-        beta = k.coerce(beta)
-        if params.kappa != 0 or not _is_one(alpha) or _w0_sign(k, beta) != _w0_sign(k, -a.inv()):
+        beta = k.coerce(desc.phi[0])
+        c1 = -beta * a
+        if params.kappa != 0 or not c1.is_square():
             return CharValue(0.0 + 0.0j)
-        r1 = k.sqrt(-beta * a)
         _, tr = norm_trace(h[n - 1])
-        x = r1.inv() * a * (-beta * h[0] + h[n])
+        x = k.sqrt(c1).inv() * a * (-beta * h[0] + h[n])
         for i in range(1, n - 1):
             x = x * h[i]
         x = x * tr
     else:
-        raise HypothesisFailed(f"no closed form for {kind}/{desc.coset}")
+        raise HypothesisFailed(f"no closed form for {kind}")
     return CharValue(sgn * (params.zeta * kl_pm(k, n, x)))
 
 
@@ -566,11 +550,8 @@ def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
     linear coset included) and applies the central-sign rule to every kind.
     """
     p = element.matrix.base.p
-    if element.coset == "phi":
-        if params.group.kind is GroupKind.TWISTED_GL:
-            phi = phi_element(params.group, element.matrix.base, element.phi_u)
-        else:
-            phi = phi_element(params.group, element.matrix.base, *element.phi_ab)
+    if element.phi:
+        phi = phi_element(params.group, element.matrix.base, *element.phi)
         hpart = element.matrix * phi.inv()
         zfac = params.zeta
     else:

@@ -5,11 +5,15 @@ Exit codes: 0 when every selected check passes, 1 on a check failure, 2 on
 usage errors, 3 when a cap or precision guard trips.  A value outside an
 option's domain is a usage error: ``--p`` and a prime field's ``--q`` are odd
 primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
-``--xi``, ``--kappa`` take their two values, and ``--u``, ``--a``, ``--u0`` are
-units mod the characteristic.  ``--nprime`` and the ``--e`` of ``tower val``,
-``tower hilbert`` and ``conductor compute`` are positive, ``--coeffs``, ``--x``
-and ``--y`` list ``--e`` integers, and ``conductor compute``'s ``--nprime`` is
-an even divisor of p - 1.  Each subcommand takes only the report flags its
+``--xi``, ``--kappa`` and ``--zeta`` take their two values, and ``--u``,
+``--a``, ``--u0`` are units mod the characteristic.  ``char eval`` takes
+``--kappa 1`` only on the kinds with kappa (sp, so_spl, so_ur) and ``--zeta``
+only on the kinds with zeta (gl_theta, so_spl, so_ur), as the sign of zeta
+against its base value: ``suites._gl_zeta`` on gl_theta, 1 on so_spl and
+so_ur.  ``--nprime`` and the ``--e`` of ``tower val``, ``tower hilbert`` and
+``conductor compute`` are positive, ``--coeffs``, ``--x`` and ``--y`` list
+``--e`` integers, and ``conductor compute``'s ``--nprime`` is an even divisor
+of p - 1.  Each subcommand takes only the report flags its
 handler reads; they fall back to ``ENDOLAB_``-prefixed environment variables.
 The suites time every row; the report is emitted with each row's ``elapsed``
 zeroed unless ``--timings`` is given, so it is deterministic for a fixed seed.
@@ -32,7 +36,15 @@ from .errors import (
     UnsupportedDegree,
 )
 from . import suites
-from .characters import SSCParams, char_brute_force, char_closed_form, describe, family_element
+from .characters import (
+    KAPPA_KINDS,
+    ZETA_KINDS,
+    SSCParams,
+    char_brute_force,
+    char_closed_form,
+    describe,
+    family_element,
+)
 from .conductors import ramification_stages, swan_artin_gamma
 from .endoscopy import Pair, pair_variants, transfer_factor
 from .families import FAMILY_VARIANTS, get_tower
@@ -41,7 +53,7 @@ from .padic import extract_jumps, herbrand_compose, tame_hilbert
 from .residue import field_size, make_field, p_digits
 from .sums import catalog, kl_simple, kloosterman_eval
 
-CAPS = {"heis": 243, "n": 4}
+CAPS = {"n": 4}
 
 # the benchmark's query loop (perfbench/child.py) builds elements by this name
 _char_element = family_element
@@ -193,7 +205,7 @@ def build_parser():
     ce.add_argument("--xi", type=int, choices=(1, -1), default=1)
     ce.add_argument("--kappa", type=int, choices=(0, 1), default=0)
     ce.add_argument("--a", type=int, required=True)
-    ce.add_argument("--zeta", type=float, default=None)
+    ce.add_argument("--zeta", type=int, choices=(1, -1), default=None)
     ce.add_argument("--u", type=int, required=True)
     ce.add_argument("--variant", default="plus")
     _add_flags(ce, "tol", "out")
@@ -376,14 +388,13 @@ def cmd_char(args):
     if args.sub == "eval":
         kind = GroupKind(args.group)
         _check_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}")
+        if args.kappa and kind not in KAPPA_KINDS:
+            raise UsageError(f"--group {args.group} has no --kappa 1")
+        if args.zeta is not None and kind not in ZETA_KINDS:
+            raise UsageError(f"--group {args.group} has no --zeta")
         el = family_element(kind, args.n, args.q, args.u, args.variant)
-        if args.zeta is not None:
-            zeta = args.zeta
-        elif kind is GroupKind.TWISTED_GL:
-            zeta = suites._gl_zeta(make_field(args.q))
-        else:
-            zeta = 1.0
-        params = SSCParams(el.group, args.a, args.xi, args.kappa, zeta)
+        z0 = suites._gl_zeta(make_field(args.q)) if kind is GroupKind.TWISTED_GL else 1.0
+        params = SSCParams(el.group, args.a, args.xi, args.kappa, -z0 if args.zeta == -1 else z0)
         desc = describe(el)
         bf = char_brute_force(params, el).value
         cf = char_closed_form(params, desc).value
@@ -435,8 +446,6 @@ def cmd_ecr(args):
 def cmd_conductor(args):
     if args.nprime % 2 or (args.p - 1) % args.nprime:
         raise UsageError(f"--nprime {args.nprime} is not an even divisor of p - 1 = {args.p - 1}")
-    if args.p ** (2 * args.e + 1) > CAPS["heis"]:
-        raise CapExceeded("Heisenberg order beyond cap")
     r = swan_artin_gamma(args.p, args.e, args.nprime)
     _emit_obj(
         {

@@ -20,7 +20,7 @@ from .errors import CapExceeded, IncompatibleParams
 from .padic import PLFunc, herbrand_compose
 from .residue import is_prime, make_field, make_gf, p_digits
 
-ENUM_CAP = 3000
+HEIS_CAP = 3**5  # the largest |Q'| = p^(2e+1) enumerated
 ASSOC_SAMPLES = 20_000
 
 
@@ -82,9 +82,6 @@ class Cyclo:
         a = self.coeffs
         return _reduced(self.p, (a[0], 0) + a[:0:-1])
 
-    def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
-
     def as_integer(self):
         if any(a != 0 for a in self.coeffs[1:]):
             return None
@@ -126,6 +123,8 @@ class HeisParams:
             raise IncompatibleParams("odd prime characteristic required")
         if self.e < 1:
             raise IncompatibleParams("e must be positive")
+        if self.qprime_order > HEIS_CAP:
+            raise CapExceeded(f"|Q'| = {self.qprime_order} beyond the cap {HEIS_CAP}")
 
     @property
     def q_order(self):
@@ -149,8 +148,6 @@ class QGroup:
     def __init__(self, params: HeisParams):
         self.params = params
         p, e = params.p, params.e
-        if params.q_order > 10 * ENUM_CAP:
-            raise CapExceeded(f"|Q| = {params.q_order} beyond enumeration cap")
         self.F = make_gf(p, 4 * e)
         F = self.F
         self.a_set = tuple(a for a in F.elements() if F.pow(a, p**e + 1) == F.one and a != F.zero)
@@ -250,7 +247,7 @@ def q_group_check(params: HeisParams) -> bool:
         return False
     if any(e_i not in table[i] for i in range(n)):
         return False
-    # under the caps only |Q| = 108 (p = 3, e = 1) has |Q|^2 <= 300,000, and
+    # under HEIS_CAP only |Q| = 108 (p = 3, e = 1) has |Q|^2 <= 300,000, and
     # its 108^3 < 1.3 * 10^6 triples are all checked
     for i in range(n):
         for j in range(n):
@@ -270,8 +267,6 @@ class QPrimeTable:
 
     def __init__(self, params: HeisParams):
         p = params.p
-        if params.qprime_order > ENUM_CAP:
-            raise CapExceeded(f"|Q'| = {params.qprime_order} beyond cap")
         self.params = params
         self.Q = q_group(params)
         F = self.Q.F

@@ -72,11 +72,11 @@ class TransferValue:
         u = field.coerce(self.unit)
         if u.is_zero():
             raise InvalidU("transfer unit must be nonzero")
-        s *= 1 if field.dlog(u) % 2 == 0 else -1
+        s *= 1 if u.is_square() else -1
         g = self.gauss % 2
         m = (self.gauss - g) // 2
         h = self.halfq + 2 * m
-        if m % 2 != 0 and field.dlog(field.coerce(-1)) % 2 != 0:
+        if m % 2 != 0 and not field.coerce(-1).is_square():
             s = -s
         return (s, h, g)
 
@@ -328,7 +328,7 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
     k = make_field(p)
     w0 = k.omega0()
     nu = nu_of_u(k, n, a)
-    xi_prime = xi * (1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1)
+    xi_prime = xi * (1 if k.coerce(-1).is_square() else -1)
     a_prime_sq = k.coerce(-1) ** (n - 1) * k.eps**nu * k.coerce(4 * a)
     a_prime = k.sqrt(a_prime_sq)
     spec_tw = sp_spec(k, n, twisted=True)
@@ -406,7 +406,7 @@ def so_even_packet_verify(
     k = make_field(p)
     w0 = k.omega0()
     q = k.q
-    w0m1 = 1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1
+    w0m1 = 1 if k.coerce(-1).is_square() else -1
     xi = (-1) ** t_inv * w0m1 * xi_plus
     a_res = k.coerce(a_plus) ** 2 / (k.coerce(2) ** (2 + t_inv) * k.eps**nu)
     a = a_res.a

@@ -4,7 +4,8 @@ Each family element is the matrix of multiplication by y = (1+phi)/(1-phi) on
 an explicit basis of the Kummer field F[phi_u] (phi_u^{2n} = pi*u), possibly
 glued with the 2-dimensional piece F[sqrt(pi*u~)] and conjugated into the
 standard form by a fixed base-change matrix Q.  ``FAMILY_VARIANTS`` lists
-the families of each group kind.  Weyl-discriminant
+the families of each group kind, and ``family_phi`` the phi coset each lies
+on.  Weyl-discriminant
 valuations are available both as closed values and through the eigenvalue
 route when the needed root of unity lies in Q_p.
 """
@@ -238,16 +239,19 @@ def _q_matrix(group, base, u):
     return rows
 
 
-def so_even_phi_params(group: GroupId, p: int, u: int):
-    """(alpha, beta) of the phi-element representing the mixed-sign class."""
-    n = group.n
-    k = make_field(p)
+def family_phi(group: GroupId, p: int, u: int, variant: str) -> tuple:
+    """The ``phi_element`` parameters, as residue ints, of the phi coset the
+    ``variant`` family lies on, and () off the phi cosets: the twisted linear
+    minus family is phi_u * g_u, the even-orthogonal phi_coset family is
+    g_u * phi_{alpha,beta} up to I+."""
+    if group.kind is GroupKind.TWISTED_GL and variant == "minus":
+        return (u % p,)
+    if variant != "phi_coset":
+        return ()
+    beta = 2 * u * (-1) ** group.n % p
     if group.kind is GroupKind.SO_SPL:
-        alpha = k.coerce(-2).inv()
-        beta = k.coerce(2 * u * (-1) ** (n + 1))
-        return alpha, beta
-    k2 = make_field(p, 2)
-    return k2.one, k.coerce(2 * u * (-1) ** n)
+        return (pow(-2, -1, p), -beta % p)
+    return (beta,)
 
 
 def gl_odd_family(p: int, n: int, u: int) -> GroupMatrix:

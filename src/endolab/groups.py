@@ -34,7 +34,7 @@ from .linalg import (
     poly_shift_basis,
 )
 from .padic import LocalElem, TowerSpec
-from .residue import make_field, norm_trace
+from .residue import make_field
 
 
 class GroupKind(enum.Enum):
@@ -290,66 +290,38 @@ def is_affine_generic(g: GroupMatrix) -> bool:
 # distinguished normalizer elements ------------------------------------------
 
 
-def phi_element(group: GroupId, base: TowerSpec, *params) -> GroupMatrix:
-    """The Iwahori-normalizing elements attached to each group kind."""
+def phi_element(group: GroupId, base: TowerSpec, *params: int) -> GroupMatrix:
+    """The Iwahori-normalizing element with the unit residue parameters
+    ``params``: (a,) on the linear groups, the cycle with a*pi in its corner;
+    (alpha, beta) on the split and (beta,) on the unramified even orthogonal
+    group, swapping e_1 and e_N by beta*pi, with the middle 2x2 block
+    antidiag(1/alpha, alpha), resp. diag(1, -1)."""
     N = group.size
     n = group.n
-    Z = base.zero
+    if any(x % base.p == 0 for x in params):
+        raise InvalidParams("phi parameters must be units")
+    rows = [[base.zero() for _ in range(N)] for _ in range(N)]
     if group.kind in (GroupKind.GL, GroupKind.TWISTED_GL):
         (a,) = params
-        rows = [[Z() for _ in range(N)] for _ in range(N)]
         for i in range(N - 1):
             rows[i][i + 1] = base.one()
-        rows[N - 1][0] = base.from_int(_res_int(a)) * base.pi()
+        rows[N - 1][0] = base.from_int(a) * base.pi()
         return GroupMatrix(group, base, rows)
     if group.kind is GroupKind.SO_SPL:
         alpha, beta = params
-        ai = _res_int(alpha)
-        bi = _res_int(beta)
-        if ai == 0 or bi == 0:
-            raise InvalidParams("phi parameters must be units")
-        rows = [[Z() for _ in range(N)] for _ in range(N)]
-        binv = (base.from_int(bi) * base.pi()).inv()
-        rows[0][N - 1] = binv
-        for i in range(1, n):
-            rows[i][i] = base.one()
-        rows[n][n + 1] = base.from_int(ai).inv()
-        rows[n + 1][n] = base.from_int(ai)
-        for i in range(n + 2, N - 1):
-            rows[i][i] = base.one()
-        rows[N - 1][0] = base.from_int(bi) * base.pi()
-        return GroupMatrix(group, base, rows)
-    if group.kind is GroupKind.SO_UR:
-        alpha, beta = params
-        # alpha = x + y*sqrt(eps) with norm 1, given as a residue-field pair
-        k2 = make_field(base.p, 2)
-        al = alpha if hasattr(alpha, "a") else k2.elem(alpha)
-        bi = _res_int(beta)
-        if bi == 0:
-            raise InvalidParams("phi parameter beta must be a unit")
-        if norm_trace(al)[0].a != 1:
-            raise InvalidParams("alpha must have norm one")
-        rows = [[Z() for _ in range(N)] for _ in range(N)]
-        rows[0][N - 1] = (base.from_int(bi) * base.pi()).inv()
-        for i in range(1, n):
-            rows[i][i] = base.one()
-        eps = base.residue_field.eps.a
-        rows[n][n] = base.from_int(al.a)
-        rows[n][n + 1] = base.from_int(al.b)
-        rows[n + 1][n] = base.from_int((eps * al.b) % base.p)
-        rows[n + 1][n + 1] = base.from_int(al.a)
-        for i in range(n + 2, N - 1):
-            rows[i][i] = base.one()
-        rows[N - 1][0] = base.from_int(bi) * base.pi()
-        # the form's -eps slot: negate column n+1
-        for row in rows:
-            row[n + 1] = -row[n + 1]
-        return GroupMatrix(group, base, rows)
-    raise InvalidParams(f"no phi element for {group.kind}")
-
-
-def _res_int(a):
-    return a.a if hasattr(a, "a") else int(a)
+        rows[n][n + 1] = base.from_int(alpha).inv()
+        rows[n + 1][n] = base.from_int(alpha)
+    elif group.kind is GroupKind.SO_UR:
+        (beta,) = params
+        rows[n][n] = base.one()
+        rows[n + 1][n + 1] = -base.one()
+    else:
+        raise InvalidParams(f"no phi element for {group.kind}")
+    rows[0][N - 1] = (base.from_int(beta) * base.pi()).inv()
+    for i in list(range(1, n)) + list(range(n + 2, N - 1)):
+        rows[i][i] = base.one()
+    rows[N - 1][0] = base.from_int(beta) * base.pi()
+    return GroupMatrix(group, base, rows)
 
 
 # characteristic-polynomial lemmas --------------------------------------------

@@ -377,9 +377,8 @@ def tame_hilbert(x: LocalElem, y: LocalElem, sub: int = 1) -> int:
     vx, ux = _subfield_val_unit(x, sub)
     vy, uy = _subfield_val_unit(y, sub)
     k = x.tower.residue_field
-    w0 = k.omega0()
     t = k.coerce(-1) ** (vx * vy) * ux**vy * uy ** (-vx)
-    return 1 if abs(w0(t) - 1) < 0.5 else -1
+    return 1 if t.is_square() else -1
 
 
 # piecewise-linear Herbrand functions ----------------------------------------

@@ -108,10 +108,6 @@ class FFElem:
             raise ZeroArgument("inverse of zero")
         return self if n else fld.one
 
-    def conj(self):
-        """Galois conjugate a - b*s (acts as x -> x^p for f = 2)."""
-        return FFElem(self.field, self.a, -self.b)
-
     def is_square(self):
         if self.is_zero():
             return True
@@ -426,10 +422,6 @@ class QuadExtension:
     def trace(self, u) -> FFElem:
         x, _ = u
         return x + x
-
-    def conj(self, u):
-        x, y = u
-        return (x, -y)
 
     def units(self):
         k = self.base

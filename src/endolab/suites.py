@@ -42,7 +42,7 @@ from .endoscopy import (
     transfer_factor,
 )
 from .errors import CapExceeded, EndolabError, IdentityFailed
-from .families import FAMILY_VARIANTS, base_field, nu_of_u, weyl_disc_val
+from .families import DISC_TABLE, FAMILY_VARIANTS, base_field, nu_of_u, weyl_disc_val
 from .groups import (
     GroupId,
     GroupKind,
@@ -184,8 +184,7 @@ def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=DEFAULT_TOL):
 
 
 def _gl_zeta(k):
-    w0m1 = 1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1
-    return 1.0 if w0m1 == 1 else 1.0j
+    return 1.0 if k.coerce(-1).is_square() else 1.0j
 
 
 def _params_grid(group: GroupId, q: int):
@@ -347,21 +346,13 @@ def transfer_suite(
 def disc_suite(cases=((2, 5), (2, 13), (3, 7), (3, 13))):
     for n, p in cases:
         ok = True
-        for kind, variants in (
-            (GroupKind.SP, ("plus",)),
-            (GroupKind.TWISTED_GL, ("plus", "minus")),
-            (GroupKind.SO_RAM, ("plus",)),
-            (GroupKind.SO_SPL, ("plus", "phi_coset")),
-            (GroupKind.SO_UR, ("plus", "phi_coset")),
-        ):
-            for var in variants:
-                for u in (1, 2):
-                    nu = nu_of_u(make_field(p), n, u) if kind is GroupKind.SO_RAM else 0
-                    gid = GroupId(kind, n, nu)
-                    try:
-                        weyl_disc_val(gid, p, u, var, direct=True)
-                    except EndolabError:
-                        ok = False
+        for kind, var in DISC_TABLE:
+            for u in (1, 2):
+                nu = nu_of_u(make_field(p), n, u) if kind is GroupKind.SO_RAM else 0
+                try:
+                    weyl_disc_val(GroupId(kind, n, nu), p, u, var, direct=True)
+                except EndolabError:
+                    ok = False
         yield _bit_row("weyl_disc", f"n={n} p={p}", "eigenvalue route", "closed table", ok)
 
 

@@ -98,13 +98,21 @@ def test_affine_char_at_phi_gives_zeta():
     so = GroupId(GroupKind.SO_SPL, 2)
     for kappa in (0, 1):
         for a in (1, 2):
-            alpha = K.eps**kappa
-            beta = -K.coerce(a).inv()
+            alpha = (K.eps**kappa).a
+            beta = (-K.coerce(a).inv()).a
             ph = phi_element(so, B, alpha, beta)
             for zeta in (1, -1):
                 params = SSCParams(so, a, 1, kappa, zeta)
-                el = CharElement(so, ph, coset="phi", phi_ab=(alpha, beta))
+                el = CharElement(so, ph, (alpha, beta))
                 assert abs(affine_char_eval(params, el) - zeta) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [GroupKind.TWISTED_GL, GroupKind.SO_RAM])
+def test_kappa_is_refused_where_the_kind_has_none(kind):
+    gid = GroupId(kind, 2)
+    assert SSCParams(gid, 1, kappa=0).kappa == 0
+    with pytest.raises(InvalidParams):
+        SSCParams(gid, 1, kappa=1)
 
 
 def test_affine_char_out_of_domain():
@@ -133,7 +141,7 @@ def test_index_set_sizes():
 def test_gl_coset_index_set_empty_iff_nonsquare():
     gl = GroupId(GroupKind.TWISTED_GL, 2)
     for u in range(1, P):
-        el = CharElement(gl, family_matrix(gl, P, u, "minus"), coset="phi", phi_u=u)
+        el = CharElement(gl, family_matrix(gl, P, u, "minus"), (u,))
         for a in range(1, P):
             reps = torus_index_set(SSCParams(gl, a, zeta=gl_zeta(K)), el)
             expect_empty = not (K.coerce(a) * K.coerce(u)).is_square()
@@ -178,7 +186,7 @@ def test_gl_coset_zero_when_index_empty():
         for a in range(1, P):
             if (K.coerce(a) * K.coerce(u)).is_square():
                 continue
-            el = CharElement(gl, family_matrix(gl, P, u, "minus"), coset="phi", phi_u=u)
+            el = CharElement(gl, family_matrix(gl, P, u, "minus"), (u,))
             params = SSCParams(gl, a, zeta=gl_zeta(K))
             assert char_brute_force(params, el).value == 0
             assert char_closed_form(params, describe(el)).value == 0

@@ -12,7 +12,7 @@ import endolab
 from endolab.cli import run
 from endolab.errors import EndolabError
 from endolab.groups import GroupKind
-from endolab import cli, suites
+from endolab import characters, cli, suites
 
 
 def run_capture(argv, capsys):
@@ -427,6 +427,14 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["conductor", "compute", "--p", "7", "--e", "1", "--nprime", "4"], 2),
         (["conductor", "compute", "--p", "5", "--e", "0", "--nprime", "2"], 2),
         (["conductor", "compute", "--p", "5", "--e", "1", "--nprime", "0"], 2),
+        # kappa and zeta exist only on the kinds whose characters take them,
+        # and zeta is a sign against its base value
+        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
+        (["char", "eval", "--group", "so_ram", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
+        (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "1"], 2),
+        (["char", "eval", "--group", "so_ram", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "-1"], 2),
+        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "7", "--u", "1", "--a", "1", "--zeta", "1.0"], 2),
+        (["char", "eval", "--group", "so_spl", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "2"], 2),
     ],
 )
 def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):
@@ -434,6 +442,20 @@ def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "check failed" not in captured.err
+
+
+def test_zeta_sign_reaches_the_grid_value_of_minus_i(capsys):
+    """At q = 7, w0(-1) = -1 and the twisted linear zeta is +-i: --zeta -1
+    evaluates the character grid's zeta = -i cell, --zeta 1 its +i cell."""
+    el = characters.family_element(GroupKind.TWISTED_GL, 2, 7, 1, "minus")
+    argv = ["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "7", "--u", "1", "--a", "2"]
+    for sign, zeta in ((-1, -1j), (1, 1j)):
+        code, out = run_capture(argv + ["--variant", "minus", "--zeta", str(sign)], capsys)
+        assert code == 0
+        params = next(s for s in suites._params_grid(el.group, 7) if s.a == 2 and s.zeta == zeta)
+        want = characters.char_brute_force(params, el).value
+        assert abs(want) > 1
+        assert json.loads(out)["lhs"] == [want.real, want.imag]
 
 
 def test_timings_fill_elapsed_only_when_asked(capsys):

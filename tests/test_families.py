@@ -9,8 +9,8 @@ from endolab.families import (
     FAMILY_VARIANTS,
     base_field,
     family_matrix,
+    family_phi,
     nu_of_u,
-    so_even_phi_params,
     weyl_disc_val,
 )
 from endolab.groups import GroupId, GroupKind, phi_element, theta
@@ -46,7 +46,7 @@ def test_family_matrices_are_pinned():
                         if kind is GroupKind.TWISTED_GL:
                             dump.append(_matrix(theta(g)))
                     if kind is GroupKind.SO_UR:
-                        phi = phi_element(gid, base_field(p), *so_even_phi_params(gid, p, u))
+                        phi = phi_element(gid, base_field(p), *family_phi(gid, p, u, "phi_coset"))
                         dump.append(_matrix(phi))
     assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == FAMILY_PIN
 

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from endolab import groups, suites
-from endolab.characters import random_affine_generic
+from endolab.characters import family_element, random_affine_generic
 from endolab.errors import HypothesisFailed, NotAffineGeneric, PrecisionExhausted
 from endolab.families import (
+    FAMILY_VARIANTS,
     base_field,
     family_matrix,
+    family_phi,
     gl_odd_family,
     nu_of_u,
-    so_even_phi_params,
     so_ram_v,
     weyl_disc_val,
 )
@@ -213,16 +214,14 @@ def test_phi_power_is_scalar():
 def test_phi_so_membership():
     for kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
         gid = GroupId(kind, 2)
-        al, be = so_even_phi_params(gid, P, 1)
-        assert is_member(phi_element(gid, B, al, be))
+        assert is_member(phi_element(gid, B, *family_phi(gid, P, 1, "phi_coset")))
 
 
 def test_phi_uniqueness():
     """phi_{a,b} lies in the +-coset of phi_{a',b'} only when the parameters
     agree (the quotient is a diagonal torus element otherwise)."""
     gid = GroupId(GroupKind.SO_SPL, 2)
-    k = make_field(P)
-    params = [(k.coerce(1), k.coerce(1)), (k.coerce(2), k.coerce(1)), (k.coerce(1), k.coerce(3))]
+    params = [(1, 1), (2, 1), (1, 3)]
     for a1, b1 in params:
         for a2, b2 in params:
             ph1 = phi_element(gid, B, a1, b1)
@@ -352,15 +351,26 @@ def test_twisted_norm_components_pattern():
 
 
 def test_coset_families_match_phi_translates():
-    """The mixed-sign family equals g_u * phi_{alpha,beta} up to I+."""
-    for kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-        gid = GroupId(kind, 2)
-        g = family_matrix(gid, P, 1)
-        al, be = so_even_phi_params(gid, P, 1)
-        lhs = g * phi_element(gid, B, al, be)
-        rhs = family_matrix(gid, P, 1, "phi_coset")
-        quot = lhs * rhs.inv()
-        assert iwahori_level(quot) >= Level.IPLUS
+    """Every family on a phi coset, read through family_element with its phi
+    datum, is the plus family translated by that phi up to I+: g_u * phi on
+    the even orthogonal groups, phi * g_u on the twisted linear group."""
+    on_coset = []
+    for kind, variants in FAMILY_VARIANTS.items():
+        for variant in variants:
+            for u in range(1, P):
+                el = family_element(kind, 2, P, u, variant)
+                if not el.phi:
+                    continue
+                on_coset.append((kind, variant))
+                g = family_matrix(el.group, P, u)
+                phi = phi_element(el.group, B, *el.phi)
+                lhs = phi * g if kind is GroupKind.TWISTED_GL else g * phi
+                assert iwahori_level(lhs * el.matrix.inv()) >= Level.IPLUS
+    assert set(on_coset) == {
+        (GroupKind.SO_SPL, "phi_coset"),
+        (GroupKind.SO_UR, "phi_coset"),
+        (GroupKind.TWISTED_GL, "minus"),
+    }
 
 
 # characteristic polynomials ------------------------------------------------------

@@ -1,6 +1,6 @@
 """Report-row plumbing of the suites: identity rows that fail, one `_row`
-call per row, the wall time of each row, and the keyword arguments `run_all`
-hands each suite."""
+call per row, the wall time of each row, the keyword arguments `run_all`
+hands each suite, and the table keys the discriminant suite reads."""
 
 import hashlib
 import json
@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 from endolab import suites
 from endolab.errors import IdentityFailed
+from endolab.families import DISC_TABLE
 
 # the smallest arguments each suite accepts; every suite in SUITES is listed
 SMALL = {
@@ -139,3 +140,19 @@ def test_family_character_grid_is_pinned():
     rows = suites.char_oracle_suite(ns=(2, 3), qs=(3, 5, 7), n_random=0)
     digest = hashlib.sha256(json.dumps([r.as_dict() for r in rows]).encode()).hexdigest()
     assert digest == CHAR_GRID_PIN
+
+
+def test_disc_suite_reads_every_disc_table_key(monkeypatch):
+    """The discriminant rows run the eigenvalue route on every tabulated
+    (kind, variant), the ones the families have no suite for included."""
+    seen = set()
+    weyl_disc_val = suites.weyl_disc_val
+
+    def spy(gid, p, u, variant, direct):
+        seen.add((gid.kind, variant))
+        return weyl_disc_val(gid, p, u, variant, direct)
+
+    monkeypatch.setattr(suites, "weyl_disc_val", spy)
+    rows = suites.disc_suite(cases=((2, 5),))
+    assert [r.passed for r in rows] == [True]
+    assert seen == set(DISC_TABLE)
