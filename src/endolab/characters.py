@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EndolabError, HypothesisFailed, InvalidParams, OutOfDomain
-from .families import base_field, family_matrix, family_phi, nu_of_u
+from .families import family_matrix, family_phi, nu_of_u
 from .groups import (
     SAMPLE_TRIES,
     GroupId,
@@ -106,7 +106,7 @@ class CharElement:
         off the cosets."""
         if not self.phi:
             return self.matrix
-        phi = phi_element(self.group, self.matrix.base, *self.phi)
+        phi = phi_element(self.group, self.matrix.p, *self.phi)
         if self.group.kind is GroupKind.TWISTED_GL:
             return phi.inv() * self.matrix
         return self.matrix * phi.inv()
@@ -120,27 +120,16 @@ def family_element(kind: GroupKind, n: int, q: int, u: int, variant: str) -> Cha
 
 
 # ---------------------------------------------------------------------------
-# reduction of tower matrices to integer matrices
+# the matrix digits the route reads
 
 
-def to_int_matrix(g: GroupMatrix, digits: int):
-    """(rows, mod): rows are integers representing g mod p^digits = mod.  The
-    route conjugates integral matrices only; an entry of negative valuation
-    puts the element outside the character's domain."""
-    p = g.base.p
-    mod = p**digits
-    out = []
-    for row in g.entries:
-        r = []
-        for x in row:
-            if x.is_zero():
-                r.append(0)
-            elif x.phi_valuation() < 0:
-                raise OutOfDomain("entry of negative valuation: outside the character's domain")
-            else:
-                r.append(x.unit[0] * p**x.shift % mod)
-        out.append(r)
-    return out, mod
+def _int_rows(g: GroupMatrix, digits: int):
+    """(rows, mod): the entries of g mod p^digits = mod.  The route conjugates
+    integral matrices only; an entry of negative valuation puts the element
+    outside the character's domain."""
+    if g.s:
+        raise OutOfDomain("entry of negative valuation: outside the character's domain")
+    return g.reduce(digits), g.p**digits
 
 
 def _slot_residue(m, mod, p, slot, pre=1, post=1):
@@ -200,7 +189,7 @@ def torus_index_set(params: SSCParams, element: CharElement):
     coset cases.  Raises when the hypotheses of the matching index-set lemma
     fail, and returns [] when the set is genuinely empty.
     """
-    p = element.matrix.base.p
+    p = element.matrix.p
     k = make_field(p)
     n = params.group.n
     units = [x.a for x in k.units()]
@@ -281,7 +270,7 @@ def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
     """The torus sum of the character formula at the element: the psi-sum,
     taken once per element and (kappa, a mod p), times xi on the minus coset
     of I+ and zeta on the phi coset."""
-    key = (params.kappa, params.a % element.matrix.base.p)
+    key = (params.kappa, params.a % element.matrix.p)
     if key not in element._hists:
         element._hists[key] = _psi_sum(params, element)
     sign, total = element._hists[key]
@@ -306,7 +295,7 @@ def _psi_sum(params: SSCParams, element: CharElement):
         sign, hist = element._plain_hist
     if not hist:
         return sign, None
-    p = element.matrix.base.p
+    p = element.matrix.p
     form = _psi_form(params, p)
     total = 0.0 + 0.0j
     if gl:
@@ -324,8 +313,8 @@ def _standard_histogram(params: SSCParams, element: CharElement):
     """(sign, histogram): the sign of the +-I+ coset and the slot residues of
     the torus conjugates of the I+ part."""
     group = params.group
-    p = element.matrix.base.p
-    m, mod = to_int_matrix(element.h_part, 4)
+    p = element.matrix.p
+    m, mod = _int_rows(element.h_part, 4)
     sign = 1
     d0 = m[0][0] % p
     if d0 == p - 1:
@@ -376,10 +365,10 @@ def _gl_histogram(params: SSCParams, element: CharElement):
     """(1, histogram) of (central residue, slot residues) over the torus
     conjugates, which lie in Z * I+."""
     group = params.group
-    p = element.matrix.base.p
+    p = element.matrix.p
     n = group.n
     N = 2 * n
-    m, mod = to_int_matrix(element.matrix, 5)
+    m, mod = _int_rows(element.matrix, 5)
     slots = group.component_slots()
     a_lift = params.a % p
     hist: dict = {}
@@ -549,9 +538,9 @@ def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
     second ``describe``: it splits g * phi^-1 for every kind (the twisted
     linear coset included) and applies the central-sign rule to every kind.
     """
-    p = element.matrix.base.p
+    p = element.matrix.p
     if element.phi:
-        phi = phi_element(params.group, element.matrix.base, *element.phi)
+        phi = phi_element(params.group, p, *element.phi)
         hpart = element.matrix * phi.inv()
         zfac = params.zeta
     else:
@@ -586,10 +575,9 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random):
     form), built from torus-conjugated family elements; a twisted linear
     element is an I+ draw whose twisted norm g*theta(g) is affine generic."""
     k = make_field(p)
-    base = base_field(p)
     if group.kind is GroupKind.TWISTED_GL:
         mask = iwahori_mask_at(group, Fraction(1, group.coxeter))
-        g = sample_iplus(group, base, mask, rng, lambda g: _generic_in_iplus(g * theta(g)))
+        g = sample_iplus(group, p, mask, rng, lambda g: _generic_in_iplus(g * theta(g)))
         return CharElement(group, g)
     units = [x.a for x in k.units()]
     for _ in range(SAMPLE_TRIES):
@@ -600,14 +588,13 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random):
                 nu = nu_of_u(k, group.n, u)
                 if nu != group.nu_mu:
                     u = (u * k.eps.a) % p
-            t = _random_torus(group, p, rng)
-            tinv = [x.inv() for x in t]
             gm = family_matrix(group, p, u)
+            mod = p**gm.prec
+            t = _random_torus(group, p, mod, rng)
             # t g t^-1 for the diagonal t, entry by entry
-            conj = [
-                [ti * (x * tj) for x, tj in zip(row, tinv)] for ti, row in zip(t, gm.entries)
-            ]
-            factors.append(GroupMatrix(group, base, conj))
+            tinv = [pow(x, -1, mod) for x in t]
+            conj = [[ti * x * tj for x, tj in zip(row, tinv)] for ti, row in zip(t, gm.a)]
+            factors.append(GroupMatrix(group, p, conj, gm.s, gm.prec))
         g = factors[0]
         for f in factors[1:]:
             g = g * f
@@ -619,24 +606,23 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random):
     raise HypothesisFailed("could not sample an affine generic element")
 
 
-def _random_torus(group: GroupId, p: int, rng: random.Random):
-    """The diagonal of an exact integral lift of a residue torus element."""
-    base = base_field(p)
+def _random_torus(group: GroupId, p: int, mod: int, rng: random.Random):
+    """The diagonal, mod ``mod``, of an exact lift of a residue torus element."""
     N = group.size
     n = group.n
     diag = [None] * N
     rank = {GroupKind.SO_RAM: n - 1, GroupKind.SO_SPL: n + 1}.get(group.kind, n)
     for i in range(rank):
         t = rng.randrange(1, p)
-        diag[i] = base.from_int(t)
-        diag[N - 1 - i] = base.from_int(t).inv()
+        diag[i] = t
+        diag[N - 1 - i] = pow(t, -1, mod)
     if group.kind is GroupKind.SO_RAM:
-        diag[n - 1] = base.one()
-        diag[n] = base.one()
+        diag[n - 1] = 1
+        diag[n] = 1
     elif group.kind is GroupKind.SO_UR:
         sgn = rng.choice([1, -1])
-        diag[n] = base.from_int(sgn)
-        diag[n + 1] = base.from_int(sgn)
+        diag[n] = sgn
+        diag[n + 1] = sgn
     return diag
 
 

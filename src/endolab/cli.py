@@ -49,6 +49,7 @@ from .conductors import ramification_stages, swan_artin_gamma
 from .endoscopy import Pair, pair_variants, transfer_factor
 from .families import FAMILY_VARIANTS, get_tower
 from .groups import GroupKind, simple_affine_components
+from .linalg import val_p
 from .padic import extract_jumps, herbrand_compose, tame_hilbert
 from .residue import field_size, make_field, p_digits
 from .sums import catalog, kl_simple, kloosterman_eval
@@ -292,15 +293,17 @@ def _emit_obj(obj, args):
     _write(json.dumps(obj, indent=2, default=str) + "\n", args.out)
 
 
-def _elem_json(x):
-    if x.is_zero():
-        return {"val": None, "digits": []}
-    n = min(6, x.rprec)  # at most six p-adic digits per entry
-    return {"val": x.shift, "digits": p_digits(x.unit[0], x.tower.p, n)}
-
-
 def matrix_json(g):
-    return [[_elem_json(x) for x in row] for row in g.entries]
+    """Each entry of g as its valuation and at most six p-adic digits of its
+    unit part, as many as the matrix's precision certifies."""
+
+    def entry(x):
+        if x == 0:
+            return {"val": None, "digits": []}
+        v = val_p(x, g.p)
+        return {"val": v - g.s, "digits": p_digits(x // g.p**v, g.p, min(6, g.prec - v))}
+
+    return [[entry(x) for x in row] for row in g.a]
 
 
 # command handlers --------------------------------------------------------------

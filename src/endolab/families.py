@@ -3,11 +3,13 @@
 Each family element is the matrix of multiplication by y = (1+phi)/(1-phi) on
 an explicit basis of the Kummer field F[phi_u] (phi_u^{2n} = pi*u), possibly
 glued with the 2-dimensional piece F[sqrt(pi*u~)] and conjugated into the
-standard form by a fixed base-change matrix Q.  ``FAMILY_VARIANTS`` lists
-the families of each group kind, and ``family_phi`` the phi coset each lies
-on.  Weyl-discriminant
-valuations are available both as closed values and through the eigenvalue
-route when the needed root of unity lies in Q_p.
+standard form by a fixed base-change matrix Q.  The tower arithmetic stays in
+``LocalElem``; ``mult_matrix`` turns the coordinates into the ints of a
+``GroupMatrix`` once, and everything after that is int matrix arithmetic.
+``FAMILY_VARIANTS`` lists the families of each group kind, and
+``family_phi`` the phi coset each lies on.  Weyl-discriminant valuations are
+available both as closed values and through the eigenvalue route when the
+needed root of unity lies in Q_p.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidU, RootOfUnityUnavailable, UnsupportedDegree
-from .groups import GroupId, GroupKind, GroupMatrix, group_identity, phi_element
-from .linalg import mat_id, mat_inv, mat_mul
-from .padic import TowerSpec, _cap_abs, sqrt_unit
+from .groups import EXACT_PREC, GroupId, GroupKind, GroupMatrix, phi_element
+from .padic import TowerSpec
 from .residue import make_field
 
 FAMILY_PREC = 8
@@ -39,10 +40,6 @@ def get_tower(p: int, e: int, u0: int, prec: int = FAMILY_PREC) -> TowerSpec:
     return TowerSpec(p, e, u0, prec)
 
 
-def base_field(p: int) -> TowerSpec:
-    return get_tower(p, 1, 1)
-
-
 def family_tower(p: int, n: int, u: int) -> TowerSpec:
     """F[phi_u] with phi_u^{2n} = pi*u."""
     return get_tower(p, 2 * n, u % p)
@@ -54,34 +51,27 @@ def y_element(tower: TowerSpec):
     return (one + phi) / (one - phi)
 
 
-def _coordinates(base: TowerSpec, tower: TowerSpec, z, exponents):
-    """Coordinates of z in the basis {phi^e : e in exponents} over the base."""
-    e = tower.e
-    by_class = {}
-    for pos, b in enumerate(exponents):
-        by_class[b % e] = (pos, b)
-    coords = [base.zero() for _ in exponents]
-    if z.is_zero():
-        return coords
-    pu = base.from_int(tower.p) * base.from_int(tower.u0)
-    for i, c in enumerate(z.unit):
-        if i >= z.rprec:
-            break
-        exp = z.shift + i
-        pos, b = by_class[exp % e]
-        m = (exp - b) // e
-        digits = max(1, (z.rprec - i) // e)
-        cval = base.from_int(c) * pu ** m
-        coords[pos] = coords[pos] + _cap_abs(cval, m + digits)
-    return coords
-
-
-def mult_matrix(base: TowerSpec, tower: TowerSpec, elt, exponents):
-    cols = []
+def mult_matrix(tower: TowerSpec, elt, exponents):
+    """(rows, prec): the int matrix of multiplication by the unit ``elt`` on
+    the basis {phi^b : b in exponents} of the tower over Q_p, one exponent in
+    1..e per class mod e, known mod p^prec.  The unit part sum c_i phi^i of
+    phi^shift * sum c_i phi^i is known mod phi^rprec, so c_i is known mod
+    p^ceil((rprec - i) / e)."""
+    e, p = tower.e, tower.p
+    pos_of = {b % e: pos for pos, b in enumerate(exponents)}
+    pu = p * tower.u0
+    cols, precs = [], []
     for b in exponents:
         z = elt * tower.phi(b)
-        cols.append(_coordinates(base, tower, z, exponents))
-    return [list(row) for row in zip(*cols)]
+        col = [0] * len(exponents)
+        for i, c in enumerate(z.unit[: z.rprec]):
+            exp = z.shift + i
+            pos = pos_of[exp % e]
+            m = (exp - exponents[pos]) // e
+            col[pos] += c * pu**m
+            precs.append(m - (i - z.rprec) // e)
+        cols.append(col)
+    return [list(row) for row in zip(*cols)], min(precs)
 
 
 def so_ram_v(field, n: int, u, nu: int, sign: int = 1):
@@ -137,20 +127,15 @@ def family_matrix(
     k = make_field(p)
     if k.coerce(u).is_zero():
         raise InvalidU("the family parameter must be a unit")
-    base = base_field(p)
     n = group.n
     if group.kind is GroupKind.SP:
         tower = family_tower(p, n, u)
-        m = mult_matrix(base, tower, y_element(tower), list(range(2 * n, 0, -1)))
-        g = GroupMatrix(group, base, m)
+        m, prec = mult_matrix(tower, y_element(tower), list(range(2 * n, 0, -1)))
+        g = GroupMatrix(group, p, m, 0, prec)
         return g if variant == "plus" else g.neg()
     if group.kind is GroupKind.TWISTED_GL:
-        phi = phi_element(group, base, u)
-        one = group_identity(group, base)
-        g = GroupMatrix(group, base, [
-            [one.entries[i][j] + phi.entries[i][j] for j in range(2 * n)]
-            for i in range(2 * n)
-        ])
+        phi = phi_element(group, p, u)
+        g = GroupMatrix(group, p, [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(phi.a)])
         return g if variant == "plus" else phi * g
     if group.kind is GroupKind.SO_RAM:
         nu = nu_of_u(k, n, u)
@@ -158,22 +143,28 @@ def family_matrix(
             raise InvalidU(
                 f"u={u} matches the nu={nu} form, not nu={group.nu_mu}"
             )
-        v = so_ram_v(k, n, u, nu, v_sign)
-        target = base.from_int(k.eps.a**nu) / base.from_int((-1) ** (n - 1) * u)
-        v_exact = sqrt_unit(target, prefer=v)
         tower = family_tower(p, n, u)
         exps = list(range(2 * n - 1, n - 1, -1)) + [2 * n] + list(range(n - 1, 0, -1))
-        m = mult_matrix(base, tower, y_element(tower), exps)
-        q = [base.one()] * n + [v_exact.inv()] + [
-            base.from_int((-1) ** (i + 1)) for i in range(n - 1)
-        ]
-        g = [
-            [q[i] * m[i][j] * q[j].inv() for j in range(2 * n)] for i in range(2 * n)
-        ]
-        gm = GroupMatrix(group, base, g)
+        m, prec = mult_matrix(tower, y_element(tower), exps)
+        mod = p**prec
+        target = k.eps.a**nu * pow((-1) ** (n - 1) * u, -1, mod)
+        v_exact = _sqrt_unit(target, so_ram_v(k, n, u, nu, v_sign).a, p, prec)
+        q = [1] * n + [pow(v_exact, -1, mod)] + [(-1) ** (i + 1) for i in range(n - 1)]
+        g = [[q[i] * x * pow(q[j], -1, mod) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        gm = GroupMatrix(group, p, g, 0, prec)
         return gm if variant == "plus" else gm.neg()
     # the split and unramified even orthogonal groups
     return _so_even_family(group, p, u, variant)
+
+
+def _sqrt_unit(x: int, root: int, p: int, prec: int) -> int:
+    """The square root mod p^prec of the unit x that is root mod p (Newton)."""
+    mod = p**prec
+    half = pow(2, -1, mod)
+    y = root
+    for _ in range(prec.bit_length() + 1):
+        y = (y + x * pow(y, -1, mod)) * half % mod
+    return y
 
 
 def _u_tilde(group: GroupId, p: int, u: int) -> int:
@@ -186,57 +177,56 @@ def _u_tilde(group: GroupId, p: int, u: int) -> int:
 
 
 def _so_even_family(group, p, u, variant):
-    base = base_field(p)
     n = group.n
     tower = family_tower(p, n, u)
-    ut = _u_tilde(group, p, u)
-    tower2 = get_tower(p, 2, ut)
-    mplus = mult_matrix(base, tower, y_element(tower), list(range(2 * n, 0, -1)))
-    mminus = mult_matrix(base, tower2, y_element(tower2), [2, 1])
+    tower2 = get_tower(p, 2, _u_tilde(group, p, u))
+    mplus, prec_plus = mult_matrix(tower, y_element(tower), list(range(2 * n, 0, -1)))
+    mminus, prec_minus = mult_matrix(tower2, y_element(tower2), [2, 1])
     if variant == "phi_coset":
         mminus = [[-x for x in row] for row in mminus]
     # the block-diagonal matrix diag(mplus, mminus)
-    block = [row + [base.zero(), base.zero()] for row in mplus]
-    block += [[base.zero() for _ in range(2 * n)] + row for row in mminus]
-    q = _q_matrix(group, base, u)
-    g = mat_mul(mat_inv(q), mat_mul(block, q))
-    gm = GroupMatrix(group, base, g)
+    block = [row + [0, 0] for row in mplus] + [[0] * (2 * n) + row for row in mminus]
+    q = _q_matrix(group, p, u)
+    gm = q.inv() * (GroupMatrix(group, p, block, 0, min(prec_plus, prec_minus)) * q)
     if variant == "minus":
         return gm.neg()
     return gm
 
 
-def _q_matrix(group, base, u):
+def _q_matrix(group, p, u):
+    """The base change Q, whose corner entries +-1/(2*pi*u) put it at scale 1:
+    the rows below are those of p * Q."""
     n = group.n
     N = 2 * n + 2
-    rows = [[base.zero() for _ in range(N)] for _ in range(N)]
-    inv2pu = (base.from_int(2 * u) * base.pi()).inv()
-    half = base.from_int(2).inv()
+    rows = [[0] * N for _ in range(N)]
+    mod = p ** (EXACT_PREC + 1)
+    inv2u = pow(2 * u, -1, mod)
+    half_p = p * pow(2, -1, mod)
     if group.kind is GroupKind.SO_SPL:
-        rows[0][0] = base.from_int(-1)
-        rows[0][N - 1] = base.from_int((-1) ** n) * inv2pu
+        rows[0][0] = -p
+        rows[0][N - 1] = (-1) ** n * inv2u
         for i in range(1, n):
-            rows[i][i] = base.one()
-        rows[n][n] = -half
-        rows[n][n + 1] = base.one()
+            rows[i][i] = p
+        rows[n][n] = -half_p
+        rows[n][n + 1] = p
         for i in range(n + 1, 2 * n):
-            rows[i][i + 1] = base.from_int((-1) ** (i - n - 1))
-        rows[2 * n][0] = base.from_int(-1)
-        rows[2 * n][N - 1] = base.from_int((-1) ** (n + 1)) * inv2pu
-        rows[2 * n + 1][n] = half
-        rows[2 * n + 1][n + 1] = base.one()
-        return rows
+            rows[i][i + 1] = (-1) ** (i - n - 1) * p
+        rows[2 * n][0] = -p
+        rows[2 * n][N - 1] = (-1) ** (n + 1) * inv2u
+        rows[2 * n + 1][n] = half_p
+        rows[2 * n + 1][n + 1] = p
+        return GroupMatrix(group, p, rows, 1)
     # unramified case
-    rows[0][0] = base.one()
-    rows[0][N - 1] = base.from_int((-1) ** n) * inv2pu
+    rows[0][0] = p
+    rows[0][N - 1] = (-1) ** n * inv2u
     for i in range(1, n + 1):
-        rows[i][i] = base.one()
+        rows[i][i] = p
     for i in range(n + 1, 2 * n):
-        rows[i][i + 1] = base.from_int((-1) ** (i - n))
-    rows[2 * n][n + 1] = base.one()
-    rows[2 * n + 1][0] = base.from_int((-1) ** (n + 1) * u) * base.pi()
-    rows[2 * n + 1][N - 1] = half
-    return rows
+        rows[i][i + 1] = (-1) ** (i - n) * p
+    rows[2 * n][n + 1] = p
+    rows[2 * n + 1][0] = (-1) ** (n + 1) * u * p * p
+    rows[2 * n + 1][N - 1] = half_p
+    return GroupMatrix(group, p, rows, 1)
 
 
 def family_phi(group: GroupId, p: int, u: int, variant: str) -> tuple:
@@ -256,16 +246,12 @@ def family_phi(group: GroupId, p: int, u: int, variant: str) -> tuple:
 
 def gl_odd_family(p: int, n: int, u: int) -> GroupMatrix:
     """1 + phi'_u in the odd linear group, phi' carrying pi*u/2 in two corners."""
-    base = base_field(p)
     N = 2 * n + 1
-    group = GroupId(GroupKind.GL, N)
-    half_u = base.from_int(u) * base.from_int(2).inv() * base.pi()
-    rows = mat_id(base, N)
-    for i in range(N - 1):
-        rows[i][i + 1] = base.one()
+    half_u = u * pow(2, -1, p**EXACT_PREC) * p
+    rows = [[int(i == j or j == i + 1) for j in range(N)] for i in range(N)]
     rows[N - 2][0] = half_u
     rows[N - 1][1] = half_u
-    return GroupMatrix(group, base, rows)
+    return GroupMatrix(GroupId(GroupKind.GL, N), p, rows)
 
 
 # Weyl discriminant valuations --------------------------------------------------

@@ -5,6 +5,10 @@ alcove point; the three filtration steps I, I+, I++ become entry-valuation
 masks ceil(r - x_i + x_j) at levels r = 0, 1/h, 2/h.  Simple affine
 components are residues of designated entries (one of them pi-scaled, and a
 quadratic-extension pair for the unramified even orthogonal group).
+
+A group element is a ``GroupMatrix``: one scaled int matrix p^-s * A over
+Q_p, with A known mod p^prec.  Valuations, masks, residues and both
+characteristic-polynomial checks are read straight from A.
 """
 
 from __future__ import annotations
@@ -23,18 +27,13 @@ from .errors import (
     NotAffineGeneric,
     NotInFiltration,
     NotInIplus,
+    PrecisionExhausted,
 )
-from .linalg import (
-    charpoly,
-    mat_id,
-    mat_inv,
-    mat_mul,
-    mat_transpose,
-    poly_mul,
-    poly_shift_basis,
-)
-from .padic import LocalElem, TowerSpec
+from .linalg import charpoly, mat_inv, mat_mul, mat_transpose, poly_shift_basis
 from .residue import make_field
+
+# p-adic digits kept of an exactly known matrix, beyond its scale
+EXACT_PREC = 12
 
 
 class GroupKind(enum.Enum):
@@ -128,26 +127,58 @@ class GroupId:
         return f"GroupId({self.kind.value}, n={self.n})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupMatrix:
+    """The matrix p^-s * a of a group element over Q_p.
+
+    ``a`` is a tuple of int rows known mod p^prec and kept in [0, p^prec);
+    s >= 0 is the least scale that makes it integral, so s > 0 exactly when
+    an entry has negative valuation.  An exactly known matrix defaults to
+    prec = EXACT_PREC + s.  Products and inverses carry the precision, and
+    reading a digit beyond it raises PrecisionExhausted."""
+
     group: GroupId
-    base: TowerSpec
-    entries: list
+    p: int
+    a: tuple
+    s: int = 0
+    prec: int | None = None
+
+    def __post_init__(self):
+        p, s, rows = self.p, self.s, self.a
+        prec = EXACT_PREC + max(s, 0) if self.prec is None else self.prec
+        if s < 0:
+            rows = [[x * p**-s for x in row] for row in rows]
+            prec, s = prec - s, 0
+        mod = p**prec
+        rows = tuple(tuple(x % mod for x in row) for row in rows)
+        while s and not any(x % p for row in rows for x in row):
+            if prec == 1:
+                raise PrecisionExhausted("matrix indistinguishable from zero")
+            rows = tuple(tuple(x // p for x in row) for row in rows)
+            prec, s = prec - 1, s - 1
+        object.__setattr__(self, "a", rows)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "prec", prec)
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        return GroupMatrix(self.group, self.base, mat_mul(self.entries, other.entries))
+        prec = min(self.prec, other.prec)
+        a = mat_mul(self.a, other.a, self.p**prec)
+        return GroupMatrix(self.group, self.p, a, self.s + other.s, prec)
 
     def inv(self) -> "GroupMatrix":
-        return GroupMatrix(self.group, self.base, mat_inv(self.entries))
+        t, b, prec = mat_inv(self.a, self.p, self.prec)
+        return GroupMatrix(self.group, self.p, b, t - self.s, prec)
 
     def neg(self) -> "GroupMatrix":
-        return GroupMatrix(
-            self.group, self.base, [[-x for x in row] for row in self.entries]
-        )
+        rows = tuple(tuple(-x for x in row) for row in self.a)
+        return GroupMatrix(self.group, self.p, rows, self.s, self.prec)
 
-
-def group_identity(group: GroupId, base: TowerSpec) -> GroupMatrix:
-    return GroupMatrix(group, base, mat_id(base, group.size))
+    def reduce(self, digits: int):
+        """The rows of p^s * self (that is, a) mod p^digits."""
+        if digits > self.prec:
+            raise PrecisionExhausted(f"{digits} digits read of a matrix known to {self.prec}")
+        mod = self.p**digits
+        return [[x % mod for x in row] for row in self.a]
 
 
 def theta(g: GroupMatrix) -> GroupMatrix:
@@ -155,12 +186,12 @@ def theta(g: GroupMatrix) -> GroupMatrix:
     J_N antidiagonal with (i, N+1-i) entry (-1)^(i-1): entry (i, j) is
     (-1)^(i+j) t[N-1-i][N-1-j] for t = (g^T)^{-1}."""
     N = g.group.size
-    t = mat_inv(mat_transpose(g.entries))
+    t, b, prec = mat_inv(mat_transpose(g.a), g.p, g.prec)
     out = [
-        [t[N - 1 - i][N - 1 - j] if (i + j) % 2 == 0 else -t[N - 1 - i][N - 1 - j] for j in range(N)]
+        [b[N - 1 - i][N - 1 - j] if (i + j) % 2 == 0 else -b[N - 1 - i][N - 1 - j] for j in range(N)]
         for i in range(N)
     ]
-    return GroupMatrix(g.group, g.base, out)
+    return GroupMatrix(g.group, g.p, out, t - g.s, prec)
 
 
 def _ceil_rule(x, level: Fraction):
@@ -183,27 +214,31 @@ def px_plus_mask_at(n: int):
     return _ceil_rule(x, Fraction(1, 2 * n))
 
 
-def _entry_val_ge(x: LocalElem, m: int, e: int) -> bool:
-    """val(x) >= m (in pi-units) within what the precision can certify."""
-    if x.is_zero():
+def _val_ge(g: GroupMatrix, x: int, m: int) -> bool:
+    """val(p^-s * x) >= m for an int x known mod p^prec, as g's entries are."""
+    k = m + g.s
+    if k <= 0:
         return True
-    return x.phi_valuation() >= m * e
+    if k > g.prec:
+        if x % g.p**g.prec == 0:
+            raise PrecisionExhausted(f"valuation {m} read of an entry known to {g.prec - g.s} digits")
+        return False
+    return x % g.p**k == 0
 
 
 def _fits(g: GroupMatrix, mask, unipotent: bool) -> bool:
     """Off-diagonal entries meet the mask; diagonal entries are units, or
-    1 mod pi when ``unipotent``."""
-    e = g.base.e
-    one = g.base.one()
-    for i, row in enumerate(g.entries):
+    1 mod p when ``unipotent``."""
+    one = g.p**g.s
+    for i, row in enumerate(g.a):
         for j, x in enumerate(row):
             if i != j:
-                if not _entry_val_ge(x, mask[i][j], e):
+                if not _val_ge(g, x, mask[i][j]):
                     return False
             elif unipotent:
-                if not _entry_val_ge(x - one, 1, e):
+                if not _val_ge(g, x - one, 1):
                     return False
-            elif x.is_zero() or x.phi_valuation() != 0:
+            elif not _val_ge(g, x, 0) or _val_ge(g, x, 1):
                 return False
     return True
 
@@ -220,29 +255,28 @@ def iwahori_level(g: GroupMatrix) -> Level:
     return Level.IPLUSPLUS
 
 
-def random_iplus(group: GroupId, base: TowerSpec, mask, rng: random.Random) -> GroupMatrix:
+def random_iplus(group: GroupId, p: int, mask, rng: random.Random) -> GroupMatrix:
     """A seeded element with diagonal entries 1 + p*r and off-diagonal
     entries r*p^mask, r drawn row by row from 0..p-1."""
-    p = base.p
     rows = []
     for i in range(group.size):
         row = []
         for j in range(group.size):
             r = rng.randrange(p)
-            row.append(base.from_int(1 + p * r if i == j else r * p ** mask[i][j]))
+            row.append(1 + p * r if i == j else r * p ** mask[i][j])
         rows.append(row)
-    return GroupMatrix(group, base, rows)
+    return GroupMatrix(group, p, rows)
 
 
 SAMPLE_TRIES = 200
 
 
-def sample_iplus(group: GroupId, base: TowerSpec, mask, rng: random.Random, accept) -> GroupMatrix:
+def sample_iplus(group: GroupId, p: int, mask, rng: random.Random, accept) -> GroupMatrix:
     """The first ``random_iplus`` draw that ``accept`` takes.  A draw on which
     ``accept`` raises an EndolabError is skipped; after SAMPLE_TRIES draws
     without one taken, HypothesisFailed is raised."""
     for _ in range(SAMPLE_TRIES):
-        g = random_iplus(group, base, mask, rng)
+        g = random_iplus(group, p, mask, rng)
         try:
             if accept(g):
                 return g
@@ -255,32 +289,29 @@ def simple_affine_components(g: GroupMatrix):
     """Residue tuple attached to an element of I+."""
     if iwahori_level(g) < Level.IPLUS:
         raise NotInIplus("components are defined on I+ only")
-    base = g.base
+    k = make_field(g.p)
     out = []
     for slot in g.group.component_slots():
         if isinstance(slot[0], tuple):
             (i1, j1, _), (i2, j2, _) = slot
-            a = _residue_at(g.entries[i1][j1], 0, base)
-            b = _residue_at(g.entries[i2][j2], 0, base)
-            kk = make_field(base.p, 2)
-            out.append(kk.elem(a.a, b.a))
+            a = _residue_at(g, g.a[i1][j1], 0)
+            b = _residue_at(g, g.a[i2][j2], 0)
+            out.append(make_field(g.p, 2).elem(a, b))
         else:
             i, j, s = slot
-            out.append(_residue_at(g.entries[i][j], s, base))
+            out.append(k.elem(_residue_at(g, g.a[i][j], s)))
     return out
 
 
-def _residue_at(x: LocalElem, pi_power: int, base: TowerSpec):
-    k = base.residue_field
-    if x.is_zero():
-        return k.zero
-    v = x.phi_valuation()
-    target = pi_power * base.e
-    if v > target:
-        return k.zero
-    if v < target:
-        raise NotInIplus(f"entry valuation {v} below slot level {target}")
-    return x.leading_unit()
+def _residue_at(g: GroupMatrix, x: int, pi_power: int) -> int:
+    """The residue of p^-s * x / p^pi_power for an int x known mod p^prec, as
+    g's entries are; x of valuation below pi_power is refused."""
+    if not _val_ge(g, x, pi_power):
+        raise NotInIplus(f"entry valuation below slot level {pi_power}")
+    k = pi_power + g.s
+    if k >= g.prec:
+        raise PrecisionExhausted(f"digit {pi_power} read of an entry known to {g.prec - g.s} digits")
+    return x // g.p**k % g.p
 
 
 def is_affine_generic(g: GroupMatrix) -> bool:
@@ -290,7 +321,7 @@ def is_affine_generic(g: GroupMatrix) -> bool:
 # distinguished normalizer elements ------------------------------------------
 
 
-def phi_element(group: GroupId, base: TowerSpec, *params: int) -> GroupMatrix:
+def phi_element(group: GroupId, p: int, *params: int) -> GroupMatrix:
     """The Iwahori-normalizing element with the unit residue parameters
     ``params``: (a,) on the linear groups, the cycle with a*pi in its corner;
     (alpha, beta) on the split and (beta,) on the unramified even orthogonal
@@ -298,30 +329,32 @@ def phi_element(group: GroupId, base: TowerSpec, *params: int) -> GroupMatrix:
     antidiag(1/alpha, alpha), resp. diag(1, -1)."""
     N = group.size
     n = group.n
-    if any(x % base.p == 0 for x in params):
+    if any(x % p == 0 for x in params):
         raise InvalidParams("phi parameters must be units")
-    rows = [[base.zero() for _ in range(N)] for _ in range(N)]
+    rows = [[0] * N for _ in range(N)]
     if group.kind in (GroupKind.GL, GroupKind.TWISTED_GL):
         (a,) = params
         for i in range(N - 1):
-            rows[i][i + 1] = base.one()
-        rows[N - 1][0] = base.from_int(a) * base.pi()
-        return GroupMatrix(group, base, rows)
+            rows[i][i + 1] = 1
+        rows[N - 1][0] = a * p
+        return GroupMatrix(group, p, rows)
+    # the rows of p * phi: the corner 1/(beta*pi) puts phi at scale 1
+    mod = p ** (EXACT_PREC + 1)
     if group.kind is GroupKind.SO_SPL:
         alpha, beta = params
-        rows[n][n + 1] = base.from_int(alpha).inv()
-        rows[n + 1][n] = base.from_int(alpha)
+        rows[n][n + 1] = p * pow(alpha, -1, mod)
+        rows[n + 1][n] = p * alpha
     elif group.kind is GroupKind.SO_UR:
         (beta,) = params
-        rows[n][n] = base.one()
-        rows[n + 1][n + 1] = -base.one()
+        rows[n][n] = p
+        rows[n + 1][n + 1] = -p
     else:
         raise InvalidParams(f"no phi element for {group.kind}")
-    rows[0][N - 1] = (base.from_int(beta) * base.pi()).inv()
+    rows[0][N - 1] = pow(beta, -1, mod)
     for i in list(range(1, n)) + list(range(n + 2, N - 1)):
-        rows[i][i] = base.one()
-    rows[N - 1][0] = base.from_int(beta) * base.pi()
-    return GroupMatrix(group, base, rows)
+        rows[i][i] = p
+    rows[N - 1][0] = beta * p * p
+    return GroupMatrix(group, p, rows, 1)
 
 
 # characteristic-polynomial lemmas --------------------------------------------
@@ -331,60 +364,53 @@ def in_px_plus(g: GroupMatrix) -> bool:
     return _fits(g, px_plus_mask_at((g.group.size - 1) // 2), True)
 
 
-def charpoly_shifted(g: GroupMatrix):
-    """Coefficients of det(T - g) in powers of (T - 1), lowest first."""
-    cp = charpoly(g.entries)
-    return poly_shift_basis(cp, g.base)
-
-
 def charpoly_eisenstein_check(g: GroupMatrix):
     """For affine generic Iwahori-unipotent linear elements: all lower
-    coefficients in the maximal ideal and the constant term congruent to the
-    product of the superdiagonal entries times the corner entry mod pi^2."""
+    coefficients of det(T - g), in powers of (T - 1), in the maximal ideal and
+    the constant term congruent to the product of the superdiagonal entries
+    times the corner entry mod pi^2."""
     if iwahori_level(g) < Level.IPLUS:
         raise NotAffineGeneric("element is not in I+")
     if not is_affine_generic(g):
         raise NotAffineGeneric("element is not affine generic")
     N = g.group.size
-    e = g.base.e
-    coeffs = charpoly_shifted(g)
-    ok = all(_entry_val_ge(coeffs[i], 1, e) for i in range(N))
+    mod = g.p**g.prec
+    coeffs = poly_shift_basis(charpoly(g.a, mod), mod)
+    ok = all(_val_ge(g, coeffs[i], 1) for i in range(N))
     # det(1 - x) picks up a minus sign against the superdiagonal cycle
-    prod = -g.entries[N - 1][0]
+    prod = -g.a[N - 1][0]
     for i in range(N - 1):
-        prod = prod * g.entries[i][i + 1]
-    ok = ok and coeffs[0].equal_mod(prod, 2 * e)
-    a0_res = _residue_at(coeffs[0], 1, g.base) if not coeffs[0].is_zero() else None
+        prod = prod * g.a[i][i + 1]
+    ok = ok and _val_ge(g, (coeffs[0] - prod) % mod, 2)
+    a0_res = make_field(g.p).elem(_residue_at(g, coeffs[0], 1)) if coeffs[0] else None
     return ok, a0_res
 
 
 def twisted_norm_charpoly_check(x: GroupMatrix, norm_y: GroupMatrix | None = None):
     """Characteristic polynomial of x*theta(x) for x in the odd filtration
     group: constant term vanishes, the linear term has the stated residue,
-    and the polynomial factors through the supplied norm."""
+    and the polynomial factors through the supplied (integral) norm."""
     if not in_px_plus(x):
         raise NotInFiltration("element is not in the odd filtration subgroup")
-    base = x.base
+    p = x.p
     N = x.group.size
     n = (N - 1) // 2
-    z = mat_mul(x.entries, theta(x).entries)
-    zg = GroupMatrix(x.group, base, z)
-    coeffs = charpoly_shifted(zg)
-    a0_zero = coeffs[0].is_zero() or coeffs[0].phi_valuation() >= 3 * base.e
+    zg = x * theta(x)
+    z = zg.a
+    mod = p**zg.prec
+    pz = charpoly(z, mod)
+    coeffs = poly_shift_basis(pz, mod)
+    a0_zero = _val_ge(zg, coeffs[0], 3)
     # a1 = -z_23...z_{2n-1,2n} (z_{2n,2n+1} z_{2n+1,2} + z_{2n,1} z_{1,2})
     t = -(z[2 * n - 1][2 * n] * z[2 * n][1] + z[2 * n - 1][0] * z[0][1])
     for i in range(1, 2 * n - 1):
         t = t * z[i][i + 1]
-    a1_ok = coeffs[1].equal_mod(t, 2 * base.e)
+    a1_ok = _val_ge(zg, (coeffs[1] - t) % mod, 2)
     factor_ok = None
     if norm_y is not None:
-        py = charpoly(norm_y.entries)
-        lin = [base.from_int(-1), base.one()]
-        prod = poly_mul(py, lin, base)
-        pz = charpoly(z)
-        factor_ok = all(
-            a.equal_mod(b, min(a.abs_prec(), b.abs_prec()))
-            for a, b in zip(prod, pz)
-        )
-    a1_res = None if coeffs[1].is_zero() else _residue_at(coeffs[1], 1, base)
+        py = charpoly(norm_y.a, p**norm_y.prec)
+        common = p ** min(zg.prec, norm_y.prec)
+        # the coefficients of py * (T - 1) against those of pz
+        factor_ok = all((b - a - c) % common == 0 for a, b, c in zip(py + [0], [0] + py, pz))
+    a1_res = None if coeffs[1] == 0 else make_field(p).elem(_residue_at(zg, coeffs[1], 1))
     return a0_zero and a1_ok and (factor_ok is not False), a1_res

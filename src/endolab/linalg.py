@@ -1,104 +1,77 @@
-"""Dense matrix helpers over tower elements (sizes are at most ~8x8)."""
+"""Dense int-matrix kernels for the group matrices (sizes are at most ~8x8).
+
+A matrix is a tuple of int rows standing for a p-adic integral matrix known
+mod p^prec.  Products and characteristic polynomials are division-free, so
+they are known to the same precision; ``mat_inv`` inverts the int
+representative exactly and certifies the digits that every lift shares.
+"""
 
 from __future__ import annotations
 
+import operator
+
 from .errors import PrecisionExhausted
-from .padic import TowerSpec
 
 
-def mat_id(base: TowerSpec, n: int):
-    return [
-        [base.one() if i == j else base.zero() for j in range(n)] for i in range(n)
-    ]
-
-
-def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def mat_mul(a, b, mod):
+    """a * b with its entries reduced mod ``mod``."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) % mod for col in cols) for row in a)
 
 
 def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
+    return tuple(zip(*a))
 
 
-def mat_inv(a):
-    """Gaussian elimination with minimal-valuation pivoting."""
+def val_p(x: int, p: int) -> int:
+    """The p-adic valuation of the nonzero int x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def mat_inv(a, p: int, prec: int):
+    """(t, b, prec'): a^-1 = p^-t * b with b an int matrix with a unit entry,
+    known mod p^prec' = p^(prec - t).
+
+    The representative is inverted exactly (fraction-free Gauss-Jordan on
+    [a | 1], every division exact), so no pivot choice changes the result.
+    Any lift a + p^prec * e of a has (a + p^prec e)^-1 = a^-1 mod
+    p^(prec - 2t), as p^prec e a^-1 has valuation >= prec - t >= 1; hence
+    b's digits below p^(prec - t) are those of every lift."""
     n = len(a)
-    base = a[0][0].tower
-    work = [list(row) for row in a]
-    inv = mat_id(base, n)
-    for col in range(n):
-        pivot, best = None, None
-        for r in range(col, n):
-            x = work[r][col]
-            if x.is_zero():
-                continue
-            v = x.phi_valuation()
-            if best is None or v < best:
-                pivot, best = r, v
-        if pivot is None:
-            raise PrecisionExhausted("matrix not invertible within precision")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        piv_inv = work[col][col].inv()
-        work[col] = [x * piv_inv for x in work[col]]
-        inv[col] = [x * piv_inv for x in inv[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero():
-                continue
-            c = work[r][col]
-            work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - c * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            r = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if r is None:
+                raise PrecisionExhausted("matrix not invertible within precision")
+            m[k], m[r] = m[r], m[k]
+        piv, rk = m[k][k], m[k]
+        for i in range(n):
+            c = m[i][k]
+            if i != k:
+                m[i] = [(piv * x - c * y) // prev for x, y in zip(m[i], rk)]
+        prev = piv
+    # now m = [det | det * a^-1] up to a common sign
+    d = val_p(prev, p)
+    r = min(val_p(x, p) for row in m for x in row[n:] if x)
+    t = d - r
+    if t >= prec:
+        raise PrecisionExhausted("matrix not invertible within precision")
+    mod = p ** (prec - t)
+    scale = pow(prev // p**d, -1, mod)
+    return t, tuple(tuple(x // p**r * scale % mod for x in row[n:]) for row in m), prec - t
 
 
-# polynomials with LocalElem coefficients ------------------------------------
-
-
-def poly_mul(a, b, base):
-    out = [base.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def poly_add(a, b, base):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else base.zero()
-        y = b[i] if i < len(b) else base.zero()
-        out.append(x + y)
-    return out
-
-
-def poly_neg(a):
-    return [-x for x in a]
-
-
-def charpoly(a):
-    """Coefficients of det(T - a), lowest degree first."""
+def charpoly(a, mod):
+    """Coefficients of det(T - a) mod ``mod``, lowest degree first: the
+    division-free expansion along the rows, one state per set of columns used."""
     n = len(a)
-    base = a[0][0].tower
-    one, zero = base.one(), base.zero()
-    # entries of T - a as degree-<=1 polynomials
-    ent = [
-        [([-a[i][j], one] if i == j else [-a[i][j]]) for j in range(n)]
-        for i in range(n)
-    ]
-    states = {0: [one]}
+    states = {0: [1]}
     for i in range(n):
         new: dict = {}
         for mask, val in states.items():
@@ -106,31 +79,25 @@ def charpoly(a):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                sign = (-1) ** bin(mask >> (j + 1)).count("1")
-                term = poly_mul(val, ent[i][j], base)
-                if sign < 0:
-                    term = poly_neg(term)
-                key = mask | bit
-                if key in new:
-                    new[key] = poly_add(new[key], term, base)
-                else:
-                    new[key] = term
-        states = new
-    out = states[(1 << n) - 1]
-    while len(out) < n + 1:
-        out.append(zero)
-    return out
+                # val * (T*[i == j] - a[i][j]), signed by the columns passed over
+                sign = -1 if bin(mask >> (j + 1)).count("1") % 2 else 1
+                term = [-sign * a[i][j] * x for x in val] + [0]
+                if i == j:
+                    for k, x in enumerate(val):
+                        term[k + 1] += sign * x
+                acc = new.get(mask | bit)
+                new[mask | bit] = term if acc is None else [x + y for x, y in zip(acc, term)]
+        states = {key: [x % mod for x in val] for key, val in new.items()}
+    return states[(1 << n) - 1]
 
 
-def poly_shift_basis(coeffs, base):
-    """Rewrite sum c_i T^i as coefficients in powers of (T - 1)."""
+def poly_shift_basis(coeffs, mod):
+    """Rewrite sum c_i T^i as coefficients in powers of (T - 1), mod ``mod``."""
     # substitute T = S + 1 and expand
-    out = [base.zero()] * len(coeffs)
+    out = [0] * len(coeffs)
     for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
         binom = 1
         for k in range(i + 1):
-            out[k] = out[k] + c * binom
+            out[k] += c * binom
             binom = binom * (i - k) // (k + 1)
-    return out
+    return [x % mod for x in out]

@@ -20,7 +20,6 @@ from .errors import (
     NonMonotone,
     PrecisionExhausted,
     RootOfUnityUnavailable,
-    SquareDiscriminant,
     WrongField,
 )
 from .residue import is_prime, make_field
@@ -193,13 +192,6 @@ class LocalElem:
             )
         return Fraction(self.shift, self.tower.e)
 
-    def phi_valuation(self) -> int:
-        if self.is_zero():
-            raise IndistinguishableFromZero(
-                f"zero to absolute precision phi^{self.shift}"
-            )
-        return self.shift
-
     def abs_prec(self) -> int:
         return self.shift + (self.rprec if self.unit is not None else 0)
 
@@ -329,25 +321,6 @@ def _cap_abs(x, absprec):
     if absprec <= x.shift:
         return LocalElem(x.tower, absprec, None, 0)
     return LocalElem(x.tower, x.shift, x.unit, min(x.rprec, absprec - x.shift))
-
-
-def sqrt_unit(x: LocalElem, prefer=None) -> LocalElem:
-    """Hensel square root of a valuation-zero element whose residue is a
-    square; ``prefer`` picks the residue branch."""
-    if x.is_zero() or x.phi_valuation() != 0:
-        raise SquareDiscriminant("square roots only for valuation-zero units")
-    t = x.tower
-    k = t.residue_field
-    root = k.sqrt(x.leading_unit())
-    if prefer is not None and root != k.coerce(prefer):
-        root = -root
-    if prefer is not None and root != k.coerce(prefer):
-        raise SquareDiscriminant("requested branch is not a square root")
-    y = t.from_int(root.a)
-    inv2 = t.from_int(2).inv()
-    for _ in range(t.rprec_cap.bit_length() + 1):
-        y = (y + x / y) * inv2
-    return y
 
 
 # tame quadratic symbols ------------------------------------------------------

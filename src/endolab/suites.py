@@ -42,7 +42,7 @@ from .endoscopy import (
     transfer_factor,
 )
 from .errors import CapExceeded, EndolabError, IdentityFailed
-from .families import DISC_TABLE, FAMILY_VARIANTS, base_field, nu_of_u, weyl_disc_val
+from .families import DISC_TABLE, FAMILY_VARIANTS, nu_of_u, weyl_disc_val
 from .groups import (
     GroupId,
     GroupKind,
@@ -362,12 +362,11 @@ def disc_suite(cases=((2, 5), (2, 13), (3, 7), (3, 13))):
 @_suite
 def charpoly_suite(q=3, n=2, samples=100, seed=0):
     rng = random.Random(seed)
-    base = base_field(q)
     gid = GroupId(GroupKind.TWISTED_GL, n)
     iplus = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     ok = True
     for _ in range(samples):
-        g = sample_iplus(gid, base, iplus, rng, is_affine_generic)
+        g = sample_iplus(gid, q, iplus, rng, is_affine_generic)
         passed, _ = charpoly_eisenstein_check(g)
         ok = ok and passed
     params = f"q={q} N={2*n} {samples} random"
@@ -377,7 +376,7 @@ def charpoly_suite(q=3, n=2, samples=100, seed=0):
     gid5 = GroupId(GroupKind.GL, N)
     ok = True
     for _ in range(samples):
-        x = sample_iplus(gid5, base, px_plus_mask_at(n), rng, in_px_plus)
+        x = sample_iplus(gid5, q, px_plus_mask_at(n), rng, in_px_plus)
         passed, _ = twisted_norm_charpoly_check(x)
         ok = ok and passed
     params = f"q={q} N={N} {samples} random"

@@ -17,14 +17,13 @@ from endolab.characters import (
     torus_index_set,
 )
 from endolab.errors import InvalidParams, OutOfDomain
-from endolab.families import FAMILY_VARIANTS, base_field, family_matrix, nu_of_u
-from endolab.groups import GroupId, GroupKind, GroupMatrix, group_identity, phi_element
+from endolab.families import FAMILY_VARIANTS, family_matrix, nu_of_u
+from endolab.groups import GroupId, GroupKind, GroupMatrix, phi_element
 from endolab.residue import QuadExtension, make_field, quad_extension
 from endolab.suites import _params_grid
 from endolab.sums import kl_simple, kloosterman_eval, sp_spec
 
 P = 5
-B = base_field(P)
 K = make_field(P)
 
 
@@ -79,7 +78,7 @@ def test_params_validation():
 
 def test_affine_char_at_central_minus_one():
     sp = GroupId(GroupKind.SP, 2)
-    minus = group_identity(sp, B).neg()
+    minus = GroupMatrix(sp, P, [[-int(i == j) for j in range(4)] for i in range(4)])
     for xi in (1, -1):
         params = SSCParams(sp, 1, xi)
         assert affine_char_eval(params, CharElement(sp, minus)) == xi
@@ -100,7 +99,7 @@ def test_affine_char_at_phi_gives_zeta():
         for a in (1, 2):
             alpha = (K.eps**kappa).a
             beta = (-K.coerce(a).inv()).a
-            ph = phi_element(so, B, alpha, beta)
+            ph = phi_element(so, P, alpha, beta)
             for zeta in (1, -1):
                 params = SSCParams(so, a, 1, kappa, zeta)
                 el = CharElement(so, ph, (alpha, beta))
@@ -117,9 +116,8 @@ def test_kappa_is_refused_where_the_kind_has_none(kind):
 
 def test_affine_char_out_of_domain():
     sp = GroupId(GroupKind.SP, 2)
-    d = group_identity(sp, B)
-    d.entries[0][0] = B.pi()
-    d.entries[3][3] = B.pi().inv()
+    # diag(p, 1, 1, 1/p), written at scale 1
+    d = GroupMatrix(sp, P, [[P * P, 0, 0, 0], [0, P, 0, 0], [0, 0, P, 0], [0, 0, 0, 1]], 1)
     with pytest.raises(OutOfDomain):
         affine_char_eval(SSCParams(sp, 1), CharElement(sp, d))
 
@@ -297,9 +295,10 @@ def test_negative_valuation_entry_is_out_of_domain(kind):
     """An entry p^-1 puts the element outside the character's domain on every
     kind; the brute-force route must refuse it, not rescale it."""
     el = family_element(kind, 2, 5, 1, "plus")
-    entries = [list(row) for row in el.matrix.entries]
-    entries[0][0] = el.matrix.base.from_int(5).inv()
-    bad = CharElement(el.group, GroupMatrix(el.group, el.matrix.base, entries))
+    g = el.matrix
+    rows = [[5 * x for x in row] for row in g.a]  # the matrix at scale 1
+    rows[0][0] = 1
+    bad = CharElement(el.group, GroupMatrix(el.group, 5, rows, g.s + 1, g.prec + 1))
     with pytest.raises(OutOfDomain):
         char_brute_force(SSCParams(el.group, 1), bad)
 

@@ -8,7 +8,6 @@ from endolab.characters import family_element, random_affine_generic
 from endolab.errors import HypothesisFailed, NotAffineGeneric, PrecisionExhausted
 from endolab.families import (
     FAMILY_VARIANTS,
-    base_field,
     family_matrix,
     family_phi,
     gl_odd_family,
@@ -22,7 +21,6 @@ from endolab.groups import (
     GroupMatrix,
     Level,
     charpoly_eisenstein_check,
-    group_identity,
     in_px_plus,
     is_affine_generic,
     iwahori_level,
@@ -35,15 +33,26 @@ from endolab.groups import (
     theta,
     twisted_norm_charpoly_check,
 )
-from endolab.linalg import charpoly, mat_id, mat_inv, mat_mul, mat_transpose
+from endolab.linalg import charpoly, mat_transpose
 from endolab.residue import make_field
 
 P = 5
-B = base_field(P)
 
 
 def comps_ints(g):
     return [c.key() if c.field.f == 2 else c.a for c in simple_affine_components(g)]
+
+
+def group_identity(group: GroupId, p: int) -> GroupMatrix:
+    return GroupMatrix(group, p, scalar(1, group.size))
+
+
+def with_entries(g, changes):
+    """g with the entries of its int rows at (i, j) replaced as ``changes`` maps."""
+    rows = [list(row) for row in g.a]
+    for (i, j), x in changes.items():
+        rows[i][j] = x
+    return GroupMatrix(g.group, g.p, rows, g.s, g.prec)
 
 
 # forms and membership: the defining forms and the membership test are
@@ -53,84 +62,91 @@ def comps_ints(g):
 CHECK_DIGITS = 2
 
 
-def form(group: GroupId, base):
-    """The defining bilinear form matrix (None for the general linear kinds)."""
+def form(group: GroupId, p: int):
+    """The defining bilinear form matrix, as int rows (None for the general
+    linear kinds)."""
     N = group.size
     n = group.n
-    k = base.residue_field
+    k = make_field(p)
     if group.kind in (GroupKind.GL, GroupKind.TWISTED_GL):
         return None
-    rows = [[base.zero() for _ in range(N)] for _ in range(N)]
+    rows = [[0] * N for _ in range(N)]
     if group.kind is GroupKind.SP:
         for i in range(N):
-            rows[i][N - 1 - i] = base.from_int((-1) ** i)
+            rows[i][N - 1 - i] = (-1) ** i
         return rows
     if group.kind is GroupKind.SO_SPL:
         for i in range(N):
-            rows[i][N - 1 - i] = base.one()
+            rows[i][N - 1 - i] = 1
         return rows
     if group.kind is GroupKind.SO_RAM:
         for i in range(N):
             if i not in (n - 1, n):
-                rows[i][N - 1 - i] = base.one()
-        rows[n - 1][n - 1] = base.one()
-        rows[n][n] = base.from_int(-(k.eps.a ** group.nu_mu)) * base.pi()
+                rows[i][N - 1 - i] = 1
+        rows[n - 1][n - 1] = 1
+        rows[n][n] = -(k.eps.a ** group.nu_mu) * p
         return rows
     # SO_UR
     for i in range(N):
         if i not in (n, n + 1):
-            rows[i][N - 1 - i] = base.one()
-    rows[n][n] = base.one()
-    rows[n + 1][n + 1] = base.from_int(-k.eps.a)
+            rows[i][N - 1 - i] = 1
+    rows[n][n] = 1
+    rows[n + 1][n + 1] = -k.eps.a
     return rows
 
 
-def mat_eq(a, b, phi_digits):
-    """Entrywise equality to ``phi_digits`` phi-adic digits."""
-    return all(x.equal_mod(y, phi_digits) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def mat_eq(x: GroupMatrix, y: GroupMatrix, digits):
+    """x = y to absolute precision p^digits."""
+    p, s = x.p, max(x.s, y.s)
+    mod = p ** (digits + s)
+    return all(
+        (a * p ** (s - x.s) - b * p ** (s - y.s)) % mod == 0
+        for ra, rb in zip(x.a, y.a)
+        for a, b in zip(ra, rb)
+    )
 
 
 def scalar(c, size):
-    return [[c if i == j else B.zero() for j in range(size)] for i in range(size)]
+    return [[c if i == j else 0 for j in range(size)] for i in range(size)]
 
 
 def is_member(g: GroupMatrix) -> bool:
     """Form-compatibility (and det 1 for the orthogonal kinds) to CHECK_DIGITS."""
-    J = form(g.group, g.base)
+    J = form(g.group, g.p)
     if J is None:
         try:
-            mat_inv(g.entries)
+            g.inv()
             return True
         except PrecisionExhausted:
             return False
-    lhs = mat_mul(mat_transpose(g.entries), mat_mul(J, g.entries))
-    if not mat_eq(lhs, J, CHECK_DIGITS):
+    Jm = GroupMatrix(g.group, g.p, J)
+    lhs = GroupMatrix(g.group, g.p, mat_transpose(g.a), g.s, g.prec) * Jm * g
+    if not mat_eq(lhs, Jm, CHECK_DIGITS):
         return False
     if g.group.kind in (GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR):
-        det = (-1) ** len(g.entries) * charpoly(g.entries)[0]
-        if not det.equal_mod(g.base.one(), CHECK_DIGITS):
+        N = len(g.a)
+        det = (-1) ** N * charpoly(g.a, g.p**g.prec)[0]  # det(a) = p^(N s) det(g)
+        if (det - g.p ** (N * g.s)) % g.p ** (N * g.s + CHECK_DIGITS):
             return False
     return True
 
 
 def test_symplectic_form_antidiagonal():
-    J = form(GroupId(GroupKind.SP, 2), B)
+    J = form(GroupId(GroupKind.SP, 2), P)
     for i in range(4):
-        assert J[i][3 - i] == B.from_int((-1) ** i)
+        assert J[i][3 - i] == (-1) ** i
 
 
 def test_ramified_form_middle_entry():
     for nu in (0, 1):
-        J = form(GroupId(GroupKind.SO_RAM, 2, nu), B)
-        star = J[2][2]
-        expect = B.from_int(-(make_field(P).eps.a ** nu)) * B.pi()
-        assert star == expect
+        J = form(GroupId(GroupKind.SO_RAM, 2, nu), P)
+        assert J[2][2] == -(make_field(P).eps.a ** nu) * P
 
 
 def test_unramified_form_middle():
-    J = form(GroupId(GroupKind.SO_UR, 2), B)
-    assert J[2][2] == B.one()
-    assert J[3][3] == B.from_int(-make_field(P).eps.a)
+    J = form(GroupId(GroupKind.SO_UR, 2), P)
+    assert J[2][2] == 1
+    assert J[3][3] == -make_field(P).eps.a
 
 
 # membership -----------------------------------------------------------------
@@ -138,7 +154,7 @@ def test_unramified_form_middle():
 
 def test_identity_is_member():
     for kind in (GroupKind.SP, GroupKind.SO_SPL, GroupKind.SO_UR):
-        assert is_member(group_identity(GroupId(kind, 2), B))
+        assert is_member(group_identity(GroupId(kind, 2), P))
 
 
 @pytest.mark.parametrize("kind", [GroupKind.SP, GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR])
@@ -158,8 +174,7 @@ def test_families_are_members_in_iplus(kind, q, n):
 def test_perturbed_family_is_not_member():
     gid = GroupId(GroupKind.SP, 2)
     g = family_matrix(gid, P, 1)
-    g.entries[0][1] = g.entries[0][1] + B.one()
-    assert not is_member(g)
+    assert not is_member(with_entries(g, {(0, 1): g.a[0][1] + 1}))
 
 
 # theta ------------------------------------------------------------------------
@@ -168,18 +183,13 @@ def test_perturbed_family_is_not_member():
 def test_theta_involution_and_phi():
     gid = GroupId(GroupKind.TWISTED_GL, 2)
     g = family_matrix(gid, P, 2)
-    assert mat_eq(theta(theta(g)).entries, g.entries, 8)
-    ph = phi_element(gid, B, 3)
-    assert mat_eq(theta(ph).entries, ph.inv().neg().entries, 8)
-    d = GroupMatrix(gid, B, scalar(B.from_int(2), 4))
-    td = theta(d)
-    half = B.from_int(2).inv()
+    assert mat_eq(theta(theta(g)), g, 8)
+    ph = phi_element(gid, P, 3)
+    assert mat_eq(theta(ph), ph.inv().neg(), 8)
+    td = theta(GroupMatrix(gid, P, scalar(2, 4)))
+    assert td.s == 0
     for i in range(4):
-        assert td.entries[i][i] == half
-
-
-def _entry(x):
-    return None if x.is_zero() else (x.shift, x.unit, x.rprec)
+        assert td.a[i][i] == pow(2, -1, P**td.prec)
 
 
 @pytest.mark.parametrize(
@@ -191,30 +201,26 @@ def test_theta_matches_the_antidiagonal_product(gid):
     """theta(g) is J (g^T)^-1 J^-1 for the antidiagonal J with entries
     (-1)^(i-1), digit for digit."""
     N = gid.size
-    J = [[B.zero() for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        J[i][N - 1 - i] = B.from_int((-1) ** i)
+    J = GroupMatrix(gid, P, [[(-1) ** i if j == N - 1 - i else 0 for j in range(N)] for i in range(N)])
     mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     rng = random.Random(11)
     for _ in range(20):
-        g = random_iplus(gid, B, mask, rng)
-        want = mat_mul(J, mat_mul(mat_inv(mat_transpose(g.entries)), mat_inv(J)))
-        got = theta(g).entries
-        assert [[_entry(x) for x in row] for row in got] == [[_entry(x) for x in row] for row in want]
+        g = random_iplus(gid, P, mask, rng)
+        gt = GroupMatrix(gid, P, mat_transpose(g.a), g.s, g.prec)
+        assert theta(g) == J * (gt.inv() * J.inv())
 
 
 def test_phi_power_is_scalar():
     gid = GroupId(GroupKind.TWISTED_GL, 2)
-    ph = phi_element(gid, B, 3)
+    ph = phi_element(gid, P, 3)
     p4 = ph * ph * ph * ph
-    target = scalar(B.from_int(3) * B.pi(), 4)
-    assert mat_eq(p4.entries, target, 8)
+    assert mat_eq(p4, GroupMatrix(gid, P, scalar(3 * P, 4)), 8)
 
 
 def test_phi_so_membership():
     for kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
         gid = GroupId(kind, 2)
-        assert is_member(phi_element(gid, B, *family_phi(gid, P, 1, "phi_coset")))
+        assert is_member(phi_element(gid, P, *family_phi(gid, P, 1, "phi_coset")))
 
 
 def test_phi_uniqueness():
@@ -224,8 +230,8 @@ def test_phi_uniqueness():
     params = [(1, 1), (2, 1), (1, 3)]
     for a1, b1 in params:
         for a2, b2 in params:
-            ph1 = phi_element(gid, B, a1, b1)
-            ph2 = phi_element(gid, B, a2, b2)
+            ph1 = phi_element(gid, P, a1, b1)
+            ph2 = phi_element(gid, P, a2, b2)
             quot = ph1 * ph2.inv()
             in_coset = iwahori_level(quot) >= Level.IPLUS or iwahori_level(quot.neg()) >= Level.IPLUS
             assert in_coset == ((a1, b1) == (a2, b2))
@@ -236,18 +242,15 @@ def test_phi_uniqueness():
 
 def test_iwahori_levels():
     gid = GroupId(GroupKind.SP, 2)
-    assert iwahori_level(group_identity(gid, B)) == Level.IPLUSPLUS
+    one = group_identity(gid, P)
+    assert iwahori_level(one) == Level.IPLUSPLUS
     g = family_matrix(gid, P, 1)
     assert iwahori_level(g) == Level.IPLUS
     # unit-diagonal non-unipotent element sits in I but not I+
-    t = group_identity(gid, B)
-    t.entries[0][0] = B.from_int(2)
-    t.entries[3][3] = B.from_int(2).inv()
+    t = with_entries(one, {(0, 0): 2, (3, 3): pow(2, -1, P**one.prec)})
     assert iwahori_level(t) == Level.I
-    # a pi-scaled diagonal leaves the Iwahori entirely
-    d = group_identity(gid, B)
-    d.entries[0][0] = B.pi()
-    d.entries[3][3] = B.pi().inv()
+    # a pi-scaled diagonal diag(p, 1, 1, 1/p), at scale 1, leaves the Iwahori
+    d = GroupMatrix(gid, P, [[P * P, 0, 0, 0], [0, P, 0, 0], [0, 0, P, 0], [0, 0, 0, 1]], 1)
     assert iwahori_level(d) == Level.OUTSIDE
 
 
@@ -317,9 +320,8 @@ def test_so_spl_components_n3():
 
 def test_affine_generic_detects_zero_slot():
     g = family_matrix(GroupId(GroupKind.SP, 2), P, 1)
-    g.entries[0][1] = B.zero()
-    assert not is_affine_generic(g)
-    assert not is_affine_generic(group_identity(GroupId(GroupKind.SP, 2), B))
+    assert not is_affine_generic(with_entries(g, {(0, 1): 0}))
+    assert not is_affine_generic(group_identity(GroupId(GroupKind.SP, 2), P))
 
 
 def test_components_invariant_under_ipp_translation():
@@ -340,8 +342,8 @@ def test_twisted_norm_components_pattern():
     rng = random.Random(2)
     mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     for _ in range(5):
-        g = random_iplus(gid, B, mask, rng)
-        nm = GroupMatrix(gid, B, mat_mul(g.entries, theta(g).entries))
+        g = random_iplus(gid, P, mask, rng)
+        nm = g * theta(g)
         if iwahori_level(nm) < Level.IPLUS:
             continue
         cg = comps_ints(g)
@@ -363,7 +365,7 @@ def test_coset_families_match_phi_translates():
                     continue
                 on_coset.append((kind, variant))
                 g = family_matrix(el.group, P, u)
-                phi = phi_element(el.group, B, *el.phi)
+                phi = phi_element(el.group, P, *el.phi)
                 lhs = phi * g if kind is GroupKind.TWISTED_GL else g * phi
                 assert iwahori_level(lhs * el.matrix.inv()) >= Level.IPLUS
     assert set(on_coset) == {
@@ -385,7 +387,7 @@ def test_eisenstein_family():
 def test_eisenstein_requires_genericity():
     gid = GroupId(GroupKind.TWISTED_GL, 2)
     with pytest.raises(NotAffineGeneric):
-        charpoly_eisenstein_check(group_identity(gid, B))
+        charpoly_eisenstein_check(group_identity(gid, P))
 
 
 def test_eisenstein_random_small():
@@ -393,7 +395,7 @@ def test_eisenstein_random_small():
     gid = GroupId(GroupKind.TWISTED_GL, 2)
     mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
     for _ in range(15):
-        g = sample_iplus(gid, base_field(3), mask, rng, is_affine_generic)
+        g = sample_iplus(gid, 3, mask, rng, is_affine_generic)
         ok, _ = charpoly_eisenstein_check(g)
         assert ok
 
@@ -404,12 +406,12 @@ def _never_accepted(monkeypatch, kind):
     real = groups.random_iplus
     draws = []
 
-    def fake(group, base, mask, rng):
+    def fake(group, p, mask, rng):
         if group.kind is not kind:
-            return real(group, base, mask, rng)
+            return real(group, p, mask, rng)
         draws.append(group)
         assert len(draws) < 2000, "the sampling loop has no cap"
-        return GroupMatrix(group, base, [[base.zero()] * group.size for _ in range(group.size)])
+        return GroupMatrix(group, p, [[0] * group.size for _ in range(group.size)])
 
     monkeypatch.setattr(groups, "random_iplus", fake)
     return draws
@@ -443,10 +445,7 @@ def test_twisted_norm_family_values():
 def test_theta_fixed_torus_has_zero_constant_term():
     n = 2
     gid = GroupId(GroupKind.GL, 2 * n + 1)
-    rows = mat_id(B, 2 * n + 1)
-    rows[0][0] = B.from_int(1 + P * 2)
-    rows[2 * n][2 * n] = rows[0][0].inv()
-    x = GroupMatrix(gid, B, rows)
+    x = with_entries(group_identity(gid, P), {(0, 0): 1 + P * 2, (2 * n, 2 * n): pow(1 + P * 2, -1, P**groups.EXACT_PREC)})
     ok, _ = twisted_norm_charpoly_check(x)
     assert ok
 

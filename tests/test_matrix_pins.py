@@ -11,7 +11,6 @@ from fractions import Fraction
 from endolab.characters import random_affine_generic
 from endolab.families import (
     FAMILY_VARIANTS,
-    base_field,
     family_matrix,
     family_phi,
     nu_of_u,
@@ -33,16 +32,9 @@ DIGITS = 7
 
 
 def _dump(g):
-    """Each entry x of g as the int p*x mod p^7."""
-    p = g.base.p
-    out = []
-    for row in g.entries:
-        r = []
-        for x in row:
-            assert x.abs_prec() >= DIGITS - 1
-            r.append(0 if x.is_zero() else x.unit[0] * p ** (x.shift + 1) % p**DIGITS)
-        out.append(r)
-    return out
+    """Each entry x of g = p^-s * a as the int p*x mod p^7."""
+    assert g.s <= 1 and g.prec - g.s >= DIGITS - 1
+    return [[x * g.p ** (1 - g.s) % g.p**DIGITS for x in row] for row in g.a]
 
 
 def _sha(dump):
@@ -68,7 +60,7 @@ def test_family_matrix_digits_are_pinned():
                         if kind is GroupKind.TWISTED_GL:
                             dump.append(_dump(theta(g)))
                     if kind is GroupKind.SO_UR:
-                        phi = phi_element(gid, base_field(p), *family_phi(gid, p, u, "phi_coset"))
+                        phi = phi_element(gid, p, *family_phi(gid, p, u, "phi_coset"))
                         dump.append(_dump(phi))
     assert _sha(dump) == FAMILY_DIGITS_PIN
 
@@ -91,11 +83,11 @@ def test_sampler_draws_are_pinned():
         gid = GroupId(GroupKind.TWISTED_GL, n)
         mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
         rng = random.Random(0)
-        dump += [_dump(sample_iplus(gid, base_field(q), mask, rng, is_affine_generic)) for _ in range(DRAWS)]
+        dump += [_dump(sample_iplus(gid, q, mask, rng, is_affine_generic)) for _ in range(DRAWS)]
         gid = GroupId(GroupKind.GL, 2 * n + 1)
         rng = random.Random(0)
         dump += [
-            _dump(sample_iplus(gid, base_field(q), px_plus_mask_at(n), rng, in_px_plus))
+            _dump(sample_iplus(gid, q, px_plus_mask_at(n), rng, in_px_plus))
             for _ in range(DRAWS)
         ]
     assert _sha(dump) == SAMPLER_PIN

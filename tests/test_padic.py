@@ -8,7 +8,6 @@ from endolab.errors import (
     IndistinguishableFromZero,
     NonMonotone,
     RootOfUnityUnavailable,
-    SquareDiscriminant,
     WrongField,
 )
 from endolab.padic import (
@@ -16,7 +15,6 @@ from endolab.padic import (
     TowerSpec,
     extract_jumps,
     herbrand_compose,
-    sqrt_unit,
     tame_hilbert,
 )
 
@@ -157,16 +155,6 @@ def test_inv_stops_at_the_fixed_point_with_the_same_result(p, e):
             early += stopped
             assert (got.unit, got.shift, got.rprec) == (want.unit, want.shift, want.rprec)
     assert early > 0
-
-
-def test_sqrt_unit():
-    T = TowerSpec(5, 1, 1, prec=8)
-    x = T.from_int(2 + 5 * 3)  # residue 2 is nonsquare mod 5
-    with pytest.raises(SquareDiscriminant):
-        sqrt_unit(x)
-    y = T.from_int(4 + 5 * 2)
-    r = sqrt_unit(y)
-    assert r * r == y
 
 
 # tame symbols -----------------------------------------------------------------
