@@ -46,7 +46,8 @@ from .sums import (
 )
 
 
-# the kinds whose characters take kappa, resp. zeta
+# the kinds whose characters take xi, kappa, resp. zeta
+XI_KINDS = frozenset({GroupKind.SP, GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR})
 KAPPA_KINDS = frozenset({GroupKind.SP, GroupKind.SO_SPL, GroupKind.SO_UR})
 ZETA_KINDS = frozenset({GroupKind.TWISTED_GL, GroupKind.SO_SPL, GroupKind.SO_UR})
 
@@ -59,7 +60,8 @@ class SSCParams:
     group uses (a, zeta) with the quadratic central character implied; the
     symplectic group uses (xi, kappa, a); the ramified even orthogonal group
     (xi, a); the split/unramified even orthogonal groups (xi, kappa, a, zeta).
-    kappa = 1 is refused on a kind without kappa.
+    xi = -1, kappa = 1 and zeta != 1 are refused on a kind without xi, kappa,
+    resp. zeta.
     """
 
     group: GroupId
@@ -73,8 +75,12 @@ class SSCParams:
             raise InvalidParams("xi must be a sign")
         if self.kappa not in (0, 1):
             raise InvalidParams("kappa must be 0 or 1")
+        if self.xi != 1 and self.group.kind not in XI_KINDS:
+            raise InvalidParams(f"xi is not a parameter of {self.group.kind.value}")
         if self.kappa and self.group.kind not in KAPPA_KINDS:
             raise InvalidParams(f"kappa is not a parameter of {self.group.kind.value}")
+        if self.zeta != 1 and self.group.kind not in ZETA_KINDS:
+            raise InvalidParams(f"zeta is not a parameter of {self.group.kind.value}")
         if self.group.kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
             if self.zeta not in (1, -1):
                 raise InvalidParams("zeta must be a sign here")

@@ -7,8 +7,9 @@ option's domain is a usage error: ``--p`` and a prime field's ``--q`` are odd
 primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
 ``--xi``, ``--kappa`` and ``--zeta`` take their two values, and ``--u``,
 ``--a``, ``--u0`` are units mod the characteristic.  ``char eval`` takes
-``--kappa 1`` only on the kinds with kappa (sp, so_spl, so_ur) and ``--zeta``
-only on the kinds with zeta (gl_theta, so_spl, so_ur), as the sign of zeta
+``--xi -1`` only on the kinds with xi (all but gl_theta), ``--kappa 1`` only
+on the kinds with kappa (sp, so_spl, so_ur) and ``--zeta`` only on the kinds
+with zeta (gl_theta, so_spl, so_ur), as the sign of zeta
 against its base value: ``suites._gl_zeta`` on gl_theta, 1 on so_spl and
 so_ur.  ``--nprime`` and the ``--e`` of ``tower val``, ``tower hilbert`` and
 ``conductor compute`` are positive, ``--coeffs``, ``--x`` and ``--y`` list
@@ -38,6 +39,7 @@ from .errors import (
 from . import suites
 from .characters import (
     KAPPA_KINDS,
+    XI_KINDS,
     ZETA_KINDS,
     SSCParams,
     char_brute_force,
@@ -391,6 +393,8 @@ def cmd_char(args):
     if args.sub == "eval":
         kind = GroupKind(args.group)
         _check_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}")
+        if args.xi == -1 and kind not in XI_KINDS:
+            raise UsageError(f"--group {args.group} has no --xi -1")
         if args.kappa and kind not in KAPPA_KINDS:
             raise UsageError(f"--group {args.group} has no --kappa 1")
         if args.zeta is not None and kind not in ZETA_KINDS:
@@ -455,11 +459,10 @@ def cmd_conductor(args):
             "swan": str(r["swan"]),
             "artin": str(r["artin"]),
             "log_q_gamma": str(r["log_q_gamma"]),
-            "fdc_pass": r["fdc_pass"],
         },
         args,
     )
-    return 0 if r["fdc_pass"] else 1
+    return 0
 
 
 def cmd_suite(args):

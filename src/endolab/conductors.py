@@ -781,5 +781,4 @@ def swan_artin_gamma(p: int, e: int, nprime: int) -> dict:
         "swan_det_part": swan_det,
         "artin": artin,
         "log_q_gamma": artin / 2,
-        "fdc_pass": artin == 2 * n * n + 2 * n,
     }

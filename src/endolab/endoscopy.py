@@ -356,15 +356,16 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
     return PacketSolution(xi_prime, a_prime_sq.a, nu, 1)
 
 
-def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int):
-    """The two lifting identities determining the linear-group data (b, zeta)."""
+def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = 1e-9):
+    """The two lifting identities determining the linear-group data (b, zeta),
+    with zeta^2 = w0(-1) checked to ``tol``."""
     k = make_field(p)
     w0 = k.omega0()
     q = k.q
     G = gauss_sum(w0, k)
     b = (4 * a) % p
     zeta = xi * q ** (-0.5) * w0(k.coerce(-1)) * G
-    if abs(zeta**2 - w0(k.coerce(-1))) > 1e-9:
+    if abs(zeta**2 - w0(k.coerce(-1))) > tol:
         raise IdentityFailed("zeta^2 != w0(-1)")
     spec_gl = gl_theta_spec(k, n)
     spec_tw = sp_spec(k, n, twisted=True)
@@ -391,7 +392,7 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int):
         rhs2 = xi * rhs
         if abs(lhs2 - rhs2) > TOL:
             raise IdentityFailed(f"coset lift identity fails at u={u}")
-    return b, zeta, True
+    return b, zeta
 
 
 def so_even_packet_verify(

@@ -67,6 +67,12 @@ def test_params_validation():
     so = GroupId(GroupKind.SO_SPL, 2)
     with pytest.raises(InvalidParams):
         SSCParams(so, 1, zeta=0.5)
+    # xi and zeta exist only on the kinds whose characters take them
+    with pytest.raises(InvalidParams):
+        SSCParams(GroupId(GroupKind.TWISTED_GL, 2), 1, xi=-1)
+    for kind in (GroupKind.SP, GroupKind.SO_RAM):
+        with pytest.raises(InvalidParams):
+            SSCParams(GroupId(kind, 2), 1, zeta=-1)
     # the twisted-GL zeta of the parameter grid satisfies zeta^2 = w0(-1)
     for p in (3, 5, 7):
         k = make_field(p)

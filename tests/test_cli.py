@@ -27,7 +27,7 @@ def test_conductor_compute(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert data["swan"] == "3" and data["artin"] == "24" and data["fdc_pass"]
+    assert data["swan"] == "3" and data["artin"] == "24"
 
 
 @pytest.mark.parametrize(
@@ -427,8 +427,9 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["conductor", "compute", "--p", "7", "--e", "1", "--nprime", "4"], 2),
         (["conductor", "compute", "--p", "5", "--e", "0", "--nprime", "2"], 2),
         (["conductor", "compute", "--p", "5", "--e", "1", "--nprime", "0"], 2),
-        # kappa and zeta exist only on the kinds whose characters take them,
-        # and zeta is a sign against its base value
+        # xi, kappa and zeta exist only on the kinds whose characters take
+        # them, and zeta is a sign against its base value
+        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--xi", "-1"], 2),
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
         (["char", "eval", "--group", "so_ram", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
         (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "1"], 2),
