@@ -150,7 +150,8 @@ def family_matrix(
         target = k.eps.a**nu * pow((-1) ** (n - 1) * u, -1, mod)
         v_exact = _sqrt_unit(target, so_ram_v(k, n, u, nu, v_sign).a, p, prec)
         q = [1] * n + [pow(v_exact, -1, mod)] + [(-1) ** (i + 1) for i in range(n - 1)]
-        g = [[q[i] * x * pow(q[j], -1, mod) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        qinv = [pow(x, -1, mod) for x in q]
+        g = [[qi * x * qj for x, qj in zip(row, qinv)] for qi, row in zip(q, m)]
         gm = GroupMatrix(group, p, g, 0, prec)
         return gm if variant == "plus" else gm.neg()
     # the split and unramified even orthogonal groups
