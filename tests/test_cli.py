@@ -427,15 +427,16 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["conductor", "compute", "--p", "7", "--e", "1", "--nprime", "4"], 2),
         (["conductor", "compute", "--p", "5", "--e", "0", "--nprime", "2"], 2),
         (["conductor", "compute", "--p", "5", "--e", "1", "--nprime", "0"], 2),
-        # xi, kappa and zeta exist only on the kinds whose characters take
-        # them, and zeta is a sign against its base value
-        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--xi", "-1"], 2),
+        # kappa and zeta exist only on the kinds whose characters take them,
+        # and zeta is a sign against its base value
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
         (["char", "eval", "--group", "so_ram", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
         (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "1"], 2),
         (["char", "eval", "--group", "so_ram", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "-1"], 2),
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "7", "--u", "1", "--a", "1", "--zeta", "1.0"], 2),
         (["char", "eval", "--group", "so_spl", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "2"], 2),
+        # nor does xi = -1 exist on the twisted linear kind
+        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--xi", "-1"], 2),
     ],
 )
 def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):
