@@ -61,7 +61,7 @@ class SSCParams:
     symplectic group uses (xi, kappa, a); the ramified even orthogonal group
     (xi, a); the split/unramified even orthogonal groups (xi, kappa, a, zeta).
     xi = -1, kappa = 1 and zeta != 1 are refused on a kind without xi, kappa,
-    resp. zeta.
+    resp. zeta; both routes refuse a twisted linear zeta^2 other than w0(-1).
     """
 
     group: GroupId
@@ -84,6 +84,13 @@ class SSCParams:
         if self.group.kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
             if self.zeta not in (1, -1):
                 raise InvalidParams("zeta must be a sign here")
+
+
+def _refuse_off_zeta(params: SSCParams, p: int):
+    """Twisted GL's zeta has zeta^2 = w0(-1) = (-1)^((p-1)/2); the parameters
+    do not carry p, so each route refuses any other zeta at its start."""
+    if params.group.kind is GroupKind.TWISTED_GL and params.zeta**2 != (-1) ** ((p - 1) // 2):
+        raise InvalidParams(f"zeta^2 is not w0(-1) at p={p}")
 
 
 @dataclass(frozen=True)
@@ -276,6 +283,7 @@ def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
     """The torus sum of the character formula at the element: the psi-sum,
     taken once per element and (kappa, a mod p), times xi on the minus coset
     of I+ and zeta on the phi coset."""
+    _refuse_off_zeta(params, element.matrix.p)
     key = (params.kappa, params.a % element.matrix.p)
     if key not in element._hists:
         element._hists[key] = _psi_sum(params, element)
@@ -453,6 +461,7 @@ def describe(element: CharElement) -> ElementDescriptor:
 def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
     kind = params.group.kind
     p = desc.components[0].field.p
+    _refuse_off_zeta(params, p)
     k = make_field(p)
     w0 = k.omega0()
     n = params.group.n

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import characters
 from .errors import IdentityFailed, IncompatibleParams, InvalidU, UnknownPair
@@ -20,6 +21,7 @@ from .families import (
     FAMILY_VARIANTS,
     WaldsFamilyData,
     _u_tilde,
+    family_eigenvalues,
     family_matrix,
     gl_odd_family,
     nu_of_u,
@@ -151,7 +153,8 @@ ETA_CLOSED = {
 # polynomial products of the conjugacy parametrization
 
 
-def pol_products(data: WaldsFamilyData, sign: str = "+", direct: bool = False):
+@lru_cache(maxsize=None)
+def pol_products(p: int, n: int, u: int, sign: str = "+", direct: bool = False):
     """P'(+-y_u) * P(-1) for the rank-2n family, as a tower element.
 
     The closed forms are 2 phi^{2n-1} (2n) / ((1-phi)^{2n-1} (1+phi)) for the
@@ -159,8 +162,8 @@ def pol_products(data: WaldsFamilyData, sign: str = "+", direct: bool = False):
     one; the direct route multiplies the root differences (needs the 2n-th
     roots of unity in Q_p).
     """
+    data = walds_family(p, n, u)
     t = data.tower
-    n = data.n
     one = t.one()
     phi = t.phi()
     if not direct:
@@ -171,11 +174,7 @@ def pol_products(data: WaldsFamilyData, sign: str = "+", direct: bool = False):
             / ((one - phi) ** (2 * n - 1) * (one + phi))
         )
         return core
-    zeta = t.zeta(2 * n)
-    y = data.y()
-    roots = [
-        (one + phi * zeta**j) / (one - phi * zeta**j) for j in range(1, 2 * n + 1)
-    ]
+    y, roots = data.y, family_eigenvalues(p, n, u)
     if sign == "-":
         # the minus polynomial is P(-X) up to sign: y -> -y, roots r -> -r
         y, roots = -y, [-r for r in roots]
@@ -209,13 +208,13 @@ def delta_iv_walds(
     # the minus family is the plus one at y -> -y: P'(-y)P(-1), and on the
     # linear pair x -> phi * x, which keeps x / tau(x) = -y
     minus = variant == "minus"
-    y = -data.y() if minus else data.y()
-    prod = pol_products(data, "-" if minus else "+", direct)
+    y = -data.y if minus else data.y
+    prod = pol_products(p, n, u, "-" if minus else "+", direct)
     if pair is Pair.GL_SORAM:
-        x = phi * data.x_gl() if minus else data.x_gl()
+        x = phi * data.x_gl if minus else data.x_gl
         return sgn_at(data, -x.inv() * prod * y ** (1 - n) * (one + y))
     if pair is Pair.SP_SORAM:
-        return sgn_at(data, data.c_sp() * prod * y ** (1 - n))
+        return sgn_at(data, data.c_sp * prod * y ** (1 - n))
     if pair in (Pair.SOSPL_H, Pair.SOUR_H):
         t_inv = 0 if pair is Pair.SOSPL_H else 1
         kind = PAIR_GROUP[pair]
@@ -225,7 +224,7 @@ def delta_iv_walds(
         eta_g = -ETA_CLOSED[kind](n)
         ut = _u_tilde(GroupId(kind, n), p, u)
         w = t.pi() * t.from_int(ut)
-        cplus = data.c_plus(t_inv)
+        cplus = data.c_plus[t_inv]
         two = t.from_int(2)
         if variant == "phi_coset":
             dfac = two**2 * (one - phi**2 * w) / ((one - phi) ** 2 * (one - w))
@@ -474,9 +473,9 @@ def norm_family_check(pair: Pair, p: int, n: int, u: int) -> bool:
     polynomial of the twisted norm factors through the symplectic family."""
     data = walds_family(p, n, u)
     if pair is Pair.GL_SORAM:
-        x = data.x_gl()
+        x = data.x_gl
         lhs = x / x.tau()
-        return lhs == -data.y()
+        return lhs == -data.y
     if pair is Pair.GL_ODD_SP:
         x = gl_odd_family(p, n, u)
         h = family_matrix(GroupId(GroupKind.SP, n), p, u)
@@ -486,5 +485,5 @@ def norm_family_check(pair: Pair, p: int, n: int, u: int) -> bool:
         expect = (-pow(2, 2 * n, p) * u) % p
         return ok and a1.a == expect
     if pair is Pair.SP_SORAM:
-        return data.y() * data.y().tau() == data.tower.one()
+        return data.y * data.y.tau() == data.tower.one()
     raise UnknownPair(str(pair))

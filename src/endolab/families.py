@@ -10,6 +10,14 @@ standard form by a fixed base-change matrix Q.  The tower arithmetic stays in
 ``family_phi`` the phi coset each lies on.  Weyl-discriminant valuations are
 available both as closed values and through the eigenvalue route when the
 needed root of unity lies in Q_p.
+
+Each tower datum is computed once per value: y, the eigenvalues, the
+``walds_family`` constants, the base change Q with its inverse and the
+family matrices are cached under keys of ints, strings and ``GroupId``s, on
+the tower ``get_tower`` returns for the same ints.  Caches hold tower and
+matrix data, never a value read from a tabulated constant (``DISC_TABLE``
+here, the transfer tables of ``endoscopy``), so perturbing a table reaches
+every later call.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidU, RootOfUnityUnavailable, UnsupportedDegree
+from .errors import InvalidU, UnsupportedDegree
 from .groups import EXACT_PREC, GroupId, GroupKind, GroupMatrix, phi_element
-from .padic import TowerSpec
+from .padic import LocalElem, TowerSpec
 from .residue import make_field
 
 FAMILY_PREC = 8
@@ -45,18 +53,33 @@ def family_tower(p: int, n: int, u: int) -> TowerSpec:
     return get_tower(p, 2 * n, u % p)
 
 
-def y_element(tower: TowerSpec):
+@lru_cache(maxsize=None)
+def y_element(p: int, e: int, u0: int) -> LocalElem:
+    """y = (1 + phi)/(1 - phi) in ``get_tower(p, e, u0)``."""
+    tower = get_tower(p, e, u0)
     one = tower.one()
     phi = tower.phi()
     return (one + phi) / (one - phi)
 
 
-def mult_matrix(tower: TowerSpec, elt, exponents):
+@lru_cache(maxsize=None)
+def family_eigenvalues(p: int, n: int, u: int) -> tuple:
+    """The eigenvalues (1 + phi z)/(1 - phi z) of the family element y_u, z
+    running over zeta^j for j = 1..2n (needs p = 1 mod 2n)."""
+    tower = family_tower(p, n, u)
+    zeta = tower.zeta(2 * n)
+    one = tower.one()
+    phi = tower.phi()
+    return tuple((one + phi * zeta**j) / (one - phi * zeta**j) for j in range(1, 2 * n + 1))
+
+
+def mult_matrix(elt: LocalElem, exponents):
     """(rows, prec): the int matrix of multiplication by the unit ``elt`` on
-    the basis {phi^b : b in exponents} of the tower over Q_p, one exponent in
+    the basis {phi^b : b in exponents} of its tower over Q_p, one exponent in
     1..e per class mod e, known mod p^prec.  The unit part sum c_i phi^i of
     phi^shift * sum c_i phi^i is known mod phi^rprec, so c_i is known mod
     p^ceil((rprec - i) / e)."""
+    tower = elt.tower
     e, p = tower.e, tower.p
     pos_of = {b % e: pos for pos, b in enumerate(exponents)}
     pu = p * tower.u0
@@ -86,39 +109,34 @@ def nu_of_u(field, n: int, u) -> int:
     return 0 if (field.coerce(-1) ** (n - 1) * field.coerce(u)).is_square() else 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaldsFamilyData:
-    """Parametrizing data shared by the matrix families at a given unit u."""
+    """Parametrizing data shared by the matrix families at a given unit u: y
+    and the constants of the transfer-factor formulas, in F[phi_u]."""
 
     p: int
     n: int
     u: int
     tower: TowerSpec  # F[phi_u]
-
-    def y(self):
-        return y_element(self.tower)
-
-    def x_gl(self):
-        t = self.tower
-        return (t.one() + t.phi()) / (t.phi() * t.from_int(2 * self.n) * t.pi() * t.from_int(self.u))
-
-    def c_sp(self):
-        t = self.tower
-        return -t.phi() / (t.from_int(2 * self.n) * t.pi() * t.from_int(self.u))
-
-    def c_plus(self, t_invariant: int):
-        t = self.tower
-        sign = (-1) ** (self.n + 1) if t_invariant == 0 else (-1) ** self.n
-        return t.from_int(sign) / (t.from_int(2 * self.n) * t.pi() * t.from_int(self.u))
+    y: LocalElem
+    x_gl: LocalElem
+    c_sp: LocalElem
+    c_plus: tuple  # by the t invariant, 0 then 1
 
 
+@lru_cache(maxsize=None)
 def walds_family(p: int, n: int, u: int) -> WaldsFamilyData:
-    return WaldsFamilyData(p, n, u, family_tower(p, n, u))
+    t = family_tower(p, n, u)
+    d = t.from_int(2 * n) * t.pi() * t.from_int(u)
+    x_gl = (t.one() + t.phi()) / (t.phi() * d)
+    c_plus = tuple(t.from_int(sign) / d for sign in ((-1) ** (n + 1), (-1) ** n))
+    return WaldsFamilyData(p, n, u, t, y_element(p, 2 * n, u % p), x_gl, -t.phi() / d, c_plus)
 
 
 # family matrices --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def family_matrix(
     group: GroupId, p: int, u: int, variant: str = "plus", v_sign: int = 1
 ) -> GroupMatrix:
@@ -129,8 +147,7 @@ def family_matrix(
         raise InvalidU("the family parameter must be a unit")
     n = group.n
     if group.kind is GroupKind.SP:
-        tower = family_tower(p, n, u)
-        m, prec = mult_matrix(tower, y_element(tower), list(range(2 * n, 0, -1)))
+        m, prec = mult_matrix(y_element(p, 2 * n, u % p), list(range(2 * n, 0, -1)))
         g = GroupMatrix(group, p, m, 0, prec)
         return g if variant == "plus" else g.neg()
     if group.kind is GroupKind.TWISTED_GL:
@@ -143,9 +160,8 @@ def family_matrix(
             raise InvalidU(
                 f"u={u} matches the nu={nu} form, not nu={group.nu_mu}"
             )
-        tower = family_tower(p, n, u)
         exps = list(range(2 * n - 1, n - 1, -1)) + [2 * n] + list(range(n - 1, 0, -1))
-        m, prec = mult_matrix(tower, y_element(tower), exps)
+        m, prec = mult_matrix(y_element(p, 2 * n, u % p), exps)
         mod = p**prec
         target = k.eps.a**nu * pow((-1) ** (n - 1) * u, -1, mod)
         v_exact = _sqrt_unit(target, so_ram_v(k, n, u, nu, v_sign).a, p, prec)
@@ -179,24 +195,23 @@ def _u_tilde(group: GroupId, p: int, u: int) -> int:
 
 def _so_even_family(group, p, u, variant):
     n = group.n
-    tower = family_tower(p, n, u)
-    tower2 = get_tower(p, 2, _u_tilde(group, p, u))
-    mplus, prec_plus = mult_matrix(tower, y_element(tower), list(range(2 * n, 0, -1)))
-    mminus, prec_minus = mult_matrix(tower2, y_element(tower2), [2, 1])
+    mplus, prec_plus = mult_matrix(y_element(p, 2 * n, u % p), list(range(2 * n, 0, -1)))
+    mminus, prec_minus = mult_matrix(y_element(p, 2, _u_tilde(group, p, u)), [2, 1])
     if variant == "phi_coset":
         mminus = [[-x for x in row] for row in mminus]
     # the block-diagonal matrix diag(mplus, mminus)
     block = [row + [0, 0] for row in mplus] + [[0] * (2 * n) + row for row in mminus]
-    q = _q_matrix(group, p, u)
-    gm = q.inv() * (GroupMatrix(group, p, block, 0, min(prec_plus, prec_minus)) * q)
+    q, qinv = _q_pair(group, p, u)
+    gm = qinv * (GroupMatrix(group, p, block, 0, min(prec_plus, prec_minus)) * q)
     if variant == "minus":
         return gm.neg()
     return gm
 
 
-def _q_matrix(group, p, u):
-    """The base change Q, whose corner entries +-1/(2*pi*u) put it at scale 1:
-    the rows below are those of p * Q."""
+@lru_cache(maxsize=None)
+def _q_pair(group, p, u):
+    """(Q, Q^-1) for the base change Q, whose corner entries +-1/(2*pi*u) put
+    it at scale 1: the rows below are those of p * Q."""
     n = group.n
     N = 2 * n + 2
     rows = [[0] * N for _ in range(N)]
@@ -216,18 +231,18 @@ def _q_matrix(group, p, u):
         rows[2 * n][N - 1] = (-1) ** (n + 1) * inv2u
         rows[2 * n + 1][n] = half_p
         rows[2 * n + 1][n + 1] = p
-        return GroupMatrix(group, p, rows, 1)
-    # unramified case
-    rows[0][0] = p
-    rows[0][N - 1] = (-1) ** n * inv2u
-    for i in range(1, n + 1):
-        rows[i][i] = p
-    for i in range(n + 1, 2 * n):
-        rows[i][i + 1] = (-1) ** (i - n) * p
-    rows[2 * n][n + 1] = p
-    rows[2 * n + 1][0] = (-1) ** (n + 1) * u * p * p
-    rows[2 * n + 1][N - 1] = half_p
-    return GroupMatrix(group, p, rows, 1)
+    else:  # unramified case
+        rows[0][0] = p
+        rows[0][N - 1] = (-1) ** n * inv2u
+        for i in range(1, n + 1):
+            rows[i][i] = p
+        for i in range(n + 1, 2 * n):
+            rows[i][i + 1] = (-1) ** (i - n) * p
+        rows[2 * n][n + 1] = p
+        rows[2 * n + 1][0] = (-1) ** (n + 1) * u * p * p
+        rows[2 * n + 1][N - 1] = half_p
+    q = GroupMatrix(group, p, rows, 1)
+    return q, q.inv()
 
 
 def family_phi(group: GroupId, p: int, u: int, variant: str) -> tuple:
@@ -285,15 +300,10 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct:
     closed = DISC_TABLE[(group.kind, variant)](n)
     if not direct:
         return closed
+    eig = family_eigenvalues(p, n, u)
     tower = family_tower(p, n, u)
-    if (p - 1) % (2 * n) != 0:
-        raise RootOfUnityUnavailable(f"need p = 1 mod {2*n}")
-    zeta = tower.zeta(2 * n)
     one = tower.one()
     phi = tower.phi()
-    eig = [
-        (one + phi * zeta**j) / (one - phi * zeta**j) for j in range(1, 2 * n + 1)
-    ]
     total = Fraction(0)
     if group.kind is GroupKind.SP:
         # roots {e_i - e_j, e_i + e_j (i<j), 2 e_i} on eigenvalues t_1..t_n
@@ -311,6 +321,7 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct:
     elif group.kind is GroupKind.TWISTED_GL:
         # order the eigenvalues so positions i and 2n+1-i pair z with -z
         order = list(range(1, n + 1)) + list(range(2 * n, n, -1))
+        zeta = tower.zeta(2 * n)
         if variant == "plus":
             s = [one + phi * zeta**j for j in order]
         else:

@@ -163,11 +163,12 @@ def _make(tower, shift, coeffs, rprec):
     if t is None or t >= rprec:
         return LocalElem(tower, shift + rprec, None, 0)
     coeffs = _poly_shift_down(tower, coeffs, t)
-    return LocalElem(tower, shift + t, coeffs, rprec - t)
+    return LocalElem(tower, shift + t, tuple(coeffs), rprec - t)
 
 
 class LocalElem:
-    """phi^shift * unit, with the unit known to rprec phi-digits.
+    """phi^shift * unit, with the unit (a tuple of e coefficients) known to
+    rprec phi-digits.
 
     A None unit means the element is indistinguishable from zero at absolute
     precision phi^shift.
@@ -231,7 +232,7 @@ class LocalElem:
     def __neg__(self):
         if self.is_zero():
             return self
-        coeffs = [(-c) % self.tower.store for c in self.unit]
+        coeffs = tuple((-c) % self.tower.store for c in self.unit)
         return LocalElem(self.tower, self.shift, coeffs, self.rprec)
 
     def __sub__(self, other):
@@ -290,10 +291,10 @@ class LocalElem:
         """The automorphism phi -> -phi (generator over the index-2 subtower)."""
         if self.is_zero():
             return self
-        coeffs = [
+        coeffs = tuple(
             c if (i + self.shift) % 2 == 0 else (-c) % self.tower.store
             for i, c in enumerate(self.unit)
-        ]
+        )
         return LocalElem(self.tower, self.shift, coeffs, self.rprec)
 
     def equal_mod(self, other, phi_digits):

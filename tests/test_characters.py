@@ -328,3 +328,32 @@ def test_brute_force_route_reads_no_closed_form(monkeypatch):
         for el in elements:
             for params in _params_grid(el.group, q):
                 assert isinstance(char_brute_force(params, el).value, complex)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_family_elements_certify_the_digits_the_brute_force_route_reads(n, p):
+    """The brute-force route reads the h-part mod p^4 and a twisted linear
+    matrix mod p^5; each family element must certify those digits, so one
+    more product on the path fails here, not with PrecisionExhausted at run
+    time.  The message is the witness (kind, variant, u, prec - s)."""
+    for kind, variants in FAMILY_VARIANTS.items():
+        gl = kind is GroupKind.TWISTED_GL
+        for u in range(1, p):
+            for variant in variants:
+                el = family_element(kind, n, p, u, variant)
+                for g in (el.matrix,) if gl else (el.matrix, el.h_part):
+                    certified = g.prec - g.s
+                    assert certified >= (5 if gl else 4), (kind.value, variant, u, certified)
+
+
+@pytest.mark.parametrize("q, zeta", [(7, 1.0), (7, -1.0), (5, 1j), (5, -1j), (7, 0.5)])
+def test_both_routes_refuse_a_twisted_linear_zeta_off_w0_minus_one(q, zeta):
+    """zeta^2 = w0(-1) on twisted GL: -1 at q = 7 and 1 at q = 5."""
+    for variant in ("plus", "minus"):
+        el = family_element(GroupKind.TWISTED_GL, 2, q, 1, variant)
+        params = SSCParams(el.group, 2, zeta=zeta)
+        with pytest.raises(InvalidParams):
+            char_brute_force(params, el)
+        with pytest.raises(InvalidParams):
+            char_closed_form(params, describe(el))

@@ -437,6 +437,8 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["char", "eval", "--group", "so_spl", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "2"], 2),
         # nor does xi = -1 exist on the twisted linear kind
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--xi", "-1"], 2),
+        # nor a twisted linear zeta off zeta^2 = w0(-1), which is 1 at q = 5
+        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "i"], 2),
     ],
 )
 def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):

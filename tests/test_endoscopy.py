@@ -121,10 +121,9 @@ def test_transfer_value_canonicalization():
 def test_pol_product_sign_relation():
     """The minus-family product is exactly phi^{2n} times the plus one."""
     for p, n, u in ((5, 2, 1), (7, 2, 3), (5, 3, 2)):
-        data = walds_family(p, n, u)
-        plus = pol_products(data, "+")
-        minus = pol_products(data, "-")
-        assert minus * data.tower.phi(2 * n) == plus
+        plus = pol_products(p, n, u, "+")
+        minus = pol_products(p, n, u, "-")
+        assert minus * walds_family(p, n, u).tower.phi(2 * n) == plus
 
 
 def test_pol_product_direct_vs_closed_mod_norms():
@@ -133,8 +132,8 @@ def test_pol_product_direct_vs_closed_mod_norms():
         for u in (1, 2):
             data = walds_family(p, n, u)
             for sign in ("+", "-"):
-                closed = pol_products(data, sign)
-                direct = pol_products(data, sign, direct=True)
+                closed = pol_products(p, n, u, sign)
+                direct = pol_products(p, n, u, sign, direct=True)
                 ratio = direct / closed
                 assert sgn_at(data, ratio) == 1
 
@@ -179,9 +178,9 @@ def test_odd_pair_is_trivial():
 def test_delta_iv_builds_only_the_product_it_reads(monkeypatch):
     signs = []
 
-    def counting(data, sign, direct=False):
+    def counting(p, n, u, sign, direct=False):
         signs.append(sign)
-        return pol_products(data, sign, direct)
+        return pol_products(p, n, u, sign, direct)
 
     monkeypatch.setattr(endoscopy, "pol_products", counting)
     for pair in (Pair.GL_SORAM, Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H):
