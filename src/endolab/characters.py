@@ -603,7 +603,7 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random):
                 nu = nu_of_u(k, group.n, u)
                 if nu != group.nu_mu:
                     u = (u * k.eps.a) % p
-            gm = family_matrix(group, p, u)
+            gm = family_matrix(group, p, u, "plus")
             mod = p**gm.prec
             t = _random_torus(group, p, mod, rng)
             # t g t^-1 for the diagonal t, entry by entry

@@ -478,7 +478,7 @@ def norm_family_check(pair: Pair, p: int, n: int, u: int) -> bool:
         return lhs == -data.y
     if pair is Pair.GL_ODD_SP:
         x = gl_odd_family(p, n, u)
-        h = family_matrix(GroupId(GroupKind.SP, n), p, u)
+        h = family_matrix(GroupId(GroupKind.SP, n), p, u, "plus")
         ok, a1 = twisted_norm_charpoly_check(x, norm_y=h)
         if a1 is None:
             return False

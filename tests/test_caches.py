@@ -92,13 +92,13 @@ def test_cached_values_equal_a_cold_recomputation():
         walds_family: [(P, N, u) for u in UNITS],
         family_eigenvalues: [(P, N, u) for u in UNITS],
         pol_products: [(P, N, u, s, d) for u in UNITS for s in "+-" for d in (False, True)],
+        # norm_family_check's Sp matrices among them, under the same keys
         family_matrix: [
             (_gid(kind, u), P, u, var)
             for kind, variants in FAMILY_VARIANTS.items()
             for u in UNITS
             for var in variants
-        ]
-        + [(GroupId(GroupKind.SP, N), P, u) for u in UNITS],
+        ],
     }
     warm = {}
     for cache, args in keys.items():
