@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 from types import MappingProxyType
 
@@ -160,6 +160,11 @@ class QGroup:
         self.c_set = MappingProxyType({
             b: tuple(buckets.get(F.neg(F.pow(b, p**e + 1)), ())) for b in self.b_set
         })
+        # beta's two maps on all of F: x -> x^{p^e} and t -> sum(t^{p^i}, i < e)
+        self._frob = tuple(F.pow(x, p**e) for x in F.elements())
+        self._trace = tuple(
+            reduce(F.add, [F.pow(t, p**i) for i in range(e)]) for t in F.elements()
+        )
         self.wild = tuple((b, c) for b in self.b_set for c in self.c_set[b])
         self.wild_index = MappingProxyType({x: i for i, x in enumerate(self.wild)})
         self.wild_table = tuple(
@@ -176,14 +181,7 @@ class QGroup:
     def beta(self, b1, b2):
         """The c-correction sum((b1^{p^e} b2)^{p^i}, i < e); a product
         (a1, b1, c1)(a2, b2, c2) takes it at (b1, a1*b2)."""
-        F = self.F
-        p, e = self.params.p, self.params.e
-        t = F.mul(F.pow(b1, p**e), b2)
-        out = F.zero
-        for _ in range(e):
-            out = F.add(out, t)
-            t = F.pow(t, p)
-        return out
+        return self._trace[self.F.mul(self._frob[b1], b2)]
 
     def mul(self, x, y):
         a1, b1, c1 = x
@@ -424,9 +422,11 @@ class QPrimeTable:
         return ell
 
     def inner(self, vals1, vals2):
-        conj = {v: v.conj() for v in set(vals2)}
-        codes, width = _pack(set(vals1) | set(conj.values()), self.p, self.n)
-        cell = sum(codes[x] * codes[conj[y]] for x, y in zip(vals1, vals2))
+        # keyed by coefficient tuples: equal values are rarely the same object
+        c1, c2 = [v.coeffs for v in vals1], [v.coeffs for v in vals2]
+        conj = {c: Cyclo(self.p, c).conj().coeffs for c in set(c2)}
+        codes, width = _pack(set(c1) | set(conj.values()), self.p, self.n)
+        cell = sum(codes[x] * codes[conj[y]] for x, y in zip(c1, c2))
         c = _unpack(cell, self.p, width).exact_div(self.n)
         return None if c is None else c.as_integer()
 
@@ -469,9 +469,9 @@ def char_table_checks(p: int, e: int) -> dict:
     weighted = {(v, s): conj[v] * s for v in conj for s in set(sizes)}
     k = len(tab)
     values = set(conj) | set(conj.values()) | set(weighted.values())
-    codes, width = _pack(values, p, max(k, len(classes)))
-    packed = [[codes[v] for v in row] for row in rows]
-    bar_rows = [[codes[weighted[v, s]] for v, s in zip(row, sizes)] for row in rows]
+    codes, width = _pack({v.coeffs for v in values}, p, max(k, len(classes)))
+    packed = [[codes[v.coeffs] for v in row] for row in rows]
+    bar_rows = [[codes[weighted[v, s].coeffs] for v, s in zip(row, sizes)] for row in rows]
     first = all(
         _unpack(sum(map(mul, packed[i], bar_rows[j])), p, width)
         == Cyclo.integer(p, T.n if i == j else 0)
@@ -482,7 +482,7 @@ def char_table_checks(p: int, e: int) -> dict:
     # like the first, the second relation is Hermitian: (d, c) is the
     # conjugate of (c, d), so c <= d covers every pair
     cols = list(zip(*packed))
-    bar_cols = [[codes[conj[v]] for v in col] for col in zip(*rows)]
+    bar_cols = [[codes[conj[v].coeffs] for v in col] for col in zip(*rows)]
     second = all(
         _unpack(sum(map(mul, cols[c], bar_cols[d])), p, width)
         == Cyclo.integer(p, T.n // sizes[c] if c == d else 0)
@@ -502,8 +502,9 @@ def char_table_checks(p: int, e: int) -> dict:
 
 
 def _pack(values, p, terms):
-    """Kronecker codes of the distinct cyclotomic integers ``values``, and
-    their slot width, for sums of up to ``terms`` products of codes.
+    """Kronecker codes of the distinct cyclotomic integers ``values`` (their
+    coefficient tuples), and their slot width, for sums of up to ``terms``
+    products of codes.
 
     a + m * (1 + zeta + ... + zeta^{p-1}), m = max(0, -min a), is a again
     with p coordinates >= 0; they fill ``width``-bit slots of one int.  A
@@ -512,8 +513,8 @@ def _pack(values, p, terms):
     """
     shifted = {}
     for v in values:
-        m = max(0, -min(v.coeffs))
-        shifted[v] = [c + m for c in v.coeffs] + [m]
+        m = max(0, -min(v))
+        shifted[v] = [c + m for c in v] + [m]
     top = max((max(cs) for cs in shifted.values()), default=0)
     width = (terms * p * top * top).bit_length() + 1
     codes = {v: sum(c << (width * i) for i, c in enumerate(cs)) for v, cs in shifted.items()}

@@ -5,6 +5,12 @@ Transfer factors stay symbolic (a sign, a residue unit under the quadratic
 character, a power of q^(1/2), and a power of the quadratic Gauss sum) so the
 cancellations in products are exact; they are only sent to complex numbers at
 comparison time.
+
+The sign-character factors that depend only on (p, n, u) and the family
+(``pol_products``, ``sign_terms``, ``so_factors``) are computed once per
+value; as in ``families``, no cache holds a value read from a table
+(``ETA_CLOSED``, ``DELTA_IV_EXPECTED``, ``epsilon_factor``), so a perturbed
+table reaches every later call.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import characters
-from .errors import IdentityFailed, IncompatibleParams, InvalidU, UnknownPair
+from .errors import IdentityFailed, IncompatibleParams, InvalidParams, InvalidU, UnknownPair
 from .families import (
     DISC_TABLE,
     FAMILY_VARIANTS,
@@ -23,6 +29,7 @@ from .families import (
     _u_tilde,
     family_eigenvalues,
     family_matrix,
+    family_tower,
     gl_odd_family,
     nu_of_u,
     walds_family,
@@ -162,18 +169,19 @@ def pol_products(p: int, n: int, u: int, sign: str = "+", direct: bool = False):
     one; the direct route multiplies the root differences (needs the 2n-th
     roots of unity in Q_p).
     """
+    if sign not in ("+", "-"):
+        raise InvalidParams(f"sign must be + or -, not {sign!r}")
     data = walds_family(p, n, u)
     t = data.tower
     one = t.one()
     phi = t.phi()
     if not direct:
-        core = (
+        return (
             t.from_int(2)
             * t.from_int(2 * n)
             * phi ** (2 * n - 1 if sign == "+" else -1)
             / ((one - phi) ** (2 * n - 1) * (one + phi))
         )
-        return core
     y, roots = data.y, family_eigenvalues(p, n, u)
     if sign == "-":
         # the minus polynomial is P(-X) up to sign: y -> -y, roots r -> -r
@@ -185,6 +193,30 @@ def pol_products(p: int, n: int, u: int, sign: str = "+", direct: bool = False):
     for r in roots:
         pm1 = pm1 * (-one - r)
     return dp * pm1
+
+
+@lru_cache(maxsize=None)
+def sign_terms(p: int, n: int, u: int, minus: bool) -> tuple:
+    """(-x^-1, y^(1-n), y^-n, 1 + y, 1/(y - 1)), the table-free factors of the
+    sign-character arguments; the minus family takes y -> -y and, on the
+    linear pair, x -> phi * x, which keeps x / tau(x) = -y."""
+    data = walds_family(p, n, u)
+    one = data.tower.one()
+    y = -data.y if minus else data.y
+    x = data.tower.phi() * data.x_gl if minus else data.x_gl
+    return -x.inv(), y ** (1 - n), y ** (-n), one + y, (y - one).inv()
+
+
+@lru_cache(maxsize=None)
+def so_factors(kind: GroupKind, p: int, n: int, u: int, variant: str) -> tuple:
+    """(dfac, cfac) of the even-orthogonal sign-character argument."""
+    t = family_tower(p, n, u)
+    one, phi, two = t.one(), t.phi(), t.from_int(2)
+    w = t.pi() * t.from_int(_u_tilde(GroupId(kind, n), p, u))
+    num = one - phi**2 * w if variant == "phi_coset" else phi**2 - w
+    dfac = two**2 * num / ((one - phi) ** 2 * (one - w))
+    cfac = two**2 / (one - w) if variant == "plus" else -(two**2) * w / (one - w)
+    return dfac, cfac
 
 
 def sgn_at(data: WaldsFamilyData, x) -> int:
@@ -202,19 +234,14 @@ def delta_iv_walds(
     if pair is Pair.GL_ODD_SP:
         return 1
     data = walds_family(p, n, u)
-    t = data.tower
-    one = t.one()
-    phi = t.phi()
-    # the minus family is the plus one at y -> -y: P'(-y)P(-1), and on the
-    # linear pair x -> phi * x, which keeps x / tau(x) = -y
+    # the minus family is the plus one at y -> -y: P'(-y)P(-1)
     minus = variant == "minus"
-    y = -data.y if minus else data.y
+    neg_x_inv, y_1n, y_mn, one_plus_y, inv_y_minus_one = sign_terms(p, n, u, minus)
     prod = pol_products(p, n, u, "-" if minus else "+", direct)
     if pair is Pair.GL_SORAM:
-        x = phi * data.x_gl if minus else data.x_gl
-        return sgn_at(data, -x.inv() * prod * y ** (1 - n) * (one + y))
+        return sgn_at(data, neg_x_inv * prod * y_1n * one_plus_y)
     if pair is Pair.SP_SORAM:
-        return sgn_at(data, data.c_sp * prod * y ** (1 - n))
+        return sgn_at(data, data.c_sp * prod * y_1n)
     if pair in (Pair.SOSPL_H, Pair.SOUR_H):
         t_inv = 0 if pair is Pair.SOSPL_H else 1
         kind = PAIR_GROUP[pair]
@@ -222,25 +249,14 @@ def delta_iv_walds(
         # table on the even-orthogonal rows; the choice here is pinned by the
         # packet identities, which are verified independently
         eta_g = -ETA_CLOSED[kind](n)
-        ut = _u_tilde(GroupId(kind, n), p, u)
-        w = t.pi() * t.from_int(ut)
-        cplus = data.c_plus[t_inv]
-        two = t.from_int(2)
-        if variant == "phi_coset":
-            dfac = two**2 * (one - phi**2 * w) / ((one - phi) ** 2 * (one - w))
-        else:
-            dfac = two**2 * (phi**2 - w) / ((one - phi) ** 2 * (one - w))
-        if variant == "plus":
-            cfac = two**2 / (one - w)
-        else:
-            cfac = -(two**2) * w / (one - w)
+        dfac, cfac = so_factors(kind, p, n, u, variant)
         arg = (
-            t.from_int(2 * eta_g)
-            * cplus
+            data.tower.from_int(2 * eta_g)
+            * data.c_plus[t_inv]
             * (prod * dfac * cfac)
-            * y ** (-n)
-            * (one + y)
-            / (y - one)
+            * y_mn
+            * one_plus_y
+            * inv_y_minus_one
         )
         return sgn_at(data, arg)
     raise UnknownPair(str(pair))

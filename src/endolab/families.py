@@ -11,8 +11,9 @@ standard form by a fixed base-change matrix Q.  The tower arithmetic stays in
 available both as closed values and through the eigenvalue route when the
 needed root of unity lies in Q_p.
 
-Each tower datum is computed once per value: y, the eigenvalues, the
-``walds_family`` constants, the base change Q with its inverse and the
+Each tower datum is computed once per value: y, the eigenvalues, their
+root-pair valuations (once per (p, n, u) for every Sp and SO discriminant),
+the ``walds_family`` constants, the base change Q with its inverse and the
 family matrices are cached under keys of ints, strings and ``GroupId``s, on
 the tower ``get_tower`` returns for the same ints.  Caches hold tower and
 matrix data, never a value read from a tabulated constant (``DISC_TABLE``
@@ -289,6 +290,23 @@ DISC_TABLE = {
 }
 
 
+@lru_cache(maxsize=None)
+def _root_pair_val(p: int, n: int, u: int) -> Fraction:
+    """The valuations of t_i/t_j - 1, t_j/t_i - 1, t_i t_j - 1 and
+    (t_i t_j)^-1 - 1, the roots +-e_i +- e_j (i < j), summed over the family
+    eigenvalues t_1..t_n."""
+    t = family_eigenvalues(p, n, u)[:n]
+    one = family_tower(p, n, u).one()
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += (t[i] / t[j] - one).valuation()
+            total += (t[j] / t[i] - one).valuation()
+            total += (t[i] * t[j] - one).valuation()
+            total += ((t[i] * t[j]).inv() - one).valuation()
+    return total
+
+
 def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct: bool = False):
     """-log_q of the (twisted) Weyl discriminant of the family element.
 
@@ -306,18 +324,10 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct:
     phi = tower.phi()
     total = Fraction(0)
     if group.kind is GroupKind.SP:
-        # roots {e_i - e_j, e_i + e_j (i<j), 2 e_i} on eigenvalues t_1..t_n
-        t = eig[:n]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                total += (t[i] / t[j] - one).valuation()
-            total += (t[i] ** 2 - one).valuation() + (t[i] ** -2 - one).valuation()
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += (t[i] * t[j] - one).valuation()
-                total += ((t[i] * t[j]).inv() - one).valuation()
+        # the roots +-e_i +- e_j (i<j) and the long roots 2 e_i
+        total += _root_pair_val(p, n, u)
+        for x in eig[:n]:
+            total += (x**2 - one).valuation() + (x**-2 - one).valuation()
     elif group.kind is GroupKind.TWISTED_GL:
         # order the eigenvalues so positions i and 2n+1-i pair z with -z
         order = list(range(1, n + 1)) + list(range(2 * n, n, -1))
@@ -335,14 +345,7 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct:
                         one - (s[i] / s[j]) * (s[2 * n - 1 - j] / s[2 * n - 1 - i])
                     ).valuation()
     elif group.kind in (GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR):
-        # roots {+-e_i +- e_j (i<j)} on eigenvalues t_1..t_n
-        t = eig[:n]
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += (t[i] / t[j] - one).valuation()
-                total += (t[j] / t[i] - one).valuation()
-                total += (t[i] * t[j] - one).valuation()
-                total += ((t[i] * t[j]).inv() - one).valuation()
+        total += _root_pair_val(p, n, u)
         if group.kind is not GroupKind.SO_RAM:
             ut = _u_tilde(group, p, u)
             # trace of the 2-dimensional eigenvalue pair y, y^{-1}

@@ -159,6 +159,8 @@ def _make(tower, shift, coeffs, rprec):
     rprec = min(rprec, tower.rprec_cap)
     if rprec <= 0:
         return LocalElem(tower, shift + rprec, None, 0)
+    if coeffs[0] % tower.p:  # a unit constant term: phi-valuation 0
+        return LocalElem(tower, shift, tuple(coeffs), rprec)
     t = _poly_valuation(tower, coeffs)
     if t is None or t >= rprec:
         return LocalElem(tower, shift + rprec, None, 0)
@@ -278,14 +280,16 @@ class LocalElem:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        out = self.tower.one()
+        # the lowest set bit takes the base itself; no squaring past the top bit
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return self.tower.one() if out is None else out
 
     def tau(self):
         """The automorphism phi -> -phi (generator over the index-2 subtower)."""

@@ -41,7 +41,10 @@ CACHES = (
     families.walds_family,
     families._q_pair,
     families.family_matrix,
+    families._root_pair_val,
     endoscopy.pol_products,
+    endoscopy.sign_terms,
+    endoscopy.so_factors,
 )
 
 
@@ -65,6 +68,8 @@ def _plain(x):
         return (x.p, x.n, x.u, x.tower.e, x.tower.u0, _plain(consts))
     if isinstance(x, GroupMatrix):
         return (x.group, x.p, x.a, x.s, x.prec)
+    if isinstance(x, Fraction):
+        return x
     return tuple(_plain(v) for v in x)
 
 
@@ -92,6 +97,15 @@ def test_cached_values_equal_a_cold_recomputation():
         walds_family: [(P, N, u) for u in UNITS],
         family_eigenvalues: [(P, N, u) for u in UNITS],
         pol_products: [(P, N, u, s, d) for u in UNITS for s in "+-" for d in (False, True)],
+        endoscopy.sign_terms: [(P, N, u, minus) for u in UNITS for minus in (False, True)],
+        endoscopy.so_factors: [
+            (PAIR_GROUP[pair], P, N, u, var)
+            for pair in (Pair.SOSPL_H, Pair.SOUR_H)
+            for u in UNITS
+            for var in pair_variants(pair)
+        ],
+        # shared by the Sp and the three orthogonal kinds
+        families._root_pair_val: [(P, N, u) for u in UNITS],
         # norm_family_check's Sp matrices among them, under the same keys
         family_matrix: [
             (_gid(kind, u), P, u, var)

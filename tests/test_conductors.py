@@ -181,8 +181,8 @@ def test_packed_dot_matches_termwise_products(p, length):
         (vector(big, big), vector(-big, -big)),  # the largest slot sums
     ]
     for xs, ys in cases:
-        codes, width = conductors._pack(set(xs) | set(ys), p, length)
-        cell = sum(codes[x] * codes[y] for x, y in zip(xs, ys))
+        codes, width = conductors._pack({v.coeffs for v in xs + ys}, p, length)
+        cell = sum(codes[x.coeffs] * codes[y.coeffs] for x, y in zip(xs, ys))
         assert conductors._unpack(cell, p, width) == _dot_termwise(xs, ys, p)
 
 

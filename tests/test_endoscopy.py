@@ -23,7 +23,7 @@ from endolab.endoscopy import (
     transfer_factor,
     walds_family,
 )
-from endolab.errors import IdentityFailed, IncompatibleParams, InvalidU
+from endolab.errors import IdentityFailed, IncompatibleParams, InvalidParams, InvalidU
 from endolab.families import DISC_TABLE, nu_of_u
 from endolab.groups import GroupKind
 from endolab.residue import make_field
@@ -136,6 +136,15 @@ def test_pol_product_direct_vs_closed_mod_norms():
                 direct = pol_products(p, n, u, sign, direct=True)
                 ratio = direct / closed
                 assert sgn_at(data, ratio) == 1
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_pol_products_refuses_a_sign_other_than_plus_or_minus(direct):
+    """Any other string once read as the minus family on the closed route
+    and as the plus family on the direct one (p = 13, n = 2)."""
+    for sign in ("x", "plus", "", "+-"):
+        with pytest.raises(InvalidParams):
+            pol_products(13, 2, 1, sign, direct)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from endolab import padic
 from endolab.errors import (
+    EndolabError,
     IndistinguishableFromZero,
     NonMonotone,
     RootOfUnityUnavailable,
@@ -155,6 +156,84 @@ def test_inv_stops_at_the_fixed_point_with_the_same_result(p, e):
             early += stopped
             assert (got.unit, got.shift, got.rprec) == (want.unit, want.shift, want.rprec)
     assert early > 0
+
+
+def _make_general(tower, shift, coeffs, rprec):
+    """padic._make without its unit-constant return: every call scans the
+    phi-valuation and shifts down by it."""
+    rprec = min(rprec, tower.rprec_cap)
+    if rprec <= 0:
+        return padic.LocalElem(tower, shift + rprec, None, 0)
+    t = padic._poly_valuation(tower, coeffs)
+    if t is None or t >= rprec:
+        return padic.LocalElem(tower, shift + rprec, None, 0)
+    coeffs = padic._poly_shift_down(tower, coeffs, t)
+    return padic.LocalElem(tower, shift + t, tuple(coeffs), rprec - t)
+
+
+def _pow_general(x, n):
+    """LocalElem.__pow__ starting from one(), squaring once past the top bit."""
+    if n < 0:
+        return _pow_general(x.inv(), -n)
+    out = x.tower.one()
+    base = x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def _digits(f):
+    """(shift, unit, rprec) of f(), or the name of the error it raises."""
+    try:
+        x = f()
+    except EndolabError as exc:  # both kernels must raise alike
+        return type(exc).__name__
+    return (x.shift, x.unit, x.rprec)
+
+
+@pytest.mark.parametrize("e", [1, 2, 4, 6])
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_kernel_fast_paths_keep_every_digit(monkeypatch, p, e):
+    """_make's return on a unit constant term and __pow__ without one() give
+    the general kernel's shift, unit and rprec, on units, on constant terms
+    divisible by p and on zero, at every rprec regime."""
+    import random
+
+    rng = random.Random(1000 * p + e)
+    T = TowerSpec(p, e=e, u0=rng.randrange(1, p), prec=6)
+
+    def coeffs(kind):
+        if kind == "zero":
+            return [0] * e
+        rest = [rng.randrange(T.store) for _ in range(e - 1)]
+        if kind == "unit":
+            return [rng.randrange(1, p) + p * rng.randrange(T.store // p)] + rest
+        if kind == "p_all":  # valuation at least e
+            return [p * rng.randrange(T.store // p) for _ in range(e)]
+        return [p * rng.randrange(T.store // p)] + rest
+
+    cases = [
+        (rng.randrange(-3, 4), coeffs(kind), rprec)
+        for kind in ("unit", "p_const", "p_all", "zero")
+        for rprec in (-1, 0, 1, 2, e + 1, T.rprec_cap // 2, T.rprec_cap, T.rprec_cap + 3)
+        for _ in range(2)
+    ]
+    exps = range(-3, 10)
+    made = [_digits(lambda: padic._make(T, s, list(c), r)) for s, c, r in cases]
+    elements = [padic._make(T, s, list(c), r) for s, c, r in cases]
+    powers = [[_digits(lambda: x**n) for n in exps] for x in elements]
+    with monkeypatch.context() as m:
+        m.setattr(padic, "_make", _make_general)
+        assert made == [_digits(lambda: padic._make(T, s, list(c), r)) for s, c, r in cases]
+        assert powers == [[_digits(lambda: _pow_general(x, n)) for n in exps] for x in elements]
+    # every regime was reached: unit constants, a shift down, zeros
+    assert any(x.unit is not None and x.shift == s for x, (s, _, _) in zip(elements, cases))
+    assert any(x.unit is not None and x.shift > s for x, (s, _, _) in zip(elements, cases))
+    assert any(x.unit is None for x in elements)
+    assert "DivisionByNonUnitBeyondPrecision" in {d for row in powers for d in row}
 
 
 # tame symbols -----------------------------------------------------------------
