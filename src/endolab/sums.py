@@ -8,20 +8,31 @@ The central object is a weighted, character-twisted sum over tuples
 where kt is the quadratic extension of k.  All q-1 values are produced in one
 pass by convolving per-position tables over Z/(q-1) (grouping tuples by the
 discrete log of their constraint product); a naive nested-sum evaluator is
-kept as an independent oracle.
+kept as an independent oracle and reads none of the tables below.
+
+Gauss sums are value-cached per (p, f, index).  They and the position tables
+read two per-field tables, cached per (p, f): psi(gen^m) for m < q - 1, and
+(dlog Nr(y), psi~(y)) for the units y of the quadratic extension.  Every sum
+adds the same terms in the same order as a walk over the field elements.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
-from .errors import CapExceeded, ZeroPoint
-from .residue import FFElem, FiniteField, MultCharacter, quad_extension
+from .errors import CapExceeded, WrongField, ZeroPoint
+from .residue import FFElem, FiniteField, MultCharacter, make_field, quad_extension
 
 BRUTE_Q_CAP = 13
 BRUTE_VAR_CAP = 5
 TOL = 1e-6
+
+
+def _refuse_other_field(chi: MultCharacter, fld: FiniteField):
+    if chi.field is not fld:
+        raise WrongField("character of a different field")
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,10 @@ class KloostermanSpec:
             raise ValueError("one character per norm variable required")
         if any(k < 1 for k in self.weights + self.norm_weights):
             raise ValueError("weights must be positive")
+        # the tables read characters by index, so a character of another
+        # field is refused here rather than read at the wrong roots
+        for chi in self.chis + self.etas:
+            _refuse_other_field(chi, self.field)
 
     @property
     def n(self):
@@ -66,38 +81,62 @@ def kl_simple(field: FiniteField, n: int) -> KloostermanSpec:
     return KloostermanSpec(field, (1,) * n, (triv,) * n, name=f"Kl^{n}")
 
 
+@lru_cache(maxsize=None)
+def _psi_table(p: int, f: int) -> tuple:
+    """psi(gen^m) for m < q - 1."""
+    fld = make_field(p, f)
+    return tuple(fld.psi(t) for t in fld.units())
+
+
+@lru_cache(maxsize=None)
+def _ext_table(p: int, f: int) -> tuple:
+    """(dlog Nr(y), psi~(y)) for each unit y of the quadratic extension, in
+    ext.units() order."""
+    fld = make_field(p, f)
+    ext = quad_extension(fld)
+    return tuple((fld.dlog(ext.norm(y)), ext.psi_tilde(y)) for y in ext.units())
+
+
 def gauss_sum(chi: MultCharacter, fld: FiniteField) -> complex:
-    return sum(chi(t) * fld.psi(t) for t in fld.units())
+    _refuse_other_field(chi, fld)
+    return _gauss_sum(fld.p, fld.f, chi.index)
+
+
+@lru_cache(maxsize=None)
+def _gauss_sum(p: int, f: int, index: int) -> complex:
+    chi = MultCharacter(make_field(p, f), index)
+    return sum(chi.value_at_index(m) * psi for m, psi in enumerate(_psi_table(p, f)))
 
 
 def gauss_sum_ext(chi: MultCharacter, fld: FiniteField) -> complex:
     """Gauss sum of chi o Nr against psi o Tr over the quadratic extension."""
-    ext = quad_extension(fld)
+    _refuse_other_field(chi, fld)
+    return _gauss_sum_ext(fld.p, fld.f, chi.index)
+
+
+@lru_cache(maxsize=None)
+def _gauss_sum_ext(p: int, f: int, index: int) -> complex:
+    chi = MultCharacter(make_field(p, f), index)
     total = 0j
-    for y in ext.units():
-        nr = ext.norm(y)
-        total += chi(nr) * ext.psi_tilde(y)
+    for d, psi in _ext_table(p, f):
+        total += chi.value_at_index(d) * psi
     return total
 
 
 def _position_tables(spec: KloostermanSpec):
-    fld = spec.field
-    order = fld.q - 1
-    psi_by_index = [fld.psi(fld._units_by_index[m]) for m in range(order)]
+    p, f = spec.field.p, spec.field.f
+    order = spec.field.q - 1
     tables = []
     for k, chi in zip(spec.weights, spec.chis):
         t = [0j] * order
-        for m in range(order):
-            t[(k * m) % order] += psi_by_index[m] * chi.value_at_index(m)
+        for m, psi in enumerate(_psi_table(p, f)):
+            t[(k * m) % order] += psi * chi.value_at_index(m)
         tables.append(t)
-    if spec.m:
-        ext = quad_extension(fld)
-        for l, eta in zip(spec.norm_weights, spec.etas):
-            t = [0j] * order
-            for y in ext.units():
-                nr = ext.norm(y)
-                t[(l * fld.dlog(nr)) % order] += ext.psi_tilde(y) * eta(nr)
-            tables.append(t)
+    for l, eta in zip(spec.norm_weights, spec.etas):
+        t = [0j] * order
+        for d, psi in _ext_table(p, f):
+            t[(l * d) % order] += psi * eta.value_at_index(d)
+        tables.append(t)
     return tables
 
 

@@ -1,13 +1,13 @@
-"""The value caches under the transfer, disc and family-matrix routes hold
-tower and matrix data only: a cached value equals a cold recomputation digit
-for digit, and a perturbed table reaches a warm cache as it reaches a cold
-one."""
+"""The value caches under the Gauss-sum, transfer, disc and family-matrix
+routes hold field, tower and matrix data only: a cached value equals a cold
+recomputation digit for digit, and a perturbed table reaches a warm cache as
+it reaches a cold one."""
 
 from fractions import Fraction
 
 import pytest
 
-from endolab import endoscopy, families
+from endolab import endoscopy, families, sums
 from endolab.endoscopy import (
     ETA_CLOSED,
     PAIR_GROUP,
@@ -30,7 +30,8 @@ from endolab.families import (
 )
 from endolab.groups import GroupId, GroupKind, GroupMatrix
 from endolab.padic import LocalElem
-from endolab.residue import make_field
+from endolab.residue import MultCharacter, make_field
+from endolab.suites import exp_sums_suite
 
 # n, p with p = 1 mod 2n, so the eigenvalue routes run
 N, P = 2, 5
@@ -45,12 +46,19 @@ CACHES = (
     endoscopy.pol_products,
     endoscopy.sign_terms,
     endoscopy.so_factors,
+    sums._psi_table,
+    sums._ext_table,
+    sums._gauss_sum,
+    sums._gauss_sum_ext,
 )
+# keyed by (p, f) or (p, f, index)
+SUMS_CACHES = CACHES[-4:]
 
 
 def _clear():
     for cache in CACHES:
         cache.cache_clear()
+    sums._TABLE_CACHE.clear()
 
 
 def _gid(kind, u):
@@ -68,8 +76,10 @@ def _plain(x):
         return (x.p, x.n, x.u, x.tower.e, x.tower.u0, _plain(consts))
     if isinstance(x, GroupMatrix):
         return (x.group, x.p, x.a, x.s, x.prec)
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, int)):
         return x
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
     return tuple(_plain(v) for v in x)
 
 
@@ -88,6 +98,12 @@ def _run_routes():
                 family_matrix(_gid(kind, u), P, u, var)
     for u in UNITS:
         assert norm_family_check(Pair.GL_ODD_SP, P, N, u)
+    k = make_field(P)
+    for idx in range(P - 1):
+        sums.gauss_sum(MultCharacter(k, idx), k)
+        sums.gauss_sum_ext(MultCharacter(k, idx), k)
+    for spec in sums.catalog(k):
+        sums.kloosterman_table(spec)
 
 
 def test_cached_values_equal_a_cold_recomputation():
@@ -106,6 +122,11 @@ def test_cached_values_equal_a_cold_recomputation():
         ],
         # shared by the Sp and the three orthogonal kinds
         families._root_pair_val: [(P, N, u) for u in UNITS],
+        # one field; the catalog tables read the per-field ones
+        sums._psi_table: [(P, 1)],
+        sums._ext_table: [(P, 1)],
+        sums._gauss_sum: [(P, 1, idx) for idx in range(P - 1)],
+        sums._gauss_sum_ext: [(P, 1, idx) for idx in range(P - 1)],
         # norm_family_check's Sp matrices among them, under the same keys
         family_matrix: [
             (_gid(kind, u), P, u, var)
@@ -114,6 +135,8 @@ def test_cached_values_equal_a_cold_recomputation():
             for var in variants
         ],
     }
+    # no field object and no id() among the keys
+    assert all(type(v) is int for cache in SUMS_CACHES for a in keys[cache] for v in a)
     warm = {}
     for cache, args in keys.items():
         # the routes filled the cache with exactly these values
@@ -161,3 +184,72 @@ def test_a_table_perturbation_reaches_a_warm_cache(monkeypatch):
     assert warm[0] == tuple(-s for s in before[0])
     with pytest.raises(InvalidU):
         weyl_disc_val(sp, P, 1, "plus", direct=True)
+
+
+def _rows(suite_rows):
+    return {(r.suite, r.parameters): r.passed for r in suite_rows}
+
+
+@pytest.fixture
+def cold_after(monkeypatch):
+    """Clear every cache when the test ends, before its monkeypatches are
+    undone, so no perturbed value outlives the test."""
+    yield monkeypatch
+    _clear()
+
+
+def test_an_extension_table_perturbation_fails_hd_lift_on_warm_caches(cold_after):
+    """The extension Gauss sums are cached above the extension table, and
+    hd_lift compares them with the base-field sums: one perturbed entry, with
+    the caches that read the table cleared, fails that row and no other."""
+    before = _rows(exp_sums_suite(qs=(P,)))
+    assert all(before.values())
+    entries = list(sums._ext_table(P, 1))
+    d, psi = entries[0]
+    entries[0] = (d, -psi)
+    real = sums._ext_table
+    cold_after.setattr(sums, "_ext_table", lambda p, f: tuple(entries) if (p, f) == (P, 1) else real(p, f))
+    sums._gauss_sum_ext.cache_clear()
+    sums._TABLE_CACHE.clear()
+    # the base-field tables stay warm
+    assert sums._psi_table.cache_info().currsize and sums._gauss_sum.cache_info().currsize
+    after = _rows(exp_sums_suite(qs=(P,)))
+    assert after.keys() == before.keys()
+    assert [key for key, passed in after.items() if not passed] == [("hd_lift", f"q={P}")]
+
+
+def test_a_kloosterman_table_perturbation_fails_its_fourier_row(cold_after):
+    """The fourier rows read the cached Kloosterman table, and their Gauss
+    side reads no table: one perturbed entry of a warm table fails its row
+    and no other."""
+    spec = sums.sp_spec(make_field(P), 2)
+    _clear()
+    table = sums.kloosterman_table(spec)
+    (key,) = sums._TABLE_CACHE
+    before = _rows(exp_sums_suite(qs=(P,)))
+    assert all(before.values())
+    assert sums.kloosterman_table(spec) is table
+    cold_after.setitem(sums._TABLE_CACHE, key, [table[0] + 1] + table[1:])
+    after = _rows(exp_sums_suite(qs=(P,)))
+    assert [key for key, passed in after.items() if not passed] == [("fourier", f"q={P} spec={spec.name}")]
+
+
+def test_the_direct_oracle_reads_none_of_the_sum_tables(cold_after):
+    """With the per-field tables and Gauss sums raising, the table route
+    fails and kloosterman_eval_direct still evaluates every catalog spec."""
+    k = make_field(P)
+    specs = sums.catalog(k)
+    expect = [sums.kloosterman_eval(spec, k.one) for spec in specs]
+
+    class TableRead(Exception):
+        pass
+
+    def refuse(*args):
+        raise TableRead(args)
+
+    for cache in SUMS_CACHES:
+        cold_after.setattr(sums, cache.__name__, refuse)
+    for spec, value in zip(specs, expect):
+        with pytest.raises(TableRead):
+            sums._position_tables(spec)
+        assert abs(sums.kloosterman_eval_direct(spec, k.one) - value) < 1e-9, spec.name

@@ -3,9 +3,9 @@ import cmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endolab.errors import CapExceeded, HypothesisFailed, ZeroPoint
+from endolab.errors import CapExceeded, HypothesisFailed, WrongField, ZeroPoint
 from endolab import sums
-from endolab.residue import FiniteField, MultCharacter, make_field
+from endolab.residue import FiniteField, MultCharacter, field_size, make_field, quad_extension
 from endolab.sums import (
     KloostermanSpec,
     catalog,
@@ -255,3 +255,92 @@ def test_variable_order_invariance(perm_seed, u_idx):
     )
     u = k.units()[u_idx]
     assert abs(kloosterman_eval(a, u) - kloosterman_eval(b, u)) < 1e-9
+
+
+@pytest.mark.parametrize("gauss", [gauss_sum, gauss_sum_ext])
+def test_gauss_sums_refuse_a_character_of_another_field(gauss):
+    """The sums are cached by (p, f, index), so the field is checked before
+    the cache is read: a character of F_5 is not evaluated over F_7, nor over
+    a second F_5 built beside the interned one."""
+    chi = MultCharacter(make_field(5), 1)
+    gauss(chi, make_field(5))
+    for fld in (make_field(7), FiniteField(5)):
+        with pytest.raises(WrongField):
+            gauss(chi, fld)
+
+
+def test_specs_refuse_a_character_of_another_field():
+    chi = MultCharacter(make_field(5), 1)
+    for other in (make_field(7), FiniteField(5)):
+        with pytest.raises(WrongField):
+            KloostermanSpec(other, (1,), (chi,))
+        with pytest.raises(WrongField):
+            KloostermanSpec(other, (), (), (1,), (chi,))
+
+
+# the walks over field elements that the per-field tables replaced
+
+
+def _walk_gauss_sum(chi, fld):
+    return sum(chi(t) * fld.psi(t) for t in fld.units())
+
+
+def _walk_gauss_sum_ext(chi, fld):
+    ext = quad_extension(fld)
+    total = 0j
+    for y in ext.units():
+        nr = ext.norm(y)
+        total += chi(nr) * ext.psi_tilde(y)
+    return total
+
+
+def _walk_position_tables(spec):
+    fld = spec.field
+    order = fld.q - 1
+    psi_by_index = [fld.psi(fld._units_by_index[m]) for m in range(order)]
+    tables = []
+    for k, chi in zip(spec.weights, spec.chis):
+        t = [0j] * order
+        for m in range(order):
+            t[(k * m) % order] += psi_by_index[m] * chi.value_at_index(m)
+        tables.append(t)
+    if spec.m:
+        ext = quad_extension(fld)
+        for l, eta in zip(spec.norm_weights, spec.etas):
+            t = [0j] * order
+            for y in ext.units():
+                nr = ext.norm(y)
+                t[(l * fld.dlog(nr)) % order] += ext.psi_tilde(y) * eta(nr)
+            tables.append(t)
+    return tables
+
+
+def _bits(x):
+    """A complex number, or nested sequences of them, as exact float bits
+    (signed zeros told apart)."""
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    return tuple(_bits(v) for v in x)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+@pytest.mark.parametrize("build", [make_field, FiniteField])
+def test_table_sums_equal_the_field_walks_bit_for_bit(q, build):
+    """Gauss sums, position tables and Kloosterman tables read the per-field
+    tables; each equals the walk over field elements float for float, on an
+    interned field and on one built directly."""
+    for cache in (sums._psi_table, sums._ext_table, sums._gauss_sum, sums._gauss_sum_ext):
+        cache.cache_clear()
+    sums._TABLE_CACHE.clear()
+    k = build(*field_size(q))
+    for idx in range(q - 1):
+        chi = MultCharacter(k, idx)
+        assert _bits(gauss_sum(chi, k)) == _bits(_walk_gauss_sum(chi, k)), idx
+        assert _bits(gauss_sum_ext(chi, k)) == _bits(_walk_gauss_sum_ext(chi, k)), idx
+    for spec in catalog(k):
+        walked = _walk_position_tables(spec)
+        assert _bits(sums._position_tables(spec)) == _bits(walked), spec.name
+        table = walked[0]
+        for t in walked[1:]:
+            table = sums._convolve(table, t, q - 1)
+        assert _bits(kloosterman_table(spec)) == _bits(table), spec.name
