@@ -3,11 +3,16 @@ independent routes to character values at "shallow" elements.
 
 ``char_brute_force`` runs the compact-induction character formula: it sums the
 inducing character over the finite torus index set attached to the element's
-coset, conjugating honest matrix data.  The sum reads the parameters only
-through (kappa, a mod p), so each element keeps one psi-sum per such key and
-xi and zeta are applied to it afterwards.  ``char_closed_form`` evaluates the
-matching Kloosterman/Gauss expression through :mod:`endolab.sums`.  The two
-must agree; the test-suite grid enforces it.
+coset, conjugating honest matrix data.  Each slot residue of a conjugate
+t * h * t^-1 reads at most two torus coordinates, so the route tabulates every
+slot once per histogram over the values its coordinates take, and each
+conjugate reads its slot tuple from these tables (on twisted GL, each
+conjugate computes only its (0, 0) and slot entries).  The sum reads the
+parameters only through (kappa, a mod p), so each element keeps one psi-sum
+per such key and xi and zeta are applied to it afterwards.
+``char_closed_form`` evaluates the matching Kloosterman/Gauss expression
+through :mod:`endolab.sums`.  The two must agree; the test-suite grid enforces
+it.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product, repeat
 
-from .errors import EndolabError, HypothesisFailed, InvalidParams, OutOfDomain
+from .errors import EndolabError, HypothesisFailed, InvalidParams, NotInIplus, OutOfDomain
 from .families import family_matrix, family_phi, nu_of_u
 from .groups import (
     SAMPLE_TRIES,
@@ -145,10 +151,9 @@ def _int_rows(g: GroupMatrix, digits: int):
     return g.reduce(digits), g.p**digits
 
 
-def _slot_residue(m, mod, p, slot, pre=1, post=1):
-    """Residue of entry pre*m[i][j]*post at its slot level."""
-    i, j, piw = slot
-    v = (pre * m[i][j] * post) % mod
+def _slot_residue(x, mod, p, piw, pre=1, post=1):
+    """Residue of the entry pre*x*post at its slot level p^piw."""
+    v = (pre * x * post) % mod
     return (v // p**piw) % p
 
 
@@ -310,22 +315,36 @@ def _psi_sum(params: SSCParams, element: CharElement):
     if not hist:
         return sign, None
     p = element.matrix.p
-    form = _psi_form(params, p)
+    k, weights = _psi_form(params, p)
+    roots = k._add_roots
+    mul = operator.mul
     total = 0.0 + 0.0j
     if gl:
-        k = make_field(p)
+        # the central residue leads each key; w0 weights it, the form skips it
         w0 = k.omega0()
+        w0_at = [None] + [w0(k.elem(z)) for z in range(1, p)]
+        weights = [0] + weights
         for tup, count in hist.items():
-            total += count * w0(k.elem(tup[0])) * _psi_value(form, tup[1:])
+            total += count * w0_at[tup[0]] * roots[sum(map(mul, weights, tup)) % p]
     else:
         for tup, count in hist.items():
-            total += count * _psi_value(form, tup)
+            total += count * roots[sum(map(mul, weights, tup)) % p]
     return sign, total
+
+
+def _slot_column(reps, values, coords, residue):
+    """residue(rep[c] for c in coords) for each rep, in order; residue is
+    tabulated once per value of its coordinates (``values``), so a rep costs
+    one lookup."""
+    if not coords:
+        return repeat(residue(), len(reps))
+    table = {xs: residue(*xs) for xs in product(*(values[c] for c in coords))}
+    return map(table.__getitem__, zip(*(map(operator.itemgetter(c), reps) for c in coords)))
 
 
 def _standard_histogram(params: SSCParams, element: CharElement):
     """(sign, histogram): the sign of the +-I+ coset and the slot residues of
-    the torus conjugates of the I+ part."""
+    the torus conjugates of the I+ part, each read from its slot's table."""
     group = params.group
     p = element.matrix.p
     m, mod = _int_rows(element.h_part, 4)
@@ -336,48 +355,71 @@ def _standard_histogram(params: SSCParams, element: CharElement):
         m = [[(-x) % mod for x in row] for row in m]
     elif d0 != 1:
         raise OutOfDomain("element is not in the +-coset of I+")
-    slots = group.component_slots()
-    k = make_field(p)
-    eps = k.eps.a
-    hist: dict = {}
-    for rep in torus_index_set(params, element):
-        if group.kind is GroupKind.SO_UR:
-            t = list(rep[:-1])
-            tt = rep[-1]
-            mid = tt if isinstance(tt, tuple) else (tt % p, 0)
-            diag = t + [None, None] + [pow(x, -1, mod) for x in reversed(t)]
+    reps = torus_index_set(params, element)
+    if not reps:
+        return sign, {}
+    eps = make_field(p).eps.a
+    N = group.size
+    # the torus diagonal is (t_1..t_r, middle, t_r^-1..t_1^-1): the middle is
+    # 1, 1 on the ramified kind and the quadratic pair (the last coordinate
+    # of each rep) on the unramified one
+    r = len(reps[0]) - (group.kind is GroupKind.SO_UR)
+    values = [tuple(dict.fromkeys(col)) for col in zip(*reps)]
+
+    def coordinate(d):
+        if d < r:
+            return d
+        if d >= N - r:
+            return N - 1 - d
+        return None
+
+    def diag(d, xs):
+        """diagonal entry d at the coordinate values xs, 1 in the middle"""
+        c = coordinate(d)
+        if c is None:
+            return 1
+        return xs[c] if d < r else pow(xs[c], -1, mod)
+
+    def plain(i, j, piw):
+        coords = tuple(sorted({coordinate(i), coordinate(j)} - {None}))
+
+        def residue(*x):
+            xs = dict(zip(coords, x))
+            post = pow(diag(j, xs), -1, mod)
+            return _slot_residue(m[i][j], mod, p, piw, pre=diag(i, xs), post=post)
+
+        return _slot_column(reps, values, coords, residue)
+
+    def pair(i1, j1, j2, part):
+        # the middle slot t_i * (m_ij1 + m_ij2 * sqrt eps) * y^-1, y the quadratic coordinate
+        def residue(t, tt):
+            x, y = tt if isinstance(tt, tuple) else (tt % p, 0)
+            yinv = (x, (-y) % p)
+            if part == 0:
+                a = t * (m[i1][j1] * yinv[0] + m[i1][j2] * ((eps * yinv[1]) % p))
+            else:
+                a = t * (m[i1][j1] * yinv[1] + m[i1][j2] * yinv[0])
+            return a % mod % p
+
+        return _slot_column(reps, values, (i1, r), residue)
+
+    columns = []
+    for slot in group.component_slots():
+        if isinstance(slot[0], tuple):
+            (i1, j1, _), (_, j2, _) = slot
+            columns += (pair(i1, j1, j2, 0), pair(i1, j1, j2, 1))
         else:
-            t = list(rep)
-            if group.kind is GroupKind.SO_RAM:
-                diag = t + [1, 1] + [pow(x, -1, mod) for x in reversed(t)]
-            else:
-                diag = t + [pow(x, -1, mod) for x in reversed(t)]
-            mid = None
-        vals = []
-        for slot in slots:
-            if isinstance(slot[0], tuple):
-                (i1, j1, _), (i2, j2, _) = slot
-                x, y = mid
-                yinv = (x, (-y) % p)
-                a1 = (
-                    diag[i1]
-                    * (m[i1][j1] * yinv[0] + m[i1][j2] * ((eps * yinv[1]) % p))
-                ) % mod
-                a2 = (diag[i1] * (m[i1][j1] * yinv[1] + m[i1][j2] * yinv[0])) % mod
-                vals += (a1 % p, a2 % p)
-            else:
-                i, j, piw = slot
-                pre = diag[i] if diag[i] is not None else 1
-                post = pow(diag[j], -1, mod) if diag[j] is not None else 1
-                vals.append(_slot_residue(m, mod, p, (i, j, piw), pre=pre, post=post))
-        tup = tuple(vals)
+            columns.append(plain(*slot))
+    hist: dict = {}
+    for tup in zip(*columns):
         hist[tup] = hist.get(tup, 0) + 1
     return sign, hist
 
 
 def _gl_histogram(params: SSCParams, element: CharElement):
     """(1, histogram) of (central residue, slot residues) over the torus
-    conjugates, which lie in Z * I+."""
+    conjugates, which lie in Z * I+.  Each conjugate's entries are computed
+    only at (0, 0) and at the slots."""
     group = params.group
     p = element.matrix.p
     n = group.n
@@ -385,47 +427,32 @@ def _gl_histogram(params: SSCParams, element: CharElement):
     m, mod = _int_rows(element.matrix, 5)
     slots = group.component_slots()
     a_lift = params.a % p
+    inv = [None] + [pow(x, -1, mod) for x in range(1, p)]
+    mod_eff = mod // p if element.phi else mod
+    au = (params.a * element.phi[0]) % p if element.phi else None
+    # the (0, 0) entry and the slot entries of the conjugate t * m * t~, where
+    # t~ reverses t; on the coset the rows move down one and row 0 becomes
+    # a * (row N-1) / p
+    reads = [(0, 0)] + [slot[:2] for slot in slots]
+    rows = [(i - 1 if i else N - 1, j) for i, j in reads] if element.phi else reads
+    piws = [slot[2] for slot in slots]
     hist: dict = {}
     for rep in torus_index_set(params, element):
         if not element.phi:
-            ts = list(rep[:-1])
             z = rep[-1]
-            t = [0] * N
-            for i in range(n - 1):
-                t[i] = ts[i]
-            t[n - 1] = 1
-            for i in range(n, N):
-                t[i] = (z * pow(t[N - 1 - i], -1, mod)) % mod
+            t = list(rep[:-1]) + [1]
+            t += [(z * inv[t[N - 1 - i]]) % mod for i in range(n, N)]
         else:
-            au = (params.a * element.phi[0]) % p
-            ts = list(rep[:-1]) + [rep[-1] % p]
-            t = [0] * N
-            for i in range(n):
-                t[i] = ts[i]
-            t[N - 1] = 1
-            for i in range(n, N - 1):
-                t[i] = (au * pow(t[N - 2 - i], -1, mod)) % mod
-        conj = [
-            [(t[i] * m[i][j] * t[N - 1 - j]) % mod for j in range(N)]
-            for i in range(N)
-        ]
+            t = list(rep[:-1]) + [rep[-1] % p]
+            t += [(au * inv[t[N - 2 - i]]) % mod for i in range(n, N - 1)] + [1]
+        conj = [(t[i] * m[i][j] * t[N - 1 - j]) % mod for i, j in rows]
         if element.phi:
-            x = [[0] * N for _ in range(N)]
-            for j in range(N):
-                for i in range(1, N):
-                    x[i][j] = conj[i - 1][j]
-                x[0][j] = (a_lift * (conj[N - 1][j] // p)) % (mod // p)
-            conj = x
-            mod_eff = mod // p
-        else:
-            mod_eff = mod
-        z_res = conj[0][0] % p
+            conj = [v if i else (a_lift * (v // p)) % mod_eff for (i, _), v in zip(reads, conj)]
+        z_res = conj[0] % p
         if z_res == 0:
             raise OutOfDomain("conjugate fell outside Z*I+")
         zinv = pow(z_res, -1, mod_eff)
-        vals = tuple(
-            _slot_residue(conj, mod_eff, p, slot, pre=zinv) for slot in slots
-        )
+        vals = tuple(_slot_residue(x, mod_eff, p, piw, pre=zinv) for x, piw in zip(conj[1:], piws))
         tup = (z_res,) + vals
         hist[tup] = hist.get(tup, 0) + 1
     return 1, hist
@@ -447,15 +474,21 @@ class ElementDescriptor:
 
 
 def describe(element: CharElement) -> ElementDescriptor:
+    """The element's descriptor.  Each candidate h-part is classified once,
+    by the I+ check of ``simple_affine_components``: a twisted linear h-part
+    outside I+ is refused with NotInIplus, any other is read at its negative,
+    and refused with OutOfDomain when that is outside I+ too."""
     hpart = element.h_part
-    sign = 1
-    if element.group.kind is not GroupKind.TWISTED_GL and iwahori_level(hpart) < Level.IPLUS:
-        neg = hpart.neg()
-        if iwahori_level(neg) < Level.IPLUS:
-            raise OutOfDomain("element is not in the character's domain")
-        hpart, sign = neg, -1
-    comps = tuple(simple_affine_components(hpart))
-    return ElementDescriptor(element.group, comps, element.phi, sign)
+    try:
+        return ElementDescriptor(element.group, tuple(simple_affine_components(hpart)), element.phi)
+    except NotInIplus:
+        if element.group.kind is GroupKind.TWISTED_GL:
+            raise
+    try:
+        comps = tuple(simple_affine_components(hpart.neg()))
+    except NotInIplus:
+        raise OutOfDomain("element is not in the character's domain") from None
+    return ElementDescriptor(element.group, comps, element.phi, -1)
 
 
 def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:

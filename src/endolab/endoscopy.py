@@ -7,10 +7,11 @@ cancellations in products are exact; they are only sent to complex numbers at
 comparison time.
 
 The sign-character factors that depend only on (p, n, u) and the family
-(``pol_products``, ``sign_terms``, ``so_factors``) are computed once per
-value; as in ``families``, no cache holds a value read from a table
-(``ETA_CLOSED``, ``DELTA_IV_EXPECTED``, ``epsilon_factor``), so a perturbed
-table reaches every later call.
+(``pol_products``, ``sign_terms``, ``so_factors``), and the phi-coset family
+descriptors (``coset_descriptor``), are computed once per value; as in
+``families``, no cache holds a value read from a table (``ETA_CLOSED``,
+``DELTA_IV_EXPECTED``, ``epsilon_factor``), so a perturbed table reaches every
+later call.
 """
 
 from __future__ import annotations
@@ -465,18 +466,23 @@ def so_even_packet_verify(
     return xi, a, (1, -1), b, eta_lift
 
 
+@lru_cache(maxsize=None)
+def coset_descriptor(kind: GroupKind, n: int, p: int, u: int) -> characters.ElementDescriptor:
+    """The descriptor of the even-orthogonal phi-coset family element at u."""
+    return characters.describe(characters.family_element(kind, n, p, u, "phi_coset"))
+
+
 def _so_even_coset_values(kind, k, n: int, a: int, u) -> list:
     """(Theta_{xi,0,a,zeta} - Theta_{xi,1,a/eps,zeta}) at the mixed-sign coset
     element for zeta = 1 and zeta = -1, through the closed form (the kappa
     selection happens there)."""
     p = k.p
-    el = characters.family_element(kind, n, p, u.a, "phi_coset")
-    desc = characters.describe(el)
+    desc = coset_descriptor(kind, n, p, u.a)
     values = []
     for zeta in (1, -1):
         total = 0.0 + 0.0j
         for kap, aa in ((0, a), (1, (a * pow(k.eps.a, -1, p)) % p)):
-            params = characters.SSCParams(el.group, aa, 1, kap, zeta)
+            params = characters.SSCParams(desc.group, aa, 1, kap, zeta)
             val = characters.char_closed_form(params, desc).value
             total += val if kap == 0 else -val
         values.append(total)

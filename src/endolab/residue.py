@@ -455,10 +455,18 @@ def make_field(p: int, f: int = 1) -> FiniteField:
     return _make_field_cached(p, f)
 
 
-@lru_cache(maxsize=None)
 def quad_extension(k: FiniteField) -> QuadExtension:
-    """Construct (and cache) the quadratic extension of the residue field k."""
+    """The quadratic extension of the residue field k: cached by (p, f) for
+    the ``make_field`` field, built afresh for any other field object, so the
+    cache holds no field the caller built."""
+    if k is make_field(k.p, k.f):
+        return _quad_extension_cached(k.p, k.f)
     return QuadExtension(k)
+
+
+@lru_cache(maxsize=None)
+def _quad_extension_cached(p: int, f: int) -> QuadExtension:
+    return QuadExtension(make_field(p, f))
 
 
 def norm_trace(x: FFElem):

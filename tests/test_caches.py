@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from endolab import endoscopy, families, sums
+from endolab.characters import ElementDescriptor
 from endolab.endoscopy import (
     ETA_CLOSED,
     PAIR_GROUP,
@@ -16,6 +17,7 @@ from endolab.endoscopy import (
     norm_family_check,
     pair_variants,
     pol_products,
+    so_even_packet_verify,
 )
 from endolab.errors import InvalidU
 from endolab.families import (
@@ -46,11 +48,13 @@ CACHES = (
     endoscopy.pol_products,
     endoscopy.sign_terms,
     endoscopy.so_factors,
+    endoscopy.coset_descriptor,
     sums._psi_table,
     sums._ext_table,
     sums._gauss_sum,
     sums._gauss_sum_ext,
 )
+SO_EVEN = (GroupKind.SO_SPL, GroupKind.SO_UR)
 # keyed by (p, f) or (p, f, index)
 SUMS_CACHES = CACHES[-4:]
 
@@ -76,6 +80,9 @@ def _plain(x):
         return (x.p, x.n, x.u, x.tower.e, x.tower.u0, _plain(consts))
     if isinstance(x, GroupMatrix):
         return (x.group, x.p, x.a, x.s, x.prec)
+    if isinstance(x, ElementDescriptor):
+        comps = tuple((c.field.p, c.field.f, c.a, c.b) for c in x.components)
+        return (x.group, comps, x.phi, x.sign)
     if isinstance(x, (Fraction, int)):
         return x
     if isinstance(x, complex):
@@ -98,6 +105,10 @@ def _run_routes():
                 family_matrix(_gid(kind, u), P, u, var)
     for u in UNITS:
         assert norm_family_check(Pair.GL_ODD_SP, P, N, u)
+    # each u is admissible at one nu, where its phi-coset element is described
+    for kind in SO_EVEN:
+        for nu in (0, 1):
+            so_even_packet_verify(kind, N, P, 1, 1, nu)
     k = make_field(P)
     for idx in range(P - 1):
         sums.gauss_sum(MultCharacter(k, idx), k)
@@ -120,6 +131,7 @@ def test_cached_values_equal_a_cold_recomputation():
             for u in UNITS
             for var in pair_variants(pair)
         ],
+        endoscopy.coset_descriptor: [(kind, N, P, u) for kind in SO_EVEN for u in UNITS],
         # shared by the Sp and the three orthogonal kinds
         families._root_pair_val: [(P, N, u) for u in UNITS],
         # one field; the catalog tables read the per-field ones

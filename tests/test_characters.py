@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from endolab import characters, sums, suites
+from endolab import characters, residue, sums, suites
 from endolab.characters import (
     CharElement,
     SSCParams,
@@ -19,7 +21,7 @@ from endolab.characters import (
 from endolab.errors import InvalidParams, OutOfDomain
 from endolab.families import FAMILY_VARIANTS, family_matrix, nu_of_u
 from endolab.groups import GroupId, GroupKind, GroupMatrix, phi_element
-from endolab.residue import QuadExtension, make_field, quad_extension
+from endolab.residue import FiniteField, QuadExtension, make_field, quad_extension
 from endolab.suites import _params_grid
 from endolab.sums import kl_simple, kloosterman_eval, sp_spec
 
@@ -55,6 +57,34 @@ def test_unramified_form_matches_extension_trace(p, kappa):
 def test_quad_extension_cached_per_field():
     for p in (3, 5, 7):
         assert quad_extension(make_field(p)) is quad_extension(make_field(p))
+        assert quad_extension(make_field(p)).base is make_field(p)
+
+
+def test_quad_extension_holds_no_directly_built_field():
+    """Only the make_field field's extension is cached, by (p, f): fifty
+    fresh FiniteField(5) objects each get their own extension over
+    themselves, and leave the cache as it was."""
+    cache = residue._quad_extension_cached
+    ext = quad_extension(make_field(5))
+    before = cache.cache_info()
+    for _ in range(50):
+        fld = FiniteField(5)
+        fresh = quad_extension(fld)
+        assert fresh.base is fld and fresh is not ext
+        assert fresh.eps_tilde[0].field is fld
+        assert sums.kloosterman_eval_direct(sums.so_unramified_spec(fld, 2), fld.one) == sums.kloosterman_eval_direct(
+            sums.so_unramified_spec(make_field(5), 2), make_field(5).one
+        )
+    after = cache.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    assert all(quad_extension(make_field(5)) is ext for _ in range(3))
+    # nothing else holds a field passed in
+    fld = FiniteField(5)
+    alive = weakref.ref(fld)
+    quad_extension(fld).eps_tilde
+    del fld
+    gc.collect()
+    assert alive() is None
 
 
 # parameter validation ------------------------------------------------------
@@ -357,3 +387,187 @@ def test_both_routes_refuse_a_twisted_linear_zeta_off_w0_minus_one(q, zeta):
             char_brute_force(params, el)
         with pytest.raises(InvalidParams):
             char_closed_form(params, describe(el))
+
+
+# the per-slot tables against per-conjugate conjugation ---------------------------
+#
+# The two histograms below are the route before the per-slot tables: every torus
+# conjugate is built in full and each slot residue read off it.  The tables must
+# give the same dict, in the same insertion order, so every psi-sum adds the same
+# terms in the same order.
+
+
+def _reference_slot_residue(m, mod, p, slot, pre=1, post=1):
+    """Residue of entry pre*m[i][j]*post at its slot level."""
+    i, j, piw = slot
+    v = (pre * m[i][j] * post) % mod
+    return (v // p**piw) % p
+
+
+def _reference_standard_histogram(params: SSCParams, element: CharElement):
+    """(sign, histogram): the sign of the +-I+ coset and the slot residues of
+    the torus conjugates of the I+ part."""
+    group = params.group
+    p = element.matrix.p
+    m, mod = characters._int_rows(element.h_part, 4)
+    sign = 1
+    d0 = m[0][0] % p
+    if d0 == p - 1:
+        sign = -1
+        m = [[(-x) % mod for x in row] for row in m]
+    elif d0 != 1:
+        raise OutOfDomain("element is not in the +-coset of I+")
+    slots = group.component_slots()
+    k = make_field(p)
+    eps = k.eps.a
+    hist: dict = {}
+    for rep in torus_index_set(params, element):
+        if group.kind is GroupKind.SO_UR:
+            t = list(rep[:-1])
+            tt = rep[-1]
+            mid = tt if isinstance(tt, tuple) else (tt % p, 0)
+            diag = t + [None, None] + [pow(x, -1, mod) for x in reversed(t)]
+        else:
+            t = list(rep)
+            if group.kind is GroupKind.SO_RAM:
+                diag = t + [1, 1] + [pow(x, -1, mod) for x in reversed(t)]
+            else:
+                diag = t + [pow(x, -1, mod) for x in reversed(t)]
+            mid = None
+        vals = []
+        for slot in slots:
+            if isinstance(slot[0], tuple):
+                (i1, j1, _), (i2, j2, _) = slot
+                x, y = mid
+                yinv = (x, (-y) % p)
+                a1 = (
+                    diag[i1]
+                    * (m[i1][j1] * yinv[0] + m[i1][j2] * ((eps * yinv[1]) % p))
+                ) % mod
+                a2 = (diag[i1] * (m[i1][j1] * yinv[1] + m[i1][j2] * yinv[0])) % mod
+                vals += (a1 % p, a2 % p)
+            else:
+                i, j, piw = slot
+                pre = diag[i] if diag[i] is not None else 1
+                post = pow(diag[j], -1, mod) if diag[j] is not None else 1
+                vals.append(_reference_slot_residue(m, mod, p, (i, j, piw), pre=pre, post=post))
+        tup = tuple(vals)
+        hist[tup] = hist.get(tup, 0) + 1
+    return sign, hist
+
+
+def _reference_gl_histogram(params: SSCParams, element: CharElement):
+    """(1, histogram) of (central residue, slot residues) over the torus
+    conjugates, which lie in Z * I+."""
+    group = params.group
+    p = element.matrix.p
+    n = group.n
+    N = 2 * n
+    m, mod = characters._int_rows(element.matrix, 5)
+    slots = group.component_slots()
+    a_lift = params.a % p
+    hist: dict = {}
+    for rep in torus_index_set(params, element):
+        if not element.phi:
+            ts = list(rep[:-1])
+            z = rep[-1]
+            t = [0] * N
+            for i in range(n - 1):
+                t[i] = ts[i]
+            t[n - 1] = 1
+            for i in range(n, N):
+                t[i] = (z * pow(t[N - 1 - i], -1, mod)) % mod
+        else:
+            au = (params.a * element.phi[0]) % p
+            ts = list(rep[:-1]) + [rep[-1] % p]
+            t = [0] * N
+            for i in range(n):
+                t[i] = ts[i]
+            t[N - 1] = 1
+            for i in range(n, N - 1):
+                t[i] = (au * pow(t[N - 2 - i], -1, mod)) % mod
+        conj = [
+            [(t[i] * m[i][j] * t[N - 1 - j]) % mod for j in range(N)]
+            for i in range(N)
+        ]
+        if element.phi:
+            x = [[0] * N for _ in range(N)]
+            for j in range(N):
+                for i in range(1, N):
+                    x[i][j] = conj[i - 1][j]
+                x[0][j] = (a_lift * (conj[N - 1][j] // p)) % (mod // p)
+            conj = x
+            mod_eff = mod // p
+        else:
+            mod_eff = mod
+        z_res = conj[0][0] % p
+        if z_res == 0:
+            raise OutOfDomain("conjugate fell outside Z*I+")
+        zinv = pow(z_res, -1, mod_eff)
+        vals = tuple(
+            _reference_slot_residue(conj, mod_eff, p, slot, pre=zinv) for slot in slots
+        )
+        tup = (z_res,) + vals
+        hist[tup] = hist.get(tup, 0) + 1
+    return 1, hist
+
+
+def _oracle_elements(kind, n, q):
+    """The family elements of the char_oracle grid and, at q = 3, seeded
+    random elements drawn as char_oracle_suite draws them."""
+    elements = [family_element(kind, n, q, u, var) for u in range(1, q) for var in FAMILY_VARIANTS[kind]]
+    if q == 3:
+        rng = random.Random(1000 * n + q)
+        for _ in range(3):
+            gid = GroupId(kind, n, rng.choice((0, 1)) if kind is GroupKind.SO_RAM else 0)
+            elements.append(random_affine_generic(gid, q, rng))
+    return elements
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_slot_tables_give_the_per_conjugate_histograms(n, q):
+    """Sign and histogram, compared as ordered item lists, at every element
+    and (kappa, a) of the oracle grid."""
+    compared = 0
+    for kind in FAMILY_VARIANTS:
+        gl = kind is GroupKind.TWISTED_GL
+        route = characters._gl_histogram if gl else characters._standard_histogram
+        reference = _reference_gl_histogram if gl else _reference_standard_histogram
+        for el in _oracle_elements(kind, n, q):
+            # a histogram reads the parameters through (kappa, a mod q) only,
+            # as the route's per-element psi-sums do: one tuple per key
+            keys = {(s.kappa, s.a % q): s for s in _params_grid(el.group, q)}
+            for params in keys.values():
+                sign, hist = route(params, el)
+                ref_sign, ref_hist = reference(params, el)
+                assert sign == ref_sign
+                assert list(hist.items()) == list(ref_hist.items()), (kind.value, params)
+                compared += bool(hist)
+    assert compared
+
+
+@pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
+def test_a_perturbed_digit_fails_the_oracle_comparison(kind, monkeypatch):
+    """One digit more in the pi-scaled slot entry of the matrix the brute-force
+    route conjugates (the h-part; the matrix itself on twisted GL) moves the
+    brute-force values off the closed form of the unperturbed element, after
+    the same element was evaluated: no slot table outlives its histogram."""
+    q, n, u = 5, 2, 2
+    gl = kind is GroupKind.TWISTED_GL
+    el = family_element(kind, n, q, u, "plus")
+    desc = describe(el)
+    grid = _params_grid(el.group, q)
+
+    def worst(element):
+        return max(abs(char_brute_force(s, element).value - char_closed_form(s, desc).value) for s in grid)
+
+    assert worst(el) < 1e-6
+    fresh = family_element(kind, n, q, u, "plus")
+    attr = "matrix" if gl else "h_part"
+    g = getattr(fresh, attr)
+    i, j, piw = el.group.component_slots()[-1]
+    rows = [list(row) for row in g.a]
+    rows[i][j] += q**piw
+    monkeypatch.setattr(fresh, attr, GroupMatrix(g.group, q, rows, g.s, g.prec))
+    assert worst(fresh) > 1e-6
