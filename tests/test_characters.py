@@ -65,16 +65,16 @@ def test_quad_extension_holds_no_directly_built_field():
     fresh FiniteField(5) objects each get their own extension over
     themselves, and leave the cache as it was."""
     cache = residue._quad_extension_cached
-    ext = quad_extension(make_field(5))
+    k = make_field(5)
+    ext = quad_extension(k)
+    expect = sums.kloosterman_eval_direct(sums.so_unramified_spec(k, 2), k.one)
     before = cache.cache_info()
     for _ in range(50):
         fld = FiniteField(5)
         fresh = quad_extension(fld)
         assert fresh.base is fld and fresh is not ext
         assert fresh.eps_tilde[0].field is fld
-        assert sums.kloosterman_eval_direct(sums.so_unramified_spec(fld, 2), fld.one) == sums.kloosterman_eval_direct(
-            sums.so_unramified_spec(make_field(5), 2), make_field(5).one
-        )
+        assert sums.kloosterman_eval_direct(sums.so_unramified_spec(fld, 2), fld.one) == expect
     after = cache.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
     assert all(quad_extension(make_field(5)) is ext for _ in range(3))
