@@ -32,7 +32,7 @@ from .groups import (
     GroupKind,
     GroupMatrix,
     Level,
-    is_affine_generic,
+    _slot_components,
     iwahori_level,
     iwahori_mask_at,
     phi_element,
@@ -615,7 +615,8 @@ def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
 
 
 def _generic_in_iplus(g: GroupMatrix) -> bool:
-    return iwahori_level(g) >= Level.IPLUS and is_affine_generic(g)
+    # one level check: is_affine_generic would repeat it
+    return iwahori_level(g) >= Level.IPLUS and all(not c.is_zero() for c in _slot_components(g))
 
 
 def random_affine_generic(group: GroupId, p: int, rng: random.Random):

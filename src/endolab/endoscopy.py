@@ -1,5 +1,6 @@
 """Transfer factors on the explicit element families and the endoscopic
-character identities that pin down packet parameters.
+character identities that pin down packet parameters; the three identity
+chains read one packet map, ``packet_solution``.
 
 Transfer factors stay symbolic (a sign, a residue unit under the quadratic
 character, a power of q^(1/2), and a power of the quadratic Gauss sum) so the
@@ -32,7 +33,6 @@ from .families import (
     family_matrix,
     family_tower,
     gl_odd_family,
-    nu_of_u,
     walds_family,
 )
 from .groups import (
@@ -329,141 +329,139 @@ def ecr_coefficient(pair: Pair, n: int, variant: str) -> TransferValue:
 
 @dataclass(frozen=True)
 class PacketSolution:
+    """The packet data of a G-side parameter (xi, a): the SO_ram parameters
+    (xi', a'^2, nu) and the twisted-GL data (b, zeta); on the even-orthogonal
+    pairs zeta is the eta-lift."""
+
     xi_prime: int
     a_prime_sq: int
     nu_mu: int
-    genericity_sign: int
-    gl_b: int | None = None
-    gl_zeta: complex | None = None
+    gl_b: int
+    gl_zeta: complex
+
+
+def packet_solution(pair: Pair, n: int, p: int, xi: int, a: int) -> PacketSolution:
+    """The packet map at the G-side (xi, a).  With t = 1 on SOUR_H and 0
+    otherwise, and c = (-1)^(n-1) * 4 on SP_SORAM and 2^(2+t) on the
+    even-orthogonal pairs: a'^2 = c * eps^nu * a for the one nu that makes it a
+    square, xi' = (-1)^t * w0(-1) * xi, b = (-1)^(n-1) * c * a and
+    zeta = xi' * G(w0, psi) / q^(1/2), so that zeta^2 = w0(-1)."""
+    if pair not in (Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H):
+        raise UnknownPair(str(pair))
+    if xi not in (1, -1) or a % p == 0:
+        raise InvalidParams(f"(xi, a) = ({xi}, {a}) needs xi = +-1 and a unit mod {p}")
+    k = make_field(p)
+    t = 1 if pair is Pair.SOUR_H else 0
+    sign = (-1) ** (n - 1) if pair is Pair.SP_SORAM else 1
+    ca = k.coerce(sign * 2 ** (2 + t) * a)
+    nu = 0 if ca.is_square() else 1
+    xi_prime = (-1) ** t * (1 if k.coerce(-1).is_square() else -1) * xi
+    zeta = xi_prime * k.q ** (-0.5) * gauss_sum(k.omega0(), k)
+    b = k.coerce(-1) ** (n - 1) * ca
+    return PacketSolution(xi_prime, (ca * k.eps**nu).a, nu, b.a, zeta)
+
+
+def sp_difference(k, n: int, a: int, u) -> complex:
+    """w0(2au) Kl_{chi_Sp}(2^(2n) a u): the symplectic packet difference at the
+    family element g_u, through its closed form."""
+    au = k.coerce(a) * u
+    spec = sp_spec(k, n, twisted=True)
+    return k.omega0()(k.coerce(2) * au) * kloosterman_eval(spec, k.coerce(2) ** (2 * n) * au)
+
+
+def soram_side(k, n: int, sol: PacketSolution, u) -> complex | None:
+    """kl_pm(2^n a' w) with w^2 = (-1)^(n-1) u / eps^nu: the SO_ram side of the
+    packet identities at u, or None where w is not in k (the G side vanishes
+    there).  kl_pm is even, so neither square root needs a choice."""
+    w_sq = k.coerce(-1) ** (n - 1) * u / k.eps**sol.nu_mu
+    if not w_sq.is_square():
+        return None
+    a_prime = k.sqrt(k.coerce(sol.a_prime_sq))
+    return kl_pm(k, n, k.coerce(2) ** n * a_prime * k.sqrt(w_sq))
+
+
+def _descent_identities(pair: Pair, k, n: int, xi: int, sol: PacketSolution, diff) -> list:
+    """At each unit u, with D = diff(u), S the SO_ram side and c_var =
+    ecr_coefficient(pair, n, var): the main identity D = c_plus * S, and the
+    central-sign identity xi * D = xi' * c_minus * S at the negative family
+    element; D must vanish where S is undefined.  Returns (u, S) for every u
+    where S is defined."""
+    plus, minus = (ecr_coefficient(pair, n, var).evaluate(k) for var in ("plus", "minus"))
+    sides = []
+    for u in k.units():
+        d = diff(u)
+        side = soram_side(k, n, sol, u)
+        if side is None:
+            if abs(d) > TOL:
+                raise IdentityFailed(f"vanishing side fails at u={u}")
+            continue
+        if abs(d - plus * side) > TOL:
+            raise IdentityFailed(f"main identity fails at u={u} ({pair.value})")
+        if abs(xi * d - sol.xi_prime * minus * side) > TOL:
+            raise IdentityFailed(f"central-sign identity fails at u={u} ({pair.value})")
+        sides.append((u, side))
+    return sides
 
 
 def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
-    """The descent identity chain: for every unit u, the difference of the two
-    symplectic characters at the family element matches the weighted ramified-
-    orthogonal character sum, with genericity sign 1."""
+    """The descent identity chain of SP_SORAM: at every unit u, the symplectic
+    packet difference against the weighted ramified-orthogonal side."""
+    sol = packet_solution(Pair.SP_SORAM, n, p, xi, a)
     k = make_field(p)
-    w0 = k.omega0()
-    nu = nu_of_u(k, n, a)
-    xi_prime = xi * (1 if k.coerce(-1).is_square() else -1)
-    a_prime_sq = k.coerce(-1) ** (n - 1) * k.eps**nu * k.coerce(4 * a)
-    a_prime = k.sqrt(a_prime_sq)
-    spec_tw = sp_spec(k, n, twisted=True)
-    coeff = ecr_coefficient(Pair.SP_SORAM, n, "plus").evaluate(k)
-    coeff_minus = ecr_coefficient(Pair.SP_SORAM, n, "minus").evaluate(k)
-    two_n = k.coerce(2) ** n
-    for u in k.units():
-        au = k.coerce(a) * u
-        lhs = w0(k.coerce(2) * au) * kloosterman_eval(
-            spec_tw, k.coerce(2) ** (2 * n) * au
-        )
-        if not au.is_square():
-            if abs(lhs) > TOL:
-                raise IdentityFailed(f"vanishing side fails at u={u}")
-            continue
-        v = k.sqrt(k.coerce(-1) ** (n - 1) * k.eps**nu * u.inv())
-        rhs_kl = kl_pm(k, n, two_n * a_prime * v.inv())
-        if abs(lhs - coeff * rhs_kl) > TOL:
-            raise IdentityFailed(f"descent identity fails at u={u}")
-        # central-sign variant at the negative family element
-        lhs_minus = xi * lhs
-        rhs_minus = xi_prime * coeff_minus * rhs_kl
-        if abs(lhs_minus - rhs_minus) > TOL:
-            raise IdentityFailed(f"central-sign identity fails at u={u}")
-    return PacketSolution(xi_prime, a_prime_sq.a, nu, 1)
+    _descent_identities(Pair.SP_SORAM, k, n, xi, sol, lambda u: sp_difference(k, n, a, u))
+    return sol
 
 
-def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = 1e-9):
-    """The two lifting identities determining the linear-group data (b, zeta),
-    with zeta^2 = w0(-1) checked to ``tol``."""
+def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = 1e-9) -> PacketSolution:
+    """The two lifting identities of the twisted-GL data (b, zeta) of the
+    symplectic (xi, a), with zeta^2 = w0(-1) checked to ``tol``."""
+    sol = packet_solution(Pair.SP_SORAM, n, p, xi, a)
     k = make_field(p)
     w0 = k.omega0()
-    q = k.q
-    G = gauss_sum(w0, k)
-    b = (4 * a) % p
-    zeta = xi * q ** (-0.5) * w0(k.coerce(-1)) * G
+    b, zeta = k.coerce(sol.gl_b), sol.gl_zeta
     if abs(zeta**2 - w0(k.coerce(-1))) > tol:
         raise IdentityFailed("zeta^2 != w0(-1)")
     spec_gl = gl_theta_spec(k, n)
-    spec_tw = sp_spec(k, n, twisted=True)
     w02 = w0(k.coerce(2))
     for u in k.units():
         # plain identity: w0(2) Theta^{GL}(g_u) = (Theta difference)(g_u^Sp)
-        alpha = k.coerce(b) * u * k.coerce(2) ** (2 * (n - 1))
-        lhs = w02 * w0(k.coerce(b) * u) * kloosterman_eval(spec_gl, alpha)
-        rhs = w0(k.coerce(2 * a) * u) * kloosterman_eval(
-            spec_tw, k.coerce(2) ** (2 * n) * k.coerce(a) * u
-        )
+        bu = b * u
+        lhs = w02 * w0(bu) * kloosterman_eval(spec_gl, bu * k.coerce(2) ** (2 * (n - 1)))
+        rhs = sp_difference(k, n, a, u)
         if abs(lhs - rhs) > TOL:
             raise IdentityFailed(f"plain lift identity fails at u={u}")
-        # coset identity: q^(1/2) w0(-2) Theta^{GL}(phi_u g_u) = (diff)(-g_u^Sp)
-        bu = k.coerce(b) * u
-        if not bu.is_square():
-            lhs2 = 0.0
-        else:
-            vb = k.sqrt(bu)
-            beta = (vb * vb + k.coerce(b) * u) / vb  # components (1,..,1,u)
-            for _ in range(n - 1):
-                beta = beta * k.coerce(2)
-            lhs2 = q**0.5 * w0(k.coerce(-2)) * zeta * kl_pm(k, n, beta)
-        rhs2 = xi * rhs
-        if abs(lhs2 - rhs2) > TOL:
+        # coset identity: q^(1/2) w0(-2) Theta^{GL}(phi_u g_u) = (diff)(-g_u^Sp);
+        # the GL closed form at the components (1,..,1,u) reads kl_pm(2^n sqrt(bu)),
+        # the SO_ram side (a'^2 w^2 = bu), and vanishes where bu is not a square
+        side = soram_side(k, n, sol, u)
+        lhs2 = 0.0 if side is None else k.q**0.5 * w0(k.coerce(-2)) * zeta * side
+        if abs(lhs2 - xi * rhs) > TOL:
             raise IdentityFailed(f"coset lift identity fails at u={u}")
-    return b, zeta
+    return sol
 
 
-def so_even_packet_verify(
-    kind: GroupKind, n: int, p: int, xi_plus: int, a_plus: int, nu: int
-):
-    """The even-orthogonal packet identity chain: the main descent identity at
-    each admissible u, the central-sign comparison, and the phi-coset identity
-    fixing both zeta branches."""
-    if kind not in (GroupKind.SO_SPL, GroupKind.SO_UR):
+def so_even_packet_verify(kind: GroupKind, n: int, p: int, xi: int, a: int) -> PacketSolution:
+    """The even-orthogonal packet identity chain at the G-side (xi, a): the main
+    and central-sign identities of the descent chain, with the packet
+    difference D = w0(-2)^(1-t) Kl~(gamma) (t = 1 on SO_ur), and the phi-coset
+    identity fixing both zeta branches."""
+    pair = {GroupKind.SO_SPL: Pair.SOSPL_H, GroupKind.SO_UR: Pair.SOUR_H}.get(kind)
+    if pair is None:
         raise UnknownPair(str(kind))
-    t_inv = 1 if kind is GroupKind.SO_UR else 0
+    sol = packet_solution(pair, n, p, xi, a)
+    t = 1 if pair is Pair.SOUR_H else 0
     k = make_field(p)
-    w0 = k.omega0()
-    q = k.q
-    w0m1 = 1 if k.coerce(-1).is_square() else -1
-    xi = (-1) ** t_inv * w0m1 * xi_plus
-    a_res = k.coerce(a_plus) ** 2 / (k.coerce(2) ** (2 + t_inv) * k.eps**nu)
-    a = a_res.a
-    spec_big = (
-        so_unramified_spec(k, n, twisted=True)
-        if t_inv
-        else so_split_spec(k, n, twisted=True)
-    )
-    sign_main = w0m1 if not t_inv else -w0m1
-    two = k.coerce(2)
-    for u in k.units():
-        admissible = (k.coerce(-1) ** (n - 1) * u).is_square() == (nu == 0)
-        gamma = (
-            k.coerce(-1) ** (n + 1)
-            * two ** (2 * n - 2 + t_inv)
-            * k.coerce(a)
-            * u
-        )
-        lhs = kloosterman_eval(spec_big, gamma)
-        if not admissible:
-            if abs(lhs) > TOL:
-                raise IdentityFailed(f"inadmissible side fails at u={u}")
-            continue
-        v = k.sqrt(k.coerce(-1) ** (n - 1) * u / k.eps**nu)
-        rhs_kl = kl_pm(k, n, two**n * k.coerce(a_plus) * v)
-        if abs(lhs - sign_main * q * rhs_kl) > TOL:
-            raise IdentityFailed(f"main identity fails at u={u} ({kind})")
-        # central-sign comparison at the negative elements
-        if abs(xi * lhs - xi_plus * (-1) ** t_inv * w0m1 * sign_main * q * rhs_kl) > TOL:
-            raise IdentityFailed(f"central identity fails at u={u}")
-        # phi-coset identity: both zeta branches
-        coset_plus, coset_minus = _so_even_coset_values(kind, k, n, a, u)
-        target = w0(k.coerce(-2)) ** (1 - t_inv) * rhs_kl
-        if abs(coset_plus - target) > TOL:
-            raise IdentityFailed(f"coset identity fails at u={u} (zeta=+1)")
-        if abs(coset_minus - (-target)) > TOL:
-            raise IdentityFailed(f"coset identity fails at u={u} (zeta=-1)")
-    b = ((-1) ** (n - 1) * 2 ** (2 + t_inv) * a) % p
-    eta_lift = (-1) ** t_inv * q ** (-0.5) * gauss_sum(w0, k) * w0m1 * xi
-    return xi, a, (1, -1), b, eta_lift
+    spec = (so_unramified_spec if t else so_split_spec)(k, n, twisted=True)
+    scale = k.omega0()(k.coerce(-2)) ** (1 - t)
+    # gamma = (-1)^(n+1) 2^(2n-2+t) a u
+    c = k.coerce(-1) ** (n + 1) * k.coerce(2) ** (2 * n - 2 + t) * k.coerce(a)
+    sides = _descent_identities(pair, k, n, xi, sol, lambda u: scale * kloosterman_eval(spec, c * u))
+    coset = ecr_coefficient(pair, n, "phi_coset").evaluate(k)
+    for u, side in sides:
+        for zeta in (1, -1):
+            if abs(_coset_difference(kind, k, n, a, u, zeta) - zeta * coset * side) > TOL:
+                raise IdentityFailed(f"coset identity fails at u={u} (zeta={zeta:+d})")
+    return sol
 
 
 @lru_cache(maxsize=None)
@@ -472,21 +470,15 @@ def coset_descriptor(kind: GroupKind, n: int, p: int, u: int) -> characters.Elem
     return characters.describe(characters.family_element(kind, n, p, u, "phi_coset"))
 
 
-def _so_even_coset_values(kind, k, n: int, a: int, u) -> list:
-    """(Theta_{xi,0,a,zeta} - Theta_{xi,1,a/eps,zeta}) at the mixed-sign coset
-    element for zeta = 1 and zeta = -1, through the closed form (the kappa
-    selection happens there)."""
-    p = k.p
-    desc = coset_descriptor(kind, n, p, u.a)
-    values = []
-    for zeta in (1, -1):
-        total = 0.0 + 0.0j
-        for kap, aa in ((0, a), (1, (a * pow(k.eps.a, -1, p)) % p)):
-            params = characters.SSCParams(desc.group, aa, 1, kap, zeta)
-            val = characters.char_closed_form(params, desc).value
-            total += val if kap == 0 else -val
-        values.append(total)
-    return values
+def _coset_difference(kind, k, n: int, a: int, u, zeta: int) -> complex:
+    """Theta_{1,0,a,zeta} - Theta_{1,1,a/eps,zeta} at the mixed-sign coset
+    element, through the closed form (the kappa selection happens there)."""
+    desc = coset_descriptor(kind, n, k.p, u.a)
+    a_eps = a * pow(k.eps.a, -1, k.p) % k.p
+    return (
+        characters.char_closed_form(characters.SSCParams(desc.group, a, 1, 0, zeta), desc).value
+        - characters.char_closed_form(characters.SSCParams(desc.group, a_eps, 1, 1, zeta), desc).value
+    )
 
 
 def norm_family_check(pair: Pair, p: int, n: int, u: int) -> bool:

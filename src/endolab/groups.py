@@ -289,6 +289,11 @@ def simple_affine_components(g: GroupMatrix):
     """Residue tuple attached to an element of I+."""
     if iwahori_level(g) < Level.IPLUS:
         raise NotInIplus("components are defined on I+ only")
+    return _slot_components(g)
+
+
+def _slot_components(g: GroupMatrix) -> list:
+    """The components of g, read slot by slot; g must be in I+ (unchecked)."""
     k = make_field(g.p)
     out = []
     for slot in g.group.component_slots():

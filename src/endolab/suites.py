@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, wraps
-from itertools import product
 
 from .conductors import (
     HeisParams,
@@ -285,12 +284,11 @@ def ecr_soeven_suite(ns=(2,), qs=(3, 5, 7)):
         for n in ns:
             for q in qs:
                 checks = [
-                    partial(so_even_packet_verify, kind, n, q, *c)
-                    for c in product((1, -1), range(1, q), (0, 1))
+                    partial(so_even_packet_verify, kind, n, q, xi, a) for xi in (1, -1) for a in range(1, q)
                 ]
                 yield _identity_row(
                     "ecr_so_even",
-                    f"kind={kind.value} n={n} q={q} all (xi+,a+,nu)",
+                    f"kind={kind.value} n={n} q={q} all (xi,a)",
                     "even orthogonal difference",
                     "ramified side",
                     checks,

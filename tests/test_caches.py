@@ -105,10 +105,11 @@ def _run_routes():
                 family_matrix(_gid(kind, u), P, u, var)
     for u in UNITS:
         assert norm_family_check(Pair.GL_ODD_SP, P, N, u)
-    # each u is admissible at one nu, where its phi-coset element is described
+    # each u is admissible at one nu, where its phi-coset element is described;
+    # the G-side a run through both nu
     for kind in SO_EVEN:
-        for nu in (0, 1):
-            so_even_packet_verify(kind, N, P, 1, 1, nu)
+        for a in range(1, P):
+            so_even_packet_verify(kind, N, P, 1, a)
     k = make_field(P)
     for idx in range(P - 1):
         sums.gauss_sum(MultCharacter(k, idx), k)

@@ -255,8 +255,9 @@ def test_report_is_byte_stable(tmp_path):
 
 # Reports pinned by hash alone: the two that run the seeded samplers (20
 # random affine generic elements per kind, and both I+ samplers of the charpoly
-# suite), and the transfer and even-orthogonal ECR rows, which run the sign
-# route and the closed-form character route.
+# suite), the transfer and even-orthogonal ECR rows, which run the sign route
+# and the closed-form character route, and the whole report, forked over two
+# jobs.
 @pytest.mark.parametrize(
     "argv, sha256",
     [
@@ -270,10 +271,14 @@ def test_report_is_byte_stable(tmp_path):
         ),
         (
             ["suite", "all", "--only", "transfer,ecr_soeven", "--seed", "0", "--format", "json"],
-            "54351f1d250c07f60cc50bc1b3064d0f9fd19ba1b75a09f7f59e3addc236d193",
+            "8c0cd51164e64e98f858c9e5d3a4c5f429ab8bc634a5b9c004ab102314a0bdea",
+        ),
+        (
+            ["suite", "all", "--seed", "0", "--format", "json", "--jobs", "2"],
+            "a531210abbcdd5e4b09a26271812299f66622b98cedbfd915a59ebcab5e33e90",
         ),
     ],
-    ids=["char_verify", "charpoly", "transfer_ecr_soeven"],
+    ids=["char_verify", "charpoly", "transfer_ecr_soeven", "suite_all"],
 )
 def test_sampling_report_is_byte_stable(argv, sha256, tmp_path):
     assert _report_sha256(argv, tmp_path)[0] == sha256

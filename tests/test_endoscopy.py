@@ -1,11 +1,13 @@
 import dataclasses
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from endolab import characters, endoscopy
 from endolab.endoscopy import (
     DELTA_IV_EXPECTED,
+    PAIR_GROUP,
     Pair,
     TRANSFER_EXPECTED,
     TransferValue,
@@ -16,6 +18,7 @@ from endolab.endoscopy import (
     ETA_CLOSED,
     epsilon_factor,
     norm_family_check,
+    packet_solution,
     pair_variants,
     pol_products,
     sgn_at,
@@ -23,7 +26,7 @@ from endolab.endoscopy import (
     transfer_factor,
     walds_family,
 )
-from endolab.errors import IdentityFailed, IncompatibleParams, InvalidParams, InvalidU
+from endolab.errors import IdentityFailed, IncompatibleParams, InvalidParams, InvalidU, UnknownPair
 from endolab.families import DISC_TABLE, nu_of_u
 from endolab.groups import GroupKind
 from endolab.residue import make_field
@@ -240,52 +243,47 @@ def test_nu_mu():
             assert nu_of_u(k, n, (a0 * k.eps.a) % p) == 1
 
 
-@pytest.mark.parametrize("p", [3, 7])
-def test_ecr_ram_descent(p):
+# each chain with the pair whose packet map it reads
+CHAINS = (
+    (Pair.SP_SORAM, ecr_ram_descent_verify),
+    (Pair.SP_SORAM, ecr_gl_lift_verify),
+    (Pair.SOSPL_H, partial(so_even_packet_verify, GroupKind.SO_SPL)),
+    (Pair.SOUR_H, partial(so_even_packet_verify, GroupKind.SO_UR)),
+)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packet_map(p, n):
+    """The packet map sends the G-side grid one to one onto the SO_ram
+    parameters (xi' = +-1, a'^2 a nonzero square, nu in {0, 1}), with
+    zeta^2 = w0(-1); every chain returns exactly its value."""
     k = make_field(p)
-    w0m1 = 1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1
-    for xi in (1, -1):
-        for a in range(1, p):
-            sol = ecr_ram_descent_verify(2, p, xi, a)
-            assert sol.genericity_sign == 1
-            assert sol.xi_prime == xi * w0m1
-            expect_sq = (pow(-1, 1, p) * k.eps.a ** sol.nu_mu * 4 * a) % p
-            assert sol.a_prime_sq == expect_sq
+    w0m1 = k.omega0()(k.coerce(-1))
+    grid = [(xi, a) for xi in (1, -1) for a in range(1, p)]
+    squares = {(x * x).a for x in k.units()}
+    for pair in (Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H):
+        sols = [packet_solution(pair, n, p, xi, a) for xi, a in grid]
+        h_side = {(s.xi_prime, s.a_prime_sq, s.nu_mu) for s in sols}
+        # as many images as cells, and each one an SO_ram parameter
+        assert len(h_side) == len(grid)
+        assert h_side == {(xi, sq, nu) for xi in (1, -1) for sq in squares for nu in (0, 1)}
+        for sol in sols:
+            assert abs(sol.gl_zeta**2 - w0m1) < 1e-12
+    for pair, chain in CHAINS:
+        for xi, a in grid:
+            assert chain(n, p, xi, a) == packet_solution(pair, n, p, xi, a)
 
 
-def test_ecr_gl_lift():
-    for p in (3, 5):
-        k = make_field(p)
-        w0 = k.omega0()
-        G = gauss_sum(w0, k)
-        for xi in (1, -1):
-            for a in range(1, p):
-                b, zeta = ecr_gl_lift_verify(2, p, xi, a)
-                assert b == (4 * a) % p
-                expect = xi * p ** (-0.5) * w0(k.coerce(-1)) * G
-                assert abs(zeta - expect) < 1e-9
-                assert abs(zeta**2 - w0(k.coerce(-1))) < 1e-9
-
-
-def test_so_even_packets():
-    for p in (3, 5):
-        k = make_field(p)
-        w0m1 = 1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1
-        for kind, t in ((GroupKind.SO_SPL, 0), (GroupKind.SO_UR, 1)):
-            for xi_p in (1, -1):
-                for a_p in (1, 2):
-                    for nu in (0, 1):
-                        xi, a, zetas, b, eta_lift = so_even_packet_verify(
-                            kind, 2, p, xi_p, a_p, nu
-                        )
-                        assert xi == (-1) ** t * w0m1 * xi_p
-                        expect_a = (
-                            k.coerce(a_p) ** 2
-                            / (k.coerce(2) ** (2 + t) * k.eps**nu)
-                        ).a
-                        assert a == expect_a
-                        assert zetas == (1, -1)
-                        assert b == ((-1) ** (2 - 1) * 2 ** (2 + t) * a) % p
+def test_packet_map_refuses_other_pairs_and_parameters():
+    for pair in (Pair.GL_ODD_SP, Pair.GL_SORAM):
+        with pytest.raises(UnknownPair):
+            packet_solution(pair, 2, 5, 1, 1)
+    for xi, a in ((0, 1), (2, 1), (1, 0), (1, 5)):
+        with pytest.raises(InvalidParams):
+            packet_solution(Pair.SP_SORAM, 2, 5, xi, a)
+    with pytest.raises(UnknownPair):
+        so_even_packet_verify(GroupKind.SP, 2, 5, 1, 1)
 
 
 @pytest.mark.parametrize("kind", [GroupKind.SO_SPL, GroupKind.SO_UR])
@@ -298,9 +296,11 @@ def test_so_even_zeta_minus_branch_can_fail(monkeypatch, kind, p):
         return real(dataclasses.replace(params, zeta=1), desc)
 
     monkeypatch.setattr(characters, "char_closed_form", zeta_blind)
+    pair = next(pair for pair in (Pair.SOSPL_H, Pair.SOUR_H) if PAIR_GROUP[pair] is kind)
     for nu in (0, 1):
+        a = next(a for a in range(1, p) if packet_solution(pair, 2, p, 1, a).nu_mu == nu)
         with pytest.raises(IdentityFailed, match=r"\(zeta=-1\)"):
-            so_even_packet_verify(kind, 2, p, 1, 1, nu)
+            so_even_packet_verify(kind, 2, p, 1, a)
 
 
 def test_norm_family_checks():

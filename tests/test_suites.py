@@ -6,7 +6,7 @@ import hashlib
 import json
 from types import SimpleNamespace
 
-from endolab import suites
+from endolab import endoscopy, suites
 from endolab.errors import IdentityFailed
 from endolab.families import DISC_TABLE
 
@@ -35,7 +35,7 @@ def _fake_descent(monkeypatch, bad, failure):
         calls.append((xi, a))
         if (xi, a) == bad:
             return failure()
-        return SimpleNamespace(genericity_sign=1)
+        return endoscopy.packet_solution(endoscopy.Pair.SP_SORAM, n, q, xi, a)
 
     monkeypatch.setattr(suites, "ecr_ram_descent_verify", verify)
     return calls
