@@ -243,6 +243,33 @@ def test_nu_mu():
             assert nu_of_u(k, n, (a0 * k.eps.a) % p) == 1
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_ecr_ram_descent(p):
+    k = make_field(p)
+    w0m1 = 1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1
+    for xi in (1, -1):
+        for a in range(1, p):
+            sol = ecr_ram_descent_verify(2, p, xi, a)
+            assert sol.xi_prime == xi * w0m1
+            expect_sq = (pow(-1, 1, p) * k.eps.a ** sol.nu_mu * 4 * a) % p
+            assert sol.a_prime_sq == expect_sq
+            assert k.coerce(sol.a_prime_sq).is_square()
+
+
+def test_ecr_gl_lift():
+    for p in (3, 5):
+        k = make_field(p)
+        w0 = k.omega0()
+        G = gauss_sum(w0, k)
+        for xi in (1, -1):
+            for a in range(1, p):
+                sol = ecr_gl_lift_verify(2, p, xi, a)
+                assert sol.gl_b == (4 * a) % p
+                expect = xi * p ** (-0.5) * w0(k.coerce(-1)) * G
+                assert abs(sol.gl_zeta - expect) < 1e-9
+                assert abs(sol.gl_zeta**2 - w0(k.coerce(-1))) < 1e-9
+
+
 # each chain with the pair whose packet map it reads
 CHAINS = (
     (Pair.SP_SORAM, ecr_ram_descent_verify),
