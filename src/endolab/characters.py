@@ -42,7 +42,6 @@ from .groups import (
 )
 from .residue import make_field, norm_trace, quad_extension
 from .sums import (
-    gl_theta_spec,
     kl_pm,
     kl_simple,
     kloosterman_eval,
@@ -514,7 +513,7 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
         alpha = a * h[n - 1] * h[-1]
         for x in pairs:
             alpha = alpha * x * x
-        return CharValue(sgn * (w0(a * h[-1]) * kloosterman_eval(gl_theta_spec(k, n), alpha)))
+        return CharValue(sgn * (w0(a * h[-1]) * kloosterman_eval(sp_spec(k, n, twisted=True), alpha)))
     if kind is GroupKind.SP or not desc.phi:
         # 1/2 (Kl(x) + w0(w) Kl~(x)), Kl~ the quadratic-twisted sum of `spec`
         if kind is GroupKind.SP:

@@ -11,12 +11,12 @@ primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
 on the kinds with kappa (sp, so_spl, so_ur) and ``--zeta`` only on the kinds
 with zeta (gl_theta, so_spl, so_ur), as the sign of zeta
 against its base value: ``suites._gl_zeta`` on gl_theta, 1 on so_spl and
-so_ur.  ``--nprime`` and the ``--e`` of ``tower val``, ``tower hilbert`` and
-``conductor compute`` are positive, ``--coeffs``, ``--x`` and ``--y`` list
-``--e`` integers, and ``conductor compute``'s ``--nprime`` is an even divisor
-of p - 1.  Each subcommand takes only the report flags its
-handler reads; they fall back to ``ENDOLAB_``-prefixed environment variables.
-The suites time every row; the report is emitted with each row's ``elapsed``
+so_ur.  ``--nprime``, ``tower hilbert``'s ``--sub`` and the ``--e`` of ``tower
+val``, ``tower hilbert``, ``tower herbrand`` and ``conductor compute`` are
+positive, ``--coeffs``, ``--x`` and ``--y`` list ``--e`` integers, and
+``conductor compute``'s ``--nprime`` is an even divisor of p - 1.  Each
+subcommand takes only the report flags its handler reads; they fall back to
+``ENDOLAB_``-prefixed environment variables.  The suites time every row; the report is emitted with each row's ``elapsed``
 zeroed unless ``--timings`` is given, so it is deterministic for a fixed seed.
 """
 
@@ -105,7 +105,8 @@ def _positive(what):
 
 
 _rank = _positive("rank")  # --n
-_degree = _positive("ramification degree")  # --e of tower val, tower hilbert, conductor compute
+_degree = _positive("ramification degree")  # --e of tower val, hilbert, herbrand, conductor compute
+_subtower = _positive("subtower index")  # --sub of tower hilbert
 _tame_index = _positive("tame index")  # --nprime
 
 
@@ -180,11 +181,11 @@ def build_parser():
     th.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
     th.add_argument("--x", required=True, help="comma list of coefficients")
     th.add_argument("--y", required=True)
-    th.add_argument("--sub", type=int, default=1)
+    th.add_argument("--sub", type=_subtower, default=1)
     _add_flags(th, "out")
     tg = ts.add_parser("herbrand")
     tg.add_argument("--p", type=_prime, required=True)
-    tg.add_argument("--e", type=int, default=1)
+    tg.add_argument("--e", type=_degree, default=1)
     tg.add_argument("--nprime", type=_tame_index, required=True)
     _add_flags(tg, "out")
 

@@ -43,7 +43,6 @@ from .groups import (
 from .residue import make_field
 from .sums import (
     gauss_sum,
-    gl_theta_spec,
     kl_pm,
     kloosterman_eval,
     so_split_spec,
@@ -144,14 +143,12 @@ def epsilon_factor(pair: Pair) -> TransferValue:
 
 
 # ---------------------------------------------------------------------------
-# the eta invariant (Whittaker normalization); tests/test_endoscopy.py checks
-# it against the principal nilpotent recipe
+# the eta invariant (Whittaker normalization) of the even-orthogonal kinds,
+# which delta_iv_walds reads; tests/test_endoscopy.py checks it against the
+# principal nilpotent recipe
 
 
 ETA_CLOSED = {
-    GroupKind.GL: lambda n: (-1) ** (n - 1),  # n is the matrix size here
-    GroupKind.TWISTED_GL: lambda n: -1,
-    GroupKind.SP: lambda n: -1,
     GroupKind.SO_SPL: lambda n: (-1) ** (n - 1) * 2,
     GroupKind.SO_UR: lambda n: (-1) ** (n - 1) * 4,
 }
@@ -380,14 +377,12 @@ def soram_side(k, n: int, sol: PacketSolution, u) -> complex | None:
     return kl_pm(k, n, k.coerce(2) ** n * a_prime * k.sqrt(w_sq))
 
 
-def _descent_identities(pair: Pair, k, n: int, xi: int, sol: PacketSolution, diff) -> list:
+def _descent_identities(pair: Pair, k, n: int, xi: int, sol: PacketSolution, diff) -> None:
     """At each unit u, with D = diff(u), S the SO_ram side and c_var =
     ecr_coefficient(pair, n, var): the main identity D = c_plus * S, and the
     central-sign identity xi * D = xi' * c_minus * S at the negative family
-    element; D must vanish where S is undefined.  Returns (u, S) for every u
-    where S is defined."""
+    element; D must vanish where S is undefined."""
     plus, minus = (ecr_coefficient(pair, n, var).evaluate(k) for var in ("plus", "minus"))
-    sides = []
     for u in k.units():
         d = diff(u)
         side = soram_side(k, n, sol, u)
@@ -399,8 +394,6 @@ def _descent_identities(pair: Pair, k, n: int, xi: int, sol: PacketSolution, dif
             raise IdentityFailed(f"main identity fails at u={u} ({pair.value})")
         if abs(xi * d - sol.xi_prime * minus * side) > TOL:
             raise IdentityFailed(f"central-sign identity fails at u={u} ({pair.value})")
-        sides.append((u, side))
-    return sides
 
 
 def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
@@ -412,16 +405,15 @@ def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
     return sol
 
 
-def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = 1e-9) -> PacketSolution:
+def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
     """The two lifting identities of the twisted-GL data (b, zeta) of the
-    symplectic (xi, a), with zeta^2 = w0(-1) checked to ``tol``."""
+    symplectic (xi, a).  zeta^2 = w0(-1) is G(w0, psi)^2 = w0(-1) q, which the
+    exp_sums suite's gauss_square rows check."""
     sol = packet_solution(Pair.SP_SORAM, n, p, xi, a)
     k = make_field(p)
     w0 = k.omega0()
     b, zeta = k.coerce(sol.gl_b), sol.gl_zeta
-    if abs(zeta**2 - w0(k.coerce(-1))) > tol:
-        raise IdentityFailed("zeta^2 != w0(-1)")
-    spec_gl = gl_theta_spec(k, n)
+    spec_gl = sp_spec(k, n, twisted=True)
     w02 = w0(k.coerce(2))
     for u in k.units():
         # plain identity: w0(2) Theta^{GL}(g_u) = (Theta difference)(g_u^Sp)
@@ -440,14 +432,19 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int, tol: float = 1e-9) -> Pa
     return sol
 
 
-def so_even_packet_verify(kind: GroupKind, n: int, p: int, xi: int, a: int) -> PacketSolution:
-    """The even-orthogonal packet identity chain at the G-side (xi, a): the main
-    and central-sign identities of the descent chain, with the packet
-    difference D = w0(-2)^(1-t) Kl~(gamma) (t = 1 on SO_ur), and the phi-coset
-    identity fixing both zeta branches."""
+def _so_even_pair(kind: GroupKind) -> Pair:
+    """The even-orthogonal pair whose group G has this kind."""
     pair = {GroupKind.SO_SPL: Pair.SOSPL_H, GroupKind.SO_UR: Pair.SOUR_H}.get(kind)
     if pair is None:
         raise UnknownPair(str(kind))
+    return pair
+
+
+def so_even_packet_verify(kind: GroupKind, n: int, p: int, xi: int, a: int) -> PacketSolution:
+    """The even-orthogonal packet identity chain at the G-side (xi, a): the main
+    and central-sign identities of the descent chain, with the packet
+    difference D = w0(-2)^(1-t) Kl~(gamma) (t = 1 on SO_ur)."""
+    pair = _so_even_pair(kind)
     sol = packet_solution(pair, n, p, xi, a)
     t = 1 if pair is Pair.SOUR_H else 0
     k = make_field(p)
@@ -455,12 +452,7 @@ def so_even_packet_verify(kind: GroupKind, n: int, p: int, xi: int, a: int) -> P
     scale = k.omega0()(k.coerce(-2)) ** (1 - t)
     # gamma = (-1)^(n+1) 2^(2n-2+t) a u
     c = k.coerce(-1) ** (n + 1) * k.coerce(2) ** (2 * n - 2 + t) * k.coerce(a)
-    sides = _descent_identities(pair, k, n, xi, sol, lambda u: scale * kloosterman_eval(spec, c * u))
-    coset = ecr_coefficient(pair, n, "phi_coset").evaluate(k)
-    for u, side in sides:
-        for zeta in (1, -1):
-            if abs(_coset_difference(kind, k, n, a, u, zeta) - zeta * coset * side) > TOL:
-                raise IdentityFailed(f"coset identity fails at u={u} (zeta={zeta:+d})")
+    _descent_identities(pair, k, n, xi, sol, lambda u: scale * kloosterman_eval(spec, c * u))
     return sol
 
 
@@ -470,15 +462,31 @@ def coset_descriptor(kind: GroupKind, n: int, p: int, u: int) -> characters.Elem
     return characters.describe(characters.family_element(kind, n, p, u, "phi_coset"))
 
 
-def _coset_difference(kind, k, n: int, a: int, u, zeta: int) -> complex:
-    """Theta_{1,0,a,zeta} - Theta_{1,1,a/eps,zeta} at the mixed-sign coset
-    element, through the closed form (the kappa selection happens there)."""
-    desc = coset_descriptor(kind, n, k.p, u.a)
-    a_eps = a * pow(k.eps.a, -1, k.p) % k.p
-    return (
-        characters.char_closed_form(characters.SSCParams(desc.group, a, 1, 0, zeta), desc).value
-        - characters.char_closed_form(characters.SSCParams(desc.group, a_eps, 1, 1, zeta), desc).value
-    )
+def so_even_coset_verify(kind: GroupKind, n: int, p: int, a: int) -> bool:
+    """The even-orthogonal phi-coset identity at a, for both zeta branches: at
+    each unit u where the SO_ram side S is defined, the packet difference
+    Theta_{1,0,a,zeta} - Theta_{1,1,a/eps,zeta} at the mixed-sign coset element
+    is zeta * c_phi * S, with c_phi = ecr_coefficient(pair, n, "phi_coset").
+    The difference is read from the closed form, which selects kappa; neither
+    side reads xi."""
+    pair = _so_even_pair(kind)
+    sol = packet_solution(pair, n, p, 1, a)
+    k = make_field(p)
+    coset = ecr_coefficient(pair, n, "phi_coset").evaluate(k)
+    a_eps = a * pow(k.eps.a, -1, p) % p
+    for u in k.units():
+        side = soram_side(k, n, sol, u)
+        if side is None:
+            continue
+        desc = coset_descriptor(kind, n, p, u.a)
+        for zeta in (1, -1):
+            diff = (
+                characters.char_closed_form(characters.SSCParams(desc.group, a, 1, 0, zeta), desc).value
+                - characters.char_closed_form(characters.SSCParams(desc.group, a_eps, 1, 1, zeta), desc).value
+            )
+            if abs(diff - zeta * coset * side) > TOL:
+                raise IdentityFailed(f"coset identity fails at u={u} (zeta={zeta:+d})")
+    return True
 
 
 def norm_family_check(pair: Pair, p: int, n: int, u: int) -> bool:

@@ -336,8 +336,8 @@ def _subfield_val_unit(x: LocalElem, sub: int):
     if x.is_zero():
         raise IndistinguishableFromZero("symbol of (precision-)zero")
     t = x.tower
-    if t.e % sub != 0:
-        raise WrongField("subtower index must divide the Kummer degree")
+    if sub < 1 or t.e % sub != 0:
+        raise WrongField("subtower index must be a positive divisor of the Kummer degree")
     if x.shift % sub != 0:
         raise WrongField("element does not lie in the requested subtower")
     for i, c in enumerate(x.unit):

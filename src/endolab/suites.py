@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, wraps
+from itertools import product
 
 from .conductors import (
     HeisParams,
@@ -37,6 +38,7 @@ from .endoscopy import (
     ecr_ram_descent_verify,
     norm_family_check,
     pair_variants,
+    so_even_coset_verify,
     so_even_packet_verify,
     transfer_factor,
 )
@@ -99,21 +101,6 @@ def _row(suite, params, lhs, rhs, delta, passed):
 def _bit_row(suite, params, lhs, rhs, passed):
     """A pass/fail-only row: delta 0.0 on pass, 1.0 on fail."""
     return _row(suite, params, lhs, rhs, 0.0 if passed else 1.0, passed)
-
-
-def _identity_row(suite, params, lhs, rhs, checks):
-    """A bit row over identity checks.  Every check is called; one that returns
-    a false value or raises IdentityFailed fails the row, and the message of
-    the last one raised replaces `rhs`."""
-    ok = True
-    msg = ""
-    for check in checks:
-        try:
-            ok = check() and ok
-        except IdentityFailed as exc:
-            ok = False
-            msg = str(exc)
-    return _bit_row(suite, params, lhs, msg or rhs, ok)
 
 
 def _suite(body):
@@ -248,51 +235,57 @@ def char_oracle_suite(
 # 3, 4, 5 ---------------------------------------------------------------------
 
 
+def _chain_rows(suite, lhs, rhs, cells, chain, per_a=None):
+    """One bit row per cell (n, q) or (kind, n, q): `chain` runs at each G-side
+    (xi, a) of the cell, and `per_a`, if given, once per a.  Every call is
+    made; one that returns a false value or raises IdentityFailed fails the
+    row, and the message of the last one raised replaces `rhs`."""
+    for cell in cells:
+        *kind, n, q = cell
+        units = range(1, q)
+        calls = [partial(chain, *cell, xi, a) for xi in (1, -1) for a in units]
+        if per_a:
+            calls += [partial(per_a, *cell, a) for a in units]
+        ok, msg = True, ""
+        for call in calls:
+            try:
+                ok = call() and ok
+            except IdentityFailed as exc:
+                ok, msg = False, str(exc)
+        label = f"kind={kind[0].value} " if kind else ""
+        yield _bit_row(suite, f"{label}n={n} q={q} all (xi,a)", lhs, msg or rhs, ok)
+
+
 @_suite
 def ecr_ram_suite(ns=(2, 3), qs=(3, 5, 7, 11)):
-    for n in ns:
-        for q in qs:
-            checks = [
-                partial(ecr_ram_descent_verify, n, q, xi, a) for xi in (1, -1) for a in range(1, q)
-            ]
-            yield _identity_row(
-                "ecr_ram_descent",
-                f"n={n} q={q} all (xi,a)",
-                "character difference",
-                "weighted orthogonal side",
-                checks,
-            )
+    yield from _chain_rows(
+        "ecr_ram_descent",
+        "character difference",
+        "weighted orthogonal side",
+        product(ns, qs),
+        ecr_ram_descent_verify,
+    )
 
 
 @_suite
 def ecr_gl_suite(ns=(2, 3), qs=(3, 5, 7), tol=1e-9):
-    for n in ns:
-        for q in qs:
-            checks = [partial(ecr_gl_lift_verify, n, q, xi, a, tol) for xi in (1, -1) for a in range(1, q)]
-            yield _identity_row(
-                "ecr_gl_lift",
-                f"n={n} q={q} all (xi,a)",
-                "twisted character",
-                "symplectic difference",
-                checks,
-            )
+    """`tol` is read by nothing; it stays because the benchmark's suite
+    workloads (perfbench/child.py) pass it."""
+    yield from _chain_rows(
+        "ecr_gl_lift", "twisted character", "symplectic difference", product(ns, qs), ecr_gl_lift_verify
+    )
 
 
 @_suite
 def ecr_soeven_suite(ns=(2,), qs=(3, 5, 7)):
-    for kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-        for n in ns:
-            for q in qs:
-                checks = [
-                    partial(so_even_packet_verify, kind, n, q, xi, a) for xi in (1, -1) for a in range(1, q)
-                ]
-                yield _identity_row(
-                    "ecr_so_even",
-                    f"kind={kind.value} n={n} q={q} all (xi,a)",
-                    "even orthogonal difference",
-                    "ramified side",
-                    checks,
-                )
+    yield from _chain_rows(
+        "ecr_so_even",
+        "even orthogonal difference",
+        "ramified side",
+        product((GroupKind.SO_SPL, GroupKind.SO_UR), ns, qs),
+        so_even_packet_verify,
+        so_even_coset_verify,
+    )
 
 
 # 6, 7 -------------------------------------------------------------------------

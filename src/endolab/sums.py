@@ -264,14 +264,6 @@ def sp_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     return KloostermanSpec(fld, weights, chis, name=f"{tag}(n={n})")
 
 
-def gl_theta_spec(fld: FiniteField, n: int) -> KloostermanSpec:
-    """Twisted-GL sum; same shape as the twisted symplectic one."""
-    spec = sp_spec(fld, n, twisted=True)
-    return KloostermanSpec(
-        fld, spec.weights, spec.chis, name=f"w_GLtheta(n={n})"
-    )
-
-
 def so_split_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     """(n+2)-variable sum with weights (1,2,..,2,1,1,1)."""
     triv = fld.trivial_char()
@@ -304,7 +296,6 @@ def catalog(fld: FiniteField, ns=(2, 3)):
     for n in ns:
         out.append(sp_spec(fld, n))
         out.append(sp_spec(fld, n, twisted=True))
-        out.append(gl_theta_spec(fld, n))
         if n >= 2:  # the even-orthogonal specs need n >= 2; `sums eval --n` may be 1
             out.append(so_split_spec(fld, n))
             out.append(so_split_spec(fld, n, twisted=True))

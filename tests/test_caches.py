@@ -17,7 +17,7 @@ from endolab.endoscopy import (
     norm_family_check,
     pair_variants,
     pol_products,
-    so_even_packet_verify,
+    so_even_coset_verify,
 )
 from endolab.errors import InvalidU
 from endolab.families import (
@@ -109,7 +109,7 @@ def _run_routes():
     # the G-side a run through both nu
     for kind in SO_EVEN:
         for a in range(1, P):
-            so_even_packet_verify(kind, N, P, 1, a)
+            so_even_coset_verify(kind, N, P, a)
     k = make_field(P)
     for idx in range(P - 1):
         sums.gauss_sum(MultCharacter(k, idx), k)

@@ -325,6 +325,13 @@ def test_subtower_membership_enforced():
         tame_hilbert(K.phi(), K.from_int(2), sub=2)
 
 
+@pytest.mark.parametrize("sub", [0, -1, -2])
+def test_subtower_index_must_be_positive(sub):
+    K = TowerSpec(5, e=2, u0=1, prec=6)
+    with pytest.raises(WrongField):
+        tame_hilbert(K.from_int(2), K.from_int(3), sub=sub)
+
+
 def test_sgn_quad_index_two():
     """The +1 locus is an index-2 subgroup of K^x mod squares, checked on
     residue-level representatives."""

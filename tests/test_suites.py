@@ -6,7 +6,7 @@ import hashlib
 import json
 from types import SimpleNamespace
 
-from endolab import endoscopy, suites
+from endolab import characters, endoscopy, suites
 from endolab.errors import IdentityFailed
 from endolab.families import DISC_TABLE
 
@@ -71,6 +71,22 @@ def test_identity_row_passes():
     [row] = suites.ecr_ram_suite(ns=(2,), qs=(3,))
     assert row.passed and row.delta == 0.0
     assert row.rhs == "weighted orthogonal side"
+
+
+def test_the_coset_identity_runs_once_per_a(monkeypatch):
+    """The phi-coset identity reads no xi, so one default ecr_soeven suite run
+    evaluates each of its closed-form characters once: 224 calls on 224
+    distinct (parameters, element) pairs."""
+    real = characters.char_closed_form
+    calls = []
+
+    def counting(params, desc):
+        calls.append((params, desc))
+        return real(params, desc)
+
+    monkeypatch.setattr(characters, "char_closed_form", counting)
+    assert all(row.passed for row in suites.ecr_soeven_suite())
+    assert len(calls) == len(set(calls)) == 224
 
 
 def test_every_row_goes_through_row(monkeypatch):
