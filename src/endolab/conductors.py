@@ -723,7 +723,6 @@ def swan_closed_values(p: int, e: int, nprime: int):
     return {
         "big": Fraction(1, nprime),
         "linear_nontrivial": Fraction(1, nprime * (p**e + 1)),
-        "trivial": Fraction(0),
     }
 
 

@@ -377,12 +377,15 @@ def soram_side(k, n: int, sol: PacketSolution, u) -> complex | None:
     return kl_pm(k, n, k.coerce(2) ** n * a_prime * k.sqrt(w_sq))
 
 
-def _descent_identities(pair: Pair, k, n: int, xi: int, sol: PacketSolution, diff) -> None:
+def _descent_identities(pair: Pair, k, n: int, sol: PacketSolution, diff) -> list:
     """At each unit u, with D = diff(u), S the SO_ram side and c_var =
     ecr_coefficient(pair, n, var): the main identity D = c_plus * S, and the
-    central-sign identity xi * D = xi' * c_minus * S at the negative family
-    element; D must vanish where S is undefined."""
+    central-sign identity D = xi' * c_minus * S at the negative family
+    element, with xi' from the xi = 1 packet (the packet map is odd in xi, so
+    the xi = -1 identity is this one negated); D must vanish where S is
+    undefined.  Returns the pairs (u, S) where S is defined."""
     plus, minus = (ecr_coefficient(pair, n, var).evaluate(k) for var in ("plus", "minus"))
+    sides = []
     for u in k.units():
         d = diff(u)
         side = soram_side(k, n, sol, u)
@@ -392,24 +395,28 @@ def _descent_identities(pair: Pair, k, n: int, xi: int, sol: PacketSolution, dif
             continue
         if abs(d - plus * side) > TOL:
             raise IdentityFailed(f"main identity fails at u={u} ({pair.value})")
-        if abs(xi * d - sol.xi_prime * minus * side) > TOL:
+        if abs(d - sol.xi_prime * minus * side) > TOL:
             raise IdentityFailed(f"central-sign identity fails at u={u} ({pair.value})")
+        sides.append((u, side))
+    return sides
 
 
-def ecr_ram_descent_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
-    """The descent identity chain of SP_SORAM: at every unit u, the symplectic
-    packet difference against the weighted ramified-orthogonal side."""
-    sol = packet_solution(Pair.SP_SORAM, n, p, xi, a)
+def ecr_ram_descent_verify(n: int, p: int, a: int) -> PacketSolution:
+    """The descent identity chain of SP_SORAM at the G-side a, read through
+    the xi = 1 packet: at every unit u, the symplectic packet difference
+    against the weighted ramified-orthogonal side."""
+    sol = packet_solution(Pair.SP_SORAM, n, p, 1, a)
     k = make_field(p)
-    _descent_identities(Pair.SP_SORAM, k, n, xi, sol, lambda u: sp_difference(k, n, a, u))
+    _descent_identities(Pair.SP_SORAM, k, n, sol, lambda u: sp_difference(k, n, a, u))
     return sol
 
 
-def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
+def ecr_gl_lift_verify(n: int, p: int, a: int) -> PacketSolution:
     """The two lifting identities of the twisted-GL data (b, zeta) of the
-    symplectic (xi, a).  zeta^2 = w0(-1) is G(w0, psi)^2 = w0(-1) q, which the
-    exp_sums suite's gauss_square rows check."""
-    sol = packet_solution(Pair.SP_SORAM, n, p, xi, a)
+    symplectic a, at xi = 1; zeta is odd in xi, so the xi = -1 coset identity
+    is this one negated.  zeta^2 = w0(-1) is G(w0, psi)^2 = w0(-1) q, which
+    the exp_sums suite's gauss_square rows check."""
+    sol = packet_solution(Pair.SP_SORAM, n, p, 1, a)
     k = make_field(p)
     w0 = k.omega0()
     b, zeta = k.coerce(sol.gl_b), sol.gl_zeta
@@ -427,7 +434,7 @@ def ecr_gl_lift_verify(n: int, p: int, xi: int, a: int) -> PacketSolution:
         # the SO_ram side (a'^2 w^2 = bu), and vanishes where bu is not a square
         side = soram_side(k, n, sol, u)
         lhs2 = 0.0 if side is None else k.q**0.5 * w0(k.coerce(-2)) * zeta * side
-        if abs(lhs2 - xi * rhs) > TOL:
+        if abs(lhs2 - rhs) > TOL:
             raise IdentityFailed(f"coset lift identity fails at u={u}")
     return sol
 
@@ -440,44 +447,32 @@ def _so_even_pair(kind: GroupKind) -> Pair:
     return pair
 
 
-def so_even_packet_verify(kind: GroupKind, n: int, p: int, xi: int, a: int) -> PacketSolution:
-    """The even-orthogonal packet identity chain at the G-side (xi, a): the main
-    and central-sign identities of the descent chain, with the packet
-    difference D = w0(-2)^(1-t) Kl~(gamma) (t = 1 on SO_ur)."""
-    pair = _so_even_pair(kind)
-    sol = packet_solution(pair, n, p, xi, a)
-    t = 1 if pair is Pair.SOUR_H else 0
-    k = make_field(p)
-    spec = (so_unramified_spec if t else so_split_spec)(k, n, twisted=True)
-    scale = k.omega0()(k.coerce(-2)) ** (1 - t)
-    # gamma = (-1)^(n+1) 2^(2n-2+t) a u
-    c = k.coerce(-1) ** (n + 1) * k.coerce(2) ** (2 * n - 2 + t) * k.coerce(a)
-    _descent_identities(pair, k, n, xi, sol, lambda u: scale * kloosterman_eval(spec, c * u))
-    return sol
-
-
 @lru_cache(maxsize=None)
 def coset_descriptor(kind: GroupKind, n: int, p: int, u: int) -> characters.ElementDescriptor:
     """The descriptor of the even-orthogonal phi-coset family element at u."""
     return characters.describe(characters.family_element(kind, n, p, u, "phi_coset"))
 
 
-def so_even_coset_verify(kind: GroupKind, n: int, p: int, a: int) -> bool:
-    """The even-orthogonal phi-coset identity at a, for both zeta branches: at
-    each unit u where the SO_ram side S is defined, the packet difference
-    Theta_{1,0,a,zeta} - Theta_{1,1,a/eps,zeta} at the mixed-sign coset element
-    is zeta * c_phi * S, with c_phi = ecr_coefficient(pair, n, "phi_coset").
-    The difference is read from the closed form, which selects kappa; neither
-    side reads xi."""
+def so_even_packet_verify(kind: GroupKind, n: int, p: int, a: int) -> PacketSolution:
+    """The even-orthogonal packet identity chain at the G-side a, read through
+    the xi = 1 packet: the main and central-sign identities of the descent
+    chain, with the packet difference D = w0(-2)^(1-t) Kl~(gamma) (t = 1 on
+    SO_ur), and the phi-coset identity for both zeta branches: at each unit u
+    where the SO_ram side S is defined, Theta_{1,0,a,zeta} -
+    Theta_{1,1,a/eps,zeta} at the mixed-sign coset element is
+    zeta * c_phi * S, with c_phi = ecr_coefficient(pair, n, "phi_coset").  The
+    coset difference is read from the closed form, which selects kappa."""
     pair = _so_even_pair(kind)
     sol = packet_solution(pair, n, p, 1, a)
+    t = 1 if pair is Pair.SOUR_H else 0
     k = make_field(p)
+    spec = (so_unramified_spec if t else so_split_spec)(k, n, twisted=True)
+    scale = k.omega0()(k.coerce(-2)) ** (1 - t)
+    # gamma = (-1)^(n+1) 2^(2n-2+t) a u
+    c = k.coerce(-1) ** (n + 1) * k.coerce(2) ** (2 * n - 2 + t) * k.coerce(a)
     coset = ecr_coefficient(pair, n, "phi_coset").evaluate(k)
     a_eps = a * pow(k.eps.a, -1, p) % p
-    for u in k.units():
-        side = soram_side(k, n, sol, u)
-        if side is None:
-            continue
+    for u, side in _descent_identities(pair, k, n, sol, lambda u: scale * kloosterman_eval(spec, c * u)):
         desc = coset_descriptor(kind, n, p, u.a)
         for zeta in (1, -1):
             diff = (
@@ -486,7 +481,7 @@ def so_even_coset_verify(kind: GroupKind, n: int, p: int, a: int) -> bool:
             )
             if abs(diff - zeta * coset * side) > TOL:
                 raise IdentityFailed(f"coset identity fails at u={u} (zeta={zeta:+d})")
-    return True
+    return sol
 
 
 def norm_family_check(pair: Pair, p: int, n: int, u: int) -> bool:

@@ -9,7 +9,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from itertools import product
 
 from .conductors import (
@@ -38,7 +38,6 @@ from .endoscopy import (
     ecr_ram_descent_verify,
     norm_family_check,
     pair_variants,
-    so_even_coset_verify,
     so_even_packet_verify,
     transfer_factor,
 )
@@ -235,21 +234,19 @@ def char_oracle_suite(
 # 3, 4, 5 ---------------------------------------------------------------------
 
 
-def _chain_rows(suite, lhs, rhs, cells, chain, per_a=None):
-    """One bit row per cell (n, q) or (kind, n, q): `chain` runs at each G-side
-    (xi, a) of the cell, and `per_a`, if given, once per a.  Every call is
-    made; one that returns a false value or raises IdentityFailed fails the
-    row, and the message of the last one raised replaces `rhs`."""
+def _chain_rows(suite, lhs, rhs, cells, chain):
+    """One bit row per cell (n, q) or (kind, n, q): `chain` runs at each unit
+    a of the cell, on the xi = 1 packet.  The packet map is odd in xi, so each
+    xi = -1 identity is its xi = 1 one negated, and the row covers every
+    (xi, a).  Every call is made; one that returns a false value or raises
+    IdentityFailed fails the row, and the message of the last one raised
+    replaces `rhs`."""
     for cell in cells:
         *kind, n, q = cell
-        units = range(1, q)
-        calls = [partial(chain, *cell, xi, a) for xi in (1, -1) for a in units]
-        if per_a:
-            calls += [partial(per_a, *cell, a) for a in units]
         ok, msg = True, ""
-        for call in calls:
+        for a in range(1, q):
             try:
-                ok = call() and ok
+                ok = chain(*cell, a) and ok
             except IdentityFailed as exc:
                 ok, msg = False, str(exc)
         label = f"kind={kind[0].value} " if kind else ""
@@ -284,7 +281,6 @@ def ecr_soeven_suite(ns=(2,), qs=(3, 5, 7)):
         "ramified side",
         product((GroupKind.SO_SPL, GroupKind.SO_UR), ns, qs),
         so_even_packet_verify,
-        so_even_coset_verify,
     )
 
 

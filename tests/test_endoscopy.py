@@ -22,7 +22,6 @@ from endolab.endoscopy import (
     pair_variants,
     pol_products,
     sgn_at,
-    so_even_coset_verify,
     so_even_packet_verify,
     transfer_factor,
     walds_family,
@@ -252,9 +251,10 @@ def test_nu_mu():
 def test_ecr_ram_descent(p):
     k = make_field(p)
     w0m1 = 1 if k.dlog(k.coerce(-1)) % 2 == 0 else -1
-    for xi in (1, -1):
-        for a in range(1, p):
-            sol = ecr_ram_descent_verify(2, p, xi, a)
+    for a in range(1, p):
+        # the chain reads the xi = 1 packet; xi = -1 is read off the map
+        sols = {1: ecr_ram_descent_verify(2, p, a), -1: packet_solution(Pair.SP_SORAM, 2, p, -1, a)}
+        for xi, sol in sols.items():
             assert sol.xi_prime == xi * w0m1
             expect_sq = (pow(-1, 1, p) * k.eps.a ** sol.nu_mu * 4 * a) % p
             assert sol.a_prime_sq == expect_sq
@@ -266,9 +266,9 @@ def test_ecr_gl_lift():
         k = make_field(p)
         w0 = k.omega0()
         G = gauss_sum(w0, k)
-        for xi in (1, -1):
-            for a in range(1, p):
-                sol = ecr_gl_lift_verify(2, p, xi, a)
+        for a in range(1, p):
+            sols = {1: ecr_gl_lift_verify(2, p, a), -1: packet_solution(Pair.SP_SORAM, 2, p, -1, a)}
+            for xi, sol in sols.items():
                 assert sol.gl_b == (4 * a) % p
                 expect = xi * p ** (-0.5) * w0(k.coerce(-1)) * G
                 assert abs(sol.gl_zeta - expect) < 1e-9
@@ -289,7 +289,7 @@ CHAINS = (
 def test_packet_map(p, n):
     """The packet map sends the G-side grid one to one onto the SO_ram
     parameters (xi' = +-1, a'^2 a nonzero square, nu in {0, 1}), with
-    zeta^2 = w0(-1); every chain returns exactly its value."""
+    zeta^2 = w0(-1); every chain returns exactly its xi = 1 value."""
     k = make_field(p)
     w0m1 = k.omega0()(k.coerce(-1))
     grid = [(xi, a) for xi in (1, -1) for a in range(1, p)]
@@ -303,8 +303,21 @@ def test_packet_map(p, n):
         for sol in sols:
             assert abs(sol.gl_zeta**2 - w0m1) < 1e-12
     for pair, chain in CHAINS:
-        for xi, a in grid:
-            assert chain(n, p, xi, a) == packet_solution(pair, n, p, xi, a)
+        for a in range(1, p):
+            assert chain(n, p, a) == packet_solution(pair, n, p, 1, a)
+
+
+def test_packet_map_is_odd_in_xi():
+    """xi enters the packet only through xi' and zeta, and both are odd in it,
+    so each xi = -1 identity of a chain is its xi = 1 identity negated: the
+    chains run at xi = 1 alone."""
+    for pair in (Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H):
+        for n in (2, 3):
+            for p in (3, 5, 7):
+                for a in range(1, p):
+                    plus = packet_solution(pair, n, p, 1, a)
+                    negated = dataclasses.replace(plus, xi_prime=-plus.xi_prime, gl_zeta=-plus.gl_zeta)
+                    assert packet_solution(pair, n, p, -1, a) == negated, (pair, n, p, a)
 
 
 def test_packet_map_refuses_other_pairs_and_parameters():
@@ -315,7 +328,7 @@ def test_packet_map_refuses_other_pairs_and_parameters():
         with pytest.raises(InvalidParams):
             packet_solution(Pair.SP_SORAM, 2, 5, xi, a)
     with pytest.raises(UnknownPair):
-        so_even_packet_verify(GroupKind.SP, 2, 5, 1, 1)
+        so_even_packet_verify(GroupKind.SP, 2, 5, 1)
 
 
 @pytest.mark.parametrize("kind", [GroupKind.SO_SPL, GroupKind.SO_UR])
@@ -332,7 +345,7 @@ def test_so_even_zeta_minus_branch_can_fail(monkeypatch, kind, p):
     for nu in (0, 1):
         a = next(a for a in range(1, p) if packet_solution(pair, 2, p, 1, a).nu_mu == nu)
         with pytest.raises(IdentityFailed, match=r"\(zeta=-1\)"):
-            so_even_coset_verify(kind, 2, p, a)
+            so_even_packet_verify(kind, 2, p, a)
 
 
 def test_norm_family_checks():

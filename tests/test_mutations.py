@@ -13,14 +13,16 @@ The other tables fail their own rows at their suites' smallest arguments: a
 `DISC_TABLE` entry shifted by 1/2 fails `weyl_disc` at (n, p) = (2, 5), and an
 `ETA_CLOSED` entry with its sign flipped fails `delta_iv_closed` at n = 2,
 p = 3.  A wrong zeta in the packet map (negated, doubled, or without its
-q^(-1/2)) fails `ecr_gl_lift` at n = 2, q = 3."""
+q^(-1/2)) fails `ecr_gl_lift` at n = 2, q = 3.  A `swan_closed_values` entry
+shifted by 1/2 fails `swan_artin` at (p, e, n') = (3, 1, 2), while
+`ramification_jumps` still passes."""
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from endolab import endoscopy, suites
+from endolab import conductors, endoscopy, suites
 from endolab.endoscopy import DELTA_IV_EXPECTED, ETA_CLOSED, TRANSFER_EXPECTED, Pair
 from endolab.families import DISC_TABLE
 
@@ -110,3 +112,15 @@ def test_a_wrong_zeta_fails_the_gl_lift(monkeypatch, wrong):
 
     monkeypatch.setattr(endoscopy, "packet_solution", packet_solution)
     assert _verdicts("ecr_gl", **SMALLEST) == {"ecr_gl_lift": False}
+
+
+@pytest.mark.parametrize("entry", ["big", "linear_nontrivial"])
+def test_a_shifted_swan_entry_fails_swan_artin(monkeypatch, entry):
+    real = conductors.swan_closed_values
+
+    def shifted(p, e, nprime):
+        closed = real(p, e, nprime)
+        return {**closed, entry: closed[entry] + Fraction(1, 2)}
+
+    monkeypatch.setattr(conductors, "swan_closed_values", shifted)
+    assert _verdicts("conductor", cases=((3, 1, 2),)) == {"ramification_jumps": True, "swan_artin": False}

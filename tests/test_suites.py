@@ -27,15 +27,15 @@ SMALL = {
 
 
 def _fake_descent(monkeypatch, bad, failure):
-    """Replace the descent check: the pair `bad` fails through `failure`,
-    every other pair passes.  Returns the list of (xi, a) called."""
+    """Replace the descent check: the unit `bad` fails through `failure`,
+    every other unit passes.  Returns the list of a called."""
     calls = []
 
-    def verify(n, q, xi, a):
-        calls.append((xi, a))
-        if (xi, a) == bad:
+    def verify(n, q, a):
+        calls.append(a)
+        if a == bad:
             return failure()
-        return endoscopy.packet_solution(endoscopy.Pair.SP_SORAM, n, q, xi, a)
+        return endoscopy.packet_solution(endoscopy.Pair.SP_SORAM, n, q, 1, a)
 
     monkeypatch.setattr(suites, "ecr_ram_descent_verify", verify)
     return calls
@@ -48,23 +48,22 @@ def test_identity_row_fails_on_raised_identity(monkeypatch):
     def raise_failure():
         raise IdentityFailed(msg)
 
-    calls = _fake_descent(monkeypatch, (1, 2), raise_failure)
+    calls = _fake_descent(monkeypatch, 2, raise_failure)
     [row] = suites.ecr_ram_suite(ns=(2,), qs=(q,))
     assert not row.passed and row.delta == 1.0
     assert row.rhs == msg
-    # every pair is still verified after the failing one
-    assert sorted(calls) == sorted((xi, a) for xi in (1, -1) for a in range(1, q))
-    assert len(calls) == 2 * (q - 1)
+    # every unit is still verified after the failing one, once
+    assert calls == list(range(1, q))
 
 
 def test_identity_row_fails_on_false_check(monkeypatch):
     q = 5
     # a verify function that returns a false value instead of raising
-    calls = _fake_descent(monkeypatch, (-1, 4), lambda: None)
+    calls = _fake_descent(monkeypatch, 4, lambda: None)
     [row] = suites.ecr_ram_suite(ns=(2,), qs=(q,))
     assert not row.passed and row.delta == 1.0
     assert row.rhs == "weighted orthogonal side"
-    assert len(calls) == 2 * (q - 1)
+    assert calls == list(range(1, q))
 
 
 def test_identity_row_passes():
@@ -87,6 +86,25 @@ def test_the_coset_identity_runs_once_per_a(monkeypatch):
     monkeypatch.setattr(characters, "char_closed_form", counting)
     assert all(row.passed for row in suites.ecr_soeven_suite())
     assert len(calls) == len(set(calls)) == 224
+
+
+def test_each_chain_runs_once_per_a(monkeypatch):
+    """The chains run at xi = 1 only (the packet map is odd in xi), so one
+    default run of each ECR suite makes (q - 1)^2 packet-difference
+    evaluations per cell and chain identity: 312, 224 and 112 direct
+    kloosterman_eval calls.  Running both xi made 624, 448 and 224."""
+    real = endoscopy.kloosterman_eval
+    calls = []
+
+    def counting(spec, x):
+        calls.append((spec, x))
+        return real(spec, x)
+
+    monkeypatch.setattr(endoscopy, "kloosterman_eval", counting)
+    for suite, expect in (("ecr_ram", 312), ("ecr_gl", 224), ("ecr_soeven", 112)):
+        calls.clear()
+        assert all(row.passed for row in suites.SUITES[suite]()), suite
+        assert len(calls) == expect, suite
 
 
 def test_every_row_goes_through_row(monkeypatch):
