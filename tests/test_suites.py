@@ -90,14 +90,14 @@ def test_the_coset_identity_runs_once_per_a(monkeypatch):
 
 def test_each_chain_runs_once_per_a(monkeypatch):
     """The chains run at xi = 1 only (the packet map is odd in xi), so one
-    default run of each ECR suite makes (q - 1)^2 packet-difference
-    evaluations per cell and chain identity: 312, 224 and 112 direct
+    default run of each ECR suite evaluates each Kloosterman side of a chain
+    once per (cell, a, u): 312, 224 (two sides) and 112 direct
     kloosterman_eval calls.  Running both xi made 624, 448 and 224."""
     real = endoscopy.kloosterman_eval
     calls = []
 
     def counting(spec, x):
-        calls.append((spec, x))
+        calls.append(x)
         return real(spec, x)
 
     monkeypatch.setattr(endoscopy, "kloosterman_eval", counting)
