@@ -198,85 +198,64 @@ def _psi_value(form, slot_values):
 # torus index sets
 
 
-def torus_index_set(params: SSCParams, element: CharElement):
-    """Representatives of the finite index set of the character formula.
-
-    Returned entries are the diagonal data of the conjugating elements: plain
-    tuples (t_1, ..) of unit residues, plus the constrained branches for the
-    coset cases.  Raises when the hypotheses of the matching index-set lemma
-    fail, and returns [] when the set is genuinely empty.
-    """
+def torus_ranges(params: SSCParams, element: CharElement):
+    """The value tuple of each coordinate of the torus index set, whose
+    representatives are the diagonal data of the conjugating elements:
+    unit residues t_1, .. (t_1 up to sign on sp, so_spl and so_ur), the
+    unramified middle coordinate as norm-one pairs (x, y) =
+    x + y*sqrt(eps), and on the phi cosets the constrained branches (x1,)
+    and (w, -w).  A branch is () where the index set is genuinely empty;
+    raises when no index-set lemma covers the kind."""
     p = element.matrix.p
     k = make_field(p)
     n = params.group.n
-    units = [x.a for x in k.units()]
-    half = [x.a for x in k.units() if k.dlog(x) < (k.q - 1) // 2]
     kind = params.group.kind
-
-    def tuples(m):
-        out = [()]
-        for _ in range(m):
-            out = [t + (u,) for t in out for u in units]
-        return out
-
+    units = tuple(x.a for x in k.units())
+    half = units[: (p - 1) // 2]  # units() is in dlog order
     if kind is GroupKind.SP:
-        return [h + t for h in [(x,) for x in half] for t in tuples(n - 1)]
+        return (half,) + (units,) * (n - 1)
     if kind is GroupKind.SO_RAM:
-        return tuples(n - 1)
+        return (units,) * (n - 1)
     if kind is GroupKind.SO_SPL and not element.phi:
-        return [h + t for h in [(x,) for x in half] for t in tuples(n)]
+        return (half,) + (units,) * n
     if kind is GroupKind.SO_UR and not element.phi:
-        ext_units = _norm_one(p)
-        return [
-            h + t + (tt,)
-            for h in [(x,) for x in half]
-            for t in tuples(n - 1)
-            for tt in ext_units
-        ]
+        return (half,) + (units,) * (n - 1) + (_norm_one(p),)
     if kind is GroupKind.TWISTED_GL and not element.phi:
         # (t_1..t_{n-1}, z) with t_n = 1
-        return [t + (z,) for t in tuples(n - 1) for z in units]
+        return (units,) * n
     if kind is GroupKind.TWISTED_GL:
-        au = k.coerce(params.a * element.phi[0])
-        if not au.is_square():
-            return []
-        w = k.sqrt(au)
-        return [t + (tn,) for t in tuples(n - 1) for tn in (w.a, (-w).a)]
+        return (units,) * (n - 1) + (_roots(k, k.coerce(params.a * element.phi[0])),)
     if kind is GroupKind.SO_SPL:
         alpha, beta = element.phi
         c1 = k.coerce(-params.a) * k.coerce(beta)
         c2 = k.coerce(alpha) * k.coerce(k.eps.a) ** (-params.kappa)
-        if not (c1.is_square() and c2.is_square()):
-            return []
-        x1 = k.sqrt(c1)
-        xn1 = k.sqrt(c2)
-        return [
-            (x1.a,) + t + (s,)
-            for t in tuples(n - 1)
-            for s in (xn1.a, (-xn1).a)
-        ]
+        return (_roots(k, c1)[:1],) + (units,) * (n - 1) + (_roots(k, c2),)
     if kind is GroupKind.SO_UR:
         (beta,) = element.phi
-        if params.kappa != 0:
-            return []
-        c1 = k.coerce(-params.a) * k.coerce(beta)
-        if not c1.is_square():
-            return []
-        x1 = k.sqrt(c1)
-        return [(x1.a,) + t + (s,) for t in tuples(n - 1) for s in (1, -1)]
+        x1 = () if params.kappa else _roots(k, k.coerce(-params.a) * k.coerce(beta))[:1]
+        return (x1,) + (units,) * (n - 1) + (((1, 0), (p - 1, 0)),)
     raise HypothesisFailed(f"no index set for {kind}")
+
+
+def torus_index_set(params: SSCParams, element: CharElement):
+    """Representatives of the finite index set of the character formula: the
+    product of the coordinate ranges of ``torus_ranges``, the last coordinate
+    varying fastest, and [] when the set is genuinely empty."""
+    return list(product(*torus_ranges(params, element)))
+
+
+def _roots(k, c):
+    """(w, -w) for a square c = w^2, () for a non-square."""
+    if not c.is_square():
+        return ()
+    w = k.sqrt(c)
+    return (w.a, (-w).a)
 
 
 def _norm_one(p: int):
     """Pairs (x, y) mod p with x^2 - eps*y^2 = 1."""
-    k = make_field(p)
-    eps = k.eps.a
-    out = []
-    for x in range(p):
-        for y in range(p):
-            if (x * x - eps * y * y) % p == 1:
-                out.append((x, y))
-    return out
+    eps = make_field(p).eps.a
+    return tuple((x, y) for x in range(p) for y in range(p) if (x * x - eps * y * y) % p == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +322,8 @@ def _slot_column(reps, values, coords, residue):
 
 def _standard_histogram(params: SSCParams, element: CharElement):
     """(sign, histogram): the sign of the +-I+ coset and the slot residues of
-    the torus conjugates of the I+ part, each read from its slot's table."""
+    the torus conjugates of the I+ part, each read from its slot's table.  A
+    slot's table runs over the ``torus_ranges`` of the coordinates it reads."""
     group = params.group
     p = element.matrix.p
     m, mod = _int_rows(element.h_part, 4)
@@ -357,13 +337,13 @@ def _standard_histogram(params: SSCParams, element: CharElement):
     reps = torus_index_set(params, element)
     if not reps:
         return sign, {}
+    values = torus_ranges(params, element)
     eps = make_field(p).eps.a
     N = group.size
     # the torus diagonal is (t_1..t_r, middle, t_r^-1..t_1^-1): the middle is
-    # 1, 1 on the ramified kind and the quadratic pair (the last coordinate
-    # of each rep) on the unramified one
-    r = len(reps[0]) - (group.kind is GroupKind.SO_UR)
-    values = [tuple(dict.fromkeys(col)) for col in zip(*reps)]
+    # 1, 1 on the ramified kind and the quadratic pair (the last coordinate)
+    # on the unramified one
+    r = len(values) - (group.kind is GroupKind.SO_UR)
 
     def coordinate(d):
         if d < r:
@@ -392,7 +372,7 @@ def _standard_histogram(params: SSCParams, element: CharElement):
     def pair(i1, j1, j2, part):
         # the middle slot t_i * (m_ij1 + m_ij2 * sqrt eps) * y^-1, y the quadratic coordinate
         def residue(t, tt):
-            x, y = tt if isinstance(tt, tuple) else (tt % p, 0)
+            x, y = tt
             yinv = (x, (-y) % p)
             if part == 0:
                 a = t * (m[i1][j1] * yinv[0] + m[i1][j2] * ((eps * yinv[1]) % p))

@@ -11,13 +11,16 @@ primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
 on the kinds with kappa (sp, so_spl, so_ur) and ``--zeta`` only on the kinds
 with zeta (gl_theta, so_spl, so_ur), as the sign of zeta
 against its base value: ``suites._gl_zeta`` on gl_theta, 1 on so_spl and
-so_ur.  ``--nprime``, ``tower hilbert``'s ``--sub`` and the ``--e`` of ``tower
-val``, ``tower hilbert``, ``tower herbrand`` and ``conductor compute`` are
-positive, ``--coeffs``, ``--x`` and ``--y`` list ``--e`` integers, and
-``conductor compute``'s ``--nprime`` is an even divisor of p - 1.  Each
-subcommand takes only the report flags its handler reads; they fall back to
-``ENDOLAB_``-prefixed environment variables.  The suites time every row; the report is emitted with each row's ``elapsed``
-zeroed unless ``--timings`` is given, so it is deterministic for a fixed seed.
+so_ur.  ``--nprime``, ``--jobs``, ``tower hilbert``'s ``--sub`` and the
+``--e`` of ``tower val``, ``tower hilbert``, ``tower herbrand`` and
+``conductor compute`` are positive, ``--coeffs``, ``--x`` and ``--y`` list
+``--e`` integers, and ``conductor compute``'s ``--nprime`` is an even divisor
+of p - 1.  Each subcommand takes only the report flags its handler reads.
+They (but ``--timings``) and ``--precision`` fall back to ``ENDOLAB_``
+environment variables, checked by the flag's own type and choices: a value
+outside them is a usage error of every command.  The suites time every row;
+the report zeroes each row's ``elapsed`` unless ``--timings`` is given, so
+it is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .groups import GroupKind, simple_affine_components
 from .linalg import val_p
 from .padic import extract_jumps, herbrand_compose, tame_hilbert
 from .residue import field_size, make_field, p_digits
-from .sums import catalog, kl_simple, kloosterman_eval
+from .sums import TOL, catalog, kl_simple, kloosterman_eval
 
 CAPS = {"n": 4}
 
@@ -128,25 +131,41 @@ def _check_variant(value, choices, flag):
         raise UsageError(f"{flag} is one of {', '.join(choices)}")
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(f"ENDOLAB_{name.upper()}")
+# the report flags and the tower commands' --precision; all but the switch
+# --timings fall back to ``ENDOLAB_<NAME>``
+FLAGS = {
+    "tol": dict(type=float, default=TOL),
+    "seed": dict(type=int, default=0),
+    "out": dict(default=None),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "jobs": dict(type=_positive("job count"), default=1),
+    "timings": dict(action="store_true"),
+    "precision": dict(type=int, default=6),
+}
+
+
+def _env_default(name, spec):
+    """``spec`` with its default read from ``ENDOLAB_<NAME>`` when that is set,
+    through the flag's own type and choices: a value outside them is a usage
+    error that names the variable."""
+    var = f"ENDOLAB_{name.upper()}"
+    raw = os.environ.get(var)
     if raw is None:
-        return fallback
-    return cast(raw)
+        return spec
+    try:
+        value = spec.get("type", str)(raw)
+        if value not in spec.get("choices", (value,)):
+            raise ValueError(f"not one of {', '.join(spec['choices'])}")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"{var}={raw!r}: {exc}") from None
+    return {**spec, "default": value}
 
 
 def _add_flags(sub, *names):
-    """Declare the report flags in ``names``, the ones the handler reads."""
-    flags = {
-        "tol": dict(type=float, default=_env_default("tol", float, 1e-6)),
-        "seed": dict(type=int, default=_env_default("seed", int, 0)),
-        "out": dict(default=_env_default("out", str, None)),
-        "format": dict(choices=("json", "csv"), default=_env_default("format", str, "json")),
-        "jobs": dict(type=int, default=_env_default("jobs", int, 1)),
-        "timings": dict(action="store_true"),
-    }
+    """Declare the flags in ``names``, the ones the handler reads."""
     for name in names:
-        sub.add_argument(f"--{name}", **flags[name])
+        spec = FLAGS[name]
+        sub.add_argument(f"--{name}", **(spec if name == "timings" else _env_default(name, spec)))
 
 
 def build_parser():
@@ -171,14 +190,14 @@ def build_parser():
     tv.add_argument("--p", type=_prime, required=True)
     tv.add_argument("--e", type=_degree, default=1)
     tv.add_argument("--u0", type=int, default=1)
-    tv.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
+    _add_flags(tv, "precision")
     tv.add_argument("--coeffs", required=True, help="comma list, constant first")
     _add_flags(tv, "out")
     th = ts.add_parser("hilbert")
     th.add_argument("--p", type=_prime, required=True)
     th.add_argument("--e", type=_degree, default=2)
     th.add_argument("--u0", type=int, default=1)
-    th.add_argument("--precision", type=int, default=_env_default("precision", int, 6))
+    _add_flags(th, "precision")
     th.add_argument("--x", required=True, help="comma list of coefficients")
     th.add_argument("--y", required=True)
     th.add_argument("--sub", type=_subtower, default=1)
@@ -494,16 +513,15 @@ HANDLERS = {
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
+        # a bad ENDOLAB_ value raises UsageError while the parser is built
+        args = build_parser().parse_args(argv)
         if getattr(args, "n", None) is not None and args.n > CAPS["n"]:
             raise CapExceeded(f"n={args.n} beyond the rank cap {CAPS['n']}")
         _check_units(args)
         return HANDLERS[args.command](args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return exc.code if exc.code is not None else 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

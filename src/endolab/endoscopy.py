@@ -42,6 +42,7 @@ from .groups import (
 )
 from .residue import make_field
 from .sums import (
+    TOL,
     gauss_sum,
     kl_pm,
     kloosterman_eval,
@@ -50,8 +51,6 @@ from .sums import (
     sp_spec,
 )
 from .padic import tame_hilbert
-
-TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from .conductors import (
     tensor_decompositions,
 )
 from .characters import (
+    KAPPA_KINDS,
+    XI_KINDS,
+    ZETA_KINDS,
     SSCParams,
     char_brute_force,
     char_closed_form,
@@ -57,6 +60,7 @@ from .groups import (
 from .residue import MultCharacter, field_size, make_field
 from .sums import (
     BRUTE_Q_CAP,
+    TOL,
     catalog,
     fourier_check,
     gauss_sum,
@@ -65,8 +69,6 @@ from .sums import (
     kloosterman_eval,
     sp_spec,
 )
-
-DEFAULT_TOL = 1e-6
 
 
 @dataclass
@@ -134,7 +136,7 @@ def field_for(q: int):
 
 
 @_suite
-def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=DEFAULT_TOL):
+def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=TOL):
     for q in qs:
         k = field_for(q)
         w0 = k.omega0()
@@ -173,21 +175,18 @@ def _gl_zeta(k):
 
 
 def _params_grid(group: GroupId, q: int):
+    """The character parameters at F_q: a over the units, slowest, then xi,
+    kappa and zeta, each over its values on the kind (the ``*_KINDS`` sets):
+    zeta is +-``_gl_zeta`` on gl_theta and the ints +-1 on so_spl and so_ur."""
     k = field_for(q)
-    units = range(1, k.p)
-    if group.kind is GroupKind.TWISTED_GL:
-        z0 = _gl_zeta(k)
-        return [SSCParams(group, a, zeta=z) for a in units for z in (z0, -z0)]
-    if group.kind is GroupKind.SP:
-        return [SSCParams(group, a, xi, kp) for a in units for xi in (1, -1) for kp in (0, 1)]
-    if group.kind is GroupKind.SO_RAM:
-        return [SSCParams(group, a, xi) for a in units for xi in (1, -1)]
+    kind = group.kind
+    z0 = _gl_zeta(k) if kind is GroupKind.TWISTED_GL else 1
     return [
-        SSCParams(group, a, xi, kp, z)
-        for a in units
-        for xi in (1, -1)
-        for kp in (0, 1)
-        for z in (1, -1)
+        SSCParams(group, a, xi, kappa, zeta)
+        for a in range(1, k.p)
+        for xi in ((1, -1) if kind in XI_KINDS else (1,))
+        for kappa in ((0, 1) if kind in KAPPA_KINDS else (0,))
+        for zeta in ((z0, -z0) if kind in ZETA_KINDS else (1.0,))
     ]
 
 
@@ -197,7 +196,7 @@ def char_oracle_suite(
     qs=(3, 5, 7),
     n_random=20,
     seed=0,
-    tol=DEFAULT_TOL,
+    tol=TOL,
     kinds=tuple(FAMILY_VARIANTS),
 ):
     for kind in kinds:
@@ -453,7 +452,7 @@ SUITES = {
 }
 
 
-def run_all(names=None, seed=0, tol=DEFAULT_TOL, jobs=1):
+def run_all(names=None, seed=0, tol=TOL, jobs=1):
     calls = []
     for name in names or SUITES:
         kwargs = {}
@@ -462,10 +461,11 @@ def run_all(names=None, seed=0, tol=DEFAULT_TOL, jobs=1):
         if name in ("char_oracle", "charpoly"):
             kwargs["seed"] = seed
         calls.append((name, kwargs))
-    if jobs > 1:
+    workers = min(jobs, len(calls))
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(workers) as pool:
             results = pool.map(_run_one, calls)
     else:
         results = map(_run_one, calls)

@@ -27,7 +27,7 @@ from .residue import FFElem, FiniteField, MultCharacter, make_field, quad_extens
 
 BRUTE_Q_CAP = 13
 BRUTE_VAR_CAP = 5
-TOL = 1e-6
+TOL = 1e-6  # the one absolute tolerance: the suites, the ECR chains and the CLI read it
 
 
 def _refuse_other_field(chi: MultCharacter, fld: FiniteField):

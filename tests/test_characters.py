@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from endolab.characters import (
     formal_degree_ineq,
     random_affine_generic,
     torus_index_set,
+    torus_ranges,
 )
 from endolab.errors import InvalidParams, OutOfDomain
 from endolab.families import FAMILY_VARIANTS, family_matrix, nu_of_u
@@ -571,3 +573,38 @@ def test_a_perturbed_digit_fails_the_oracle_comparison(kind, monkeypatch):
     rows[i][j] += q**piw
     monkeypatch.setattr(fresh, attr, GroupMatrix(g.group, q, rows, g.s, g.prec))
     assert worst(fresh) > 1e-6
+
+
+def _index_set_size(kind, n, q):
+    """The size of the plain coset's torus index set: t_1 up to sign on sp,
+    so_spl and so_ur, and q + 1 norm-one middles on so_ur."""
+    return {
+        GroupKind.SP: (q - 1) ** n // 2,
+        GroupKind.SO_RAM: (q - 1) ** (n - 1),
+        GroupKind.SO_SPL: (q - 1) ** (n + 1) // 2,
+        GroupKind.SO_UR: (q - 1) ** n * (q + 1) // 2,
+        GroupKind.TWISTED_GL: (q - 1) ** n,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
+def test_torus_index_set_is_the_product_of_its_ranges(kind):
+    """At every element and parameter tuple of the oracle grid the index set
+    is the product of distinct-valued ranges, of the lemma's size.  A phi
+    coset's set, one x1 and two +-w values, is empty at some parameters and
+    full at others."""
+    for n in (2, 3):
+        for q in (3, 5, 7):
+            coset_sizes = set()
+            for el in _oracle_elements(kind, n, q):
+                for params in _params_grid(el.group, q):
+                    ranges = torus_ranges(params, el)
+                    reps = torus_index_set(params, el)
+                    assert reps == list(product(*ranges))
+                    assert all(len(set(r)) == len(r) for r in ranges)
+                    if el.phi:
+                        coset_sizes.add(len(reps))
+                    else:
+                        assert len(reps) == _index_set_size(kind, n, q), (kind.value, n, q)
+            if kind in (GroupKind.TWISTED_GL, GroupKind.SO_SPL, GroupKind.SO_UR):
+                assert coset_sizes == {0, 2 * (q - 1) ** (n - 1)}, (kind.value, n, q)

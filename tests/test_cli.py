@@ -204,6 +204,43 @@ def test_env_override(monkeypatch, capsys):
     assert out.splitlines()[0].startswith("suite,parameters")
 
 
+# a set ENDOLAB_ variable passes through its flag's own type and choices
+@pytest.mark.parametrize(
+    "var, value",
+    [
+        ("FORMAT", "xml"),
+        ("TOL", "abc"),
+        ("SEED", "x"),
+        ("JOBS", "-4"),
+        ("JOBS", "0"),
+        ("PRECISION", "z"),
+    ],
+)
+def test_env_value_outside_its_flag_domain_is_usage_error(var, value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv(f"ENDOLAB_{var}", value)
+    report = tmp_path / "report.json"
+    assert run(["suite", "all", "--only", "formal_degree", "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert f"ENDOLAB_{var}" in captured.err
+    assert captured.out == "" and not report.exists()
+
+
+def test_env_values_inside_their_domains_reach_the_run(monkeypatch, capsys):
+    seen = {}
+    serial = suites.run_all
+
+    def run_all(**kwargs):
+        seen.update(kwargs)
+        return serial(names=kwargs["names"])
+
+    monkeypatch.setattr(suites, "run_all", run_all)
+    for var, value in (("TOL", "0.5"), ("SEED", "7"), ("JOBS", "3")):
+        monkeypatch.setenv(f"ENDOLAB_{var}", value)
+    assert run(["suite", "all", "--only", "formal_degree"]) == 0
+    capsys.readouterr()
+    assert seen == {"names": ["formal_degree"], "seed": 7, "tol": 0.5, "jobs": 3}
+
+
 def test_console_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "endolab.cli", "tower", "herbrand", "--p", "3", "--e", "1", "--nprime", "2"],
@@ -448,6 +485,9 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--xi", "-1"], 2),
         # nor a twisted linear zeta off zeta^2 = w0(-1), which is 1 at q = 5
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "i"], 2),
+        # --jobs counts worker processes
+        (["suite", "all", "--only", "formal_degree", "--jobs", "0"], 2),
+        (["suite", "all", "--only", "formal_degree", "--jobs", "-2"], 2),
     ],
 )
 def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):

@@ -1,14 +1,20 @@
 """Report-row plumbing of the suites: identity rows that fail, one `_row`
 call per row, the wall time of each row, the keyword arguments `run_all`
-hands each suite, and the table keys the discriminant suite reads."""
+hands each suite and the worker count it asks for, the table keys the
+discriminant suite reads, and the character parameter grid."""
 
 import hashlib
 import json
+import multiprocessing
 from types import SimpleNamespace
 
+import pytest
+
 from endolab import characters, endoscopy, suites
+from endolab.characters import SSCParams
 from endolab.errors import IdentityFailed
-from endolab.families import DISC_TABLE
+from endolab.families import DISC_TABLE, FAMILY_VARIANTS
+from endolab.groups import GroupId, GroupKind
 
 # the smallest arguments each suite accepts; every suite in SUITES is listed
 SMALL = {
@@ -150,6 +156,32 @@ def test_run_all_forks_the_same_rows():
     assert [r.as_dict() for r in forked] == [r.as_dict() for r in suites.run_all(names=names)]
 
 
+def test_run_all_opens_no_more_workers_than_suites(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    names = ["formal_degree", "disc"]
+    rows = suites.run_all(names=names, jobs=64)
+    assert sizes == [2]
+    assert [r.as_dict() for r in rows] == [r.as_dict() for r in suites.run_all(names=names)]
+    # one suite runs in this process
+    assert suites.run_all(names=["formal_degree"], jobs=64)
+    assert sizes == [2]
+
+
 def test_rows_carry_the_wall_time_since_the_previous_row(monkeypatch):
     ticks = iter([10.0, 10.25, 11.0, 11.0])
     monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
@@ -190,3 +222,37 @@ def test_disc_suite_reads_every_disc_table_key(monkeypatch):
     rows = suites.disc_suite(cases=((2, 5),))
     assert [r.passed for r in rows] == [True]
     assert seen == set(DISC_TABLE)
+
+
+def _reference_params_grid(group: GroupId, q: int):
+    """The character parameter grid written out kind by kind."""
+    k = suites.field_for(q)
+    units = range(1, k.p)
+    if group.kind is GroupKind.TWISTED_GL:
+        z0 = suites._gl_zeta(k)
+        return [SSCParams(group, a, zeta=z) for a in units for z in (z0, -z0)]
+    if group.kind is GroupKind.SP:
+        return [SSCParams(group, a, xi, kp) for a in units for xi in (1, -1) for kp in (0, 1)]
+    if group.kind is GroupKind.SO_RAM:
+        return [SSCParams(group, a, xi) for a in units for xi in (1, -1)]
+    return [
+        SSCParams(group, a, xi, kp, z)
+        for a in units
+        for xi in (1, -1)
+        for kp in (0, 1)
+        for z in (1, -1)
+    ]
+
+
+@pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
+def test_params_grid_is_the_kind_by_kind_grid(kind):
+    """Same tuples in the same order, the types of xi, kappa and zeta
+    included (repr tells 1 from 1.0)."""
+    for n in (2, 3):
+        for q in (3, 5, 7, 11, 13):
+            for nu in (0, 1) if kind is GroupKind.SO_RAM else (0,):
+                group = GroupId(kind, n, nu)
+                grid = suites._params_grid(group, q)
+                reference = _reference_params_grid(group, q)
+                assert grid == reference
+                assert repr(grid) == repr(reference), (kind.value, n, q)
