@@ -24,10 +24,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
 
-from .errors import EndolabError, HypothesisFailed, InvalidParams, NotInIplus, OutOfDomain
+from .errors import HypothesisFailed, InvalidParams, NotInIplus, OutOfDomain
 from .families import family_matrix, family_phi, nu_of_u
 from .groups import (
-    SAMPLE_TRIES,
     GroupId,
     GroupKind,
     GroupMatrix,
@@ -36,6 +35,7 @@ from .groups import (
     iwahori_level,
     iwahori_mask_at,
     phi_element,
+    sample,
     sample_iplus,
     simple_affine_components,
     theta,
@@ -253,9 +253,10 @@ def _roots(k, c):
 
 
 def _norm_one(p: int):
-    """Pairs (x, y) mod p with x^2 - eps*y^2 = 1."""
-    eps = make_field(p).eps.a
-    return tuple((x, y) for x in range(p) for y in range(p) if (x * x - eps * y * y) % p == 1)
+    """The norm-one elements z^(p+1) = 1 of F_{p^2}, as pairs (x, y) for
+    z = x + y*sqrt(eps), in ``elements()`` order."""
+    K = make_field(p, 2)
+    return tuple(z.key() for z in K.elements() if z ** (p + 1) == K.one)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +339,7 @@ def _standard_histogram(params: SSCParams, element: CharElement):
     if not reps:
         return sign, {}
     values = torus_ranges(params, element)
-    eps = make_field(p).eps.a
+    K = make_field(p, 2)
     N = group.size
     # the torus diagonal is (t_1..t_r, middle, t_r^-1..t_1^-1): the middle is
     # 1, 1 on the ramified kind and the quadratic pair (the last coordinate)
@@ -370,15 +371,12 @@ def _standard_histogram(params: SSCParams, element: CharElement):
         return _slot_column(reps, values, coords, residue)
 
     def pair(i1, j1, j2, part):
-        # the middle slot t_i * (m_ij1 + m_ij2 * sqrt eps) * y^-1, y the quadratic coordinate
-        def residue(t, tt):
-            x, y = tt
-            yinv = (x, (-y) % p)
-            if part == 0:
-                a = t * (m[i1][j1] * yinv[0] + m[i1][j2] * ((eps * yinv[1]) % p))
-            else:
-                a = t * (m[i1][j1] * yinv[1] + m[i1][j2] * yinv[0])
-            return a % mod % p
+        # the middle slot (m_ij1 + m_ij2 * sqrt eps) * y^-1 * t_i in F_{p^2}, y the
+        # norm-one coordinate, so y^-1 is its conjugate
+        mid = K.elem(m[i1][j1], m[i1][j2])
+
+        def residue(t, y):
+            return (mid * K.elem(y[0], -y[1]) * t).key()[part]
 
         return _slot_column(reps, values, (i1, r), residue)
 
@@ -608,7 +606,8 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random):
         g = sample_iplus(group, p, mask, rng, lambda g: _generic_in_iplus(g * theta(g)))
         return CharElement(group, g)
     units = [x.a for x in k.units()]
-    for _ in range(SAMPLE_TRIES):
+
+    def draw():
         factors = []
         for _ in range(rng.randint(1, 2)):
             u = rng.choice(units)
@@ -626,12 +625,9 @@ def random_affine_generic(group: GroupId, p: int, rng: random.Random):
         g = factors[0]
         for f in factors[1:]:
             g = g * f
-        try:
-            if _generic_in_iplus(g):
-                return CharElement(group, g)
-        except EndolabError:
-            continue
-    raise HypothesisFailed("could not sample an affine generic element")
+        return g
+
+    return CharElement(group, sample(draw, _generic_in_iplus))
 
 
 def _random_torus(group: GroupId, p: int, mod: int, rng: random.Random):

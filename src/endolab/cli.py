@@ -439,8 +439,6 @@ def cmd_char(args):
     rows = suites.char_oracle_suite(
         seed=args.seed, tol=args.tol, **_grid(ns=args.n, qs=args.q, kinds=kind)
     )
-    if args.group:
-        rows = [r for r in rows if f"group={args.group}" in r.parameters.split()]
     return _verdict(rows, args)
 
 

@@ -307,17 +307,15 @@ def _root_pair_val(p: int, n: int, u: int) -> Fraction:
     return total
 
 
-def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus", direct: bool = False):
+def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus"):
     """-log_q of the (twisted) Weyl discriminant of the family element.
 
-    The closed value comes from the table; with ``direct`` the eigenvalues
-    (1 + phi z)/(1 - phi z) over the 2n-th roots of unity z are combined root
-    by root, which needs p = 1 mod 2n.
+    The eigenvalues (1 + phi z)/(1 - phi z) over the 2n-th roots of unity z
+    are combined root by root, which needs p = 1 mod 2n, and the result is
+    compared with the closed value of the table; a mismatch raises InvalidU.
     """
     n = group.n
     closed = DISC_TABLE[(group.kind, variant)](n)
-    if not direct:
-        return closed
     eig = family_eigenvalues(p, n, u)
     tower = family_tower(p, n, u)
     one = tower.one()

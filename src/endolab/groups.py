@@ -271,18 +271,23 @@ def random_iplus(group: GroupId, p: int, mask, rng: random.Random) -> GroupMatri
 SAMPLE_TRIES = 200
 
 
-def sample_iplus(group: GroupId, p: int, mask, rng: random.Random, accept) -> GroupMatrix:
-    """The first ``random_iplus`` draw that ``accept`` takes.  A draw on which
-    ``accept`` raises an EndolabError is skipped; after SAMPLE_TRIES draws
-    without one taken, HypothesisFailed is raised."""
+def sample(draw, accept):
+    """The first ``draw()`` that ``accept`` takes.  A draw on which ``accept``
+    raises an EndolabError is skipped; after SAMPLE_TRIES draws without one
+    taken, HypothesisFailed is raised."""
     for _ in range(SAMPLE_TRIES):
-        g = random_iplus(group, p, mask, rng)
+        g = draw()
         try:
             if accept(g):
                 return g
         except EndolabError:
             continue
     raise HypothesisFailed(f"no accepted element in {SAMPLE_TRIES} draws")
+
+
+def sample_iplus(group: GroupId, p: int, mask, rng: random.Random, accept) -> GroupMatrix:
+    """The first ``random_iplus`` draw that ``accept`` takes (``sample``)."""
+    return sample(lambda: random_iplus(group, p, mask, rng), accept)
 
 
 def simple_affine_components(g: GroupMatrix):
@@ -376,7 +381,7 @@ def charpoly_eisenstein_check(g: GroupMatrix):
     times the corner entry mod pi^2."""
     if iwahori_level(g) < Level.IPLUS:
         raise NotAffineGeneric("element is not in I+")
-    if not is_affine_generic(g):
+    if any(c.is_zero() for c in _slot_components(g)):
         raise NotAffineGeneric("element is not affine generic")
     N = g.group.size
     mod = g.p**g.prec

@@ -2,9 +2,11 @@
 small residue fields F_q (q = p^f, f <= 2) with their characters.
 
 Elements of F_{p^2} are written a + b*s with s^2 equal to a fixed nonsquare
-of F_p, so residue arithmetic reduces to integer arithmetic mod p.  The
-generator, discrete logs and powers come from the tables of `make_gf(p, f)`;
-the additive character is psi(x) = exp(2*pi*i*Tr(x)/p).
+of F_p, and a + b*s is the `make_gf(p, f)` code a + b*p.  Each residue field
+builds its q elements once, as a table indexed by that code, and all of its
+arithmetic (sums, products, powers, inverses, discrete logs) reads the
+`make_gf` tables and returns entries of the element table.  The additive
+character is psi(x) = exp(2*pi*i*Tr(x)/p).
 """
 
 from __future__ import annotations
@@ -47,52 +49,48 @@ def field_size(q: int) -> tuple[int, int]:
 
 
 class FFElem:
-    """Element a + b*s of F_{p^f}; b is 0 when f = 1."""
+    """Element a + b*s of F_{p^f}; b is 0 when f = 1.  Its code a + b*p
+    indexes its field's element table, and every operation returns an entry
+    of that table, read from the field's ``make_gf(p, f)`` tables."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "a", "b", "code")
 
     def __init__(self, field, a, b=0):
         self.field = field
         self.a = a % field.p
         self.b = b % field.p
+        self.code = self.a + self.b * field.p
 
     def key(self):
         return (self.a, self.b)
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return self.code == 0
 
     def __add__(self, other):
-        other = self.field.coerce(other)
-        return FFElem(self.field, self.a + other.a, self.b + other.b)
+        fld = self.field
+        return fld._elems[fld._gf.add(self.code, fld.coerce(other).code)]
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FFElem(self.field, -self.a, -self.b)
+        return self.field._elems[self.field._gf.neg(self.code)]
 
     def __sub__(self, other):
-        return self + (-self.field.coerce(other))
+        fld = self.field
+        return fld._elems[fld._gf.sub(self.code, fld.coerce(other).code)]
 
     def __rsub__(self, other):
         return self.field.coerce(other) - self
 
     def __mul__(self, other):
-        other = self.field.coerce(other)
-        p, e = self.field.p, self.field._base_nonsquare
-        a = (self.a * other.a + e * self.b * other.b) % p
-        b = (self.a * other.b + self.b * other.a) % p
-        return FFElem(self.field, a, b)
+        fld = self.field
+        return fld._elems[fld._gf.mul(self.code, fld.coerce(other).code)]
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.is_zero():
-            raise ZeroArgument("inverse of zero")
-        p, e = self.field.p, self.field._base_nonsquare
-        nr = (self.a * self.a - e * self.b * self.b) % p
-        nr_inv = pow(nr, -1, p)
-        return FFElem(self.field, self.a * nr_inv, -self.b * nr_inv)
+        return self**-1
 
     def __truediv__(self, other):
         return self * self.field.coerce(other).inv()
@@ -101,12 +99,9 @@ class FFElem:
         return self.field.coerce(other) * self.inv()
 
     def __pow__(self, n: int):
-        fld = self.field
-        if not self.is_zero():
-            return fld._units_by_index[fld.dlog(self) * n % (fld.q - 1)]
-        if n < 0:
+        if n < 0 and self.is_zero():
             raise ZeroArgument("inverse of zero")
-        return self if n else fld.one
+        return self.field._elems[self.field._gf.pow(self.code, n)]
 
     def is_square(self):
         if self.is_zero():
@@ -119,7 +114,7 @@ class FFElem:
                 other = self.field.coerce(other)
             except TypeError:
                 return NotImplemented
-        return self.field is other.field and self.a == other.a and self.b == other.b
+        return self.field is other.field and self.code == other.code
 
     def __hash__(self):
         # by value; equal elements share one field, as make_field interns them
@@ -274,10 +269,11 @@ def make_gf(p: int, m: int) -> GF:
 class FiniteField:
     """F_q with q = p^f, an odd prime p and f in {1, 2}.
 
-    Carries a fixed generator of the unit group, a fixed nonsquare ``eps``
-    (taken to be the generator), the discrete-log table, and cached root-of-
-    unity values used by the characters.  The generator and logs are those of
-    ``make_gf(p, f)``; a + b*s has code a + b*p.
+    Carries its q elements, built once and indexed by the code a + b*p of
+    ``make_gf(p, f)``, a fixed generator of the unit group, a fixed nonsquare
+    ``eps`` (taken to be the generator), and cached root-of-unity values used
+    by the characters.  The generator, logs and arithmetic are those of
+    ``make_gf(p, f)``.
     """
 
     def __init__(self, p: int, f: int = 1):
@@ -292,12 +288,11 @@ class FiniteField:
         self.q = p**f
         if self.q > DLOG_CAP:
             raise UnsupportedDegree(f"field size {self.q} exceeds discrete-log cap {DLOG_CAP}")
-        # nonsquare of the prime field used to present F_{p^2} = F_p(s)
-        self._base_nonsquare = make_gf(p, 1).gen
-        self.zero = FFElem(self, 0)
-        self.one = FFElem(self, 1)
-        self._log = make_gf(p, f)._log
-        self._units_by_index = [FFElem(self, c % p, c // p) for c in make_gf(p, f)._exp]
+        gf = self._gf = make_gf(p, f)
+        self._elems = [FFElem(self, c % p, c // p) for c in range(self.q)]
+        self.zero, self.one = self._elems[:2]
+        self._log = gf._log
+        self._units_by_index = [self._elems[c] for c in gf._exp]
         self.gen = self._units_by_index[1]
         self.eps = self.gen
         # exp(2*pi*i*m/(q-1)) and exp(2*pi*i*t/p) tables
@@ -312,16 +307,15 @@ class FiniteField:
                 raise WrongField("element of a different field")
             return x
         if isinstance(x, int):
-            return FFElem(self, x)
+            return self._elems[x % self.p]
         raise TypeError(f"cannot coerce {x!r} into F_{self.q}")
 
     def elem(self, a: int, b: int = 0) -> FFElem:
-        return FFElem(self, a, b)
+        return self._elems[a % self.p + b % self.p * self.p]
 
     def elements(self):
-        if self.f == 1:
-            return [FFElem(self, a) for a in range(self.p)]
-        return [FFElem(self, a, b) for a in range(self.p) for b in range(self.p)]
+        """All q elements, a slowest and b fastest."""
+        return sorted(self._elems, key=FFElem.key)
 
     def units(self):
         return list(self._units_by_index)
@@ -330,7 +324,7 @@ class FiniteField:
         x = self.coerce(x)
         if x.is_zero():
             raise ZeroArgument("discrete log of zero")
-        return self._log[x.a + x.b * self.p]
+        return self._log[x.code]
 
     def sqrt(self, x: FFElem) -> FFElem:
         """The square root gen^(dlog(x)/2) of a nonzero square x."""
@@ -470,10 +464,9 @@ def _quad_extension_cached(p: int, f: int) -> QuadExtension:
 
 
 def norm_trace(x: FFElem):
-    """Relative norm and trace of x in F_{p^2} down to F_p."""
+    """Relative norm x^(p+1) and trace 2a of x = a + b*s in F_{p^2} down to F_p."""
+    p = x.field.p
     if x.field.f != 2:
         raise WrongField("norm/trace need a quadratic field element")
-    prime = make_field(x.field.p, 1)
-    nr = (x.a * x.a - x.field._base_nonsquare * x.b * x.b) % x.field.p
-    tr = (2 * x.a) % x.field.p
-    return prime.elem(nr), prime.elem(tr)
+    prime = make_field(p, 1)
+    return prime.elem((x ** (p + 1)).a), prime.elem(2 * x.a)

@@ -330,7 +330,7 @@ def disc_suite(cases=((2, 5), (2, 13), (3, 7), (3, 13))):
             for u in (1, 2):
                 nu = nu_of_u(make_field(p), n, u) if kind is GroupKind.SO_RAM else 0
                 try:
-                    weyl_disc_val(GroupId(kind, n, nu), p, u, var, direct=True)
+                    weyl_disc_val(GroupId(kind, n, nu), p, u, var)
                 except EndolabError:
                     ok = False
         yield _bit_row("weyl_disc", f"n={n} p={p}", "eigenvalue route", "closed table", ok)

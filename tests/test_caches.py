@@ -98,7 +98,7 @@ def _run_routes():
                     delta_iv_walds(pair, P, N, u, var, direct)
     for kind, var in DISC_TABLE:
         for u in UNITS:
-            weyl_disc_val(_gid(kind, u), P, u, var, direct=True)
+            weyl_disc_val(_gid(kind, u), P, u, var)
     for kind, variants in FAMILY_VARIANTS.items():
         for u in UNITS:
             for var in variants:
@@ -178,7 +178,7 @@ def test_a_table_perturbation_reaches_a_warm_cache(monkeypatch):
             for direct in (False, True)
         )
         try:
-            disc = weyl_disc_val(sp, P, 1, "plus", direct=True)
+            disc = weyl_disc_val(sp, P, 1, "plus")
         except InvalidU as exc:
             disc = str(exc)
         return signs, disc
@@ -196,7 +196,7 @@ def test_a_table_perturbation_reaches_a_warm_cache(monkeypatch):
     assert warm == cold
     assert warm[0] == tuple(-s for s in before[0])
     with pytest.raises(InvalidU):
-        weyl_disc_val(sp, P, 1, "plus", direct=True)
+        weyl_disc_val(sp, P, 1, "plus")
 
 
 def _rows(suite_rows):

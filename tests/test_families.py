@@ -32,4 +32,4 @@ def test_every_disc_table_entry_matches_the_eigenvalue_route(kind, variant):
         for u in (1, 2):
             nu = nu_of_u(make_field(p), n, u) if kind is GroupKind.SO_RAM else 0
             gid = GroupId(kind, n, nu)
-            assert weyl_disc_val(gid, p, u, variant, direct=True) == DISC_TABLE[(kind, variant)](n)
+            assert weyl_disc_val(gid, p, u, variant) == DISC_TABLE[(kind, variant)](n)

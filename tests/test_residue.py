@@ -104,6 +104,43 @@ def test_gf_generator_is_first_code_of_full_order(p, m, gen):
     assert all(walk_length(code) < F.q - 1 for code in range(1, F.gen))
 
 
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_field_operations_are_the_schoolbook_law(p, f):
+    """Sums, differences, negatives, products and inverses are the (a, b)
+    schoolbook results of F_p(s), s^2 = eps, and each is the field's own
+    table entry."""
+    k = make_field(p, f)
+    eps = make_field(p).eps.a
+
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        return ((a * c + eps * b * d) % p, (a * d + b * c) % p)
+
+    def inv(x):
+        a, b = x
+        r = pow((a * a - eps * b * b) % p, -1, p)
+        return (a * r % p, -b * r % p)
+
+    for x in k.elements():
+        (a, b) = xk = x.key()
+        results = [(-x, (-a % p, -b % p))]
+        if not x.is_zero():
+            results.append((x.inv(), inv(xk)))
+        for y in k.elements():
+            c, d = y.key()
+            results += [
+                (x + y, ((a + c) % p, (b + d) % p)),
+                (x - y, ((a - c) % p, (b - d) % p)),
+                (x * y, mul(xk, (c, d))),
+            ]
+        for r, expect in results:
+            assert r.key() == expect
+            assert k.elem(*r.key()) is r
+    with pytest.raises(ZeroArgument):
+        k.zero.inv()
+
+
 def test_make_field_f9():
     k = make_field(3, 2)
     assert k.q == 9

@@ -214,9 +214,9 @@ def test_disc_suite_reads_every_disc_table_key(monkeypatch):
     seen = set()
     weyl_disc_val = suites.weyl_disc_val
 
-    def spy(gid, p, u, variant, direct):
+    def spy(gid, p, u, variant):
         seen.add((gid.kind, variant))
-        return weyl_disc_val(gid, p, u, variant, direct)
+        return weyl_disc_val(gid, p, u, variant)
 
     monkeypatch.setattr(suites, "weyl_disc_val", spy)
     rows = suites.disc_suite(cases=((2, 5),))
