@@ -630,8 +630,10 @@ def ramification_stages(p: int, e: int, nprime: int):
     return [tame, middle, top]
 
 
+@lru_cache(maxsize=None)
 def ramification_jumps(p: int, e: int, nprime: int) -> FiltSpec:
-    """Compose the three Herbrand stages and read off the group orders."""
+    """Compose the three Herbrand stages and read off the group orders (cached:
+    the conductor suite reads it for its row and again in swan_artin_gamma)."""
     if (p - 1) % nprime != 0:
         raise IncompatibleParams("nprime must divide p - 1")
     comp = herbrand_compose(ramification_stages(p, e, nprime))

@@ -291,16 +291,6 @@ class LocalElem:
                 base = base * base
         return self.tower.one() if out is None else out
 
-    def tau(self):
-        """The automorphism phi -> -phi (generator over the index-2 subtower)."""
-        if self.is_zero():
-            return self
-        coeffs = tuple(
-            c if (i + self.shift) % 2 == 0 else (-c) % self.tower.store
-            for i, c in enumerate(self.unit)
-        )
-        return LocalElem(self.tower, self.shift, coeffs, self.rprec)
-
     def equal_mod(self, other, phi_digits):
         d = self - self._check(other)
         return d.is_zero() or d.shift >= phi_digits

@@ -75,7 +75,7 @@ def test_criterion_05_so_even_packets():
 
 def test_criterion_06_transfer_factors():
     rows, _, ok = _run(
-        "criterion 6: transfer-factor oracle (closed path p<=13, direct spots, symbolic)",
+        "criterion 6: transfer-factor oracle (closed path p<=13, direct spots)",
         suites.transfer_suite,
         ns=(2, 3),
         ps=(3, 5, 7, 11, 13),

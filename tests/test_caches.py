@@ -104,7 +104,7 @@ def _run_routes():
             for var in variants:
                 family_matrix(_gid(kind, u), P, u, var)
     for u in UNITS:
-        assert norm_family_check(Pair.GL_ODD_SP, P, N, u)
+        assert norm_family_check(P, N, u)
     # each u is admissible at one nu, where its phi-coset element is described;
     # the G-side a run through both nu
     for kind in SO_EVEN:

@@ -308,11 +308,11 @@ def test_report_is_byte_stable(tmp_path):
         ),
         (
             ["suite", "all", "--only", "transfer,ecr_soeven", "--seed", "0", "--format", "json"],
-            "8c0cd51164e64e98f858c9e5d3a4c5f429ab8bc634a5b9c004ab102314a0bdea",
+            "5cc86c3f07e0578002b4a324b729b8252959c4a6b8bdf2d1cfd4adc491399230",
         ),
         (
             ["suite", "all", "--seed", "0", "--format", "json", "--jobs", "2"],
-            "7709a1b2b7513197b0139ff4b93e84a01a3ff7eb6a4ac176ef58d0a9cf22d58c",
+            "fd5cbfb32b16db7b882c8b7b153db817ed8f2a7a859b38a43f2155a0536c7511",
         ),
     ],
     ids=["char_verify", "charpoly", "transfer_ecr_soeven", "suite_all"],

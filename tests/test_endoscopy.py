@@ -9,7 +9,6 @@ from endolab.endoscopy import (
     DELTA_IV_EXPECTED,
     PAIR_GROUP,
     Pair,
-    TRANSFER_EXPECTED,
     TransferValue,
     delta4,
     delta_iv_walds,
@@ -105,21 +104,11 @@ def test_epsilon_table():
         assert abs(epsilon_factor(Pair.SOUR_H).evaluate(k) + w0m1) < 1e-9, p
 
 
-def test_transfer_table_at_a_nonsquare_minus_one():
-    """Every tabulated transfer factor at p = 7, where -1 is not a square,
-    for each rank and every unit u."""
-    k = make_field(7)
-    for (pair, var), expect in TRANSFER_EXPECTED.items():
-        for n in (2, 3):
-            for u in range(1, 7):
-                assert transfer_factor(pair, 7, n, u, var).symbolic_eq(expect, k), (pair, var, n, u)
-
-
 def test_transfer_value_canonicalization():
     k = make_field(7)
     # G^2 = q w0(-1): gauss exponent 2 collapses into a q-power and a sign
     tv = TransferValue(gauss=2)
-    assert tv.symbolic_eq(TransferValue(unit=-1, halfq=2), k)
+    assert tv.canonical(k) == TransferValue(unit=-1, halfq=2).canonical(k)
     tv_inv = TransferValue(gauss=-1)
     val = tv_inv.evaluate(k)
     assert abs(val - 1 / gauss_sum(k.omega0(), k)) < 1e-9
@@ -184,7 +173,7 @@ def test_delta_iv_direct_route():
 def test_odd_pair_is_trivial():
     assert delta_iv_walds(Pair.GL_ODD_SP, 5, 2, 1) == 1
     k = make_field(5)
-    assert transfer_factor(Pair.GL_ODD_SP, 5, 2, 1).symbolic_eq(TransferValue(), k)
+    assert transfer_factor(Pair.GL_ODD_SP, 5, 2, 1).canonical(k) == TransferValue().canonical(k)
     # the odd pair has one family, so no minus element
     assert pair_variants(Pair.GL_ODD_SP) == ("plus",)
     with pytest.raises(InvalidU):
@@ -219,13 +208,6 @@ def test_delta4_rejects_non_half_integral_ratio(monkeypatch):
     monkeypatch.setitem(DISC_TABLE, (GroupKind.SP, "plus"), lambda n: Fraction(n, 3))
     with pytest.raises(IncompatibleParams):
         delta4(Pair.SP_SORAM, 2)
-
-
-def test_transfer_factors_symbolic():
-    k = make_field(5)
-    for (pair, var), expect in TRANSFER_EXPECTED.items():
-        got = transfer_factor(pair, 5, 2, 1, var)
-        assert got.symbolic_eq(expect, k), (pair, var)
 
 
 def test_transfer_u_independent():
@@ -348,9 +330,13 @@ def test_so_even_zeta_minus_branch_can_fail(monkeypatch, kind, p):
             so_even_packet_verify(kind, 2, p, a)
 
 
-def test_norm_family_checks():
+def test_norm_family_checks(tau):
+    """The family data match across the pairs: x/tau(x) = -y for the linear
+    datum, y tau(y) = 1 for the orthogonal one, and the odd pair's twisted
+    norm factors through the symplectic family."""
     for p in (5, 7):
         for u in (1, 2):
-            assert norm_family_check(Pair.GL_SORAM, p, 2, u)
-            assert norm_family_check(Pair.SP_SORAM, p, 2, u)
-            assert norm_family_check(Pair.GL_ODD_SP, p, 2, u)
+            data = walds_family(p, 2, u)
+            assert data.x_gl / tau(data.x_gl) == -data.y
+            assert data.y * tau(data.y) == data.tower.one()
+            assert norm_family_check(p, 2, u)

@@ -3,13 +3,10 @@ the unit of one of its `DELTA_IV_EXPECTED` entries, or of its
 `epsilon_factor`, fails a row of the chain's suite at the suite's smallest
 grid (n = 2, q = 3, where w0(-1) = -1, so the flip changes the sign of the
 weight).  The row of the pair is the one that fails; the other pair's row of
-the same suite still passes.
-
-`GL_SORAM` is read by no ECR chain: its entries reach only the transfer
-rows.
+the same suite still passes.  Every pair of `DELTA_IV_EXPECTED` has a chain:
+`GL_SORAM`'s weights are read by the GL lift chain.
 
 The other tables fail their own rows at their suites' smallest arguments: a
-`TRANSFER_EXPECTED` entry with its sign flipped fails `transfer_symbolic`, a
 `DISC_TABLE` entry shifted by 1/2 fails `weyl_disc` at (n, p) = (2, 5), and an
 `ETA_CLOSED` entry with its sign flipped fails `delta_iv_closed` at n = 2,
 p = 3.  A wrong zeta in the packet map (negated, doubled, or without its
@@ -23,11 +20,12 @@ from fractions import Fraction
 import pytest
 
 from endolab import conductors, endoscopy, suites
-from endolab.endoscopy import DELTA_IV_EXPECTED, ETA_CLOSED, TRANSFER_EXPECTED, Pair
+from endolab.endoscopy import DELTA_IV_EXPECTED, ETA_CLOSED, Pair
 from endolab.families import DISC_TABLE
 
 # each pair an ECR chain reads, with its suite and the `kind=` of its rows
 READERS = {
+    Pair.GL_SORAM: ("ecr_gl", None),
     Pair.SP_SORAM: ("ecr_ram", None),
     Pair.SOSPL_H: ("ecr_soeven", "so_spl"),
     Pair.SOUR_H: ("ecr_soeven", "so_ur"),
@@ -49,7 +47,7 @@ def _assert_only_its_rows_fail(pair):
 
 
 def test_every_read_pair_is_listed():
-    assert {pair for pair, _ in DELTA_IV_EXPECTED} - set(READERS) == {Pair.GL_SORAM}
+    assert {pair for pair, _ in DELTA_IV_EXPECTED} == set(READERS)
 
 
 @pytest.mark.parametrize(
@@ -73,13 +71,6 @@ def _verdicts(suite, **kwargs):
 
 
 TRANSFER_SMALLEST = dict(ns=(2,), ps=(3,), direct=())
-
-
-@pytest.mark.parametrize("key", list(TRANSFER_EXPECTED), ids=lambda key: f"{key[0].value}-{key[1]}")
-def test_a_flipped_transfer_entry_fails_transfer_symbolic(monkeypatch, key):
-    value = TRANSFER_EXPECTED[key]
-    monkeypatch.setitem(TRANSFER_EXPECTED, key, dataclasses.replace(value, sign=-value.sign))
-    assert _verdicts("transfer", **TRANSFER_SMALLEST) == {"delta_iv_closed": True, "transfer_symbolic": False}
 
 
 @pytest.mark.parametrize("key", list(DISC_TABLE), ids=lambda key: f"{key[0].value}-{key[1]}")

@@ -83,10 +83,10 @@ def test_root_of_unity_eigenvalue_valuation():
         T.zeta(3)
 
 
-def test_tau_involution(T):
+def test_tau_involution(T, tau):
     y = (T.one() + T.phi()) / (T.one() - T.phi())
-    assert y * y.tau() == T.one()
-    assert T.phi().tau() == -T.phi()
+    assert y * tau(y) == T.one()
+    assert tau(T.phi()) == -T.phi()
 
 
 def _schoolbook(xs, ys, p, u0):
@@ -296,7 +296,7 @@ def test_tame_bilinearity_and_antisymmetry():
         assert tame_hilbert(a, -a, sub=2) == 1
 
 
-def test_sgn_quad_norms():
+def test_sgn_quad_norms(tau):
     # x is a norm from K(sqrt(d)) iff the tame symbol (x, d) is +1
     K = TowerSpec(7, e=2, u0=1, prec=6)
     d = K.phi(2)  # the uniformizer class
@@ -305,11 +305,11 @@ def test_sgn_quad_norms():
     rng = random.Random(3)
     for _ in range(5):
         y = K.from_coeffs([rng.randrange(1, 49), rng.randrange(49)])
-        nrm = y * y.tau()
+        nrm = y * tau(y)
         assert tame_hilbert(nrm, d, sub=2) == 1
     eps = K.from_int(K.residue_field.eps.a)
     y = K.one() + K.phi() * K.from_int(3)
-    assert tame_hilbert(eps * (y * y.tau()), d, sub=2) == -1
+    assert tame_hilbert(eps * (y * tau(y)), d, sub=2) == -1
 
 
 def test_sgn_quad_at_discriminant():

@@ -1,7 +1,8 @@
 """Report-row plumbing of the suites: identity rows that fail, one `_row`
 call per row, the wall time of each row, the keyword arguments `run_all`
 hands each suite and the worker count it asks for, the table keys the
-discriminant suite reads, and the character parameter grid."""
+discriminant suite reads, the filtrations the conductor suite composes, and
+the character parameter grid."""
 
 import hashlib
 import json
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from endolab import characters, endoscopy, suites
+from endolab import characters, conductors, endoscopy, suites
 from endolab.characters import SSCParams
 from endolab.errors import IdentityFailed
 from endolab.families import DISC_TABLE, FAMILY_VARIANTS
@@ -111,6 +112,23 @@ def test_each_chain_runs_once_per_a(monkeypatch):
         calls.clear()
         assert all(row.passed for row in suites.SUITES[suite]()), suite
         assert len(calls) == expect, suite
+
+
+def test_conductor_suite_composes_each_case_once(monkeypatch):
+    """The `ramification_jumps` row and `swan_artin_gamma` read one
+    filtration per case: one default run composes the Herbrand stages 3 times
+    for its 3 cases (6 when each computed its own)."""
+    real = conductors.herbrand_compose
+    calls = []
+
+    def counting(stages):
+        calls.append(stages)
+        return real(stages)
+
+    monkeypatch.setattr(conductors, "herbrand_compose", counting)
+    conductors.ramification_jumps.cache_clear()
+    assert all(row.passed for row in suites.conductor_suite())
+    assert len(calls) == 3
 
 
 def test_every_row_goes_through_row(monkeypatch):
