@@ -9,7 +9,13 @@ slot once per histogram over the values its coordinates take, and each
 conjugate reads its slot tuple from these tables (on twisted GL, each
 conjugate computes only its (0, 0) and slot entries).  The sum reads the
 parameters only through (kappa, a mod p), so each element keeps one psi-sum
-per such key and xi and zeta are applied to it afterwards.
+per such key and xi and zeta are applied to it afterwards.  On the plain coset
+the histogram reads no parameter: it is walked once per kappa into a p x p
+count table over (form value without the last slot, last slot residue), and
+each a folds that table into the exact count vector c[r] of conjugates with
+form value r (on twisted GL signed by w0 at the central residue), so the
+psi-sum is sum_r c[r] psi(r).  The phi cosets' index sets read a, and their
+histograms are walked once per (kappa, a).
 ``char_closed_form`` evaluates the matching Kloosterman/Gauss expression
 through :mod:`endolab.sums`.  The two must agree; the test-suite grid enforces
 it.
@@ -113,9 +119,11 @@ class CharElement:
     matrix: GroupMatrix
     phi: tuple = ()
     # the brute-force route's (coset sign, psi-sum) per (kappa, a mod p); the
-    # plain coset's slot-residue histogram reads no parameter and is kept once
+    # plain coset's slot-residue histogram reads no parameter and is kept once,
+    # and its count table per kappa (``_plain_table``)
     _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _plain_hist: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _plain_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def h_part(self) -> GroupMatrix:
@@ -282,15 +290,16 @@ def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
 
 def _psi_sum(params: SSCParams, element: CharElement):
     """(sign, sum): the sign of the element's coset of I+ and the psi-sum over
-    its slot-residue histogram, None when the torus index set is empty."""
+    its slot-residue histogram, None when the torus index set is empty.  The
+    plain coset sums its exact count vector against the p-th roots once; a
+    phi coset's histogram reads a, and is built and walked per call."""
+    if not element.phi:
+        sign, counts = _psi_counts(params, element)
+        if counts is None:
+            return sign, None
+        return sign, sum(map(operator.mul, counts, make_field(element.matrix.p)._add_roots))
     gl = element.group.kind is GroupKind.TWISTED_GL
-    histogram = _gl_histogram if gl else _standard_histogram
-    if element.phi:
-        sign, hist = histogram(params, element)
-    else:
-        if element._plain_hist is None:
-            element._plain_hist = histogram(params, element)
-        sign, hist = element._plain_hist
+    sign, hist = (_gl_histogram if gl else _standard_histogram)(params, element)
     if not hist:
         return sign, None
     p = element.matrix.p
@@ -309,6 +318,62 @@ def _psi_sum(params: SSCParams, element: CharElement):
         for tup, count in hist.items():
             total += count * roots[sum(map(mul, weights, tup)) % p]
     return sign, total
+
+
+def _psi_counts(params: SSCParams, element: CharElement):
+    """(sign, c) on the plain coset: c[r] is the number of torus conjugates
+    whose form value is r mod p, each signed by w0 at its central residue on
+    twisted GL, so sum_r c[r] psi(r) is the psi-sum; c is None when the torus
+    index set is empty."""
+    if params.kappa not in element._plain_tables:
+        element._plain_tables[params.kappa] = _plain_table(params, element)
+    sign, table = element._plain_tables[params.kappa]
+    if table is None:
+        return sign, None
+    return sign, _fold(table, params.a % element.matrix.p)
+
+
+def _plain_table(params: SSCParams, element: CharElement):
+    """(sign, T): the plain coset's histogram pushed forward to the counts
+    T[t][s] of the conjugates whose last slot residue is t and whose form
+    without that slot is s mod p (signed by w0 on twisted GL).  The form
+    without its last slot reads kappa and not a, so T serves every a of one
+    kappa; T is None when the torus index set is empty."""
+    if element._plain_hist is None:
+        gl = element.group.kind is GroupKind.TWISTED_GL
+        element._plain_hist = (_gl_histogram if gl else _standard_histogram)(params, element)
+    sign, hist = element._plain_hist
+    if not hist:
+        return sign, None
+    p = element.matrix.p
+    head = _psi_form(params, p)[1][:-1]
+    table = [[0] * p for _ in range(p)]
+    mul = operator.mul
+    if element.group.kind is GroupKind.TWISTED_GL:
+        signs = _w0_signs(p)
+        for (z, *slots), count in hist.items():
+            table[slots[-1]][sum(map(mul, head, slots)) % p] += signs[z] * count
+    else:
+        for tup, count in hist.items():
+            table[tup[-1]][sum(map(mul, head, tup)) % p] += count
+    return sign, table
+
+
+def _w0_signs(p: int):
+    """w0 at each residue z = 1..p-1 as the exact sign +-1 (the Legendre
+    symbol), indexed by z; None at 0."""
+    return [None] + [1 if pow(z, (p - 1) // 2, p) == 1 else -1 for z in range(1, p)]
+
+
+def _fold(table, a: int):
+    """c[r] = sum of T[t][s] over s + a*t = r mod p: column t shifted by a*t
+    and the columns added."""
+    p = len(table)
+    shifted = []
+    for t, column in enumerate(table):
+        cut = p - a * t % p
+        shifted.append(column[cut:] + column[:cut])
+    return list(map(sum, zip(*shifted)))
 
 
 def _slot_column(reps, values, coords, residue):

@@ -32,12 +32,14 @@ from endolab.families import (
 )
 from endolab.groups import GroupId, GroupKind, GroupMatrix
 from endolab.padic import LocalElem
-from endolab.residue import MultCharacter, make_field
+from endolab.residue import FiniteField, MultCharacter, make_field
 from endolab.suites import exp_sums_suite
 
 # n, p with p = 1 mod 2n, so the eigenvalue routes run
 N, P = 2, 5
 UNITS = range(1, P)
+# the named Kloosterman specs, each cached per (p, f, n[, twisted])
+SPECS = (sums.kl_simple, sums.sp_spec, sums.so_split_spec, sums.so_unramified_spec)
 CACHES = (
     families.y_element,
     families.family_eigenvalues,
@@ -49,6 +51,7 @@ CACHES = (
     endoscopy.sign_terms,
     endoscopy.so_factors,
     endoscopy.coset_descriptor,
+    *(spec.cache for spec in SPECS),
     sums._psi_table,
     sums._ext_table,
     sums._gauss_sum,
@@ -80,6 +83,9 @@ def _plain(x):
         return (x.p, x.n, x.u, x.tower.e, x.tower.u0, _plain(consts))
     if isinstance(x, GroupMatrix):
         return (x.group, x.p, x.a, x.s, x.prec)
+    if isinstance(x, sums.KloostermanSpec):
+        chars = tuple(c.index for c in x.chis + x.etas)
+        return (x.field.p, x.field.f, x.weights, x.norm_weights, chars, x.name)
     if isinstance(x, ElementDescriptor):
         comps = tuple((c.field.p, c.field.f, c.a, c.b) for c in x.components)
         return (x.group, comps, x.phi, x.sign)
@@ -140,6 +146,12 @@ def test_cached_values_equal_a_cold_recomputation():
         sums._ext_table: [(P, 1)],
         sums._gauss_sum: [(P, 1, idx) for idx in range(P - 1)],
         sums._gauss_sum_ext: [(P, 1, idx) for idx in range(P - 1)],
+        # the catalog's specs at n = 2, 3; the even-orthogonal chain's Kl^2
+        sums.kl_simple.cache: [(P, 1, N)],
+        **{
+            spec.cache: [(P, 1, n, *twisted) for n in (2, 3) for twisted in ((), (True,))]
+            for spec in SPECS[1:]
+        },
         # norm_family_check's Sp matrices among them, under the same keys
         family_matrix: [
             (_gid(kind, u), P, u, var)
@@ -150,6 +162,7 @@ def test_cached_values_equal_a_cold_recomputation():
     }
     # no field object and no id() among the keys
     assert all(type(v) is int for cache in SUMS_CACHES for a in keys[cache] for v in a)
+    assert all(type(v) in (int, bool) for spec in SPECS for a in keys[spec.cache] for v in a)
     warm = {}
     for cache, args in keys.items():
         # the routes filled the cache with exactly these values
@@ -159,7 +172,15 @@ def test_cached_values_equal_a_cold_recomputation():
     _clear()
     for cache, args in keys.items():
         for a, value in zip(args, warm[cache]):
-            assert _plain(value) == _plain(cache.__wrapped__(*a)), (cache.__name__, a)
+            assert _plain(value) == _plain(cache.__wrapped__(*a)), (cache.__qualname__, a)
+    # a directly built field gets a fresh spec over itself, and no spec cache
+    # takes an entry for it
+    fld = FiniteField(P)
+    for spec in SPECS:
+        fresh = spec(fld, N)
+        assert fresh.field is fld and fresh is not spec(fld, N)
+        assert _plain(fresh) == _plain(spec.cache.__wrapped__(P, 1, N))
+        assert spec.cache.cache_info().currsize == 0
 
 
 def test_a_table_perturbation_reaches_a_warm_cache(monkeypatch):

@@ -1,3 +1,4 @@
+import cmath
 import gc
 import random
 import weakref
@@ -346,7 +347,8 @@ def test_negative_valuation_entry_is_out_of_domain(kind):
 
 def test_brute_force_route_reads_no_closed_form(monkeypatch):
     """The brute-force route evaluates every kind's families and a random
-    element with the Kloosterman evaluators and the closed form disabled."""
+    element with the Kloosterman evaluators, the spec builders and the closed
+    form disabled."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the brute-force route reached the closed-form side")
@@ -354,6 +356,9 @@ def test_brute_force_route_reads_no_closed_form(monkeypatch):
     monkeypatch.setattr(characters, "kloosterman_eval", forbidden)
     monkeypatch.setattr(sums, "kloosterman_table", forbidden)
     monkeypatch.setattr(characters, "char_closed_form", forbidden)
+    for builder in ("kl_simple", "sp_spec", "so_split_spec", "so_unramified_spec"):
+        monkeypatch.setattr(characters, builder, forbidden)
+        monkeypatch.setattr(sums, builder, forbidden)
     q, n = 5, 2
     rng = random.Random(0)
     for kind, variants in FAMILY_VARIANTS.items():
@@ -363,6 +368,56 @@ def test_brute_force_route_reads_no_closed_form(monkeypatch):
         for el in elements:
             for params in _params_grid(el.group, q):
                 assert isinstance(char_brute_force(params, el).value, complex)
+
+
+def _tuple_walk(params, el, hist):
+    """(psi-sum, sign-weighted count) over the plain coset's histogram, one
+    tuple at a time: psi of the whole form at each slot-residue tuple, on
+    twisted GL times w0 (read from the character) at its central residue."""
+    p = el.matrix.p
+    k, weights = _psi_form(params, p)
+    w0 = k.omega0()
+    total, size = 0j, 0
+    for tup, count in hist.items():
+        if el.group.kind is GroupKind.TWISTED_GL:
+            z, *tup = tup
+            count *= round(w0(k.elem(z)).real)
+        form = sum(w * x for w, x in zip(weights, tup))
+        total += count * cmath.exp(2j * cmath.pi * form / p)
+        size += count
+    return total, size
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_plain_coset_count_vector_is_exact(n, q):
+    """On every plain-coset family element and one random element per kind,
+    at every (kappa, a): the count vector c of the folded table sums to the
+    sign-weighted size of the torus index set (its plain size off twisted
+    GL), and sum_r c[r] zeta^r is the tuple-by-tuple walk."""
+    rng = random.Random(100 * n + q)
+    for kind, variants in FAMILY_VARIANTS.items():
+        gl = kind is GroupKind.TWISTED_GL
+        nu = nu_of_u(make_field(q), n, 1) if kind is GroupKind.SO_RAM else 0
+        elements = [family_element(kind, n, q, u, v) for u in range(1, q) for v in variants]
+        elements.append(random_affine_generic(GroupId(kind, n, nu), q, rng))
+        for el in elements:
+            if el.phi:
+                continue
+            sign, hist = (characters._gl_histogram if gl else characters._standard_histogram)(
+                SSCParams(el.group, 1), el
+            )
+            for kappa in (0, 1) if kind in characters.KAPPA_KINDS else (0,):
+                for a in range(1, q):
+                    params = SSCParams(el.group, a, kappa=kappa)
+                    c_sign, counts = characters._psi_counts(params, el)
+                    assert c_sign == sign and len(counts) == q and all(type(c) is int for c in counts)
+                    walk, size = _tuple_walk(params, el, hist)
+                    assert sum(counts) == size
+                    if not gl:
+                        assert size == len(torus_index_set(params, el))
+                    value = sum(c * cmath.exp(2j * cmath.pi * r / q) for r, c in enumerate(counts))
+                    assert abs(value - walk) <= 1e-12, (kind.value, kappa, a)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -300,7 +300,7 @@ def test_report_is_byte_stable(tmp_path):
     [
         (
             ["char", "verify", "--n", "2", "--q", "3", "--seed", "0", "--format", "json"],
-            "45f822c4111525486bf57104d8cbd93ce9fb90d5acc89a89c96c9ec9f06be1c3",
+            "393efc48253fb71f7185ae286dd3bfdd21a8788a77a070f384fb8567f9db6e68",
         ),
         (
             ["suite", "all", "--only", "charpoly", "--seed", "0", "--format", "json"],
@@ -312,7 +312,7 @@ def test_report_is_byte_stable(tmp_path):
         ),
         (
             ["suite", "all", "--seed", "0", "--format", "json", "--jobs", "2"],
-            "fd5cbfb32b16db7b882c8b7b153db817ed8f2a7a859b38a43f2155a0536c7511",
+            "58bef7d730d671c16c1e1ea6c598d90da124b0051fa5cc00e6a111953082c9f7",
         ),
     ],
     ids=["char_verify", "charpoly", "transfer_ecr_soeven", "suite_all"],

@@ -262,6 +262,24 @@ def test_q_group_check_catches_a_broken_beta(monkeypatch, p, e):
         q_group.cache_clear()
 
 
+def test_q_group_check_catches_one_swapped_table_entry(monkeypatch):
+    """Two products of one row of Q's table swapped: the row is still a
+    permutation and the identity's row and column are intact, so only the
+    exhaustive associativity check can see the swap."""
+    params = HeisParams(3, 1)
+    q_group.cache_clear()
+    Q = q_group(params)
+    x, y1, y2 = [g for g in Q.elements() if g != Q.identity()][:3]
+    swapped = {(x, y1): Q.mul(x, y2), (x, y2): Q.mul(x, y1)}
+    mul = QGroup.mul
+    monkeypatch.setattr(QGroup, "mul", lambda self, g, h: swapped.get((g, h)) or mul(self, g, h))
+    try:
+        assert Q.mul(x, y1) != mul(Q, x, y1)
+        assert not q_group_check(params)
+    finally:
+        q_group.cache_clear()
+
+
 def test_pairing_outside_prime_field_raises(monkeypatch):
     T = QPrimeTable(HeisParams(3, 1))
     F = T.Q.F

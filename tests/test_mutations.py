@@ -12,14 +12,19 @@ The other tables fail their own rows at their suites' smallest arguments: a
 p = 3.  A wrong zeta in the packet map (negated, doubled, or without its
 q^(-1/2)) fails `ecr_gl_lift` at n = 2, q = 3.  A `swan_closed_values` entry
 shifted by 1/2 fails `swan_artin` at (p, e, n') = (3, 1, 2), while
-`ramification_jumps` still passes."""
+`ramification_jumps` still passes.
+
+The brute-force character route's plain-coset count tables fail `char_oracle`
+rows at n = 2, q <= 7 when broken: a fold that ignores a fails every kind, a
+kappa = 0 table read at kappa = 1 fails the kinds with kappa, and a dropped w0
+sign fails twisted GL."""
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from endolab import conductors, endoscopy, suites
+from endolab import characters, conductors, endoscopy, suites
 from endolab.endoscopy import DELTA_IV_EXPECTED, ETA_CLOSED, Pair
 from endolab.families import DISC_TABLE
 
@@ -115,3 +120,33 @@ def test_a_shifted_swan_entry_fails_swan_artin(monkeypatch, entry):
 
     monkeypatch.setattr(conductors, "swan_closed_values", shifted)
     assert _verdicts("conductor", cases=((3, 1, 2),)) == {"ramification_jumps": True, "swan_artin": False}
+
+
+CHAR_SMALL = dict(ns=(2,), qs=(3, 5, 7), n_random=0)
+
+
+def _char_failures():
+    """The kinds of the failing char_oracle rows over the family elements at
+    n = 2, q <= 7."""
+    return {row.parameters.split()[0] for row in suites.char_oracle_suite(**CHAR_SMALL) if not row.passed}
+
+
+def test_a_fold_that_ignores_a_fails_char_oracle(monkeypatch):
+    fold = characters._fold
+    monkeypatch.setattr(characters, "_fold", lambda table, a: fold(table, 1))
+    assert _char_failures() == {"group=sp", "group=so_ram", "group=so_spl", "group=so_ur", "group=gl_theta"}
+
+
+def test_a_count_table_reused_across_kappa_fails_char_oracle(monkeypatch):
+    """kappa = 1 reads the kappa = 0 table: the kinds with kappa fail, the
+    others still pass."""
+    table = characters._plain_table
+    monkeypatch.setattr(
+        characters, "_plain_table", lambda params, el: table(dataclasses.replace(params, kappa=0), el)
+    )
+    assert _char_failures() == {"group=sp", "group=so_spl", "group=so_ur"}
+
+
+def test_a_dropped_w0_sign_fails_the_twisted_gl_rows(monkeypatch):
+    monkeypatch.setattr(characters, "_w0_signs", lambda p: [None] + [1] * (p - 1))
+    assert _char_failures() == {"group=gl_theta"}
