@@ -14,8 +14,9 @@ the histogram reads no parameter: it is walked once per kappa into a p x p
 count table over (form value without the last slot, last slot residue), and
 each a folds that table into the exact count vector c[r] of conjugates with
 form value r (on twisted GL signed by w0 at the central residue), so the
-psi-sum is sum_r c[r] psi(r).  The phi cosets' index sets read a, and their
-histograms are walked once per (kappa, a).
+psi-sum is sum_r c[r] psi(r).  The phi cosets' index sets read a, so their
+histograms are built and tabulated once per (kappa, a), and folded the same
+way: every coset's psi-sum is the one sum over its count vector.
 ``char_closed_form`` evaluates the matching Kloosterman/Gauss expression
 through :mod:`endolab.sums`.  The two must agree; the test-suite grid enforces
 it.
@@ -120,7 +121,7 @@ class CharElement:
     phi: tuple = ()
     # the brute-force route's (coset sign, psi-sum) per (kappa, a mod p); the
     # plain coset's slot-residue histogram reads no parameter and is kept once,
-    # and its count table per kappa (``_plain_table``)
+    # and its count table per kappa (``_count_table``)
     _hists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _plain_hist: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _plain_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -289,62 +290,52 @@ def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
 
 
 def _psi_sum(params: SSCParams, element: CharElement):
-    """(sign, sum): the sign of the element's coset of I+ and the psi-sum over
-    its slot-residue histogram, None when the torus index set is empty.  The
-    plain coset sums its exact count vector against the p-th roots once; a
-    phi coset's histogram reads a, and is built and walked per call."""
-    if not element.phi:
-        sign, counts = _psi_counts(params, element)
-        if counts is None:
-            return sign, None
-        return sign, sum(map(operator.mul, counts, make_field(element.matrix.p)._add_roots))
-    gl = element.group.kind is GroupKind.TWISTED_GL
-    sign, hist = (_gl_histogram if gl else _standard_histogram)(params, element)
-    if not hist:
+    """(sign, sum): the sign of the element's coset of I+ and the psi-sum
+    sum_r c[r] psi(r) of its exact count vector, None when the torus index
+    set is empty."""
+    sign, counts = _psi_counts(params, element)
+    if counts is None:
         return sign, None
-    p = element.matrix.p
-    k, weights = _psi_form(params, p)
-    roots = k._add_roots
-    mul = operator.mul
-    total = 0.0 + 0.0j
-    if gl:
-        # the central residue leads each key; w0 weights it, the form skips it
-        w0 = k.omega0()
-        w0_at = [None] + [w0(k.elem(z)) for z in range(1, p)]
-        weights = [0] + weights
-        for tup, count in hist.items():
-            total += count * w0_at[tup[0]] * roots[sum(map(mul, weights, tup)) % p]
-    else:
-        for tup, count in hist.items():
-            total += count * roots[sum(map(mul, weights, tup)) % p]
-    return sign, total
+    return sign, sum(map(operator.mul, counts, make_field(element.matrix.p)._add_roots))
 
 
 def _psi_counts(params: SSCParams, element: CharElement):
-    """(sign, c) on the plain coset: c[r] is the number of torus conjugates
-    whose form value is r mod p, each signed by w0 at its central residue on
-    twisted GL, so sum_r c[r] psi(r) is the psi-sum; c is None when the torus
-    index set is empty."""
-    if params.kappa not in element._plain_tables:
-        element._plain_tables[params.kappa] = _plain_table(params, element)
-    sign, table = element._plain_tables[params.kappa]
+    """(sign, c): c[r] is the number of torus conjugates whose form value is
+    r mod p, each signed by w0 at its central residue on twisted GL, and None
+    when the torus index set is empty.  The plain coset's histogram and its
+    table per kappa are kept on the element; a phi coset's histogram reads a,
+    so it and its table are built once per (kappa, a), and ``_hists`` keeps
+    the sum."""
+    if element.phi:
+        sign, hist = _histogram(params, element)
+        table = _count_table(params, element, hist)
+    else:
+        if element._plain_hist is None:
+            element._plain_hist = _histogram(params, element)
+        sign, hist = element._plain_hist
+        if params.kappa not in element._plain_tables:
+            element._plain_tables[params.kappa] = _count_table(params, element, hist)
+        table = element._plain_tables[params.kappa]
     if table is None:
         return sign, None
     return sign, _fold(table, params.a % element.matrix.p)
 
 
-def _plain_table(params: SSCParams, element: CharElement):
-    """(sign, T): the plain coset's histogram pushed forward to the counts
-    T[t][s] of the conjugates whose last slot residue is t and whose form
-    without that slot is s mod p (signed by w0 on twisted GL).  The form
-    without its last slot reads kappa and not a, so T serves every a of one
-    kappa; T is None when the torus index set is empty."""
-    if element._plain_hist is None:
-        gl = element.group.kind is GroupKind.TWISTED_GL
-        element._plain_hist = (_gl_histogram if gl else _standard_histogram)(params, element)
-    sign, hist = element._plain_hist
+def _histogram(params: SSCParams, element: CharElement):
+    """(sign, histogram) of the element's slot residues over its torus
+    conjugates, by the twisted linear or the standard walk."""
+    gl = element.group.kind is GroupKind.TWISTED_GL
+    return (_gl_histogram if gl else _standard_histogram)(params, element)
+
+
+def _count_table(params: SSCParams, element: CharElement, hist):
+    """The histogram pushed forward to the counts T[t][s] of the conjugates
+    whose last slot residue is t and whose form without that slot is s mod p
+    (signed by w0 on twisted GL).  The form without its last slot reads kappa
+    and not a, so one T serves every a that shares the histogram; T is None
+    when the histogram is empty."""
     if not hist:
-        return sign, None
+        return None
     p = element.matrix.p
     head = _psi_form(params, p)[1][:-1]
     table = [[0] * p for _ in range(p)]
@@ -356,7 +347,7 @@ def _plain_table(params: SSCParams, element: CharElement):
     else:
         for tup, count in hist.items():
             table[tup[-1]][sum(map(mul, head, tup)) % p] += count
-    return sign, table
+    return table
 
 
 def _w0_signs(p: int):

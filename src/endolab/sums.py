@@ -15,7 +15,7 @@ read two per-field tables, cached per (p, f): psi(gen^m) for m < q - 1, and
 (dlog Nr(y), psi~(y)) for the units y of the quadratic extension.  Every sum
 adds the same terms in the same order as a walk over the field elements.  The
 named specs are built once per (p, f, n, twisted) on the ``make_field``
-field.
+field, and each spec computes its table's value key once, when it is built.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class KloostermanSpec:
     norm_weights: tuple = ()
     etas: tuple = ()
     name: str = dc_field(default="", compare=False)
+    # the value key of ``kloosterman_table``'s cache
+    key: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.chis):
@@ -59,6 +61,15 @@ class KloostermanSpec:
         # field is refused here rather than read at the wrong roots
         for chi in self.chis + self.etas:
             _refuse_other_field(chi, self.field)
+        key = (
+            self.field.p,
+            self.field.f,
+            self.weights,
+            tuple(c.index for c in self.chis),
+            self.norm_weights,
+            tuple(c.index for c in self.etas),
+        )
+        object.__setattr__(self, "key", key)
 
     @property
     def n(self):
@@ -183,16 +194,8 @@ _TABLE_CACHE: dict = {}
 def kloosterman_table(spec: KloostermanSpec):
     """All values Kl_u for u in k^x, indexed by dlog(u)."""
     spec.guard()
-    key = (
-        spec.field.p,
-        spec.field.f,
-        spec.weights,
-        tuple(c.index for c in spec.chis),
-        spec.norm_weights,
-        tuple(c.index for c in spec.etas),
-    )
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+    if spec.key in _TABLE_CACHE:
+        return _TABLE_CACHE[spec.key]
     order = spec.field.q - 1
     table = None
     for t in _position_tables(spec):
@@ -200,7 +203,7 @@ def kloosterman_table(spec: KloostermanSpec):
     if table is None:
         table = [0j] * order
         table[0] = 1.0 + 0j
-    _TABLE_CACHE[key] = table
+    _TABLE_CACHE[spec.key] = table
     return table
 
 

@@ -371,9 +371,9 @@ def test_brute_force_route_reads_no_closed_form(monkeypatch):
 
 
 def _tuple_walk(params, el, hist):
-    """(psi-sum, sign-weighted count) over the plain coset's histogram, one
-    tuple at a time: psi of the whole form at each slot-residue tuple, on
-    twisted GL times w0 (read from the character) at its central residue."""
+    """(psi-sum, sign-weighted count) over a histogram, one tuple at a time:
+    psi of the whole form at each slot-residue tuple, on twisted GL times w0
+    (read from the character) at its central residue."""
     p = el.matrix.p
     k, weights = _psi_form(params, p)
     w0 = k.omega0()
@@ -390,34 +390,37 @@ def _tuple_walk(params, el, hist):
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 @pytest.mark.parametrize("n", [2, 3])
-def test_plain_coset_count_vector_is_exact(n, q):
-    """On every plain-coset family element and one random element per kind,
-    at every (kappa, a): the count vector c of the folded table sums to the
-    sign-weighted size of the torus index set (its plain size off twisted
-    GL), and sum_r c[r] zeta^r is the tuple-by-tuple walk."""
+def test_count_vector_is_exact_on_every_coset(n, q):
+    """On every family element, plain coset and phi coset, and one random
+    element per kind, at every (kappa, a): the count vector c of the folded
+    table sums to the sign-weighted size of the torus index set (its plain
+    size off twisted GL), and sum_r c[r] zeta^r is the tuple-by-tuple walk
+    over that (kappa, a)'s own histogram.  c is None exactly where the index
+    set is empty."""
     rng = random.Random(100 * n + q)
     for kind, variants in FAMILY_VARIANTS.items():
         gl = kind is GroupKind.TWISTED_GL
+        histogram = characters._gl_histogram if gl else characters._standard_histogram
         nu = nu_of_u(make_field(q), n, 1) if kind is GroupKind.SO_RAM else 0
         elements = [family_element(kind, n, q, u, v) for u in range(1, q) for v in variants]
         elements.append(random_affine_generic(GroupId(kind, n, nu), q, rng))
         for el in elements:
-            if el.phi:
-                continue
-            sign, hist = (characters._gl_histogram if gl else characters._standard_histogram)(
-                SSCParams(el.group, 1), el
-            )
             for kappa in (0, 1) if kind in characters.KAPPA_KINDS else (0,):
                 for a in range(1, q):
                     params = SSCParams(el.group, a, kappa=kappa)
+                    sign, hist = histogram(params, el)
                     c_sign, counts = characters._psi_counts(params, el)
-                    assert c_sign == sign and len(counts) == q and all(type(c) is int for c in counts)
+                    assert c_sign == sign
+                    if not hist:
+                        assert counts is None and not torus_index_set(params, el)
+                        continue
+                    assert len(counts) == q and all(type(c) is int for c in counts)
                     walk, size = _tuple_walk(params, el, hist)
                     assert sum(counts) == size
                     if not gl:
                         assert size == len(torus_index_set(params, el))
                     value = sum(c * cmath.exp(2j * cmath.pi * r / q) for r, c in enumerate(counts))
-                    assert abs(value - walk) <= 1e-12, (kind.value, kappa, a)
+                    assert abs(value - walk) <= 1e-12, (kind.value, el.phi, kappa, a)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

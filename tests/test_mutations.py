@@ -14,10 +14,11 @@ q^(-1/2)) fails `ecr_gl_lift` at n = 2, q = 3.  A `swan_closed_values` entry
 shifted by 1/2 fails `swan_artin` at (p, e, n') = (3, 1, 2), while
 `ramification_jumps` still passes.
 
-The brute-force character route's plain-coset count tables fail `char_oracle`
-rows at n = 2, q <= 7 when broken: a fold that ignores a fails every kind, a
-kappa = 0 table read at kappa = 1 fails the kinds with kappa, and a dropped w0
-sign fails twisted GL."""
+The brute-force character route's count tables fail `char_oracle` rows at
+n = 2, q <= 7 when broken: a fold that ignores a fails every kind, a kappa = 0
+table read at kappa = 1 fails the kinds with kappa, a dropped w0 sign fails
+twisted GL, and a phi-coset histogram built at a = 1 fails the kinds with a
+phi coset."""
 
 import dataclasses
 from fractions import Fraction
@@ -140,11 +141,19 @@ def test_a_fold_that_ignores_a_fails_char_oracle(monkeypatch):
 def test_a_count_table_reused_across_kappa_fails_char_oracle(monkeypatch):
     """kappa = 1 reads the kappa = 0 table: the kinds with kappa fail, the
     others still pass."""
-    table = characters._plain_table
+    table = characters._count_table
     monkeypatch.setattr(
-        characters, "_plain_table", lambda params, el: table(dataclasses.replace(params, kappa=0), el)
+        characters, "_count_table", lambda params, el, hist: table(dataclasses.replace(params, kappa=0), el, hist)
     )
     assert _char_failures() == {"group=sp", "group=so_spl", "group=so_ur"}
+
+
+def test_a_phi_coset_histogram_read_at_a_1_fails_the_phi_coset_kinds(monkeypatch):
+    """Every histogram is built at a = 1: the plain coset's reads no
+    parameter and still passes, the phi cosets' index sets read a and fail."""
+    histogram = characters._histogram
+    monkeypatch.setattr(characters, "_histogram", lambda params, el: histogram(dataclasses.replace(params, a=1), el))
+    assert _char_failures() == {"group=so_spl", "group=so_ur", "group=gl_theta"}
 
 
 def test_a_dropped_w0_sign_fails_the_twisted_gl_rows(monkeypatch):
