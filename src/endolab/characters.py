@@ -64,6 +64,11 @@ KAPPA_KINDS = frozenset({GroupKind.SP, GroupKind.SO_SPL, GroupKind.SO_UR})
 ZETA_KINDS = frozenset({GroupKind.TWISTED_GL, GroupKind.SO_SPL, GroupKind.SO_UR})
 
 
+def zeta_unit(kind: GroupKind, q: int) -> complex:
+    """The base value of the sign zeta: i on twisted GL at q = 3 mod 4, where w0(-1) = -1, else 1."""
+    return 1j if kind is GroupKind.TWISTED_GL and q % 4 == 3 else 1
+
+
 @dataclass(frozen=True)
 class SSCParams:
     """Parameters of a simple supercuspidal representation.
@@ -72,37 +77,29 @@ class SSCParams:
     group uses (a, zeta) with the quadratic central character implied; the
     symplectic group uses (xi, kappa, a); the ramified even orthogonal group
     (xi, a); the split/unramified even orthogonal groups (xi, kappa, a, zeta).
-    xi = -1, kappa = 1 and zeta != 1 are refused on a kind without xi, kappa,
-    resp. zeta; both routes refuse a twisted linear zeta^2 other than w0(-1).
+    zeta is a sign that every route reads against ``zeta_unit(kind, q)``;
+    xi = -1, kappa = 1 and zeta = -1 are refused on a kind without it.
     """
 
     group: GroupId
     a: int
     xi: int = 1
     kappa: int = 0
-    zeta: complex = 1.0
+    zeta: int = 1
 
     def __post_init__(self):
         if self.xi not in (1, -1):
             raise InvalidParams("xi must be a sign")
         if self.kappa not in (0, 1):
             raise InvalidParams("kappa must be 0 or 1")
+        if self.zeta not in (1, -1):
+            raise InvalidParams("zeta must be a sign")
         if self.xi != 1 and self.group.kind not in XI_KINDS:
             raise InvalidParams(f"xi is not a parameter of {self.group.kind.value}")
         if self.kappa and self.group.kind not in KAPPA_KINDS:
             raise InvalidParams(f"kappa is not a parameter of {self.group.kind.value}")
         if self.zeta != 1 and self.group.kind not in ZETA_KINDS:
             raise InvalidParams(f"zeta is not a parameter of {self.group.kind.value}")
-        if self.group.kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
-            if self.zeta not in (1, -1):
-                raise InvalidParams("zeta must be a sign here")
-
-
-def _refuse_off_zeta(params: SSCParams, p: int):
-    """Twisted GL's zeta has zeta^2 = w0(-1) = (-1)^((p-1)/2); the parameters
-    do not carry p, so each route refuses any other zeta at its start."""
-    if params.group.kind is GroupKind.TWISTED_GL and params.zeta**2 != (-1) ** ((p - 1) // 2):
-        raise InvalidParams(f"zeta^2 is not w0(-1) at p={p}")
 
 
 @dataclass(frozen=True)
@@ -276,14 +273,13 @@ def char_brute_force(params: SSCParams, element: CharElement) -> CharValue:
     """The torus sum of the character formula at the element: the psi-sum,
     taken once per element and (kappa, a mod p), times xi on the minus coset
     of I+ and zeta on the phi coset."""
-    _refuse_off_zeta(params, element.matrix.p)
     key = (params.kappa, params.a % element.matrix.p)
     if key not in element._hists:
         element._hists[key] = _psi_sum(params, element)
     sign, total = element._hists[key]
     if total is None:
         return CharValue(0.0 + 0.0j)
-    factor = params.zeta if element.phi else 1.0
+    factor = params.zeta * zeta_unit(params.group.kind, element.matrix.p) if element.phi else 1.0
     if sign < 0:
         factor = params.xi * factor
     return CharValue(total * factor)
@@ -526,9 +522,7 @@ def describe(element: CharElement) -> ElementDescriptor:
 
 def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
     kind = params.group.kind
-    p = desc.components[0].field.p
-    _refuse_off_zeta(params, p)
-    k = make_field(p)
+    k = make_field(desc.components[0].field.p)
     w0 = k.omega0()
     n = params.group.n
     a = k.coerce(params.a)
@@ -609,7 +603,7 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
         x = x * tr
     else:
         raise HypothesisFailed(f"no closed form for {kind}")
-    return CharValue(sgn * (params.zeta * kl_pm(k, n, x)))
+    return CharValue(sgn * (params.zeta * zeta_unit(kind, k.q) * kl_pm(k, n, x)))
 
 
 def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
@@ -623,7 +617,7 @@ def affine_char_eval(params: SSCParams, element: CharElement) -> complex:
     if element.phi:
         phi = phi_element(params.group, p, *element.phi)
         hpart = element.matrix * phi.inv()
-        zfac = params.zeta
+        zfac = params.zeta * zeta_unit(params.group.kind, p)
     else:
         hpart = element.matrix
         zfac = 1.0

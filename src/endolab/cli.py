@@ -9,18 +9,19 @@ primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
 ``--a``, ``--u0`` are units mod the characteristic.  ``char eval`` takes
 ``--xi -1`` only on the kinds with xi (all but gl_theta), ``--kappa 1`` only
 on the kinds with kappa (sp, so_spl, so_ur) and ``--zeta`` only on the kinds
-with zeta (gl_theta, so_spl, so_ur), as the sign of zeta
-against its base value: ``suites._gl_zeta`` on gl_theta, 1 on so_spl and
-so_ur.  ``--nprime``, ``--jobs``, ``tower hilbert``'s ``--sub`` and the
-``--e`` of ``tower val``, ``tower hilbert``, ``tower herbrand`` and
-``conductor compute`` are positive, ``--coeffs``, ``--x`` and ``--y`` list
-``--e`` integers, and ``conductor compute``'s ``--nprime`` is an even divisor
-of p - 1.  Each subcommand takes only the report flags its handler reads.
-They (but ``--timings``) and ``--precision`` fall back to ``ENDOLAB_``
-environment variables, checked by the flag's own type and choices: a value
-outside them is a usage error of every command.  The suites time every row;
-the report zeroes each row's ``elapsed`` unless ``--timings`` is given, so
-it is deterministic for a fixed seed.
+with zeta (gl_theta, so_spl, so_ur), as a sign against ``characters.zeta_unit``.
+``char``, ``transfer`` and ``ecr`` refuse ``--n 1`` on so_spl, so_ur, their
+pairs and ``--case soeven``, as does ``char verify`` without ``--group``.
+``--nprime``, ``--jobs``, ``tower hilbert``'s ``--sub`` and the ``--e`` of
+``tower val``, ``tower hilbert``, ``tower herbrand`` and ``conductor compute``
+are positive, ``--coeffs``, ``--x`` and ``--y`` list ``--e`` integers, and
+``conductor compute``'s ``--nprime`` is an even divisor of p - 1.  Each
+subcommand takes only the report flags its handler reads.  They (but
+``--timings``) and ``--precision`` fall back to ``ENDOLAB_`` environment
+variables, checked by the flag's own type and choices: a value outside them
+is a usage error of every command.  The suites time every row; the report
+zeroes each row's ``elapsed`` unless ``--timings`` is given, so it is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .characters import (
     family_element,
 )
 from .conductors import ramification_stages, swan_artin_gamma
-from .endoscopy import Pair, pair_variants, transfer_factor
+from .endoscopy import PAIR_GROUP, Pair, pair_variants, transfer_factor
 from .families import FAMILY_VARIANTS, get_tower
 from .groups import GroupKind, simple_affine_components
 from .linalg import val_p
@@ -122,6 +123,12 @@ def _check_units(args):
     for name in units:
         if getattr(args, name) % p == 0:
             raise UsageError(f"--{name} {getattr(args, name)} is not a unit mod {p}")
+
+
+def _check_rank(n, kinds):
+    """so_spl and so_ur start at rank 2: their spec weights (1, 2, .., 2, 1, ..) need it."""
+    if n == 1 and {GroupKind.SO_SPL, GroupKind.SO_UR} & set(kinds):
+        raise UsageError("--n 1 is below rank 2, where so_spl and so_ur start")
 
 
 def _check_variant(value, choices, flag):
@@ -419,9 +426,9 @@ def cmd_char(args):
             raise UsageError(f"--group {args.group} has no --kappa 1")
         if args.zeta is not None and kind not in ZETA_KINDS:
             raise UsageError(f"--group {args.group} has no --zeta")
+        _check_rank(args.n, (kind,))
         el = family_element(kind, args.n, args.q, args.u, args.variant)
-        z0 = suites._gl_zeta(make_field(args.q)) if kind is GroupKind.TWISTED_GL else 1.0
-        params = SSCParams(el.group, args.a, args.xi, args.kappa, -z0 if args.zeta == -1 else z0)
+        params = SSCParams(el.group, args.a, args.xi, args.kappa, args.zeta or 1)
         desc = describe(el)
         bf = char_brute_force(params, el).value
         cf = char_closed_form(params, desc).value
@@ -436,6 +443,7 @@ def cmd_char(args):
         )
         return 0 if abs(bf - cf) <= args.tol else 1
     kind = GroupKind(args.group) if args.group else None
+    _check_rank(args.n, (kind,) if kind else FAMILY_VARIANTS)
     rows = suites.char_oracle_suite(
         seed=args.seed, tol=args.tol, **_grid(ns=args.n, qs=args.q, kinds=kind)
     )
@@ -445,6 +453,7 @@ def cmd_char(args):
 def cmd_transfer(args):
     pair = Pair(args.pair)
     _check_variant(args.variant, pair_variants(pair), f"--variant for --pair {args.pair}")
+    _check_rank(args.n, (PAIR_GROUP[pair],))
     tv = transfer_factor(pair, args.p, args.n, args.u, args.variant)
     k = make_field(args.p)
     val = tv.evaluate(k)
@@ -465,6 +474,7 @@ def cmd_transfer(args):
 
 def cmd_ecr(args):
     case = {"ram": "ecr_ram", "gl": "ecr_gl", "soeven": "ecr_soeven"}[args.case]
+    _check_rank(args.n, (GroupKind.SO_SPL, GroupKind.SO_UR) if args.case == "soeven" else ())
     return _verdict(suites.SUITES[case](**_grid(ns=args.n, qs=args.q)), args)
 
 

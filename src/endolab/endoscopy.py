@@ -310,22 +310,22 @@ def ecr_coefficient(pair: Pair, n: int, variant: str) -> TransferValue:
 @dataclass(frozen=True)
 class PacketSolution:
     """The packet data of a G-side parameter (xi, a): the SO_ram parameters
-    (xi', a'^2, nu) and the twisted-GL data (b, zeta); on the even-orthogonal
-    pairs zeta is the eta-lift."""
+    (xi', a'^2, nu) and the twisted-GL data (b, zeta), zeta a sign as in
+    ``SSCParams``; on the even-orthogonal pairs zeta is the eta-lift."""
 
     xi_prime: int
     a_prime_sq: int
     nu_mu: int
     gl_b: int
-    gl_zeta: complex
+    gl_zeta: int
 
 
 def packet_solution(pair: Pair, n: int, p: int, xi: int, a: int) -> PacketSolution:
     """The packet map at the G-side (xi, a).  With t = 1 on SOUR_H and 0
     otherwise, and c = (-1)^(n-1) * 4 on SP_SORAM and 2^(2+t) on the
     even-orthogonal pairs: a'^2 = c * eps^nu * a for the one nu that makes it a
-    square, xi' = (-1)^t * w0(-1) * xi, b = (-1)^(n-1) * c * a and
-    zeta = xi' * G(w0, psi) / q^(1/2), so that zeta^2 = w0(-1)."""
+    square, xi' = (-1)^t * w0(-1) * xi, b = (-1)^(n-1) * c * a and zeta the sign
+    within TOL of xi' * G(w0, psi) / (q^(1/2) zeta_unit), else IdentityFailed."""
     if pair not in (Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H):
         raise UnknownPair(str(pair))
     if xi not in (1, -1) or a % p == 0:
@@ -336,7 +336,10 @@ def packet_solution(pair: Pair, n: int, p: int, xi: int, a: int) -> PacketSoluti
     ca = k.coerce(sign * 2 ** (2 + t) * a)
     nu = 0 if ca.is_square() else 1
     xi_prime = (-1) ** t * (1 if k.coerce(-1).is_square() else -1) * xi
-    zeta = xi_prime * k.q ** (-0.5) * gauss_sum(k.omega0(), k)
+    ratio = xi_prime * gauss_sum(k.omega0(), k) / (k.q**0.5 * characters.zeta_unit(GroupKind.TWISTED_GL, k.q))
+    zeta = 1 if ratio.real > 0 else -1
+    if abs(ratio - zeta) > TOL:
+        raise IdentityFailed(f"xi' G(w0, psi) / (q^(1/2) zeta_unit) is {ratio:.3g}, not a sign")
     b = k.coerce(-1) ** (n - 1) * ca
     return PacketSolution(xi_prime, (ca * k.eps**nu).a, nu, b.a, zeta)
 
@@ -400,14 +403,14 @@ def ecr_gl_lift_verify(n: int, p: int, a: int) -> PacketSolution:
     twisted characters: at each unit u where the SO_ram side S is defined,
     Theta^{GL}(g_u) = c_plus * S and Theta^{GL}(phi_u g_u) = xi' * c_minus * S,
     with c_var = ecr_coefficient(GL_SORAM, n, var).  The coset value is zeta * S
-    by its closed form, so the second weight identity compares the packet zeta
-    with xi' * c_minus.  zeta is odd in xi, so the xi = -1 coset identities are
-    these negated.  zeta^2 = w0(-1) is G(w0, psi)^2 = w0(-1) q, which the
-    exp_sums suite's gauss_square rows check."""
+    by its closed form (zeta the packet sign times ``zeta_unit``), so the second
+    weight identity compares zeta with xi' * c_minus.  zeta is odd in xi, so the
+    xi = -1 coset identities are these negated; packet_solution reads it from
+    G(w0, psi), whose square the exp_sums suite's gauss_square rows check."""
     sol = packet_solution(Pair.SP_SORAM, n, p, 1, a)
     k = make_field(p)
     w0 = k.omega0()
-    b, zeta = k.coerce(sol.gl_b), sol.gl_zeta
+    b, zeta = k.coerce(sol.gl_b), sol.gl_zeta * characters.zeta_unit(GroupKind.TWISTED_GL, k.q)
     spec_gl = sp_spec(k, n, twisted=True)
     w02 = w0(k.coerce(2))
     plus, minus = (ecr_coefficient(Pair.GL_SORAM, n, var).evaluate(k) for var in ("plus", "minus"))

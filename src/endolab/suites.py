@@ -171,23 +171,15 @@ def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=TOL):
 # 2 -------------------------------------------------------------------------
 
 
-def _gl_zeta(k):
-    return 1.0 if k.coerce(-1).is_square() else 1.0j
-
-
 def _params_grid(group: GroupId, q: int):
     """The character parameters at F_q: a over the units, slowest, then xi,
-    kappa and zeta, each over its values on the kind (the ``*_KINDS`` sets):
-    zeta is +-``_gl_zeta`` on gl_theta and the ints +-1 on so_spl and so_ur."""
-    k = field_for(q)
-    kind = group.kind
-    z0 = _gl_zeta(k) if kind is GroupKind.TWISTED_GL else 1
+    kappa and zeta, each over its values on the kind (the ``*_KINDS`` sets)."""
     return [
         SSCParams(group, a, xi, kappa, zeta)
-        for a in range(1, k.p)
-        for xi in ((1, -1) if kind in XI_KINDS else (1,))
-        for kappa in ((0, 1) if kind in KAPPA_KINDS else (0,))
-        for zeta in ((z0, -z0) if kind in ZETA_KINDS else (1.0,))
+        for a in range(1, field_for(q).p)
+        for xi in ((1, -1) if group.kind in XI_KINDS else (1,))
+        for kappa in ((0, 1) if group.kind in KAPPA_KINDS else (0,))
+        for zeta in ((1, -1) if group.kind in ZETA_KINDS else (1,))
     ]
 
 

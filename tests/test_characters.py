@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from endolab import characters, residue, sums, suites
+from endolab import characters, residue, sums
 from endolab.characters import (
     CharElement,
     SSCParams,
@@ -30,10 +30,6 @@ from endolab.sums import kl_simple, kloosterman_eval, sp_spec
 
 P = 5
 K = make_field(P)
-
-
-def gl_zeta(k):
-    return 1.0 if k.dlog(k.coerce(-1)) % 2 == 0 else 1.0j
 
 
 # the inducing character's linear form ----------------------------------------
@@ -100,19 +96,18 @@ def test_params_validation():
     sp = GroupId(GroupKind.SP, 2)
     with pytest.raises(InvalidParams):
         SSCParams(sp, 1, xi=2)
-    so = GroupId(GroupKind.SO_SPL, 2)
-    with pytest.raises(InvalidParams):
-        SSCParams(so, 1, zeta=0.5)
+    # zeta is a sign on every kind, read against zeta_unit: the value i of
+    # twisted GL at q = 3 mod 4 is the base value, not a parameter
+    for kind in FAMILY_VARIANTS:
+        for zeta in (0.5, 1j, -1j, 0, 2):
+            with pytest.raises(InvalidParams, match="zeta must be a sign"):
+                SSCParams(GroupId(kind, 2), 1, zeta=zeta)
     # xi and zeta exist only on the kinds whose characters take them
     with pytest.raises(InvalidParams):
         SSCParams(GroupId(GroupKind.TWISTED_GL, 2), 1, xi=-1)
     for kind in (GroupKind.SP, GroupKind.SO_RAM):
         with pytest.raises(InvalidParams):
             SSCParams(GroupId(kind, 2), 1, zeta=-1)
-    # the twisted-GL zeta of the parameter grid satisfies zeta^2 = w0(-1)
-    for p in (3, 5, 7):
-        k = make_field(p)
-        assert abs(suites._gl_zeta(k) ** 2 - k.omega0()(k.coerce(-1))) < 1e-12
 
 
 # the inducing character ------------------------------------------------------
@@ -183,7 +178,7 @@ def test_gl_coset_index_set_empty_iff_nonsquare():
     for u in range(1, P):
         el = CharElement(gl, family_matrix(gl, P, u, "minus"), (u,))
         for a in range(1, P):
-            reps = torus_index_set(SSCParams(gl, a, zeta=gl_zeta(K)), el)
+            reps = torus_index_set(SSCParams(gl, a), el)
             expect_empty = not (K.coerce(a) * K.coerce(u)).is_square()
             assert (len(reps) == 0) == expect_empty
             if reps:
@@ -227,7 +222,7 @@ def test_gl_coset_zero_when_index_empty():
             if (K.coerce(a) * K.coerce(u)).is_square():
                 continue
             el = CharElement(gl, family_matrix(gl, P, u, "minus"), (u,))
-            params = SSCParams(gl, a, zeta=gl_zeta(K))
+            params = SSCParams(gl, a)
             assert char_brute_force(params, el).value == 0
             assert char_closed_form(params, describe(el)).value == 0
 
@@ -438,18 +433,6 @@ def test_family_elements_certify_the_digits_the_brute_force_route_reads(n, p):
                 for g in (el.matrix,) if gl else (el.matrix, el.h_part):
                     certified = g.prec - g.s
                     assert certified >= (5 if gl else 4), (kind.value, variant, u, certified)
-
-
-@pytest.mark.parametrize("q, zeta", [(7, 1.0), (7, -1.0), (5, 1j), (5, -1j), (7, 0.5)])
-def test_both_routes_refuse_a_twisted_linear_zeta_off_w0_minus_one(q, zeta):
-    """zeta^2 = w0(-1) on twisted GL: -1 at q = 7 and 1 at q = 5."""
-    for variant in ("plus", "minus"):
-        el = family_element(GroupKind.TWISTED_GL, 2, q, 1, variant)
-        params = SSCParams(el.group, 2, zeta=zeta)
-        with pytest.raises(InvalidParams):
-            char_brute_force(params, el)
-        with pytest.raises(InvalidParams):
-            char_closed_form(params, describe(el))
 
 
 # the per-slot tables against per-conjugate conjugation ---------------------------

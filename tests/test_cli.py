@@ -469,7 +469,7 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["conductor", "compute", "--p", "5", "--e", "0", "--nprime", "2"], 2),
         (["conductor", "compute", "--p", "5", "--e", "1", "--nprime", "0"], 2),
         # kappa and zeta exist only on the kinds whose characters take them,
-        # and zeta is a sign against its base value
+        # and zeta is a sign against its base value, an int on every kind
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
         (["char", "eval", "--group", "so_ram", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--kappa", "1"], 2),
         (["char", "eval", "--group", "sp", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "1"], 2),
@@ -478,11 +478,20 @@ def test_rank_beyond_cap_is_exit_3(argv, monkeypatch, capsys):
         (["char", "eval", "--group", "so_spl", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "2"], 2),
         # nor does xi = -1 exist on the twisted linear kind
         (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--xi", "-1"], 2),
-        # nor a twisted linear zeta off zeta^2 = w0(-1), which is 1 at q = 5
-        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "5", "--u", "1", "--a", "1", "--zeta", "i"], 2),
+        # nor is the base value i of zeta at q = 3 mod 4 a value of --zeta
+        (["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "7", "--u", "1", "--a", "1", "--zeta", "i"], 2),
         # --jobs counts worker processes
         (["suite", "all", "--only", "formal_degree", "--jobs", "0"], 2),
         (["suite", "all", "--only", "formal_degree", "--jobs", "-2"], 2),
+        # so_spl and so_ur, their pairs and the soeven case start at rank 2
+        (["ecr", "verify", "--case", "soeven", "--n", "1", "--q", "5"], 2),
+        (["char", "eval", "--group", "so_spl", "--n", "1", "--q", "5", "--u", "1", "--a", "1"], 2),
+        (["char", "eval", "--group", "so_ur", "--n", "1", "--q", "5", "--u", "1", "--a", "1"], 2),
+        (["char", "eval", "--group", "so_spl", "--n", "1", "--q", "5", "--u", "1", "--a", "1", "--variant", "phi_coset"], 2),
+        (["char", "verify", "--n", "1", "--q", "5"], 2),
+        (["char", "verify", "--group", "so_ur", "--n", "1", "--q", "5"], 2),
+        (["transfer", "eval", "--pair", "sospl_h", "--p", "5", "--n", "1", "--u", "1"], 2),
+        (["transfer", "eval", "--pair", "sour_h", "--p", "5", "--n", "1", "--u", "1"], 2),
     ],
 )
 def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):
@@ -493,17 +502,21 @@ def test_value_outside_its_domain_is_not_a_failed_check(argv, code, capsys):
 
 
 def test_zeta_sign_reaches_the_grid_value_of_minus_i(capsys):
-    """At q = 7, w0(-1) = -1 and the twisted linear zeta is +-i: --zeta -1
-    evaluates the character grid's zeta = -i cell, --zeta 1 its +i cell."""
+    """At q = 7, w0(-1) = -1 and the twisted linear zeta is +-i, a sign times
+    the base value i: --zeta -1 evaluates the character grid's zeta = -1 cell,
+    whose value is -i times a real sum, and --zeta 1 its +1 cell, the
+    negative of it."""
     el = characters.family_element(GroupKind.TWISTED_GL, 2, 7, 1, "minus")
     argv = ["char", "eval", "--group", "gl_theta", "--n", "2", "--q", "7", "--u", "1", "--a", "2"]
-    for sign, zeta in ((-1, -1j), (1, 1j)):
+    values = {}
+    for sign in (-1, 1):
         code, out = run_capture(argv + ["--variant", "minus", "--zeta", str(sign)], capsys)
         assert code == 0
-        params = next(s for s in suites._params_grid(el.group, 7) if s.a == 2 and s.zeta == zeta)
-        want = characters.char_brute_force(params, el).value
-        assert abs(want) > 1
+        params = next(s for s in suites._params_grid(el.group, 7) if s.a == 2 and s.zeta == sign)
+        want = values[sign] = characters.char_brute_force(params, el).value
+        assert abs(want) > 1 and abs(want.real) < 1e-12
         assert json.loads(out)["lhs"] == [want.real, want.imag]
+    assert values[1] == -values[-1]
 
 
 def test_timings_fill_elapsed_only_when_asked(capsys):

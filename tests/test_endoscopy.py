@@ -5,6 +5,7 @@ from functools import partial
 import pytest
 
 from endolab import characters, endoscopy
+from endolab.characters import SSCParams, char_brute_force, char_closed_form, describe, family_element, zeta_unit
 from endolab.endoscopy import (
     DELTA_IV_EXPECTED,
     PAIR_GROUP,
@@ -27,9 +28,9 @@ from endolab.endoscopy import (
 )
 from endolab.errors import IdentityFailed, IncompatibleParams, InvalidParams, InvalidU, UnknownPair
 from endolab.families import DISC_TABLE, nu_of_u
-from endolab.groups import GroupKind
+from endolab.groups import GroupId, GroupKind
 from endolab.residue import make_field
-from endolab.sums import gauss_sum
+from endolab.sums import TOL, gauss_sum
 
 
 def _eta_recipe(kind, n):
@@ -253,8 +254,8 @@ def test_ecr_gl_lift():
             for xi, sol in sols.items():
                 assert sol.gl_b == (4 * a) % p
                 expect = xi * p ** (-0.5) * w0(k.coerce(-1)) * G
-                assert abs(sol.gl_zeta - expect) < 1e-9
-                assert abs(sol.gl_zeta**2 - w0(k.coerce(-1))) < 1e-9
+                assert sol.gl_zeta in (1, -1)
+                assert abs(sol.gl_zeta * zeta_unit(GroupKind.TWISTED_GL, p) - expect) < 1e-9
 
 
 # each chain with the pair whose packet map it reads
@@ -270,10 +271,12 @@ CHAINS = (
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_packet_map(p, n):
     """The packet map sends the G-side grid one to one onto the SO_ram
-    parameters (xi' = +-1, a'^2 a nonzero square, nu in {0, 1}), with
-    zeta^2 = w0(-1); every chain returns exactly its xi = 1 value."""
+    parameters (xi' = +-1, a'^2 a nonzero square, nu in {0, 1}), with zeta an
+    int sign and (zeta zeta_unit)^2 = w0(-1); every chain returns exactly its
+    xi = 1 value."""
     k = make_field(p)
     w0m1 = k.omega0()(k.coerce(-1))
+    unit = zeta_unit(GroupKind.TWISTED_GL, p)
     grid = [(xi, a) for xi in (1, -1) for a in range(1, p)]
     squares = {(x * x).a for x in k.units()}
     for pair in (Pair.SP_SORAM, Pair.SOSPL_H, Pair.SOUR_H):
@@ -283,7 +286,8 @@ def test_packet_map(p, n):
         assert len(h_side) == len(grid)
         assert h_side == {(xi, sq, nu) for xi in (1, -1) for sq in squares for nu in (0, 1)}
         for sol in sols:
-            assert abs(sol.gl_zeta**2 - w0m1) < 1e-12
+            assert type(sol.gl_zeta) is int and sol.gl_zeta in (1, -1)
+            assert abs((sol.gl_zeta * unit) ** 2 - w0m1) < 1e-12
     for pair, chain in CHAINS:
         for a in range(1, p):
             assert chain(n, p, a) == packet_solution(pair, n, p, 1, a)
@@ -300,6 +304,23 @@ def test_packet_map_is_odd_in_xi():
                     plus = packet_solution(pair, n, p, 1, a)
                     negated = dataclasses.replace(plus, xi_prime=-plus.xi_prime, gl_zeta=-plus.gl_zeta)
                     assert packet_solution(pair, n, p, -1, a) == negated, (pair, n, p, a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gl_packet_data_feeds_the_brute_force_route(p, n):
+    """The twisted-GL data (b, zeta) of every symplectic (xi, a) is a parameter
+    the character routes take as it is, and both agree on it at the twisted-GL
+    family elements; zeta is xi', since G(w0, psi) = zeta_unit q^(1/2)."""
+    elements = [family_element(GroupKind.TWISTED_GL, n, p, u, var) for u in range(1, p) for var in ("plus", "minus")]
+    for xi in (1, -1):
+        for a in range(1, p):
+            sol = packet_solution(Pair.SP_SORAM, n, p, xi, a)
+            assert sol.gl_zeta == sol.xi_prime
+            params = SSCParams(GroupId(GroupKind.TWISTED_GL, n), sol.gl_b, zeta=sol.gl_zeta)
+            for el in elements:
+                bf = char_brute_force(params, el).value
+                assert abs(bf - char_closed_form(params, describe(el)).value) <= TOL, (xi, a, el.phi)
 
 
 def test_packet_map_refuses_other_pairs_and_parameters():

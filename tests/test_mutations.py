@@ -10,7 +10,11 @@ The other tables fail their own rows at their suites' smallest arguments: a
 `DISC_TABLE` entry shifted by 1/2 fails `weyl_disc` at (n, p) = (2, 5), and an
 `ETA_CLOSED` entry with its sign flipped fails `delta_iv_closed` at n = 2,
 p = 3.  A wrong zeta in the packet map (negated, doubled, or without its
-q^(-1/2)) fails `ecr_gl_lift` at n = 2, q = 3.  A `swan_closed_values` entry
+q^(-1/2)) fails `ecr_gl_lift` at n = 2, q = 3, and a base value
+`characters.zeta_unit` of 1 on every kind fails every ECR row there: the
+packet map's Gauss ratio is then +-i, not a sign.  `char_oracle` cannot see
+that one, since both character routes read the same base value.  A
+`swan_closed_values` entry
 shifted by 1/2 fails `swan_artin` at (p, e, n') = (3, 1, 2), while
 `ramification_jumps` still passes.
 
@@ -109,6 +113,13 @@ def test_a_wrong_zeta_fails_the_gl_lift(monkeypatch, wrong):
 
     monkeypatch.setattr(endoscopy, "packet_solution", packet_solution)
     assert _verdicts("ecr_gl", **SMALLEST) == {"ecr_gl_lift": False}
+
+
+def test_a_base_value_of_1_fails_every_ecr_row(monkeypatch):
+    monkeypatch.setattr(characters, "zeta_unit", lambda kind, q: 1)
+    rows = [row for suite in ("ecr_ram", "ecr_gl", "ecr_soeven") for row in suites.SUITES[suite](**SMALLEST)]
+    assert {row.suite for row in rows} == {"ecr_ram_descent", "ecr_gl_lift", "ecr_so_even"}
+    assert len(rows) == 4 and not any(row.passed for row in rows)
 
 
 @pytest.mark.parametrize("entry", ["big", "linear_nontrivial"])

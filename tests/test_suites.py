@@ -247,8 +247,7 @@ def _reference_params_grid(group: GroupId, q: int):
     k = suites.field_for(q)
     units = range(1, k.p)
     if group.kind is GroupKind.TWISTED_GL:
-        z0 = suites._gl_zeta(k)
-        return [SSCParams(group, a, zeta=z) for a in units for z in (z0, -z0)]
+        return [SSCParams(group, a, zeta=z) for a in units for z in (1, -1)]
     if group.kind is GroupKind.SP:
         return [SSCParams(group, a, xi, kp) for a in units for xi in (1, -1) for kp in (0, 1)]
     if group.kind is GroupKind.SO_RAM:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from endolab.errors import CapExceeded, HypothesisFailed, WrongField, ZeroPoint
 from endolab import sums
+from endolab.characters import zeta_unit
+from endolab.groups import GroupKind
 from endolab.residue import FiniteField, MultCharacter, field_size, make_field, quad_extension
 from endolab.sums import (
     KloostermanSpec,
@@ -29,12 +31,16 @@ def test_gauss_trivial_is_minus_one():
         assert abs(gauss_sum(k.trivial_char(), k) + 1) < 1e-10
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_gauss_quadratic_square(p):
-    k = make_field(p)
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_gauss_quadratic_square(q):
+    """G(w0, psi)^2 = w0(-1) q, and Gauss's sign: G = zeta_unit q^(1/2), with
+    the base value i exactly when -1 is not a square in F_q (so 1 at q = 9,
+    where G = -G(w0, psi_3)^2 = 3)."""
+    k = make_field(*field_size(q))
     w0 = k.omega0()
     G = gauss_sum(w0, k)
-    assert abs(G * G - p * w0(k.coerce(-1))) < 1e-9
+    assert abs(G * G - q * w0(k.coerce(-1))) < 1e-9
+    assert abs(G - zeta_unit(GroupKind.TWISTED_GL, q) * q**0.5) < 1e-9
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
