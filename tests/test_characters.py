@@ -20,13 +20,14 @@ from endolab.characters import (
     random_affine_generic,
     torus_index_set,
     torus_ranges,
+    zeta_unit,
 )
 from endolab.errors import InvalidParams, OutOfDomain
 from endolab.families import FAMILY_VARIANTS, family_matrix, nu_of_u
 from endolab.groups import GroupId, GroupKind, GroupMatrix, phi_element
 from endolab.residue import FiniteField, QuadExtension, make_field, quad_extension
 from endolab.suites import _params_grid
-from endolab.sums import kl_simple, kloosterman_eval, sp_spec
+from endolab.sums import TOL, kl_simple, kloosterman_eval, sp_spec
 
 P = 5
 K = make_field(P)
@@ -433,6 +434,26 @@ def test_family_elements_certify_the_digits_the_brute_force_route_reads(n, p):
                 for g in (el.matrix,) if gl else (el.matrix, el.h_part):
                     certified = g.prec - g.s
                     assert certified >= (5 if gl else 4), (kind.value, variant, u, certified)
+
+
+@pytest.mark.parametrize("q, zeta", [(7, 1.0), (7, -1.0), (5, 1j), (5, -1j), (7, 0.5)])
+def test_both_routes_refuse_a_twisted_linear_zeta_off_w0_minus_one(q, zeta):
+    """zeta^2 = w0(-1) on twisted GL: -1 at q = 7 and 1 at q = 5.  The routes
+    apply zeta * zeta_unit, so no value off w0(-1) reaches them: a zeta that
+    is not a sign is refused when the parameters are built, and a sign is
+    applied as +-zeta_unit, whose square is w0(-1), on which both routes agree."""
+    w0_minus_one = 1 if q % 4 == 1 else -1
+    for variant in ("plus", "minus"):
+        el = family_element(GroupKind.TWISTED_GL, 2, q, 1, variant)
+        if zeta not in (1, -1):
+            with pytest.raises(InvalidParams, match="zeta must be a sign"):
+                SSCParams(el.group, 2, zeta=zeta)
+            continue
+        params = SSCParams(el.group, 2, zeta=zeta)
+        applied = params.zeta * zeta_unit(GroupKind.TWISTED_GL, q)
+        assert applied**2 == w0_minus_one
+        bf = char_brute_force(params, el).value
+        assert abs(bf - char_closed_form(params, describe(el)).value) <= TOL, (q, zeta, variant)
 
 
 # the per-slot tables against per-conjugate conjugation ---------------------------
