@@ -78,7 +78,8 @@ class SSCParams:
     symplectic group uses (xi, kappa, a); the ramified even orthogonal group
     (xi, a); the split/unramified even orthogonal groups (xi, kappa, a, zeta).
     zeta is a sign that every route reads against ``zeta_unit(kind, q)``;
-    xi = -1, kappa = 1 and zeta = -1 are refused on a kind without it.
+    xi = -1, kappa = 1 and zeta = -1 are refused on a kind without it.  xi,
+    kappa and zeta are stored as ints, whatever number type they came in.
     """
 
     group: GroupId
@@ -94,6 +95,12 @@ class SSCParams:
             raise InvalidParams("kappa must be 0 or 1")
         if self.zeta not in (1, -1):
             raise InvalidParams("zeta must be a sign")
+        # a float, complex or bool sign is kept as its int twin, so equal
+        # parameters have equal reprs; the suites build thousands of
+        # parameters from ints, and one type test lets those through
+        if not type(self.xi) is type(self.kappa) is type(self.zeta) is int:
+            for name in ("xi", "kappa", "zeta"):
+                object.__setattr__(self, name, int(getattr(self, name).real))
         if self.xi != 1 and self.group.kind not in XI_KINDS:
             raise InvalidParams(f"xi is not a parameter of {self.group.kind.value}")
         if self.kappa and self.group.kind not in KAPPA_KINDS:

@@ -160,8 +160,17 @@ class QGroup:
         self.c_set = MappingProxyType({
             b: tuple(buckets.get(F.neg(F.pow(b, p**e + 1)), ())) for b in self.b_set
         })
-        # beta's two maps on all of F: x -> x^{p^e} and t -> sum(t^{p^i}, i < e)
-        self._frob = tuple(F.pow(x, p**e) for x in F.elements())
+        # F's log, exp and Zech lists in the form `mul` reads with no modulo
+        # and no zero test on a product (n = q - 1): the log of 0 is 2n, exp
+        # runs over 0..4n and is 0 from 2n on, and the Zech log Z(d) is read
+        # at -n < d < 2n and is 2n where 1 + g^d = 0
+        n = F._order
+        self._log0 = (2 * n,) + tuple(F._log[1:])
+        self._exp0 = tuple(F._exp) * 2 + (0,) * (2 * n + 1)
+        self._zech0 = tuple(2 * n if z is None else z for z in F._zech) * 2
+        # beta's two maps on all of F: the log of x^{p^e}, and
+        # t -> sum(t^{p^i}, i < e)
+        self._frob_log = tuple(self._log0[F.pow(x, p**e)] for x in F.elements())
         self._trace = tuple(
             reduce(F.add, [F.pow(t, p**i) for i in range(e)]) for t in F.elements()
         )
@@ -181,14 +190,35 @@ class QGroup:
     def beta(self, b1, b2):
         """The c-correction sum((b1^{p^e} b2)^{p^i}, i < e); a product
         (a1, b1, c1)(a2, b2, c2) takes it at (b1, a1*b2)."""
-        return self._trace[self.F.mul(self._frob[b1], b2)]
+        return self._trace[self._exp0[self._frob_log[b1] + self._log0[b2]]]
 
     def mul(self, x, y):
+        """(a1 a2, b1 + a1 b2, c1 + c2 + beta(b1, a1 b2)), each F.mul and
+        F.add read off the log form: g^i g^j is exp[i + j], and a sum of two
+        nonzero g^i + g^j is exp[i + Z(j - i)]."""
         a1, b1, c1 = x
         a2, b2, c2 = y
-        F = self.F
-        a1b2 = F.mul(a1, b2)
-        return (F.mul(a1, a2), F.add(b1, a1b2), F.add(F.add(c1, c2), self.beta(b1, a1b2)))
+        log, exp, zech = self._log0, self._exp0, self._zech0
+        i = log[a1]
+        j = i + log[b2]
+        a1b2 = exp[j]
+        if b1 and a1b2:
+            k = log[b1]
+            b = exp[k + zech[j - k]]
+        else:
+            b = b1 or a1b2
+        if c1 and c2:
+            k = log[c1]
+            c = exp[k + zech[log[c2] - k]]
+        else:
+            c = c1 or c2
+        t = self.beta(b1, a1b2)
+        if c and t:
+            k = log[c]
+            c = exp[k + zech[log[t] - k]]
+        else:
+            c = c or t
+        return (exp[i + log[a2]], b, c)
 
     def identity(self):
         return (self.F.one, self.F.zero, self.F.zero)
@@ -203,8 +233,9 @@ def q_group(params: HeisParams) -> QGroup:
 def q_group_check(params: HeisParams) -> bool:
     """Q' exhaustively on its table: closure (the table exists), inverses
     and a c-part central in it.  Q: identity, inverses and associativity on
-    its full table when |Q|^2 is small; otherwise closure, identity and
-    associativity on deterministically sampled triples."""
+    its full table when |Q|^2 is small; otherwise the identity law on both
+    sides of every element, then closure and associativity on ASSOC_SAMPLES
+    triples, drawn from ``random.Random(1)`` in one ``choices`` call."""
     try:
         Q = q_group(params)
     except KeyError:  # a product of Q' leaves Q'
@@ -224,15 +255,13 @@ def q_group_check(params: HeisParams) -> bool:
                 return False
     idx = {x: i for i, x in enumerate(els)}
     if n * n > 300_000:
-        rng = random.Random(1)
-        for _ in range(ASSOC_SAMPLES):
-            x, y, z = (els[rng.randrange(n)] for _ in range(3))
-            xy = Q.mul(x, y)
-            if xy not in idx:
-                return False
-            if Q.mul(xy, z) != Q.mul(x, Q.mul(y, z)):
-                return False
-            if Q.mul(x, Q.identity()) != x:
+        qmul, e = Q.mul, Q.identity()
+        if any(qmul(x, e) != x or qmul(e, x) != x for x in els):
+            return False
+        draw = iter(random.Random(1).choices(els, k=3 * ASSOC_SAMPLES))
+        for x, y, z in zip(draw, draw, draw):
+            xy = qmul(x, y)
+            if xy not in idx or qmul(xy, z) != qmul(x, qmul(y, z)):
                 return False
         return True
     # closure is implied by a total multiplication table
@@ -320,18 +349,17 @@ class QPrimeTable:
         return basis, span
 
     def linear_characters(self):
+        """(b, c) -> zeta^(w . coord(b)) for each weight vector w in F_p^dim;
+        every value is one of the p roots zeta^t, built once and shared."""
         basis, span = self.b_basis()
         dim = len(basis)
         p = self.p
+        roots = [Cyclo.zeta_pow(p, t) for t in range(p)]
         chars = []
         for code in range(p**dim):
             ws = p_digits(code, p, dim)
-            vals = []
-            for (b, _c) in self.elements:
-                coord = span[b]
-                t = sum(w * x for w, x in zip(ws, coord)) % p
-                vals.append(Cyclo.zeta_pow(p, t))
-            chars.append(("linear", tuple(ws), vals))
+            at = {b: roots[sum(map(mul, ws, coord)) % p] for b, coord in span.items()}
+            chars.append(("linear", tuple(ws), [at[b] for b, _c in self.elements]))
         return chars
 
     # -- the big characters --------------------------------------------------

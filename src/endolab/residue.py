@@ -157,7 +157,7 @@ class GF:
         x = g
         while x != one:
             exp.append(x)
-            x = _mul_mod(x, g, modulus, p)
+            x = _mul_mod(g, x, modulus, p)  # g first: its zero digits are skipped
         self._exp = exp = [sum(c * p**i for i, c in enumerate(x)) for x in exp]
         self.gen = exp[1]
         self._log = [None] * self.q

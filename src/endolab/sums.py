@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, wraps
 
-from .errors import CapExceeded, WrongField, ZeroPoint
+from .errors import CapExceeded, InvalidParams, WrongField, ZeroPoint
 from .residue import FFElem, FiniteField, MultCharacter, make_field, quad_extension
 
 BRUTE_Q_CAP = 13
@@ -293,9 +293,16 @@ def sp_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     return KloostermanSpec(fld, weights, chis, name=f"{tag}(n={n})")
 
 
+def _refuse_rank_1(name: str, n: int):
+    """The even-orthogonal weights (1, 2, .., 2, 1, ..) start at rank 2."""
+    if n < 2:
+        raise InvalidParams(f"{name} at n = {n}: so_spl and so_ur start at rank 2")
+
+
 @_one_per_field
 def so_split_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     """(n+2)-variable sum with weights (1,2,..,2,1,1,1)."""
+    _refuse_rank_1("so_split_spec", n)
     triv = fld.trivial_char()
     w0 = fld.omega0()
     weights = (1,) + (2,) * (n - 2) + (1, 1, 1)
@@ -312,6 +319,7 @@ def so_unramified_spec(
     fld: FiniteField, n: int, twisted: bool = False
 ) -> KloostermanSpec:
     """n plain variables with weights (1,2,..,2,1) plus one norm variable."""
+    _refuse_rank_1("so_unramified_spec", n)
     triv = fld.trivial_char()
     weights = (1,) + (2,) * (n - 2) + (1,)
     chis = (triv,) * n

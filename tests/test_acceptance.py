@@ -112,7 +112,7 @@ def test_criterion_09_heisenberg():
         cases=((3, 1), (5, 1), (3, 2)),
     )
     assert ok
-    assert elapsed < 10
+    assert elapsed < 5
 
 
 def test_criterion_10_conductors():

@@ -111,6 +111,20 @@ def test_params_validation():
             SSCParams(GroupId(kind, 2), 1, zeta=-1)
 
 
+def test_params_store_signs_as_ints():
+    """A float, complex or bool sign is stored as its int twin, so parameters
+    that compare equal also have equal reprs."""
+    gl = GroupId(GroupKind.TWISTED_GL, 2)
+    zeta = SSCParams(gl, 1, zeta=-1.0).zeta
+    assert type(zeta) is int and zeta == -1
+    xi = SSCParams(GroupId(GroupKind.SO_SPL, 2), 1, xi=True).xi
+    assert type(xi) is int and xi == 1
+    kappa = SSCParams(GroupId(GroupKind.SP, 2), 1, kappa=1.0).kappa
+    assert type(kappa) is int and kappa == 1
+    for zeta in (-1.0, -1 + 0j):
+        assert repr(SSCParams(gl, 1, zeta=zeta)) == repr(SSCParams(gl, 1, zeta=-1))
+
+
 # the inducing character ------------------------------------------------------
 
 

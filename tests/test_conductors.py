@@ -5,6 +5,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -194,6 +195,42 @@ def test_q_group_orders():
     assert len(Q.c_set[Q.F.zero]) == 3
 
 
+def _beta_by_field_calls(Q, b1, b2):
+    """sum((b1^{p^e} b2)^{p^i}, i < e) by F.mul, F.pow and F.add calls."""
+    F, p, e = Q.F, Q.params.p, Q.params.e
+    w = F.mul(F.pow(b1, p**e), b2)
+    return reduce(F.add, [F.pow(w, p**i) for i in range(e)])
+
+
+def _product_by_field_calls(Q, x, y):
+    """(a1 a2, b1 + a1 b2, c1 + c2 + beta(b1, a1 b2)), one field call per
+    operation."""
+    F = Q.F
+    (a1, b1, c1), (a2, b2, c2) = x, y
+    a1b2 = F.mul(a1, b2)
+    beta = _beta_by_field_calls(Q, b1, a1b2)
+    return (F.mul(a1, a2), F.add(b1, a1b2), F.add(F.add(c1, c2), beta))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_q_group_products_are_the_field_formula(p, e):
+    """Q.mul and Q.beta read the field's tables in their own log form; both
+    equal the formula by field calls: products on all of Q x Q at (3, 1) and
+    on 20,000 random pairs otherwise, beta on random pairs of F, zero too."""
+    Q = q_group(HeisParams(p, e))
+    F = Q.F
+    els = list(Q.elements())
+    rng = random.Random(p * 10 + e)
+    if len(els) ** 2 <= 20_000:
+        pairs = [(x, y) for x in els for y in els]
+    else:
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(20_000)]
+    assert all(Q.mul(x, y) == _product_by_field_calls(Q, x, y) for x, y in pairs)
+    codes = [rng.choice((F.zero, rng.randrange(F.q))) for _ in range(4_000)]
+    pairs = list(zip(codes[::2], codes[1::2]))
+    assert all(Q.beta(b1, b2) == _beta_by_field_calls(Q, b1, b2) for b1, b2 in pairs)
+
+
 def test_q_group_axioms_small():
     assert q_group_check(HeisParams(3, 1))
 
@@ -258,6 +295,27 @@ def test_q_group_check_catches_a_broken_beta(monkeypatch, p, e):
     q_group.cache_clear()
     try:
         assert not q_group_check(HeisParams(p, e))
+    finally:
+        q_group.cache_clear()
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_q_group_check_catches_a_broken_left_identity(monkeypatch, p, e):
+    """e * x0 gives another element x1 for one x0 with a != 1, while x0 * e
+    stays x0: the sampled regime sees it through the identity law, which it
+    checks on both sides of every element."""
+    params = HeisParams(p, e)
+    q_group.cache_clear()
+    Q = q_group(params)
+    ident = Q.identity()
+    x0, x1 = [g for g in Q.elements() if g[0] != Q.F.one][:2]
+    mul = QGroup.mul
+    monkeypatch.setattr(
+        QGroup, "mul", lambda self, g, h: x1 if (g, h) == (ident, x0) else mul(self, g, h)
+    )
+    try:
+        assert Q.mul(ident, x0) == x1 and Q.mul(x0, ident) == x0
+        assert not q_group_check(params)
     finally:
         q_group.cache_clear()
 

@@ -90,18 +90,23 @@ def test_gf_generator_is_first_code_of_full_order(p, m, gen):
     F = make_gf(p, m)
     one = [1] + [0] * (m - 1)
 
-    def walk_length(code):
-        # the multiplicative order of code, by walking its powers back to one
+    def walk(code):
+        # the powers code^0, code^1, ... up to the first return to one
         g = [code // p**i % p for i in range(m)]
-        x, n = g, 1
+        powers, x = [one], g
         while x != one:
+            powers.append(x)
             x = _digits_mul(x, g, F.modulus, p)
-            n += 1
-        return n
+        return powers
 
+    powers = walk(F.gen)
     assert F.gen == gen
-    assert walk_length(F.gen) == F.q - 1
-    assert all(walk_length(code) < F.q - 1 for code in range(1, F.gen))
+    assert len(powers) == F.q - 1
+    assert all(len(walk(code)) < F.q - 1 for code in range(1, F.gen))
+    # the exp table is that walk, coded, and the log table inverts it
+    assert F._exp == [sum(c * p**i for i, c in enumerate(x)) for x in powers]
+    assert F._log[0] is None
+    assert [F._log[c] for c in F._exp] == list(range(F.q - 1))
 
 
 @pytest.mark.parametrize("f", [1, 2])

@@ -3,7 +3,14 @@ import cmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endolab.errors import CapExceeded, HypothesisFailed, WrongField, ZeroPoint
+from endolab.errors import (
+    CapExceeded,
+    EndolabError,
+    HypothesisFailed,
+    InvalidParams,
+    WrongField,
+    ZeroPoint,
+)
 from endolab import sums
 from endolab.characters import zeta_unit
 from endolab.groups import GroupKind
@@ -21,6 +28,7 @@ from endolab.sums import (
     kloosterman_eval_direct,
     kloosterman_table,
     sp_spec,
+    so_split_spec,
     so_unramified_spec,
 )
 
@@ -282,6 +290,19 @@ def test_specs_refuse_a_character_of_another_field():
             KloostermanSpec(other, (1,), (chi,))
         with pytest.raises(WrongField):
             KloostermanSpec(other, (), (), (1,), (chi,))
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("build", [so_split_spec, so_unramified_spec])
+def test_even_orthogonal_specs_refuse_rank_1(build, twisted):
+    """so_spl and so_ur start at rank 2: at n = 1 (and below) the builders
+    raise InvalidParams, a library error, on the cached field and any other."""
+    for fld in (make_field(5), FiniteField(5)):
+        for n in (1, 0):
+            with pytest.raises(InvalidParams, match="rank 2") as info:
+                build(fld, n, twisted=twisted)
+            assert isinstance(info.value, EndolabError)
+    build(make_field(5), 2, twisted=twisted)  # rank 2 builds
 
 
 # the walks over field elements that the per-field tables replaced
