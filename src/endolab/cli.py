@@ -7,21 +7,22 @@ option's domain is a usage error: ``--p`` and a prime field's ``--q`` are odd
 primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
 ``--xi``, ``--kappa`` and ``--zeta`` take their two values, and ``--u``,
 ``--a``, ``--u0`` are units mod the characteristic.  ``char eval`` takes
-``--xi -1`` only on the kinds with xi (all but gl_theta), ``--kappa 1`` only
-on the kinds with kappa (sp, so_spl, so_ur) and ``--zeta`` only on the kinds
-with zeta (gl_theta, so_spl, so_ur), as a sign against ``characters.zeta_unit``.
-``char``, ``transfer`` and ``ecr`` refuse ``--n 1`` on so_spl, so_ur, their
-pairs and ``--case soeven``, as does ``char verify`` without ``--group``.
-``--nprime``, ``--jobs``, ``tower hilbert``'s ``--sub`` and the ``--e`` of
-``tower val``, ``tower hilbert``, ``tower herbrand`` and ``conductor compute``
-are positive, ``--coeffs``, ``--x`` and ``--y`` list ``--e`` integers, and
-``conductor compute``'s ``--nprime`` is an even divisor of p - 1.  Each
-subcommand takes only the report flags its handler reads.  They (but
-``--timings``) and ``--precision`` fall back to ``ENDOLAB_`` environment
-variables, checked by the flag's own type and choices: a value outside them
-is a usage error of every command.  The suites time every row; the report
-zeroes each row's ``elapsed`` unless ``--timings`` is given, so it is
-deterministic for a fixed seed.
+``--zeta`` only on the kinds with zeta (gl_theta, so_spl, so_ur), as a sign
+against ``characters.zeta_unit``.  ``--nprime``, ``--jobs``, ``tower
+hilbert``'s ``--sub`` and the ``--e`` of ``tower val``, ``tower hilbert``,
+``tower herbrand`` and ``conductor compute`` are positive, and ``conductor
+compute``'s ``--nprime`` is an even divisor of p - 1.  The library's
+``InvalidParams`` is a usage error too, as each one the CLI can reach is
+raised on a value built from flags: ``SSCParams`` refuses ``--xi -1`` and
+``--kappa 1`` on a kind without them, a group refuses a rank below its floor
+(``groups.rank_floor``: ``--n 1`` on so_spl, so_ur, their pairs and ``--case
+soeven``), and the tower refuses ``--coeffs``, ``--x`` and ``--y`` unless
+they list ``--e`` integers.  Each subcommand takes only the report flags its
+handler reads.  They (but ``--timings``) and ``--precision`` fall back to
+``ENDOLAB_`` environment variables, checked by the flag's own type and
+choices: a value outside them is a usage error of every command.  The suites
+time every row; the report zeroes each row's ``elapsed`` unless
+``--timings`` is given, so it is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ import sys
 from .errors import (
     CapExceeded,
     EndolabError,
+    InvalidParams,
     NotPrime,
     PrecisionExhausted,
     UnsupportedDegree,
 )
 from . import suites
 from .characters import (
-    KAPPA_KINDS,
-    XI_KINDS,
     ZETA_KINDS,
     SSCParams,
     char_brute_force,
@@ -52,7 +52,7 @@ from .characters import (
     family_element,
 )
 from .conductors import ramification_stages, swan_artin_gamma
-from .endoscopy import PAIR_GROUP, Pair, pair_variants, transfer_factor
+from .endoscopy import Pair, pair_variants, transfer_factor
 from .families import FAMILY_VARIANTS, get_tower
 from .groups import GroupKind, simple_affine_components
 from .linalg import val_p
@@ -123,12 +123,6 @@ def _check_units(args):
     for name in units:
         if getattr(args, name) % p == 0:
             raise UsageError(f"--{name} {getattr(args, name)} is not a unit mod {p}")
-
-
-def _check_rank(n, kinds):
-    """so_spl and so_ur start at rank 2: their spec weights (1, 2, .., 2, 1, ..) need it."""
-    if n == 1 and {GroupKind.SO_SPL, GroupKind.SO_UR} & set(kinds):
-        raise UsageError("--n 1 is below rank 2, where so_spl and so_ur start")
 
 
 def _check_variant(value, choices, flag):
@@ -338,15 +332,13 @@ def matrix_json(g):
 # command handlers --------------------------------------------------------------
 
 
-def _parse_coeffs(raw, e, flag):
-    """The e integer coefficients that ``flag`` lists, constant first."""
+def _parse_coeffs(raw, flag):
+    """The integers that ``flag`` lists, constant first; the tower's
+    ``from_coeffs`` refuses a count other than --e."""
     try:
-        coeffs = [int(x) for x in raw.split(",")]
+        return [int(x) for x in raw.split(",")]
     except ValueError:
         raise UsageError(f"{flag} is a comma list of integers") from None
-    if len(coeffs) != e:
-        raise UsageError(f"{flag} takes --e {e} coefficients, not {len(coeffs)}")
-    return coeffs
 
 
 def cmd_sums(args):
@@ -378,7 +370,7 @@ def cmd_tower(args):
         )
         return 0
     if args.sub == "val":
-        coeffs = _parse_coeffs(args.coeffs, args.e, "--coeffs")
+        coeffs = _parse_coeffs(args.coeffs, "--coeffs")
         x = get_tower(args.p, args.e, args.u0, args.precision).from_coeffs(coeffs)
         _emit_obj(
             {
@@ -388,8 +380,8 @@ def cmd_tower(args):
             args,
         )
         return 0
-    xs = _parse_coeffs(args.x, args.e, "--x")
-    ys = _parse_coeffs(args.y, args.e, "--y")
+    xs = _parse_coeffs(args.x, "--x")
+    ys = _parse_coeffs(args.y, "--y")
     tower = get_tower(args.p, args.e, args.u0, args.precision)
     x, y = tower.from_coeffs(xs), tower.from_coeffs(ys)
     _emit_obj({"symbol": tame_hilbert(x, y, sub=args.sub)}, args)
@@ -420,13 +412,8 @@ def cmd_char(args):
     if args.sub == "eval":
         kind = GroupKind(args.group)
         _check_variant(args.variant, FAMILY_VARIANTS[kind], f"--variant for --group {args.group}")
-        if args.xi == -1 and kind not in XI_KINDS:
-            raise UsageError(f"--group {args.group} has no --xi -1")
-        if args.kappa and kind not in KAPPA_KINDS:
-            raise UsageError(f"--group {args.group} has no --kappa 1")
         if args.zeta is not None and kind not in ZETA_KINDS:
             raise UsageError(f"--group {args.group} has no --zeta")
-        _check_rank(args.n, (kind,))
         el = family_element(kind, args.n, args.q, args.u, args.variant)
         params = SSCParams(el.group, args.a, args.xi, args.kappa, args.zeta or 1)
         desc = describe(el)
@@ -443,7 +430,6 @@ def cmd_char(args):
         )
         return 0 if abs(bf - cf) <= args.tol else 1
     kind = GroupKind(args.group) if args.group else None
-    _check_rank(args.n, (kind,) if kind else FAMILY_VARIANTS)
     rows = suites.char_oracle_suite(
         seed=args.seed, tol=args.tol, **_grid(ns=args.n, qs=args.q, kinds=kind)
     )
@@ -453,7 +439,6 @@ def cmd_char(args):
 def cmd_transfer(args):
     pair = Pair(args.pair)
     _check_variant(args.variant, pair_variants(pair), f"--variant for --pair {args.pair}")
-    _check_rank(args.n, (PAIR_GROUP[pair],))
     tv = transfer_factor(pair, args.p, args.n, args.u, args.variant)
     k = make_field(args.p)
     val = tv.evaluate(k)
@@ -474,7 +459,6 @@ def cmd_transfer(args):
 
 def cmd_ecr(args):
     case = {"ram": "ecr_ram", "gl": "ecr_gl", "soeven": "ecr_soeven"}[args.case]
-    _check_rank(args.n, (GroupKind.SO_SPL, GroupKind.SO_UR) if args.case == "soeven" else ())
     return _verdict(suites.SUITES[case](**_grid(ns=args.n, qs=args.q)), args)
 
 
@@ -530,7 +514,7 @@ def run(argv=None) -> int:
         return HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse's usage errors and --help
         return exc.code if exc.code is not None else 2
-    except UsageError as exc:
+    except (UsageError, InvalidParams) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, PrecisionExhausted, UnsupportedDegree) as exc:

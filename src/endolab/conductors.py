@@ -233,9 +233,11 @@ def q_group(params: HeisParams) -> QGroup:
 def q_group_check(params: HeisParams) -> bool:
     """Q' exhaustively on its table: closure (the table exists), inverses
     and a c-part central in it.  Q: identity, inverses and associativity on
-    its full table when |Q|^2 is small; otherwise the identity law on both
-    sides of every element, then closure and associativity on ASSOC_SAMPLES
-    triples, drawn from ``random.Random(1)`` in one ``choices`` call."""
+    its full table when |Q|^2 is small; otherwise x e = x = e x and
+    x x^-1 = e = x^-1 x at every x, with (a, b, c)^-1 = (a^-1, -a^-1 b,
+    beta(b, b) - c) as beta is biadditive and a-invariant, then closure and
+    associativity on ASSOC_SAMPLES triples from one ``random.Random(1)``
+    ``choices`` call, the only reader of any other product."""
     try:
         Q = q_group(params)
     except KeyError:  # a product of Q' leaves Q'
@@ -256,8 +258,12 @@ def q_group_check(params: HeisParams) -> bool:
     idx = {x: i for i, x in enumerate(els)}
     if n * n > 300_000:
         qmul, e = Q.mul, Q.identity()
-        if any(qmul(x, e) != x or qmul(e, x) != x for x in els):
-            return False
+        for x in els:
+            a, b, c = x
+            a_inv = F.pow(a, -1)
+            x_inv = (a_inv, F.neg(F.mul(a_inv, b)), F.sub(Q.beta(b, b), c))
+            if x != qmul(x, e) or x != qmul(e, x) or e != qmul(x, x_inv) or e != qmul(x_inv, x):
+                return False
         draw = iter(random.Random(1).choices(els, k=3 * ASSOC_SAMPLES))
         for x, y, z in zip(draw, draw, draw):
             xy = qmul(x, y)

@@ -288,8 +288,6 @@ def delta4(pair: Pair, n: int, variant: str = "plus") -> TransferValue:
 
 def transfer_factor(pair: Pair, p: int, n: int, u: int, variant: str = "plus") -> TransferValue:
     """Delta = Delta^IV * Delta_IV * epsilon at the family pair."""
-    if pair is Pair.GL_ODD_SP:
-        return TransferValue()
     s = delta_iv_walds(pair, p, n, u, variant)
     return TransferValue(sign=s) * delta4(pair, n, variant) * epsilon_factor(pair)
 

@@ -45,6 +45,12 @@ class GroupKind(enum.Enum):
     SO_UR = "so_ur"
 
 
+def rank_floor(kind: GroupKind) -> int:
+    """The least rank: 2 on so_spl and so_ur (SO_{2n+2}), whose Kloosterman
+    weights (1, 2, .., 2, 1, ..) start there, and 1 on the other kinds."""
+    return 2 if kind in (GroupKind.SO_SPL, GroupKind.SO_UR) else 1
+
+
 class Level(enum.IntEnum):
     OUTSIDE = 0
     I = 1
@@ -65,6 +71,11 @@ class GroupId:
     kind: GroupKind
     n: int
     nu_mu: int = 0
+
+    def __post_init__(self):
+        floor = rank_floor(self.kind)
+        if self.n < floor:
+            raise InvalidParams(f"{self.kind.value} starts at rank {floor}, not n = {self.n}")
 
     @property
     def size(self):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import (
     DivisionByNonUnitBeyondPrecision,
     IndistinguishableFromZero,
+    InvalidParams,
     NonMonotone,
     PrecisionExhausted,
     RootOfUnityUnavailable,
@@ -83,7 +84,7 @@ class TowerSpec:
             if not isinstance(c, int):
                 raise TypeError(f"bad coefficient {c!r}")
         if len(coeffs) != self.e:
-            raise ValueError(f"need exactly {self.e} coefficients")
+            raise InvalidParams(f"need exactly {self.e} coefficients, not {len(coeffs)}")
         return _make(self, 0, [c % self.store for c in coeffs], self.rprec_cap)
 
     def phi(self, k=1):

@@ -9,7 +9,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import product
 
 from .conductors import (
@@ -171,16 +171,18 @@ def exp_sums_suite(qs=(3, 5, 7, 9, 11, 13), tol=TOL):
 # 2 -------------------------------------------------------------------------
 
 
-def _params_grid(group: GroupId, q: int):
+@lru_cache(maxsize=None)
+def _params_grid(group: GroupId, q: int) -> tuple:
     """The character parameters at F_q: a over the units, slowest, then xi,
-    kappa and zeta, each over its values on the kind (the ``*_KINDS`` sets)."""
-    return [
+    kappa and zeta, each over its values on the kind (the ``*_KINDS`` sets).
+    Built once per (group, q), both frozen, so the cache is keyed by value."""
+    return tuple(
         SSCParams(group, a, xi, kappa, zeta)
         for a in range(1, field_for(q).p)
         for xi in ((1, -1) if group.kind in XI_KINDS else (1,))
         for kappa in ((0, 1) if group.kind in KAPPA_KINDS else (0,))
         for zeta in ((1, -1) if group.kind in ZETA_KINDS else (1,))
-    ]
+    )
 
 
 @_suite

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, wraps
 
 from .errors import CapExceeded, InvalidParams, WrongField, ZeroPoint
+from .groups import GroupId, GroupKind, rank_floor
 from .residue import FFElem, FiniteField, MultCharacter, make_field, quad_extension
 
 BRUTE_Q_CAP = 13
@@ -52,11 +53,11 @@ class KloostermanSpec:
 
     def __post_init__(self):
         if len(self.weights) != len(self.chis):
-            raise ValueError("one character per plain variable required")
+            raise InvalidParams("one character per plain variable required")
         if len(self.norm_weights) != len(self.etas):
-            raise ValueError("one character per norm variable required")
+            raise InvalidParams("one character per norm variable required")
         if any(k < 1 for k in self.weights + self.norm_weights):
-            raise ValueError("weights must be positive")
+            raise InvalidParams("weights must be positive")
         # the tables read characters by index, so a character of another
         # field is refused here rather than read at the wrong roots
         for chi in self.chis + self.etas:
@@ -293,16 +294,10 @@ def sp_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     return KloostermanSpec(fld, weights, chis, name=f"{tag}(n={n})")
 
 
-def _refuse_rank_1(name: str, n: int):
-    """The even-orthogonal weights (1, 2, .., 2, 1, ..) start at rank 2."""
-    if n < 2:
-        raise InvalidParams(f"{name} at n = {n}: so_spl and so_ur start at rank 2")
-
-
 @_one_per_field
 def so_split_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     """(n+2)-variable sum with weights (1,2,..,2,1,1,1)."""
-    _refuse_rank_1("so_split_spec", n)
+    GroupId(GroupKind.SO_SPL, n)  # refuses a rank below the floor
     triv = fld.trivial_char()
     w0 = fld.omega0()
     weights = (1,) + (2,) * (n - 2) + (1, 1, 1)
@@ -319,7 +314,7 @@ def so_unramified_spec(
     fld: FiniteField, n: int, twisted: bool = False
 ) -> KloostermanSpec:
     """n plain variables with weights (1,2,..,2,1) plus one norm variable."""
-    _refuse_rank_1("so_unramified_spec", n)
+    GroupId(GroupKind.SO_UR, n)  # refuses a rank below the floor
     triv = fld.trivial_char()
     weights = (1,) + (2,) * (n - 2) + (1,)
     chis = (triv,) * n
@@ -335,7 +330,7 @@ def catalog(fld: FiniteField, ns=(2, 3)):
     for n in ns:
         out.append(sp_spec(fld, n))
         out.append(sp_spec(fld, n, twisted=True))
-        if n >= 2:  # the even-orthogonal specs need n >= 2; `sums eval --n` may be 1
+        if n >= rank_floor(GroupKind.SO_SPL):  # so_ur's too; `sums eval --n` may be below
             out.append(so_split_spec(fld, n))
             out.append(so_split_spec(fld, n, twisted=True))
             out.append(so_unramified_spec(fld, n))

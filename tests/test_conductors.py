@@ -320,6 +320,29 @@ def test_q_group_check_catches_a_broken_left_identity(monkeypatch, p, e):
         q_group.cache_clear()
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_q_group_check_catches_a_broken_inverse(monkeypatch, p, e):
+    """x0 * y gives x0 instead of e, for the first x0 with a != 1 and x0^2 !=
+    e, and y its inverse (found by search, not by the closed form), while
+    y * x0 stays e: the sampled regime sees it through the inverse law, which
+    it checks on both sides of every element."""
+    params = HeisParams(p, e)
+    q_group.cache_clear()
+    Q = q_group(params)
+    ident = Q.identity()
+    x0 = next(g for g in Q.elements() if g[0] != Q.F.one and Q.mul(g, g) != ident)
+    y = next(g for g in Q.elements() if Q.mul(x0, g) == ident)
+    mul = QGroup.mul
+    monkeypatch.setattr(
+        QGroup, "mul", lambda self, g, h: x0 if (g, h) == (x0, y) else mul(self, g, h)
+    )
+    try:
+        assert Q.mul(x0, y) == x0 and Q.mul(y, x0) == ident
+        assert not q_group_check(params)
+    finally:
+        q_group.cache_clear()
+
+
 def test_q_group_check_catches_one_swapped_table_entry(monkeypatch):
     """Two products of one row of Q's table swapped: the row is still a
     permutation and the identity's row and column are intact, so only the

@@ -181,6 +181,24 @@ def test_odd_pair_is_trivial():
         delta_iv_walds(Pair.GL_ODD_SP, 5, 2, 1, "minus")
 
 
+@pytest.mark.parametrize("variant", ["minus", "bogus"])
+def test_transfer_factor_checks_the_variant_on_every_pair(variant):
+    """The odd pair's one variant is plus: the transfer factor refuses any
+    other, as delta_iv_walds does, instead of returning the trivial value."""
+    with pytest.raises(InvalidU):
+        transfer_factor(Pair.GL_ODD_SP, 5, 2, 1, variant)
+    assert transfer_factor(Pair.GL_ODD_SP, 5, 2, 1, "plus") == TransferValue()
+
+
+@pytest.mark.parametrize("pair", [Pair.SOSPL_H, Pair.SOUR_H])
+def test_even_orthogonal_transfer_refuses_rank_1(pair):
+    """so_spl and so_ur start at rank 2, and so do their pairs: at n = 1 the
+    transfer factor is refused on every variant, not evaluated."""
+    for variant in pair_variants(pair):
+        with pytest.raises(InvalidParams, match="rank 2"):
+            transfer_factor(pair, 5, 1, 1, variant)
+
+
 def test_delta_iv_builds_only_the_product_it_reads(monkeypatch):
     signs = []
 

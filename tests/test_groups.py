@@ -5,7 +5,7 @@ import pytest
 
 from endolab import characters, groups, suites
 from endolab.characters import family_element, random_affine_generic
-from endolab.errors import HypothesisFailed, NotAffineGeneric, PrecisionExhausted
+from endolab.errors import HypothesisFailed, InvalidParams, NotAffineGeneric, PrecisionExhausted
 from endolab.families import (
     FAMILY_VARIANTS,
     family_matrix,
@@ -275,8 +275,20 @@ def _assert_cached_int_grid(get, expect):
 
 
 @pytest.mark.parametrize("kind", list(GroupKind))
+def test_group_id_refuses_a_rank_below_its_floor(kind):
+    """so_spl and so_ur (SO_{2n+2}) start at rank 2, every other kind at 1:
+    GroupId refuses any rank below that, naming the floor, and builds at it."""
+    floor = 2 if kind in (GroupKind.SO_SPL, GroupKind.SO_UR) else 1
+    assert groups.rank_floor(kind) == floor
+    for n in (floor - 1, 0, -1):
+        with pytest.raises(InvalidParams, match=f"{kind.value} starts at rank {floor}"):
+            GroupId(kind, n)
+    assert GroupId(kind, floor).size > 0
+
+
+@pytest.mark.parametrize("kind", list(GroupKind))
 def test_iwahori_masks_match_ceil_rule(kind):
-    for n in range(1, 5):
+    for n in range(groups.rank_floor(kind), 5):
         gid = GroupId(kind, n)
         h = gid.coxeter
         for level in (Fraction(0), Fraction(1, h), Fraction(2, h)):

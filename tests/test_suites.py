@@ -264,12 +264,14 @@ def _reference_params_grid(group: GroupId, q: int):
 @pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
 def test_params_grid_is_the_kind_by_kind_grid(kind):
     """Same tuples in the same order, the types of xi, kappa and zeta
-    included (repr tells 1 from 1.0)."""
+    included (repr tells 1 from 1.0), built once per (group, q): an equal
+    group built anew gets the same tuple object back."""
     for n in (2, 3):
         for q in (3, 5, 7, 11, 13):
             for nu in (0, 1) if kind is GroupKind.SO_RAM else (0,):
                 group = GroupId(kind, n, nu)
                 grid = suites._params_grid(group, q)
-                reference = _reference_params_grid(group, q)
+                reference = tuple(_reference_params_grid(group, q))
                 assert grid == reference
                 assert repr(grid) == repr(reference), (kind.value, n, q)
+                assert suites._params_grid(GroupId(kind, n, nu), q) is grid
