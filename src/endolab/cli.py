@@ -10,19 +10,20 @@ primes, ``sums``' ``--q`` is an odd prime or its square, ``--n`` is positive,
 ``--zeta`` only on the kinds with zeta (gl_theta, so_spl, so_ur), as a sign
 against ``characters.zeta_unit``.  ``--nprime``, ``--jobs``, ``tower
 hilbert``'s ``--sub`` and the ``--e`` of ``tower val``, ``tower hilbert``,
-``tower herbrand`` and ``conductor compute`` are positive, and ``conductor
-compute``'s ``--nprime`` is an even divisor of p - 1.  The library's
+``tower herbrand`` and ``conductor compute`` are positive.  The library's
 ``InvalidParams`` is a usage error too, as each one the CLI can reach is
 raised on a value built from flags: ``SSCParams`` refuses ``--xi -1`` and
 ``--kappa 1`` on a kind without them, a group refuses a rank below its floor
 (``groups.rank_floor``: ``--n 1`` on so_spl, so_ur, their pairs and ``--case
-soeven``), and the tower refuses ``--coeffs``, ``--x`` and ``--y`` unless
-they list ``--e`` integers.  Each subcommand takes only the report flags its
-handler reads.  They (but ``--timings``) and ``--precision`` fall back to
-``ENDOLAB_`` environment variables, checked by the flag's own type and
-choices: a value outside them is a usage error of every command.  The suites
-time every row; the report zeroes each row's ``elapsed`` unless
-``--timings`` is given, so it is deterministic for a fixed seed.
+soeven``, also where ``char verify``'s default grid reaches it), the tower
+refuses ``--coeffs``, ``--x`` and ``--y`` unless they list ``--e`` integers,
+and the conductor refuses a ``--nprime`` that is not an even divisor of
+p - 1.  Each subcommand takes only the report flags its handler reads.  They
+(but ``--timings``) and ``--precision`` fall back to ``ENDOLAB_`` environment
+variables, checked by the flag's own type and choices: a value outside them
+is a usage error of every command.  The suites time every row; the report
+zeroes each row's ``elapsed`` unless ``--timings`` is given, so it is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -463,8 +464,6 @@ def cmd_ecr(args):
 
 
 def cmd_conductor(args):
-    if args.nprime % 2 or (args.p - 1) % args.nprime:
-        raise UsageError(f"--nprime {args.nprime} is not an even divisor of p - 1 = {args.p - 1}")
     r = swan_artin_gamma(args.p, args.e, args.nprime)
     _emit_obj(
         {

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from operator import mul
 from types import MappingProxyType
 
-from .errors import CapExceeded, IncompatibleParams
+from .errors import CapExceeded, IncompatibleParams, InvalidParams
 from .padic import PLFunc, herbrand_compose
 from .residue import is_prime, make_field, make_gf, p_digits
 
@@ -664,12 +664,18 @@ def ramification_stages(p: int, e: int, nprime: int):
     return [tame, middle, top]
 
 
+def _check_tame_index(p: int, nprime: int):
+    """The tame index of 2n = p^e * nprime: even, as p is odd, and a divisor
+    of p - 1, so that F_p holds the central characters' roots of unity."""
+    if nprime <= 0 or nprime % 2 or (p - 1) % nprime:
+        raise InvalidParams(f"nprime {nprime} is not an even divisor of p - 1 = {p - 1}")
+
+
 @lru_cache(maxsize=None)
 def ramification_jumps(p: int, e: int, nprime: int) -> FiltSpec:
     """Compose the three Herbrand stages and read off the group orders (cached:
     the conductor suite reads it for its row and again in swan_artin_gamma)."""
-    if (p - 1) % nprime != 0:
-        raise IncompatibleParams("nprime must divide p - 1")
+    _check_tame_index(p, nprime)
     comp = herbrand_compose(ramification_stages(p, e, nprime))
     total = nprime * p ** (2 * e + 1) * (p**e + 1)
     orders = [total]
@@ -698,8 +704,7 @@ def ad_phi_restriction(p: int, e: int, nprime: int):
     central-character orbit of the direct summands and the big-character
     count M of their exterior square, after checking the exterior square's
     decomposition and the det twist's central character."""
-    if (p - 1) % nprime != 0 or nprime % 2 != 0:
-        raise IncompatibleParams("need an even nprime dividing p - 1")
+    _check_tame_index(p, nprime)
     two_n = p**e * nprime
     T = qprime_char_table(p, e)
     zeta = pow(make_field(p).gen.a, (p - 1) // nprime, p)

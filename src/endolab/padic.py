@@ -3,8 +3,10 @@ Herbrand functions.
 
 A tower is O = Z_p[phi]/(phi^e - p*u0); elements are kept in capped-relative
 form phi^shift * unit with a unit part of tracked relative precision (in
-phi-digits) whose coefficients are ints mod p^(prec + margin).  Operations
-fail loudly when precision runs out instead of guessing digits.
+phi-digits) whose coefficients are ints mod p^(prec + margin), the store.
+Operations fail loudly when precision runs out instead of guessing digits.
+Inverses and quotients are exact mod the store: each is one linear solve of
+u * x = r on every stored digit, not an iteration stopped at a precision.
 
 Wildly ramified stages never get element arithmetic here; they enter only
 through their piecewise-linear Herbrand data (PLFunc).
@@ -12,6 +14,7 @@ through their piecewise-linear Herbrand data (PLFunc).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -129,11 +132,36 @@ def _poly_mul(tower, a, b):
     e = tower.e
     full = [0] * (2 * e)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            full[i + j] += ca * cb
-    return [(full[k] + tower.pu0 * full[k + e]) % tower.store for k in range(e)]
+        if ca:
+            for k, cb in enumerate(b, i):
+                full[k] += ca * cb
+    pu0, store = tower.pu0, tower.store
+    return [(lo + pu0 * hi) % store for lo, hi in zip(full, full[e:])]
+
+
+def _poly_solve(tower, u, r):
+    """The x with u * x = r mod store, for a unit u: Gaussian elimination on
+    the multiplication matrix of u, whose column j is u * phi^j.  Above the
+    diagonal phi^e wraps to p*u0, so mod p the matrix is lower triangular with
+    u[0] on its diagonal, and every pivot stays a unit without a search."""
+    e, store = tower.e, tower.store
+    u = list(u)
+    wrapped = [tower.pu0 * c for c in u]
+    # row k: u[k], ..., u[0], then p*u0 * (u[e-1], ..., u[k+1]), then r[k]
+    rows = [u[k::-1] + wrapped[:k:-1] + [r[k]] for k in range(e)]
+    # scale each pivot row to a 1 on the diagonal and clear the column below
+    # it; only the columns right of the pivot are read again
+    for c in range(e):
+        scale = pow(rows[c][c], -1, store)
+        piv = rows[c][c + 1 :] = [y * scale % store for y in rows[c][c + 1 :]]
+        for row in rows[c + 1 :]:
+            f = row[c]
+            if f:
+                row[c + 1 :] = [(y - f * z) % store for y, z in zip(row[c + 1 :], piv)]
+    x = [0] * e
+    for k in reversed(range(e)):
+        x[k] = (rows[k][e] - sum(map(operator.mul, rows[k][k + 1 : e], x[k + 1 :]))) % store
+    return x
 
 
 def _poly_shift_up(tower, coeffs, t):
@@ -255,25 +283,19 @@ class LocalElem:
     __rmul__ = __mul__
 
     def inv(self):
-        if self.is_zero():
-            raise DivisionByNonUnitBeyondPrecision("inverse of (precision-)zero")
-        t = self.tower
-        one = [1] + [0] * (t.e - 1)
-        x = [pow(self.unit[0], -1, t.store)] + one[1:]
-        # Newton: x <- x*(2 - u*x), quadratic convergence in the phi-adic sense;
-        # once u*x is exactly one, every further step multiplies x by one
-        steps = max(1, (self.rprec).bit_length() + t.e.bit_length())
-        for _ in range(steps):
-            ux = _poly_mul(t, self.unit, x)
-            if ux == one:
-                break
-            corr = [-c for c in ux]
-            corr[0] += 2
-            x = _poly_mul(t, x, corr)
-        return _make(t, -self.shift, x, self.rprec)
+        return self.tower.one() / self
 
     def __truediv__(self, other):
-        return self * self._check(other).inv()
+        """One solve of other's unit against self's: exact mod store, so the
+        same digits as self * other.inv()."""
+        other = self._check(other)
+        if other.is_zero():
+            raise DivisionByNonUnitBeyondPrecision("inverse of (precision-)zero")
+        t = self.tower
+        if self.is_zero():
+            return t.zero(self.shift - other.shift)
+        coeffs = _poly_solve(t, other.unit, self.unit)
+        return _make(t, self.shift - other.shift, coeffs, min(self.rprec, other.rprec))
 
     def __rtruediv__(self, other):
         return self._check(other) * self.inv()

@@ -194,6 +194,9 @@ def char_oracle_suite(
     tol=TOL,
     kinds=tuple(FAMILY_VARIANTS),
 ):
+    for kind in kinds:  # a rank below a kind's floor refuses the grid up front
+        for n in ns:
+            GroupId(kind, n)
     for kind in kinds:
         variants = FAMILY_VARIANTS[kind]
         for n in ns:

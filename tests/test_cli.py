@@ -404,6 +404,16 @@ def test_char_verify_group_builds_only_its_kind(monkeypatch, capsys):
     assert built and set(built) == {GroupKind.SP}
 
 
+def test_char_verify_below_a_floor_builds_no_element(monkeypatch, capsys):
+    """The default grid reaches so_spl and so_ur, which start at rank 2: --n 1
+    is refused before the first element of any kind is built."""
+    built = []
+    monkeypatch.setattr(suites, "family_element", lambda *args: built.append(args))
+    assert run(["char", "verify", "--n", "1", "--q", "3"]) == 2
+    assert "rank 2" in capsys.readouterr().err
+    assert built == []
+
+
 def test_odd_pair_has_no_minus_variant(capsys):
     argv = ["transfer", "eval", "--pair", "gl2n1_sp", "--p", "5", "--n", "2", "--u", "1"]
     assert run(argv + ["--variant", "minus"]) == 2

@@ -26,7 +26,7 @@ from endolab.conductors import (
     swan_of_rep,
     tensor_decompositions,
 )
-from endolab.errors import CapExceeded, IncompatibleParams
+from endolab.errors import CapExceeded, IncompatibleParams, InvalidParams
 from endolab.residue import GF, make_field, make_gf
 
 
@@ -475,7 +475,7 @@ def test_ad_phi_restriction_counts():
     assert len(out["orbit"]) == 2
     out = ad_phi_restriction(5, 1, 4)
     assert out["M"] == 4 * (20 - 5 - 1) // 2 == 28
-    with pytest.raises(IncompatibleParams):
+    with pytest.raises(InvalidParams):
         ad_phi_restriction(5, 1, 3)  # odd nprime
 
 
@@ -484,8 +484,17 @@ def test_ramification_jumps_values():
     assert filt.orders == (216, 27, 3, 3, 3)
     filt = ramification_jumps(5, 1, 4)
     assert filt.orders == (4 * 125 * 6, 125) + (5,) * 5
-    with pytest.raises(IncompatibleParams):
+    with pytest.raises(InvalidParams):
         ramification_jumps(5, 1, 3)
+
+
+@pytest.mark.parametrize("p,nprime", [(5, 3), (7, 3), (7, 4), (5, 0), (5, -2)])
+def test_tame_index_outside_its_domain_is_invalid(p, nprime):
+    """Both conductor routes refuse the same nprime: each one that is not an
+    even divisor of p - 1."""
+    for route in (ramification_jumps, ad_phi_restriction):
+        with pytest.raises(InvalidParams, match="even divisor"):
+            route(p, 1, nprime)
 
 
 def test_swan_per_irreducible():

@@ -123,28 +123,30 @@ def test_products_match_schoolbook_reference(p, e, u0):
 
 
 def _inv_fixed_steps(x):
-    """LocalElem.inv as a fixed number of Newton steps, with no early stop.
-    Returns the inverse and whether u * x became one before the last step."""
+    """x's inverse by a fixed number of Newton steps y <- y*(2 - u*y), with no
+    early stop.  Returns the inverse and whether its steps reached their fixed
+    point: u * y exactly one mod store."""
     t = x.tower
-    y = [pow(x.unit[0], -1, t.store)] + [0] * (t.e - 1)
+    one = [1] + [0] * (t.e - 1)
+    y = [pow(x.unit[0], -1, t.store)] + one[1:]
     steps = max(1, (x.rprec).bit_length() + t.e.bit_length())
-    early = False
-    for k in range(steps):
+    for _ in range(steps):
         corr = [-c for c in padic._poly_mul(t, x.unit, y)]
-        early = early or (k < steps - 1 and corr == [-1] + [0] * (t.e - 1))
         corr[0] += 2
         y = padic._poly_mul(t, y, corr)
-    return padic._make(t, -x.shift, y, x.rprec), early
+    return padic._make(t, -x.shift, y, x.rprec), padic._poly_mul(t, x.unit, y) == one
 
 
 @pytest.mark.parametrize("e", [1, 2, 4, 6])
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_inv_stops_at_the_fixed_point_with_the_same_result(p, e):
+    """inv equals fixed Newton steps within precision, and digit for digit
+    wherever those steps reached their fixed point."""
     import random
 
     rng = random.Random(100 * p + e)
     T = TowerSpec(p, e=e, u0=rng.randrange(1, p), prec=6)
-    early = 0
+    fixed = 0
     for rprec in sorted({1, 2, 3, e + 1, T.rprec_cap // 2, T.rprec_cap}):
         for _ in range(8):
             coeffs = [rng.randrange(1, p)] + [rng.randrange(T.store) for _ in range(e - 1)]
@@ -152,10 +154,13 @@ def test_inv_stops_at_the_fixed_point_with_the_same_result(p, e):
                 coeffs = [rng.randrange(1, p)] + [0] * (e - 1)
             x = padic._make(T, rng.randrange(-3, 4), coeffs, rprec)
             got = x.inv()
-            want, stopped = _inv_fixed_steps(x)
-            early += stopped
-            assert (got.unit, got.shift, got.rprec) == (want.unit, want.shift, want.rprec)
-    assert early > 0
+            want, at_fixed_point = _inv_fixed_steps(x)
+            assert got == want
+            assert (got.shift, got.rprec) == (want.shift, want.rprec)
+            if at_fixed_point:
+                fixed += 1
+                assert got.unit == want.unit
+    assert fixed > 0
 
 
 def _make_general(tower, shift, coeffs, rprec):
@@ -234,6 +239,60 @@ def test_kernel_fast_paths_keep_every_digit(monkeypatch, p, e):
     assert any(x.unit is not None and x.shift > s for x, (s, _, _) in zip(elements, cases))
     assert any(x.unit is None for x in elements)
     assert "DivisionByNonUnitBeyondPrecision" in {d for row in powers for d in row}
+
+
+def _tower_cases(p, e, seed):
+    """A tower over (p, e) and, at every rprec from 1 to its cap, elements
+    with a unit constant term, with one divisible by p, and zero."""
+    import random
+
+    rng = random.Random(seed)
+    T = TowerSpec(p, e=e, u0=rng.randrange(1, p), prec=6)
+
+    def element(kind, rprec):
+        rest = [rng.randrange(T.store) for _ in range(e - 1)]
+        if kind == "unit":
+            coeffs = [rng.randrange(1, p) + p * rng.randrange(T.store // p)] + rest
+        elif kind == "sparse":  # 1 + c * phi^k: most of the matrix is zero
+            coeffs = [1] + [0] * (e - 1)
+            coeffs[rng.randrange(e)] += rng.randrange(1, T.store)
+        elif kind == "p_const":
+            coeffs = [p * rng.randrange(T.store // p)] + rest
+        else:
+            coeffs = [0] * e
+        return padic._make(T, rng.randrange(-3, 4), coeffs, rprec)
+
+    kinds = ("unit", "unit", "sparse", "p_const", "zero")
+    return T, [element(kind, rprec) for rprec in range(1, T.rprec_cap + 1) for kind in kinds]
+
+
+@pytest.mark.parametrize("e", [1, 2, 4, 6])
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_inverse_is_exact_mod_store(p, e):
+    """u * inv(u) is exactly one on every stored digit, at every rprec."""
+    T, xs = _tower_cases(p, e, 2000 * p + e)
+    one = [1] + [0] * (e - 1)
+    units = [x for x in xs if not x.is_zero()]
+    assert {x.rprec for x in units} >= {1, T.rprec_cap}
+    for x in units:
+        assert padic._poly_mul(T, x.unit, x.inv().unit) == one
+
+
+@pytest.mark.parametrize("e", [1, 2, 4, 6])
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_quotient_is_the_product_with_the_inverse(p, e):
+    """a / b has the digits of a * b.inv(), or raises the same error, on units,
+    non-units and zeros on either side."""
+    import random
+
+    T, xs = _tower_cases(p, e, 3000 * p + e)
+    rng = random.Random(p + e)
+    pairs = [(rng.choice(xs), rng.choice(xs)) for _ in range(4 * len(xs))]
+    got = [_digits(lambda: a / b) for a, b in pairs]
+    assert got == [_digits(lambda: a * b.inv()) for a, b in pairs]
+    assert "DivisionByNonUnitBeyondPrecision" in got
+    assert any(d != "DivisionByNonUnitBeyondPrecision" and d[1] is None for d in got)
+    assert sum(d != "DivisionByNonUnitBeyondPrecision" and d[1] is not None for d in got) > len(xs)
 
 
 # tame symbols -----------------------------------------------------------------
