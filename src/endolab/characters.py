@@ -28,7 +28,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product, repeat
 
 from .errors import HypothesisFailed, InvalidParams, NotInIplus, OutOfDomain
@@ -265,6 +265,7 @@ def _roots(k, c):
     return (w.a, (-w).a)
 
 
+@lru_cache(maxsize=None)
 def _norm_one(p: int):
     """The norm-one elements z^(p+1) = 1 of F_{p^2}, as pairs (x, y) for
     z = x + y*sqrt(eps), in ``elements()`` order."""
@@ -382,8 +383,9 @@ def _slot_column(reps, values, coords, residue):
 
 def _standard_histogram(params: SSCParams, element: CharElement):
     """(sign, histogram): the sign of the +-I+ coset and the slot residues of
-    the torus conjugates of the I+ part, each read from its slot's table.  A
-    slot's table runs over the ``torus_ranges`` of the coordinates it reads."""
+    the torus conjugates of the I+ part, each read from its slot's table.  The
+    conjugates run over the product of the ``torus_ranges``, read once, and a
+    slot's table over the ranges of the coordinates it reads."""
     group = params.group
     p = element.matrix.p
     m, mod = _int_rows(element.h_part, 4)
@@ -394,10 +396,10 @@ def _standard_histogram(params: SSCParams, element: CharElement):
         m = [[(-x) % mod for x in row] for row in m]
     elif d0 != 1:
         raise OutOfDomain("element is not in the +-coset of I+")
-    reps = torus_index_set(params, element)
+    values = torus_ranges(params, element)
+    reps = list(product(*values))
     if not reps:
         return sign, {}
-    values = torus_ranges(params, element)
     K = make_field(p, 2)
     N = group.size
     # the torus diagonal is (t_1..t_r, middle, t_r^-1..t_1^-1): the middle is

@@ -28,11 +28,10 @@ from .families import (
     DISC_TABLE,
     FAMILY_VARIANTS,
     WaldsFamilyData,
-    _u_tilde,
     family_eigenvalues,
     family_matrix,
-    family_tower,
     gl_odd_family,
+    so_plane,
     walds_family,
 )
 from .groups import (
@@ -167,15 +166,10 @@ def pol_products(p: int, n: int, u: int, sign: str = "+", direct: bool = False):
         raise InvalidParams(f"sign must be + or -, not {sign!r}")
     data = walds_family(p, n, u)
     t = data.tower
-    one = t.one()
-    phi = t.phi()
     if not direct:
-        return (
-            t.from_int(2)
-            * t.from_int(2 * n)
-            * phi ** (2 * n - 1 if sign == "+" else -1)
-            / ((one - phi) ** (2 * n - 1) * (one + phi))
-        )
+        phi_power = t.phi(2 * n - 1 if sign == "+" else -1)
+        return t.from_int(2) * t.from_int(2 * n) * phi_power * data.pol_den_inv
+    one = t.one()
     y, roots = data.y, family_eigenvalues(p, n, u)
     if sign == "-":
         # the minus polynomial is P(-X) up to sign: y -> -y, roots r -> -r
@@ -196,20 +190,21 @@ def sign_terms(p: int, n: int, u: int, minus: bool) -> tuple:
     linear pair, x -> phi * x, which keeps x / tau(x) = -y."""
     data = walds_family(p, n, u)
     one = data.tower.one()
-    y = -data.y if minus else data.y
+    y, y_inv = (-data.y, -data.y_inv) if minus else (data.y, data.y_inv)
     x = data.tower.phi() * data.x_gl if minus else data.x_gl
-    return -x.inv(), y ** (1 - n), y ** (-n), one + y, (y - one).inv()
+    return -x.inv(), y_inv ** (n - 1), y_inv**n, one + y, (y - one).inv()
 
 
 @lru_cache(maxsize=None)
 def so_factors(kind: GroupKind, p: int, n: int, u: int, variant: str) -> tuple:
     """(dfac, cfac) of the even-orthogonal sign-character argument."""
-    t = family_tower(p, n, u)
+    data = walds_family(p, n, u)
+    t = data.tower
     one, phi, two = t.one(), t.phi(), t.from_int(2)
-    w = t.pi() * t.from_int(_u_tilde(GroupId(kind, n), p, u))
+    w, one_minus_w_inv = so_plane(kind, p, n, u)
     num = one - phi**2 * w if variant == "phi_coset" else phi**2 - w
-    dfac = two**2 * num / ((one - phi) ** 2 * (one - w))
-    cfac = two**2 / (one - w) if variant == "plus" else -(two**2) * w / (one - w)
+    dfac = two**2 * num * data.one_minus_phi_inv**2 * one_minus_w_inv
+    cfac = two**2 * one_minus_w_inv if variant == "plus" else -(two**2) * w * one_minus_w_inv
     return dfac, cfac
 
 

@@ -13,12 +13,14 @@ needed root of unity lies in Q_p.
 
 Each tower datum is computed once per value: y, the eigenvalues, their
 root-pair valuations (once per (p, n, u) for every Sp and SO discriminant),
-the ``walds_family`` constants, the base change Q with its inverse and the
-family matrices are cached under keys of ints, strings and ``GroupId``s, on
-the tower ``get_tower`` returns for the same ints.  Caches hold tower and
-matrix data, never a value read from a tabulated constant (``DISC_TABLE``
-here, the transfer tables of ``endoscopy``), so perturbing a table reaches
-every later call.
+the ``walds_family`` constants, the inverses the transfer and discriminant
+routes multiply by in place of dividing (of d = 2n*pi*u, y, 1 - phi and
+(1 - phi)^(2n-1) (1 + phi) in ``walds_family``, of 1 - w in ``so_plane``),
+the base change Q with its inverse and the family matrices are cached under
+keys of ints, strings and ``GroupId``s, on the tower ``get_tower`` returns
+for the same ints.  Caches hold tower and matrix data, never a value read
+from a tabulated constant (``DISC_TABLE`` here, the transfer tables of
+``endoscopy``), so perturbing a table reaches every later call.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ def nu_of_u(field, n: int, u) -> int:
 
 @dataclass(frozen=True)
 class WaldsFamilyData:
-    """Parametrizing data shared by the matrix families at a given unit u: y
-    and the constants of the transfer-factor formulas, in F[phi_u]."""
+    """Parametrizing data shared by the matrix families at a given unit u: y,
+    the constants of the transfer-factor formulas and the inverses those
+    formulas multiply by, in F[phi_u]."""
 
     p: int
     n: int
@@ -123,15 +126,33 @@ class WaldsFamilyData:
     x_gl: LocalElem
     c_sp: LocalElem
     c_plus: tuple  # by the t invariant, 0 then 1
+    y_inv: LocalElem
+    one_minus_phi_inv: LocalElem
+    pol_den_inv: LocalElem  # of (1 - phi)^(2n-1) (1 + phi)
 
 
 @lru_cache(maxsize=None)
 def walds_family(p: int, n: int, u: int) -> WaldsFamilyData:
     t = family_tower(p, n, u)
-    d = t.from_int(2 * n) * t.pi() * t.from_int(u)
-    x_gl = (t.one() + t.phi()) / (t.phi() * d)
-    c_plus = tuple(t.from_int(sign) / d for sign in ((-1) ** (n + 1), (-1) ** n))
-    return WaldsFamilyData(p, n, u, t, y_element(p, 2 * n, u % p), x_gl, -t.phi() / d, c_plus)
+    one, phi = t.one(), t.phi()
+    # d = 2n * pi * u, inverted once for x_gl, c_sp and c_plus
+    d_inv = (t.from_int(2 * n) * t.pi() * t.from_int(u)).inv()
+    y = y_element(p, 2 * n, u % p)
+    x_gl = (one + phi) * t.phi(-1) * d_inv
+    c_plus = tuple(t.from_int(sign) * d_inv for sign in ((-1) ** (n + 1), (-1) ** n))
+    pol_den = (one - phi) ** (2 * n - 1) * (one + phi)
+    return WaldsFamilyData(
+        p, n, u, t, y, x_gl, -phi * d_inv, c_plus, y.inv(), (one - phi).inv(), pol_den.inv()
+    )
+
+
+@lru_cache(maxsize=None)
+def so_plane(kind: GroupKind, p: int, n: int, u: int) -> tuple:
+    """(w, (1 - w)^-1) in F[phi_u] for w = pi * u~, u~ gluing the
+    2-dimensional factor of the even-orthogonal kind."""
+    t = family_tower(p, n, u)
+    w = t.pi() * t.from_int(_u_tilde(GroupId(kind, n), p, u))
+    return w, (t.one() - w).inv()
 
 
 # family matrices --------------------------------------------------------------
@@ -296,14 +317,15 @@ def _root_pair_val(p: int, n: int, u: int) -> Fraction:
     (t_i t_j)^-1 - 1, the roots +-e_i +- e_j (i < j), summed over the family
     eigenvalues t_1..t_n."""
     t = family_eigenvalues(p, n, u)[:n]
+    t_inv = [x.inv() for x in t]
     one = family_tower(p, n, u).one()
     total = Fraction(0)
     for i in range(n):
         for j in range(i + 1, n):
-            total += (t[i] / t[j] - one).valuation()
-            total += (t[j] / t[i] - one).valuation()
+            total += (t[i] * t_inv[j] - one).valuation()
+            total += (t[j] * t_inv[i] - one).valuation()
             total += (t[i] * t[j] - one).valuation()
-            total += ((t[i] * t[j]).inv() - one).valuation()
+            total += (t_inv[i] * t_inv[j] - one).valuation()
     return total
 
 
@@ -334,21 +356,21 @@ def weyl_disc_val(group: GroupId, p: int, u: int, variant: str = "plus"):
             s = [one + phi * zeta**j for j in order]
         else:
             s = [phi * zeta**j * (one + phi * zeta**j) for j in order]
+        s_inv = [x.inv() for x in s]
         for i in range(2 * n):
             for j in range(2 * n):
                 if i + j == 2 * n - 1:  # 0-based i+j = 2n+1 in 1-based
-                    total += (s[i] / s[j] - one).valuation()
+                    total += (s[i] * s_inv[j] - one).valuation()
                 elif i != j and i + j > 2 * n - 1:
                     total += (
-                        one - (s[i] / s[j]) * (s[2 * n - 1 - j] / s[2 * n - 1 - i])
+                        one - (s[i] * s_inv[j]) * (s[2 * n - 1 - j] * s_inv[2 * n - 1 - i])
                     ).valuation()
     elif group.kind in (GroupKind.SO_RAM, GroupKind.SO_SPL, GroupKind.SO_UR):
         total += _root_pair_val(p, n, u)
         if group.kind is not GroupKind.SO_RAM:
-            ut = _u_tilde(group, p, u)
             # trace of the 2-dimensional eigenvalue pair y, y^{-1}
-            w = tower.pi() * tower.from_int(ut)
-            s_tr = tower.from_int(2) * (one + w) / (one - w)
+            w, one_minus_w_inv = so_plane(group.kind, p, n, u)
+            s_tr = tower.from_int(2) * (one + w) * one_minus_w_inv
             if variant == "phi_coset":
                 s_tr = -s_tr
             # cross pairs with the last eigenvalue pair, roots e_i -+ e_{n+1}:

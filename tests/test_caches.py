@@ -1,14 +1,14 @@
-"""The value caches under the Gauss-sum, transfer, disc and family-matrix
-routes hold field, tower and matrix data only: a cached value equals a cold
-recomputation digit for digit, and a perturbed table reaches a warm cache as
-it reaches a cold one."""
+"""The value caches under the Gauss-sum, transfer, disc, family-matrix and
+torus-range routes hold field, tower and matrix data only: a cached value
+equals a cold recomputation digit for digit, and a perturbed table reaches a
+warm cache as it reaches a cold one."""
 
 from fractions import Fraction
 
 import pytest
 
-from endolab import endoscopy, families, sums
-from endolab.characters import ElementDescriptor
+from endolab import characters, endoscopy, families, sums
+from endolab.characters import ElementDescriptor, SSCParams, char_brute_force, family_element
 from endolab.endoscopy import (
     ETA_CLOSED,
     PAIR_GROUP,
@@ -51,6 +51,8 @@ CACHES = (
     endoscopy.sign_terms,
     endoscopy.so_factors,
     endoscopy.coset_descriptor,
+    families.so_plane,
+    characters._norm_one,
     *(spec.cache for spec in SPECS),
     sums._psi_table,
     sums._ext_table,
@@ -79,7 +81,7 @@ def _plain(x):
         assert isinstance(x.unit, tuple)
         return (x.shift, x.unit, x.rprec)
     if isinstance(x, WaldsFamilyData):
-        consts = (x.y, x.x_gl, x.c_sp, x.c_plus)
+        consts = (x.y, x.x_gl, x.c_sp, x.c_plus, x.y_inv, x.one_minus_phi_inv, x.pol_den_inv)
         return (x.p, x.n, x.u, x.tower.e, x.tower.u0, _plain(consts))
     if isinstance(x, GroupMatrix):
         return (x.group, x.p, x.a, x.s, x.prec)
@@ -116,6 +118,9 @@ def _run_routes():
     for kind in SO_EVEN:
         for a in range(1, P):
             so_even_packet_verify(kind, N, P, a)
+    # the unramified plain coset's torus reads the norm-one pairs of F_{p^2}
+    so_ur = family_element(GroupKind.SO_UR, N, P, 1, "plus")
+    char_brute_force(SSCParams(so_ur.group, 1), so_ur)
     k = make_field(P)
     for idx in range(P - 1):
         sums.gauss_sum(MultCharacter(k, idx), k)
@@ -139,6 +144,9 @@ def test_cached_values_equal_a_cold_recomputation():
             for var in pair_variants(pair)
         ],
         endoscopy.coset_descriptor: [(kind, N, P, u) for kind in SO_EVEN for u in UNITS],
+        # (w, (1 - w)^-1), shared by so_factors and the SO discriminants
+        families.so_plane: [(kind, P, N, u) for kind in SO_EVEN for u in UNITS],
+        characters._norm_one: [(P,)],
         # shared by the Sp and the three orthogonal kinds
         families._root_pair_val: [(P, N, u) for u in UNITS],
         # one field; the catalog tables read the per-field ones

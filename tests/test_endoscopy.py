@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from endolab import characters, endoscopy
+from endolab import characters, endoscopy, families, padic
 from endolab.characters import SSCParams, char_brute_force, char_closed_form, describe, family_element, zeta_unit
 from endolab.endoscopy import (
     DELTA_IV_EXPECTED,
@@ -27,7 +27,16 @@ from endolab.endoscopy import (
     walds_family,
 )
 from endolab.errors import IdentityFailed, IncompatibleParams, InvalidParams, InvalidU, UnknownPair
-from endolab.families import DISC_TABLE, nu_of_u
+from endolab.families import (
+    DISC_TABLE,
+    FAMILY_VARIANTS,
+    _root_pair_val,
+    _u_tilde,
+    family_eigenvalues,
+    family_tower,
+    nu_of_u,
+    weyl_disc_val,
+)
 from endolab.groups import GroupId, GroupKind
 from endolab.residue import make_field
 from endolab.sums import TOL, gauss_sum
@@ -379,3 +388,118 @@ def test_norm_family_checks(tau):
             assert data.x_gl / tau(data.x_gl) == -data.y
             assert data.y * tau(data.y) == data.tower.one()
             assert norm_family_check(p, 2, u)
+
+
+def _exact(x):
+    return (x.shift, x.unit, x.rprec)
+
+
+def _root_pair_by_division(p, n, u):
+    """``_root_pair_val`` with every quotient and inverse taken directly."""
+    t = family_eigenvalues(p, n, u)[:n]
+    one = family_tower(p, n, u).one()
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += (t[i] / t[j] - one).valuation() + (t[j] / t[i] - one).valuation()
+            total += (t[i] * t[j] - one).valuation() + ((t[i] * t[j]).inv() - one).valuation()
+    return total
+
+
+def _disc_by_division(group, p, u, variant):
+    """``weyl_disc_val``'s eigenvalue route with every quotient taken directly."""
+    n = group.n
+    tower = family_tower(p, n, u)
+    one, phi = tower.one(), tower.phi()
+    eig = family_eigenvalues(p, n, u)
+    if group.kind is GroupKind.TWISTED_GL:
+        zeta = tower.zeta(2 * n)
+        order = list(range(1, n + 1)) + list(range(2 * n, n, -1))
+        s = [one + phi * zeta**j for j in order]
+        if variant == "minus":
+            s = [phi * zeta**j * x for j, x in zip(order, s)]
+        m = 2 * n - 1
+        total = sum((s[i] / s[m - i] - one).valuation() for i in range(2 * n))
+        for i in range(2 * n):
+            for j in range(m - i + 1, 2 * n):
+                if i != j:
+                    total += (one - (s[i] / s[j]) * (s[m - j] / s[m - i])).valuation()
+        return total / 2
+    total = _root_pair_by_division(p, n, u)
+    if group.kind is GroupKind.SP:
+        total += sum((x**2 - one).valuation() + (x**-2 - one).valuation() for x in eig[:n])
+    elif group.kind is not GroupKind.SO_RAM:
+        w = tower.pi() * tower.from_int(_u_tilde(group, p, u))
+        s_tr = tower.from_int(2) * (one + w) / (one - w)
+        s_tr = -s_tr if variant == "phi_coset" else s_tr
+        total += sum((x * x - s_tr * x + one).valuation() - x.valuation() for x in eig)
+    return total / 2
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+def test_shared_inverses_equal_direct_division(p, n):
+    """Every value that multiplies by a shared inverse equals the same
+    expression with direct division: tower values in (shift, unit, rprec),
+    the valuation sums in value (where p = 1 mod 2n makes them defined)."""
+    for u in range(1, p):
+        t = family_tower(p, n, u)
+        one, phi, two = t.one(), t.phi(), t.from_int(2)
+        data = walds_family(p, n, u)
+        d = t.from_int(2 * n) * t.pi() * t.from_int(u)
+        pol_den = (one - phi) ** (2 * n - 1) * (one + phi)
+        got = (data.x_gl, data.c_sp, *data.c_plus, data.y_inv, data.one_minus_phi_inv, data.pol_den_inv)
+        want = (
+            (one + phi) / (phi * d),
+            -phi / d,
+            *(t.from_int(sign) / d for sign in ((-1) ** (n + 1), (-1) ** n)),
+            one / data.y,
+            one / (one - phi),
+            one / pol_den,
+        )
+        assert list(map(_exact, got)) == list(map(_exact, want)), (p, n, u)
+        for sign, k in (("+", 2 * n - 1), ("-", -1)):
+            closed = two * t.from_int(2 * n) * phi**k / pol_den
+            assert _exact(pol_products(p, n, u, sign)) == _exact(closed), (sign, p, n, u)
+        for minus in (False, True):
+            y = -data.y if minus else data.y
+            x = phi * data.x_gl if minus else data.x_gl
+            terms = (-(one / x), y ** (1 - n), y ** (-n), one + y, one / (y - one))
+            got = endoscopy.sign_terms(p, n, u, minus)
+            assert list(map(_exact, got)) == list(map(_exact, terms)), (minus, p, n, u)
+        for kind in (GroupKind.SO_SPL, GroupKind.SO_UR):
+            w = t.pi() * t.from_int(_u_tilde(GroupId(kind, n), p, u))
+            for variant in FAMILY_VARIANTS[kind]:
+                num = one - phi**2 * w if variant == "phi_coset" else phi**2 - w
+                dfac = two**2 * num / ((one - phi) ** 2 * (one - w))
+                cfac = two**2 / (one - w) if variant == "plus" else -(two**2) * w / (one - w)
+                got = endoscopy.so_factors(kind, p, n, u, variant)
+                assert list(map(_exact, got)) == [_exact(dfac), _exact(cfac)], (kind, variant, p, n, u)
+        if (p - 1) % (2 * n):
+            continue
+        assert _root_pair_val(p, n, u) == _root_pair_by_division(p, n, u)
+        for kind, variant in DISC_TABLE:
+            group = GroupId(kind, n, nu_of_u(make_field(p), n, u) if kind is GroupKind.SO_RAM else 0)
+            assert weyl_disc_val(group, p, u, variant) == _disc_by_division(group, p, u, variant)
+
+
+def test_so_factors_make_one_solve_per_plane(monkeypatch):
+    """With the per-tower inverses of ``walds_family`` warm, the three
+    variants of ``so_factors`` at one (kind, p, n, u) make one solve between
+    them, for 1 - w; each variant divided by 1 - w and (1 - phi)^2 (1 - w)."""
+    kind, p, n, u = GroupKind.SO_UR, 7, 3, 2
+    t = walds_family(p, n, u).tower
+    endoscopy.so_factors.cache_clear()
+    families.so_plane.cache_clear()
+    solved = []
+    real = padic._poly_solve
+
+    def counted(tower, unit, rhs):
+        solved.append(unit)
+        return real(tower, unit, rhs)
+
+    monkeypatch.setattr(padic, "_poly_solve", counted)
+    for variant in FAMILY_VARIANTS[kind]:
+        endoscopy.so_factors(kind, p, n, u, variant)
+    w = t.pi() * t.from_int(_u_tilde(GroupId(kind, n), p, u))
+    assert solved == [(t.one() - w).unit]
