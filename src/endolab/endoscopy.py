@@ -204,7 +204,7 @@ def so_factors(kind: GroupKind, p: int, n: int, u: int, variant: str) -> tuple:
     w, one_minus_w_inv = so_plane(kind, p, n, u)
     num = one - phi**2 * w if variant == "phi_coset" else phi**2 - w
     dfac = two**2 * num * data.one_minus_phi_inv**2 * one_minus_w_inv
-    cfac = two**2 * one_minus_w_inv if variant == "plus" else -(two**2) * w * one_minus_w_inv
+    cfac = (two**2 if variant == "plus" else -(two**2) * w) * one_minus_w_inv
     return dfac, cfac
 
 
