@@ -431,21 +431,21 @@ def _standard_histogram(params: SSCParams, element: CharElement):
 
         return _slot_column(reps, values, coords, residue)
 
-    def pair(i1, j1, j2, part):
+    def pair(i1, j1, j2):
         # the middle slot (m_ij1 + m_ij2 * sqrt eps) * y^-1 * t_i in F_{p^2}, y the
-        # norm-one coordinate, so y^-1 is its conjugate
+        # norm-one coordinate, so y^-1 is its conjugate; both parts from one product
         mid = K.elem(m[i1][j1], m[i1][j2])
 
         def residue(t, y):
-            return (mid * K.elem(y[0], -y[1]) * t).key()[part]
+            return (mid * K.elem(y[0], -y[1]) * t).key()
 
-        return _slot_column(reps, values, (i1, r), residue)
+        return zip(*_slot_column(reps, values, (i1, r), residue))
 
     columns = []
     for slot in group.component_slots():
         if isinstance(slot[0], tuple):
             (i1, j1, _), (_, j2, _) = slot
-            columns += (pair(i1, j1, j2, 0), pair(i1, j1, j2, 1))
+            columns += pair(i1, j1, j2)
         else:
             columns.append(plain(*slot))
     hist: dict = {}

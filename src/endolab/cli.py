@@ -61,7 +61,7 @@ from .padic import extract_jumps, herbrand_compose, tame_hilbert
 from .residue import field_size, make_field, p_digits
 from .sums import TOL, catalog, kl_simple, kloosterman_eval
 
-CAPS = {"n": 4}
+RANK_CAP = 4  # the largest --n any command accepts
 
 # the benchmark's query loop (perfbench/child.py) builds elements by this name
 _char_element = family_element
@@ -507,8 +507,8 @@ def run(argv=None) -> int:
     try:
         # a bad ENDOLAB_ value raises UsageError while the parser is built
         args = build_parser().parse_args(argv)
-        if getattr(args, "n", None) is not None and args.n > CAPS["n"]:
-            raise CapExceeded(f"n={args.n} beyond the rank cap {CAPS['n']}")
+        if getattr(args, "n", None) is not None and args.n > RANK_CAP:
+            raise CapExceeded(f"n={args.n} beyond the rank cap {RANK_CAP}")
         _check_units(args)
         return HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse's usage errors and --help

@@ -5,8 +5,9 @@ Elements of F_{p^2} are written a + b*s with s^2 equal to a fixed nonsquare
 of F_p, and a + b*s is the `make_gf(p, f)` code a + b*p.  Each residue field
 builds its q elements once, as a table indexed by that code, and all of its
 arithmetic (sums, products, powers, inverses, discrete logs) reads the
-`make_gf` tables and returns entries of the element table.  The additive
-character is psi(x) = exp(2*pi*i*Tr(x)/p).
+`make_gf` tables and returns entries of the element table.  `FiniteField(p, f)`
+and `make_field(p, f)` return the one field of that size, built once.  The
+additive character is psi(x) = exp(2*pi*i*Tr(x)/p).
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class FFElem:
         return self.field is other.field and self.code == other.code
 
     def __hash__(self):
-        # by value; equal elements share one field, as make_field interns them
+        # by value; equal elements share one field, the one of their size
         return hash((self.field.p, self.field.f, self.a, self.b))
 
     def __repr__(self):
@@ -273,10 +274,13 @@ class FiniteField:
     ``make_gf(p, f)``, a fixed generator of the unit group, a fixed nonsquare
     ``eps`` (taken to be the generator), and cached root-of-unity values used
     by the characters.  The generator, logs and arithmetic are those of
-    ``make_gf(p, f)``.
+    ``make_gf(p, f)``.  There is one field per size: see ``make_field``.
     """
 
-    def __init__(self, p: int, f: int = 1):
+    def __new__(cls, p: int, f: int = 1):
+        return _field(p, f)
+
+    def _build(self, p: int, f: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if p == 2:
@@ -439,28 +443,22 @@ class QuadExtension:
 
 
 @lru_cache(maxsize=None)
-def _make_field_cached(p: int, f: int) -> FiniteField:
-    return FiniteField(p, f)
+def _field(p: int, f: int) -> FiniteField:
+    fld = object.__new__(FiniteField)
+    fld._build(p, f)
+    return fld
 
 
 def make_field(p: int, f: int = 1) -> FiniteField:
-    """Construct (and cache) the residue field F_{p^f}; the wrapper makes
+    """The residue field F_{p^f}, built once per size; the wrapper makes
     make_field(p) and make_field(p, 1) one cache entry."""
-    return _make_field_cached(p, f)
-
-
-def quad_extension(k: FiniteField) -> QuadExtension:
-    """The quadratic extension of the residue field k: cached by (p, f) for
-    the ``make_field`` field, built afresh for any other field object, so the
-    cache holds no field the caller built."""
-    if k is make_field(k.p, k.f):
-        return _quad_extension_cached(k.p, k.f)
-    return QuadExtension(k)
+    return _field(p, f)
 
 
 @lru_cache(maxsize=None)
-def _quad_extension_cached(p: int, f: int) -> QuadExtension:
-    return QuadExtension(make_field(p, f))
+def quad_extension(k: FiniteField) -> QuadExtension:
+    """The quadratic extension of the residue field k, built once per field."""
+    return QuadExtension(k)
 
 
 def norm_trace(x: FFElem):

@@ -14,15 +14,15 @@ Gauss sums are value-cached per (p, f, index).  They and the position tables
 read two per-field tables, cached per (p, f): psi(gen^m) for m < q - 1, and
 (dlog Nr(y), psi~(y)) for the units y of the quadratic extension.  Every sum
 adds the same terms in the same order as a walk over the field elements.  The
-named specs are built once per (p, f, n, twisted) on the ``make_field``
-field, and each spec computes its table's value key once, when it is built.
+named specs are built once per (p, f, n, twisted), as a field is the one of
+its size, and each spec computes its table's value key once, when it is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .errors import CapExceeded, InvalidParams, WrongField, ZeroPoint
 from .groups import GroupId, GroupKind, rank_floor
@@ -89,29 +89,7 @@ class KloostermanSpec:
             raise CapExceeded(f"{self.n}+2*{self.m} variables beyond cap")
 
 
-def _one_per_field(build):
-    """``build`` once per (p, f, n) and (p, f, n, twisted=True) for the
-    ``make_field`` field: a spec reads its field only through (p, f), so the
-    cache is keyed by ints and holds no field object.  Any other field object
-    gets a fresh spec over itself, as ``quad_extension`` does.  ``spec.cache``
-    is the int-keyed cache."""
-
-    @lru_cache(maxsize=None)
-    def cache(p: int, f: int, *key) -> KloostermanSpec:
-        return build(make_field(p, f), *key)
-
-    @wraps(build)
-    def spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
-        key = (n, True) if twisted else (n,)
-        if fld is make_field(fld.p, fld.f):
-            return cache(fld.p, fld.f, *key)
-        return build(fld, *key)
-
-    spec.cache = cache
-    return spec
-
-
-@_one_per_field
+@lru_cache(maxsize=None)
 def kl_simple(field: FiniteField, n: int) -> KloostermanSpec:
     """The plain n-variable sum Kl^n_u(psi)."""
     triv = field.trivial_char()
@@ -187,8 +165,8 @@ def _convolve(a, b, order):
     return out
 
 
-# keyed by value: fields of the same (p, f) are built identically, so they
-# share generator, discrete logs and hence tables
+# keyed by value: (p, f) names the one field of that size, hence its
+# generator, discrete logs and tables
 _TABLE_CACHE: dict = {}
 
 
@@ -284,7 +262,7 @@ def hd_lift_check(chi: MultCharacter, tol: float = TOL) -> bool:
 # named specs attached to the classical groups --------------------------------
 
 
-@_one_per_field
+@lru_cache(maxsize=None)
 def sp_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     """(n+1)-variable sum with weights (2,..,2,1,1), optionally w0 on the last."""
     triv = fld.trivial_char()
@@ -294,7 +272,7 @@ def sp_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     return KloostermanSpec(fld, weights, chis, name=f"{tag}(n={n})")
 
 
-@_one_per_field
+@lru_cache(maxsize=None)
 def so_split_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
     """(n+2)-variable sum with weights (1,2,..,2,1,1,1)."""
     GroupId(GroupKind.SO_SPL, n)  # refuses a rank below the floor
@@ -309,7 +287,7 @@ def so_split_spec(fld: FiniteField, n: int, twisted: bool = False) -> Kloosterma
     return KloostermanSpec(fld, weights, chis, name=f"{tag}(n={n})")
 
 
-@_one_per_field
+@lru_cache(maxsize=None)
 def so_unramified_spec(
     fld: FiniteField, n: int, twisted: bool = False
 ) -> KloostermanSpec:

@@ -32,13 +32,13 @@ from endolab.families import (
 )
 from endolab.groups import GroupId, GroupKind, GroupMatrix
 from endolab.padic import LocalElem
-from endolab.residue import FiniteField, MultCharacter, make_field
+from endolab.residue import MultCharacter, make_field
 from endolab.suites import exp_sums_suite
 
 # n, p with p = 1 mod 2n, so the eigenvalue routes run
 N, P = 2, 5
 UNITS = range(1, P)
-# the named Kloosterman specs, each cached per (p, f, n[, twisted])
+# the named Kloosterman specs, each cached per (field, n[, twisted])
 SPECS = (sums.kl_simple, sums.sp_spec, sums.so_split_spec, sums.so_unramified_spec)
 CACHES = (
     families.y_element,
@@ -53,7 +53,7 @@ CACHES = (
     endoscopy.coset_descriptor,
     families.so_plane,
     characters._norm_one,
-    *(spec.cache for spec in SPECS),
+    *SPECS,
     sums._psi_table,
     sums._ext_table,
     sums._gauss_sum,
@@ -68,6 +68,13 @@ def _clear():
     for cache in CACHES:
         cache.cache_clear()
     sums._TABLE_CACHE.clear()
+
+
+def _call(fn, args):
+    """fn at args; a trailing dict holds its keyword arguments."""
+    if args and isinstance(args[-1], dict):
+        return fn(*args[:-1], **args[-1])
+    return fn(*args)
 
 
 def _gid(kind, u):
@@ -155,9 +162,9 @@ def test_cached_values_equal_a_cold_recomputation():
         sums._gauss_sum: [(P, 1, idx) for idx in range(P - 1)],
         sums._gauss_sum_ext: [(P, 1, idx) for idx in range(P - 1)],
         # the catalog's specs at n = 2, 3; the even-orthogonal chain's Kl^2
-        sums.kl_simple.cache: [(P, 1, N)],
+        sums.kl_simple: [(make_field(P), N)],
         **{
-            spec.cache: [(P, 1, n, *twisted) for n in (2, 3) for twisted in ((), (True,))]
+            spec: [(make_field(P), n, *twisted) for n in (2, 3) for twisted in ((), ({"twisted": True},))]
             for spec in SPECS[1:]
         },
         # norm_family_check's Sp matrices among them, under the same keys
@@ -170,25 +177,16 @@ def test_cached_values_equal_a_cold_recomputation():
     }
     # no field object and no id() among the keys
     assert all(type(v) is int for cache in SUMS_CACHES for a in keys[cache] for v in a)
-    assert all(type(v) in (int, bool) for spec in SPECS for a in keys[spec.cache] for v in a)
     warm = {}
     for cache, args in keys.items():
         # the routes filled the cache with exactly these values
         assert cache.cache_info().currsize == len(args), cache
-        warm[cache] = [cache(*a) for a in args]
+        warm[cache] = [_call(cache, a) for a in args]
         assert cache.cache_info().currsize == len(args), cache
     _clear()
     for cache, args in keys.items():
         for a, value in zip(args, warm[cache]):
-            assert _plain(value) == _plain(cache.__wrapped__(*a)), (cache.__qualname__, a)
-    # a directly built field gets a fresh spec over itself, and no spec cache
-    # takes an entry for it
-    fld = FiniteField(P)
-    for spec in SPECS:
-        fresh = spec(fld, N)
-        assert fresh.field is fld and fresh is not spec(fld, N)
-        assert _plain(fresh) == _plain(spec.cache.__wrapped__(P, 1, N))
-        assert spec.cache.cache_info().currsize == 0
+            assert _plain(value) == _plain(_call(cache.__wrapped__, a)), (cache.__qualname__, a)
 
 
 def test_a_table_perturbation_reaches_a_warm_cache(monkeypatch):

@@ -1,12 +1,10 @@
 import cmath
-import gc
 import random
-import weakref
 from itertools import product
 
 import pytest
 
-from endolab import characters, residue, sums
+from endolab import characters, sums
 from endolab.characters import (
     CharElement,
     SSCParams,
@@ -25,7 +23,7 @@ from endolab.characters import (
 from endolab.errors import InvalidParams, OutOfDomain
 from endolab.families import FAMILY_VARIANTS, family_matrix, nu_of_u
 from endolab.groups import GroupId, GroupKind, GroupMatrix, phi_element
-from endolab.residue import FiniteField, QuadExtension, make_field, quad_extension
+from endolab.residue import QuadExtension, make_field, quad_extension
 from endolab.suites import _params_grid
 from endolab.sums import TOL, kl_simple, kloosterman_eval, sp_spec
 
@@ -61,33 +59,6 @@ def test_quad_extension_cached_per_field():
     for p in (3, 5, 7):
         assert quad_extension(make_field(p)) is quad_extension(make_field(p))
         assert quad_extension(make_field(p)).base is make_field(p)
-
-
-def test_quad_extension_holds_no_directly_built_field():
-    """Only the make_field field's extension is cached, by (p, f): fifty
-    fresh FiniteField(5) objects each get their own extension over
-    themselves, and leave the cache as it was."""
-    cache = residue._quad_extension_cached
-    k = make_field(5)
-    ext = quad_extension(k)
-    expect = sums.kloosterman_eval_direct(sums.so_unramified_spec(k, 2), k.one)
-    before = cache.cache_info()
-    for _ in range(50):
-        fld = FiniteField(5)
-        fresh = quad_extension(fld)
-        assert fresh.base is fld and fresh is not ext
-        assert fresh.eps_tilde[0].field is fld
-        assert sums.kloosterman_eval_direct(sums.so_unramified_spec(fld, 2), fld.one) == expect
-    after = cache.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
-    assert all(quad_extension(make_field(5)) is ext for _ in range(3))
-    # nothing else holds a field passed in
-    fld = FiniteField(5)
-    alive = weakref.ref(fld)
-    quad_extension(fld).eps_tilde
-    del fld
-    gc.collect()
-    assert alive() is None
 
 
 # parameter validation ------------------------------------------------------

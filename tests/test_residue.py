@@ -1,5 +1,6 @@
 import pytest
 
+from endolab import sums
 from endolab.errors import (
     EvenCharacteristic,
     NotPrime,
@@ -15,6 +16,7 @@ from endolab.residue import (
     make_field,
     make_gf,
     norm_trace,
+    quad_extension,
 )
 
 
@@ -281,8 +283,24 @@ def test_eps_tilde_has_norm_eps():
         assert ext.norm(ext.eps_tilde) == k.eps
 
 
-def test_elements_and_characters_hash_by_value():
-    # a field built outside make_field's cache hashes its values alike
-    assert hash(make_field(5).elem(2)) == hash(FiniteField(5).elem(2))
-    assert hash(make_field(5, 2).elem(2, 3)) == hash(FiniteField(5, 2).elem(2, 3))
-    assert hash(MultCharacter(make_field(7), 3)) == hash(MultCharacter(FiniteField(7), 3))
+def test_one_field_per_size(monkeypatch):
+    """FiniteField(p, f) is the make_field field of its size, built once: the
+    quadratic extension and every named spec are one object per field,
+    whichever constructor built that field."""
+    sizes = [(3, 1), (5, 1), (13, 1), (3, 2)]
+    for p, f in sizes:
+        k = make_field(p, f)
+        assert FiniteField(p, f) is k
+        if f == 1:
+            assert FiniteField(p) is k and make_field(p) is k
+        assert quad_extension(FiniteField(p, f)) is quad_extension(k)
+        assert quad_extension(k).base is k
+        assert sums.kl_simple(FiniteField(p, f), 2) is sums.kl_simple(k, 2)
+        for build in (sums.sp_spec, sums.so_split_spec, sums.so_unramified_spec):
+            for twisted in (False, True):
+                spec = build(FiniteField(p, f), 2, twisted=twisted)
+                assert spec is build(k, 2, twisted=twisted) and spec.field is k
+    # a second construction of a size builds nothing
+    monkeypatch.setattr(FiniteField, "_build", None)
+    for p, f in sizes:
+        assert FiniteField(p, f) is make_field(p, f)
