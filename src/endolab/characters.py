@@ -47,7 +47,7 @@ from .groups import (
     simple_affine_components,
     theta,
 )
-from .residue import make_field, norm_trace, quad_extension
+from .residue import eps_tilde, make_field, norm_trace
 from .sums import (
     kl_pm,
     kl_simple,
@@ -191,12 +191,10 @@ def _psi_form(params: SSCParams, p: int):
     if kind is GroupKind.SO_SPL:
         return k, [1] * n + [pow(eps, params.kappa, p)] + [a]
     if kind is GroupKind.SO_UR:
-        # the trace form read off on the basis 1, s of the quadratic extension
-        ext = quad_extension(k)
-        one, s = (k.one, k.zero), (k.zero, k.one)
-        w = ext.eps_tilde if params.kappa else one
-        mid = [ext.trace(ext.mul(w, e)).a for e in (one, s)]
-        return k, [1] * (n - 1) + mid + [a]
+        # the trace form Tr(w * e) = 2 * (w * e).a on the basis e = 1, s of F_{p^2}
+        K = make_field(p, 2)
+        w = eps_tilde(p) if params.kappa else K.one
+        return k, [1] * (n - 1) + [2 * (w * e).a % p for e in (K.one, K.elem(0, 1))] + [a]
     raise InvalidParams(f"no affine generic character for {kind}")
 
 
@@ -574,7 +572,7 @@ def char_closed_form(params: SSCParams, desc: ElementDescriptor) -> CharValue:
             spec, w = so_unramified_spec, nr * eps_k
         else:
             raise HypothesisFailed(f"no closed form for {kind}")
-        v = 0.5 * kloosterman_eval(spec(k, n), x) + 0.5 * w0(w) * kloosterman_eval(
+        v = 0.5 * kloosterman_eval(spec(k, n, twisted=False), x) + 0.5 * w0(w) * kloosterman_eval(
             spec(k, n, twisted=True), x
         )
         return CharValue(sgn * v)

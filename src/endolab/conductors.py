@@ -294,9 +294,21 @@ def q_group_check(params: HeisParams) -> bool:
 # the character table of Q'
 
 
+def _extend(span, g, add, p):
+    """The F_p-span of ``span`` (element -> coordinate tuple) and g: coset
+    after coset, each s + j*g (j < p) gets the coordinates of s followed by j."""
+    out, coset = {}, span.items()
+    for j in range(p):
+        out.update((t, c + (j,)) for t, c in coset)
+        coset = [(add(t, g), c) for t, c in coset]
+    return out
+
+
 class QPrimeTable:
     """Exact character table of the Heisenberg group Q' = {(b, c)}, on the
-    elements, index and multiplication table that Q holds for it."""
+    elements, index and multiplication table that Q holds for it.  One span
+    walk, `_extend`, builds the b-group's coordinates, the isotropic
+    subgroup and the coordinates on A that fix the split character."""
 
     def __init__(self, params: HeisParams):
         p = params.p
@@ -333,33 +345,15 @@ class QPrimeTable:
 
     # -- linear characters --------------------------------------------------
 
-    def b_basis(self):
-        """Greedy F_p-basis of the b-group with a coordinate map."""
-        F = self.Q.F
-        basis = []
+    def linear_characters(self):
+        """(b, c) -> zeta^(w . coord(b)) for each w in F_p^dim, coord(b) on a
+        greedy F_p-basis of the b-group; each value is one of p shared roots."""
+        F, p = self.Q.F, self.p
         span = {F.zero: ()}
         for b in self.Q.b_set:
-            if b in span:
-                continue
-            basis.append(b)
-            new = {}
-            for s, coord in span.items():
-                t = s
-                for j in range(1, self.p):
-                    t = F.add(t, b)
-                    new[t] = coord + (j,)
-            for s in list(span):
-                span[s] = span[s] + (0,)
-            for s, coord in new.items():
-                span[s] = coord
-        return basis, span
-
-    def linear_characters(self):
-        """(b, c) -> zeta^(w . coord(b)) for each weight vector w in F_p^dim;
-        every value is one of the p roots zeta^t, built once and shared."""
-        basis, span = self.b_basis()
-        dim = len(basis)
-        p = self.p
+            if b not in span:
+                span = _extend(span, b, F.add, p)
+        dim = len(span[F.zero])
         roots = [Cyclo.zeta_pow(p, t) for t in range(p)]
         chars = []
         for code in range(p**dim):
@@ -374,23 +368,16 @@ class QPrimeTable:
         """A maximal isotropic subgroup of the b-group for the pairing."""
         F = self.Q.F
         p, e = self.p, self.params.e
-        span = [F.zero]
+        span = {F.zero: ()}
         for b in self.Q.b_set:
-            if b in span:
+            if b in span or any(self.pairing(b, s) != 0 for s in span):
                 continue
-            if any(self.pairing(b, s) != 0 for s in span):
-                continue
-            new = list(span)
-            t = b
-            for _ in range(1, p):
-                new.extend(F.add(t, s) for s in span)
-                t = F.add(t, b)
-            span = list(dict.fromkeys(new))
+            span = _extend(span, b, F.add, p)
             if len(span) == p**e:
                 break
         if len(span) != p**e:
             raise IncompatibleParams("no maximal isotropic subgroup found")
-        return span
+        return list(span)
 
     def big_characters(self):
         """The p-1 irreducible characters of dimension p^e, induced from a
@@ -427,28 +414,20 @@ class QPrimeTable:
 
     def _split_character(self, A):
         """An F_p-valued homomorphism, keyed by table index, on the abelian
-        subgroup A (table indices) restricting to the identity coordinate on
-        the center (exists: A has exponent p)."""
+        subgroup A (table indices) of exponent p, read off the coordinates on
+        a greedy basis of A: a central generator takes its ``center_int``,
+        any other 0, so it restricts to the identity coordinate on the center."""
         p, mt = self.p, self.mtable
-        ell = {self.index[(self.Q.F.zero, self.Q.F.zero)]: 0}
+        span, gens = {self.index[(self.Q.F.zero, self.Q.F.zero)]: ()}, []
         for g in A:
-            if g in ell:
-                continue
-            forced = self.center_int(self.elements[g])
-            ell[g] = forced if forced is not None else 0
-            changed = True
-            while changed:
-                changed = False
-                for x in list(ell):
-                    for y in list(ell):
-                        z = mt[x][y]
-                        v = (ell[x] + ell[y]) % p
-                        if z in ell:
-                            if ell[z] != v:
-                                raise IncompatibleParams("no splitting character")
-                        else:
-                            ell[z] = v
-                            changed = True
+            if g not in span:
+                span = _extend(span, g, lambda x, y: mt[x][y], p)
+                gens.append(self.center_int(self.elements[g]) or 0)
+        ell = {g: sum(map(mul, gens, coord)) % p for g, coord in span.items()}
+        if ell.keys() != set(A) or any(
+            ell.get(mt[x][y]) != (ell[x] + ell[y]) % p for x in A for y in A
+        ):
+            raise IncompatibleParams("no splitting character")
         for g in A:
             c = self.center_int(self.elements[g])
             if c is not None and ell[g] != c % p:

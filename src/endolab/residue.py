@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     EvenCharacteristic,
@@ -280,6 +280,10 @@ class FiniteField:
     def __new__(cls, p: int, f: int = 1):
         return _field(p, f)
 
+    def __reduce__(self):
+        # pickle and copy give back the one field of this size
+        return make_field, (self.p, self.f)
+
     def _build(self, p: int, f: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
@@ -399,19 +403,14 @@ class QuadExtension:
     """The quadratic extension kt = k(sqrt(eps)) of a residue field k.
 
     Elements are pairs (x, y) of k-elements standing for x + y*sqrt(eps).
-    Only the structure the exponential sums need is provided: enumeration,
-    multiplication, relative norm and trace, and the lifted additive
+    Only the structure the norm-constrained exponential sums read is
+    provided: enumeration, relative norm and trace, and the lifted additive
     character psi~ = psi o Tr.
     """
 
     def __init__(self, base: FiniteField):
         self.base = base
         self.eps = base.eps
-
-    def mul(self, u, v):
-        x1, y1 = u
-        x2, y2 = v
-        return (x1 * x2 + self.eps * y1 * y2, x1 * y2 + y1 * x2)
 
     def norm(self, u) -> FFElem:
         x, y = u
@@ -432,11 +431,6 @@ class QuadExtension:
 
     def psi_tilde(self, u) -> complex:
         return self.base.psi(self.trace(u))
-
-    @cached_property
-    def eps_tilde(self):
-        """An element with relative norm eps, found by scan once per extension."""
-        return next(u for u in self.units() if self.norm(u) == self.eps)
 
 
 # spec-level operation wrappers ---------------------------------------------
@@ -459,6 +453,13 @@ def make_field(p: int, f: int = 1) -> FiniteField:
 def quad_extension(k: FiniteField) -> QuadExtension:
     """The quadratic extension of the residue field k, built once per field."""
     return QuadExtension(k)
+
+
+@lru_cache(maxsize=None)
+def eps_tilde(p: int) -> FFElem:
+    """The first element of F_{p^2}, in ``elements`` order, of norm eps to F_p."""
+    eps = make_field(p).eps
+    return next(x for x in make_field(p, 2).elements() if norm_trace(x)[0] == eps)
 
 
 def norm_trace(x: FFElem):

@@ -263,8 +263,8 @@ def hd_lift_check(chi: MultCharacter, tol: float = TOL) -> bool:
 
 
 @lru_cache(maxsize=None)
-def sp_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
-    """(n+1)-variable sum with weights (2,..,2,1,1), optionally w0 on the last."""
+def sp_spec(fld: FiniteField, n: int, *, twisted: bool) -> KloostermanSpec:
+    """(n+1)-variable sum with weights (2,..,2,1,1), w0 on the last when twisted."""
     triv = fld.trivial_char()
     weights = (2,) * (n - 1) + (1, 1)
     chis = (triv,) * n + ((fld.omega0(),) if twisted else (triv,))
@@ -273,7 +273,7 @@ def sp_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
 
 
 @lru_cache(maxsize=None)
-def so_split_spec(fld: FiniteField, n: int, twisted: bool = False) -> KloostermanSpec:
+def so_split_spec(fld: FiniteField, n: int, *, twisted: bool) -> KloostermanSpec:
     """(n+2)-variable sum with weights (1,2,..,2,1,1,1)."""
     GroupId(GroupKind.SO_SPL, n)  # refuses a rank below the floor
     triv = fld.trivial_char()
@@ -288,9 +288,7 @@ def so_split_spec(fld: FiniteField, n: int, twisted: bool = False) -> Kloosterma
 
 
 @lru_cache(maxsize=None)
-def so_unramified_spec(
-    fld: FiniteField, n: int, twisted: bool = False
-) -> KloostermanSpec:
+def so_unramified_spec(fld: FiniteField, n: int, *, twisted: bool) -> KloostermanSpec:
     """n plain variables with weights (1,2,..,2,1) plus one norm variable."""
     GroupId(GroupKind.SO_UR, n)  # refuses a rank below the floor
     triv = fld.trivial_char()
@@ -306,11 +304,8 @@ def catalog(fld: FiniteField, ns=(2, 3)):
     variable cap raises CapExceeded."""
     out = []
     for n in ns:
-        out.append(sp_spec(fld, n))
-        out.append(sp_spec(fld, n, twisted=True))
+        builds = [sp_spec]
         if n >= rank_floor(GroupKind.SO_SPL):  # so_ur's too; `sums eval --n` may be below
-            out.append(so_split_spec(fld, n))
-            out.append(so_split_spec(fld, n, twisted=True))
-            out.append(so_unramified_spec(fld, n))
-            out.append(so_unramified_spec(fld, n, twisted=True))
+            builds += [so_split_spec, so_unramified_spec]
+        out += [build(fld, n, twisted=t) for build in builds for t in (False, True)]
     return out

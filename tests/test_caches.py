@@ -164,7 +164,7 @@ def test_cached_values_equal_a_cold_recomputation():
         # the catalog's specs at n = 2, 3; the even-orthogonal chain's Kl^2
         sums.kl_simple: [(make_field(P), N)],
         **{
-            spec: [(make_field(P), n, *twisted) for n in (2, 3) for twisted in ((), ({"twisted": True},))]
+            spec: [(make_field(P), n, {"twisted": t}) for n in (2, 3) for t in (False, True)]
             for spec in SPECS[1:]
         },
         # norm_family_check's Sp matrices among them, under the same keys
@@ -262,7 +262,7 @@ def test_a_kloosterman_table_perturbation_fails_its_fourier_row(cold_after):
     """The fourier rows read the cached Kloosterman table, and their Gauss
     side reads no table: one perturbed entry of a warm table fails its row
     and no other."""
-    spec = sums.sp_spec(make_field(P), 2)
+    spec = sums.sp_spec(make_field(P), 2, twisted=False)
     _clear()
     table = sums.kloosterman_table(spec)
     (key,) = sums._TABLE_CACHE

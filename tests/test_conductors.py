@@ -374,6 +374,39 @@ def test_pairing_outside_prime_field_raises(monkeypatch):
         T.center_int((F.zero, F.gen))
 
 
+def _table_and_a(p, e):
+    """A copy of the (p, e) table, to patch freely, and its subgroup A."""
+    T = copy.copy(qprime_char_table(p, e))
+    A = [T.index[(b, c)] for b in T.isotropic_subgroup() for c in T.Q.c_set[b]]
+    return T, A
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_split_character_refuses_a_set_beyond_a(p, e):
+    T, A = _table_and_a(p, e)
+    outside = next(g for g in range(T.n) if g not in A)
+    with pytest.raises(IncompatibleParams, match="no splitting character"):
+        T._split_character(A + [outside])
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_split_character_refuses_a_misread_center(p, e):
+    T, A = _table_and_a(p, e)
+    F, center_int = T.Q.F, T.center_int
+    z = (F.zero, F.one)  # a central element other than the identity
+    T.center_int = lambda x: (center_int(x) + 1) % p if x == z else center_int(x)
+    with pytest.raises(IncompatibleParams, match="splitting misses the center"):
+        T._split_character(A)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_isotropic_subgroup_refuses_a_pairing_with_no_isotropic_line(p, e):
+    T, _A = _table_and_a(p, e)
+    T.pairing = lambda b1, b2: 1
+    with pytest.raises(IncompatibleParams, match="no maximal isotropic subgroup found"):
+        T.isotropic_subgroup()
+
+
 def test_qprime_center_is_prime_field():
     T = qprime_char_table(3, 1)
     centrals = [g for g in T.elements if g[0] == T.Q.F.zero]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from endolab import sums
@@ -13,6 +16,7 @@ from endolab.residue import (
     FiniteField,
     MultCharacter,
     QuadExtension,
+    eps_tilde,
     make_field,
     make_gf,
     norm_trace,
@@ -277,10 +281,26 @@ def test_lifted_characters_match_direct_quadratic_field(p):
 
 
 def test_eps_tilde_has_norm_eps():
+    """eps~ is the first element of F_{p^2}, in ``elements`` order, of norm
+    eps: the norm taken as x^(p+1) and as the pairs-based extension's."""
     for p in (3, 5, 7):
-        k = make_field(p)
-        ext = QuadExtension(k)
-        assert ext.norm(ext.eps_tilde) == k.eps
+        k, K = make_field(p), make_field(p, 2)
+        x = eps_tilde(p)
+        assert x.field is K and x ** (p + 1) == K.elem(k.eps.a)
+        assert QuadExtension(k).norm((k.elem(x.a), k.elem(x.b))) == k.eps
+        before = K.elements()[: K.elements().index(x)]
+        assert all(y ** (p + 1) != K.elem(k.eps.a) for y in before)
+        assert eps_tilde(p) is x
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2)])
+def test_pickle_and_copy_give_back_the_one_field(p, f):
+    k = make_field(p, f)
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy):
+        assert clone(k) is k
+        x, chi = clone(k.gen), clone(k.omega0())
+        assert x == k.gen and x.field is k
+        assert chi == k.omega0() and chi.field is k
 
 
 def test_one_field_per_size(monkeypatch):

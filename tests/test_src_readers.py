@@ -32,9 +32,10 @@ ACCEPTED_COLLISIONS = {
     "elements": {"GF", "FiniteField", "QGroup"},
     "identity": {"QGroup"},  # Q.identity() on the group passed in
     "inv": {"GroupMatrix"},  # g.inv() on the matrices the routes build
-    "mul": {"GF", "QuadExtension"},  # F.mul, ext.mul on the tables passed in
+    "mul": {"GF"},  # F.mul on the table passed in
     "neg": {"GF", "GroupMatrix"},  # F.neg on codes, g.neg() on matrices
-    "units": {"FiniteField"},  # k.units() on the residue field passed in
+    # k.units() on the residue field, ext.units() on the extension passed in
+    "units": {"FiniteField", "QuadExtension"},
 }
 
 

@@ -91,9 +91,9 @@ def test_quadratic_twist_vanishing_at_nonsquares():
 def test_table_matches_direct_enumeration(q):
     k = make_field(3, 2) if q == 9 else make_field(q)
     for spec in (
-        sp_spec(k, 2),
+        sp_spec(k, 2, twisted=False),
         sp_spec(k, 2, twisted=True),
-        so_unramified_spec(k, 2),
+        so_unramified_spec(k, 2, twisted=False),
         so_unramified_spec(k, 2, twisted=True),
     ):
         for u in k.units():
@@ -111,7 +111,7 @@ def test_fourier_trivial_spec():
 
 def test_fourier_sp4_over_f5_all_chars():
     k = make_field(5)
-    spec = sp_spec(k, 2)
+    spec = sp_spec(k, 2, twisted=False)
     for idx in range(4):
         _, _, ok = fourier_check(spec, MultCharacter(k, idx))
         assert ok
@@ -183,7 +183,7 @@ def test_nonvanishing_scan():
     k = make_field(5)
     w, const = nonvanishing_scan(kl_simple(k, 1))
     assert w == k.one and not const
-    w, const = nonvanishing_scan(sp_spec(k, 2))
+    w, const = nonvanishing_scan(sp_spec(k, 2, twisted=False))
     assert w is not None and not const
 
 
@@ -197,7 +197,7 @@ def test_catalog_nonconstant_nonvanishing(q):
 
 def test_ft_uniqueness():
     k = make_field(5)
-    spec = sp_spec(k, 2)
+    spec = sp_spec(k, 2, twisted=False)
     assert ft_uniqueness_check(spec, k.one, k.one, 1.0)
     with pytest.raises(HypothesisFailed):
         ft_uniqueness_check(spec, k.coerce(2), k.one, 1.0)
@@ -207,7 +207,7 @@ def test_ft_uniqueness():
 
 def test_ft_uniqueness_full_scan():
     k = make_field(5)
-    spec = sp_spec(k, 2)
+    spec = sp_spec(k, 2, twisted=False)
     table = [kloosterman_eval(spec, u) for u in k.units()]
     # every (a, b, c) satisfying the hypothesis has a = b, c = 1
     for a in k.units():
@@ -289,6 +289,23 @@ def test_specs_refuse_a_character_of_another_field():
         KloostermanSpec(other, (1,), (chi,))
     with pytest.raises(WrongField):
         KloostermanSpec(other, (), (), (1,), (chi,))
+
+
+@pytest.mark.parametrize("build", [sp_spec, so_split_spec, so_unramified_spec])
+def test_named_specs_take_twisted_by_keyword_only(build):
+    """Each (field, n, twisted) is one cache entry: ``twisted`` has no
+    default and cannot be passed by position."""
+    k = make_field(5)
+    specs = [build(k, 2, twisted=t) for t in (False, True)]
+    size = build.cache_info().currsize
+    assert all(build(k, 2, twisted=t) is s for t, s in zip((False, True), specs))
+    assert specs[0] is not specs[1]
+    assert build.cache_info().currsize == size
+    with pytest.raises(TypeError):
+        build(k, 2)
+    with pytest.raises(TypeError):
+        build(k, 2, True)
+    assert build.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("twisted", [False, True])
