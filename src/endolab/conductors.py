@@ -21,7 +21,7 @@ from .padic import PLFunc, herbrand_compose
 from .residue import is_prime, make_field, make_gf, p_digits
 
 HEIS_CAP = 3**5  # the largest |Q'| = p^(2e+1) enumerated
-ASSOC_SAMPLES = 20_000
+LAW_SAMPLES = 2_000  # sampled triples for `mul`'s own code in q_group_check
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,8 @@ class QGroup:
     Its wild subgroup Q' = {(1, b, c)} is kept as the (b, c) codes in
     ``wild`` (b in ``b_set`` order, then c in ``c_set[b]`` order), with
     ``wild_index`` and the multiplication table ``wild_table`` on those
-    indices.  Building the table raises KeyError when a product leaves Q'.
+    indices.  Building the table raises IncompatibleParams when a product
+    leaves Q'.
     """
 
     def __init__(self, params: HeisParams):
@@ -176,10 +177,12 @@ class QGroup:
         )
         self.wild = tuple((b, c) for b in self.b_set for c in self.c_set[b])
         self.wild_index = MappingProxyType({x: i for i, x in enumerate(self.wild)})
-        self.wild_table = tuple(
-            tuple(self.wild_index[self.mul((F.one, *x), (F.one, *y))[1:]] for y in self.wild)
-            for x in self.wild
-        )
+        full = tuple((F.one, b, c) for b, c in self.wild)
+        at, qmul = {x: i for i, x in enumerate(full)}, self.mul
+        try:
+            self.wild_table = tuple(tuple(at[qmul(x, y)] for y in full) for x in full)
+        except KeyError:
+            raise IncompatibleParams("a product of Q' leaves Q'") from None
 
     def elements(self):
         for a in self.a_set:
@@ -231,16 +234,23 @@ def q_group(params: HeisParams) -> QGroup:
 
 
 def q_group_check(params: HeisParams) -> bool:
-    """Q' exhaustively on its table: closure (the table exists), inverses
-    and a c-part central in it.  Q: identity, inverses and associativity on
-    its full table when |Q|^2 is small; otherwise x e = x = e x and
-    x x^-1 = e = x^-1 x at every x, with (a, b, c)^-1 = (a^-1, -a^-1 b,
-    beta(b, b) - c) as beta is biadditive and a-invariant, then closure and
-    associativity on ASSOC_SAMPLES triples from one ``random.Random(1)``
-    ``choices`` call, the only reader of any other product."""
+    """Whether `mul` makes Q a group, with Q' a subgroup.  Exhaustive at
+    every size: Q' on its table (closure, inverses, a central c-part);
+    `_tables_hold`, `mul`'s log-form tables against F's own calls on all of
+    F; and `_law_holds`, closure and associativity of the law (a1 a2,
+    b1 + a1 b2, c1 + c2 + beta(b1, a1 b2)), with ``Q.beta`` as implemented,
+    for every triple.  That leaves `mul`'s own lines, which read the tables.
+    At (3, 1), the one size under HEIS_CAP with |Q|^2 <= 300,000, Q's full
+    table checks every product of `mul` (identity, inverses, associativity)
+    by brute force, and so checks the two routes too.  Elsewhere `mul` is
+    checked at every x by x e = x = e x and x x^-1 = e = x^-1 x, with
+    (a, b, c)^-1 = (a^-1, -a^-1 b, beta(b, b) - c), and on other products
+    only by a sample: LAW_SAMPLES triples (x, y, z) from one
+    ``random.Random(1)`` ``choices`` call, where xy must be the law by F's
+    calls and (xy)z = x(yz)."""
     try:
         Q = q_group(params)
-    except KeyError:  # a product of Q' leaves Q'
+    except IncompatibleParams:  # a product of Q' leaves Q'
         return False
     els = list(Q.elements())
     n = len(els)
@@ -255,7 +265,8 @@ def q_group_check(params: HeisParams) -> bool:
         for y in range(len(wt)):
             if wt[z][y] != wt[y][z]:
                 return False
-    idx = {x: i for i, x in enumerate(els)}
+    if not (_tables_hold(Q) and _law_holds(Q)):
+        return False
     if n * n > 300_000:
         qmul, e = Q.mul, Q.identity()
         for x in els:
@@ -264,13 +275,18 @@ def q_group_check(params: HeisParams) -> bool:
             x_inv = (a_inv, F.neg(F.mul(a_inv, b)), F.sub(Q.beta(b, b), c))
             if x != qmul(x, e) or x != qmul(e, x) or e != qmul(x, x_inv) or e != qmul(x_inv, x):
                 return False
-        draw = iter(random.Random(1).choices(els, k=3 * ASSOC_SAMPLES))
+        draw = iter(random.Random(1).choices(els, k=3 * LAW_SAMPLES))
         for x, y, z in zip(draw, draw, draw):
+            (a1, b1, c1), (a2, b2, c2) = x, y
+            ab = F.mul(a1, b2)
             xy = qmul(x, y)
-            if xy not in idx or qmul(xy, z) != qmul(x, qmul(y, z)):
+            if xy != (F.mul(a1, a2), F.add(b1, ab), F.add(F.add(c1, c2), Q.beta(b1, ab))):
+                return False
+            if qmul(xy, z) != qmul(x, qmul(y, z)):
                 return False
         return True
     # closure is implied by a total multiplication table
+    idx = {x: i for i, x in enumerate(els)}
     try:
         table = [[idx[Q.mul(x, y)] for y in els] for x in els]
     except KeyError:
@@ -288,6 +304,81 @@ def q_group_check(params: HeisParams) -> bool:
             if table[ij] != list(map(row.__getitem__, table[j])):
                 return False
     return True
+
+
+def _tables_hold(Q: QGroup) -> bool:
+    """`mul`'s log-form tables against F's calls, entry by entry (n = q - 1):
+    ``_exp0`` over 0..4n and ``_log0`` on all of F along the walk g^(k+1) =
+    F.mul(g^k, g), ``_zech0`` at -n < d < 2n by F.add(1, g^d), and
+    ``_frob_log`` and ``_trace`` on all of F by iterated p-th powers."""
+    F, p, e = Q.F, Q.params.p, Q.params.e
+    n = F._order
+    log, exp, zech = Q._log0, Q._exp0, Q._zech0
+    if len(log) != F.q or log[F.zero] != 2 * n or len(exp) != 4 * n + 1 or len(zech) != 2 * n:
+        return False
+    if exp[n : 2 * n] != exp[:n] or any(exp[2 * n :]) or zech[n:] != zech[:n]:
+        return False
+    x = F.one
+    for k in range(n):  # a repeat of x fails log[x] == k, so all of F is met
+        if exp[k] != x or log[x] != k:
+            return False
+        x = F.mul(x, F.gen)
+    if any(zech[d] != log[F.add(F.one, exp[d])] for d in range(n)):
+        return False
+    for x in F.elements():
+        s = w = x  # w = x^(p^i), s = sum over i of w
+        for _ in range(e - 1):
+            w = F.pow(w, p)
+            s = F.add(s, w)
+        if Q._trace[x] != s or Q._frob_log[x] != log[F.pow(w, p)]:
+            return False
+    return True
+
+
+def _law_holds(Q: QGroup) -> bool:
+    """The law on Q's sets, with ``Q.beta`` as the c-correction, is a group
+    law: a_set is the p^e + 1 roots of a^(p^e+1) = 1 and c_set[b] the p roots
+    of c^p - c = -b^(p^e+1); b_set is an additive group (its greedy span),
+    a-stable on a basis; beta is additive in each argument (each b = t + g of
+    the span walk, t earlier, against all of b_set) and a-invariant on basis
+    pairs, which gives associativity; and beta^p - beta = -(b1^(p^e) b2 +
+    b1 b2^(p^e)) on all of b_set^2, which gives closure."""
+    F, p, e = Q.F, Q.params.p, Q.params.e
+    N = p**e + 1
+    if len(set(Q.a_set)) != N or any(F.pow(a, N) != F.one for a in Q.a_set):
+        return False
+    for b, cs in Q.c_set.items():
+        if len(set(cs)) != p or any(F.sub(F.pow(c, p), c) != F.neg(F.pow(b, N)) for c in cs):
+            return False
+    span, basis = {F.zero: ()}, []
+    for b in Q.b_set:
+        if b not in span:
+            span = _extend(span, b, F.add, p)
+            basis.append(b)
+    if span.keys() != set(Q.b_set) or any(F.mul(a, g) not in span for a in Q.a_set for g in basis):
+        return False
+    beta = {b1: {b2: Q.beta(b1, b2) for b2 in Q.b_set} for b1 in Q.b_set}
+    at = {k: b for b, k in span.items()}
+    for b, k in span.items():
+        if not any(k):
+            continue
+        i = max(i for i, j in enumerate(k) if j)
+        t, g = at[k[:i] + (k[i] - 1,) + k[i + 1 :]], basis[i]
+        rb, rt, rg = beta[b], beta[t], beta[g]
+        if any(rb[y] != F.add(rt[y], rg[y]) for y in Q.b_set):
+            return False
+        if any(beta[y][b] != F.add(beta[y][t], beta[y][g]) for y in Q.b_set):
+            return False
+    if any(
+        Q.beta(F.mul(a, g), F.mul(a, h)) != beta[g][h] for a in Q.a_set for g in basis for h in basis
+    ):
+        return False
+    frob = {b: F.pow(b, p**e) for b in Q.b_set}
+    return all(
+        F.sub(F.pow(v, p), v) == F.neg(F.add(F.mul(frob[b1], b2), F.mul(b1, frob[b2])))
+        for b1, row in beta.items()
+        for b2, v in row.items()
+    )
 
 
 # ---------------------------------------------------------------------------

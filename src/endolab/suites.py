@@ -375,16 +375,24 @@ def heisenberg_suite(cases=((3, 1), (5, 1), (3, 2))):
         params = f"p={p} e={e}"
         ok = q_group_check(HeisParams(p, e))
         yield _bit_row("heis_group_axioms", params, "multiplication table", "group laws", ok)
-        rep = char_table_checks(p, e)
-        yield _bit_row(
-            "heis_char_table",
-            params,
-            f"{rep['n_linear']} linear + {rep['n_big']} big, dims^2 = {rep['dims_sq_sum']}",
-            f"order {rep['order']}",
-            rep["ok"],
-        )
-        td = tensor_decompositions(p, e)
-        yield _bit_row("heis_tensor_rules", params, "character products", "stated decompositions", td["ok"])
+        try:
+            rep = char_table_checks(p, e)
+        except EndolabError as exc:
+            yield _bit_row("heis_char_table", params, "error", exc, False)
+        else:
+            yield _bit_row(
+                "heis_char_table",
+                params,
+                f"{rep['n_linear']} linear + {rep['n_big']} big, dims^2 = {rep['dims_sq_sum']}",
+                f"order {rep['order']}",
+                rep["ok"],
+            )
+        try:
+            td_ok = tensor_decompositions(p, e)["ok"]
+        except EndolabError as exc:
+            yield _bit_row("heis_tensor_rules", params, "error", exc, False)
+        else:
+            yield _bit_row("heis_tensor_rules", params, "character products", "stated decompositions", td_ok)
 
 
 @_suite

@@ -280,9 +280,10 @@ def test_qprime_tables_are_pinned():
     assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == QPRIME_PIN
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
 def test_q_group_check_catches_a_broken_beta(monkeypatch, p, e):
-    """(3, 1) runs the full-table regime, (5, 1) the sampled one."""
+    """(3, 1) runs the full-table regime, (5, 1) and (3, 2) the certificate
+    with its sample."""
     beta = QGroup.beta
 
     def broken(self, b1, b2):
@@ -359,6 +360,122 @@ def test_q_group_check_catches_one_swapped_table_entry(monkeypatch):
         assert not q_group_check(params)
     finally:
         q_group.cache_clear()
+
+
+def _patch_cached_table(monkeypatch, params, name, entries):
+    """The cached Q for params, its table ``name`` changed at ``entries``
+    (index -> new value) after Q' was built from the true one."""
+    q_group.cache_clear()
+    Q = q_group(params)
+    table = list(getattr(Q, name))
+    for i, v in entries.items():
+        assert table[i] != v
+        table[i] = v
+    monkeypatch.setattr(Q, name, tuple(table))
+    return Q
+
+
+@pytest.mark.parametrize("both_copies", [False, True], ids=["d=7", "d=7,n+7"])
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_q_group_check_catches_a_wrong_zech_entry(monkeypatch, p, e, both_copies):
+    """The Zech log Z(7) off by one in `mul`'s table, alone or with its copy
+    at n + 7, so that the two copies still agree."""
+    params = HeisParams(p, e)
+    n = q_group(params).F._order
+    zech = q_group(params)._zech0
+    entries = {d: zech[d] + 1 for d in ((7, n + 7) if both_copies else (7,))}
+    _patch_cached_table(monkeypatch, params, "_zech0", entries)
+    try:
+        assert not q_group_check(params)
+    finally:
+        q_group.cache_clear()
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_q_group_check_catches_a_wrong_frobenius_entry(monkeypatch, p, e):
+    """The log of b^(p^e) off by one at the last b of b_set, which beta
+    reads as its first argument."""
+    params = HeisParams(p, e)
+    Q = q_group(params)
+    b = Q.b_set[-1]
+    _patch_cached_table(monkeypatch, params, "_frob_log", {b: (Q._frob_log[b] + 1) % Q.F._order})
+    try:
+        assert not q_group_check(params)
+    finally:
+        q_group.cache_clear()
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_q_group_check_catches_a_beta_that_is_not_a_invariant(monkeypatch, p, e):
+    """beta plus d(b1, b2) = c1(b1) c1(b2) in F_p, c1 the coefficient of x in
+    a field code: beta stays additive in each argument and keeps the
+    Artin-Schreier identity (d^p = d), so Q' stays closed, but some a moves
+    d, and the law is then not associative."""
+    params = HeisParams(p, e)
+    beta = QGroup.beta
+
+    def skewed(self, b1, b2):
+        return self.F.add(beta(self, b1, b2), b1 // p % p * (b2 // p % p) % p)
+
+    monkeypatch.setattr(QGroup, "beta", skewed)
+    q_group.cache_clear()
+    try:
+        Q = q_group(params)
+        F = Q.F
+        assert any(
+            skewed(Q, F.mul(a, g), F.mul(a, h)) != skewed(Q, g, h)
+            for a in Q.a_set
+            for g in Q.b_set
+            for h in Q.b_set
+        )
+        assert not q_group_check(params)
+    finally:
+        q_group.cache_clear()
+
+
+@pytest.mark.parametrize("fault", [None, "not a-invariant", "not additive"])
+def test_the_certificate_agrees_with_the_full_table(monkeypatch, fault):
+    """At (3, 1), the one size with a full table of Q, the law's certificate
+    and the brute force over all triples give the same verdict on the true
+    beta and on two faulty ones that keep Q' closed."""
+    params = HeisParams(3, 1)
+    beta = QGroup.beta
+
+    def faulty(self, b1, b2):
+        out = beta(self, b1, b2)
+        if fault == "not a-invariant":
+            return self.F.add(out, b1 // 3 % 3 * (b2 // 3 % 3) % 3)
+        if fault == "not additive" and b1 == self.b_set[1] and b2 != self.F.zero:
+            return self.F.add(out, self.F.one)
+        return out
+
+    monkeypatch.setattr(QGroup, "beta", faulty)
+    q_group.cache_clear()
+    try:
+        certified = conductors._tables_hold(q_group(params)) and conductors._law_holds(q_group(params))
+        monkeypatch.setattr(conductors, "_law_holds", lambda Q: True)
+        assert q_group_check(params) == certified == (fault is None)
+    finally:
+        q_group.cache_clear()
+
+
+@pytest.mark.parametrize("p,e,calls", [(5, 1, 11_000), (3, 2, 17_720)])
+def test_q_group_check_mul_calls_are_pinned(monkeypatch, p, e, calls):
+    """Four `mul` calls per element of Q (identity and inverse on both
+    sides) and four per sampled triple; the two exhaustive routes make none."""
+    params = HeisParams(p, e)
+    q_group(params)  # Q' is built with mul, outside the count
+    count = 0
+    mul = QGroup.mul
+
+    def counting(self, x, y):
+        nonlocal count
+        count += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(QGroup, "mul", counting)
+    assert q_group_check(params)
+    assert count == calls == 4 * params.q_order + 4 * conductors.LAW_SAMPLES
 
 
 def test_pairing_outside_prime_field_raises(monkeypatch):

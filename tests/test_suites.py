@@ -131,6 +131,33 @@ def test_conductor_suite_composes_each_case_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("shift", ["one", "gen"])
+def test_a_faulty_heisenberg_group_gives_failing_rows(monkeypatch, shift):
+    """beta plus 1 (closed on Q', no splitting character) or plus the field
+    generator (a product of Q' leaves Q') at the second b: every row of the
+    case fails, and the suite still reports."""
+    beta = conductors.QGroup.beta
+
+    def broken(self, b1, b2):
+        out = beta(self, b1, b2)
+        if b1 == self.b_set[1] and b2 != self.F.zero:
+            out = self.F.add(out, self.F.one if shift == "one" else self.F.gen)
+        return out
+
+    monkeypatch.setattr(conductors.QGroup, "beta", broken)
+    conductors.q_group.cache_clear()
+    conductors.qprime_char_table.cache_clear()
+    try:
+        rows = suites.heisenberg_suite(cases=((3, 1),))
+    finally:
+        conductors.q_group.cache_clear()
+        conductors.qprime_char_table.cache_clear()
+    assert [row.suite for row in rows] == ["heis_group_axioms", "heis_char_table", "heis_tensor_rules"]
+    assert not any(row.passed for row in rows)
+    expected = "no splitting character" if shift == "one" else "a product of Q' leaves Q'"
+    assert rows[1].rhs == rows[2].rhs == expected
+
+
 def test_every_row_goes_through_row(monkeypatch):
     assert set(SMALL) == set(suites.SUITES)
     make_row = suites._row
