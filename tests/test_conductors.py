@@ -362,47 +362,32 @@ def test_q_group_check_catches_one_swapped_table_entry(monkeypatch):
         q_group.cache_clear()
 
 
-def _patch_cached_table(monkeypatch, params, name, entries):
-    """The cached Q for params, its table ``name`` changed at ``entries``
-    (index -> new value) after Q' was built from the true one."""
-    q_group.cache_clear()
-    Q = q_group(params)
-    table = list(getattr(Q, name))
-    for i, v in entries.items():
-        assert table[i] != v
-        table[i] = v
-    monkeypatch.setattr(Q, name, tuple(table))
-    return Q
-
-
 @pytest.mark.parametrize("both_copies", [False, True], ids=["d=7", "d=7,n+7"])
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
 def test_q_group_check_catches_a_wrong_zech_entry(monkeypatch, p, e, both_copies):
-    """The Zech log Z(7) off by one in `mul`'s table, alone or with its copy
-    at n + 7, so that the two copies still agree."""
+    """The Zech log Z(7) off by one in the cached Q's table, after Q' was
+    built from the true one: alone, or with its copy at n + 7, so that the
+    two copies still agree."""
     params = HeisParams(p, e)
-    n = q_group(params).F._order
-    zech = q_group(params)._zech0
-    entries = {d: zech[d] + 1 for d in ((7, n + 7) if both_copies else (7,))}
-    _patch_cached_table(monkeypatch, params, "_zech0", entries)
-    try:
-        assert not q_group_check(params)
-    finally:
-        q_group.cache_clear()
+    Q = q_group(params)
+    zech = list(Q._zech0)
+    for d in (7, Q.F._order + 7) if both_copies else (7,):
+        zech[d] += 1
+    monkeypatch.setattr(Q, "_zech0", tuple(zech))
+    assert not q_group_check(params)
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
 def test_q_group_check_catches_a_wrong_frobenius_entry(monkeypatch, p, e):
-    """The log of b^(p^e) off by one at the last b of b_set, which beta
-    reads as its first argument."""
+    """The log of b^(p^e) off by one in the cached Q's table at the last b
+    of b_set, which beta reads as its first argument."""
     params = HeisParams(p, e)
     Q = q_group(params)
+    frob_log = list(Q._frob_log)
     b = Q.b_set[-1]
-    _patch_cached_table(monkeypatch, params, "_frob_log", {b: (Q._frob_log[b] + 1) % Q.F._order})
-    try:
-        assert not q_group_check(params)
-    finally:
-        q_group.cache_clear()
+    frob_log[b] = (frob_log[b] + 1) % Q.F._order
+    monkeypatch.setattr(Q, "_frob_log", tuple(frob_log))
+    assert not q_group_check(params)
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
