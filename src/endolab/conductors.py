@@ -51,10 +51,6 @@ class Cyclo:
             return cls(p, c)
         return cls(p, [-1] * (p - 1))
 
-    @classmethod
-    def integer(cls, p, n):
-        return cls(p, [n] + [0] * (p - 2))
-
     def __add__(self, other):
         return Cyclo(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -240,12 +236,16 @@ def q_group_check(params: HeisParams) -> bool:
     F; and `_law_holds`, closure and associativity of the law (a1 a2,
     b1 + a1 b2, c1 + c2 + beta(b1, a1 b2)), with ``Q.beta`` as implemented,
     for every triple.  That leaves `mul`'s own lines, which read the tables.
-    At (3, 1), the one size under HEIS_CAP with |Q|^2 <= 300,000, Q's full
-    table checks every product of `mul` (identity, inverses, associativity)
-    by brute force, and so checks the two routes too.  Elsewhere `mul` is
-    checked at every x by x e = x = e x and x x^-1 = e = x^-1 x, with
-    (a, b, c)^-1 = (a^-1, -a^-1 b, beta(b, b) - c), and on other products
-    only by a sample: LAW_SAMPLES triples (x, y, z) from one
+    At (3, 1), the one size under HEIS_CAP with |Q|^2 <= 300,000, every
+    product of `mul` goes into Q's full table, which is checked for an
+    identity and inverses, and for associativity by Light's test: the a with
+    (xa)z = x(az) for all x, z contain e and are closed under the product
+    (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2), so checking
+    it for each a of a set A whose right products from e reach all of Q
+    checks every triple; with it the table checks the two routes too.
+    Elsewhere `mul` is checked at every x by x e = x = e x and x x^-1 = e =
+    x^-1 x, with (a, b, c)^-1 = (a^-1, -a^-1 b, beta(b, b) - c), and on other
+    products only by a sample: LAW_SAMPLES triples (x, y, z) from one
     ``random.Random(1)`` ``choices`` call, where xy must be the law by F's
     calls and (xy)z = x(yz)."""
     try:
@@ -296,12 +296,19 @@ def q_group_check(params: HeisParams) -> bool:
         return False
     if any(e_i not in table[i] for i in range(n)):
         return False
-    # under HEIS_CAP only |Q| = 108 (p = 3, e = 1) has |Q|^2 <= 300,000, and
-    # its 108^3 < 1.3 * 10^6 triples are all checked, one row per (x, y):
-    # (xy)z = x(yz) for every z at once
+    # Light's test on a greedy A (|A| = 5 at (3, 1)), one row per (x, a):
+    # (xa)z = x(az) for every z at once
+    gens, reach = [], {e_i}
+    for a in range(n):
+        if a not in reach:
+            gens.append(a)
+            new = reach
+            while new:
+                new = {table[x][g] for x in new for g in gens} - reach
+                reach |= new
     for row in table:
-        for j, ij in enumerate(row):
-            if table[ij] != list(map(row.__getitem__, table[j])):
+        for a in gens:
+            if table[row[a]] != list(map(row.__getitem__, table[a])):
                 return False
     return True
 
@@ -546,11 +553,12 @@ def qprime_char_table(p: int, e: int) -> QPrimeTable:
 
 def char_table_checks(p: int, e: int) -> dict:
     """Dimension count, constancy on conjugacy classes and the two
-    orthogonality relations, exactly.
+    orthogonality relations, exactly, on every pair (i, j).
 
     Both relations are sums over class representatives.  The first is
     weighted by class size, which equals the sum over all elements because
-    every character is checked to be constant on every class.
+    every character is checked to be constant on every class.  Each is one
+    `_gram_holds` call: one packed product per row of its Gram matrix.
     """
     T = qprime_char_table(p, e)
     tab = T.table
@@ -562,37 +570,26 @@ def char_table_checks(p: int, e: int) -> dict:
         "order": T.n,
     }
     classes = T.classes
+    members = [g for _, cls in classes for g in cls]
+    reps = [rep for rep, cls in classes for _ in cls]
     report["class_functions"] = all(
-        vals[g] == vals[rep] for _, _, vals in tab for rep, cls in classes for g in cls
+        list(map(vals.__getitem__, members)) == list(map(vals.__getitem__, reps))
+        for _, _, vals in tab
     )
     sizes = [len(cls) for _, cls in classes]
-    rows = [[vals[rep] for rep, _ in classes] for _, _, vals in tab]
-    # each distinct value is conjugated, and scaled by each class size, once;
-    # every value is then packed once, and a cell is a sum of int products
-    conj = {v: v.conj() for v in {v for row in rows for v in row}}
-    weighted = {(v, s): conj[v] * s for v in conj for s in set(sizes)}
-    k = len(tab)
-    values = set(conj) | set(conj.values()) | set(weighted.values())
-    codes, width = _pack({v.coeffs for v in values}, p, max(k, len(classes)))
-    packed = [[codes[v.coeffs] for v in row] for row in rows]
-    bar_rows = [[codes[weighted[v, s].coeffs] for v, s in zip(row, sizes)] for row in rows]
-    first = all(
-        _unpack(sum(map(mul, packed[i], bar_rows[j])), p, width)
-        == Cyclo.integer(p, T.n if i == j else 0)
-        for i in range(k)
-        for j in range(i, k)
-    )
+    rows = [[vals[rep].coeffs for rep, _ in classes] for _, _, vals in tab]
+    # each distinct value, keyed by its coefficients, is conjugated, and
+    # scaled by each class size, once; every value is then packed once
+    conj = {c: Cyclo(p, c).conj() for c in {c for row in rows for c in row}}
+    weighted = {(c, s): (conj[c] * s).coeffs for c in conj for s in set(sizes)}
+    values = set(conj) | {v.coeffs for v in conj.values()} | set(weighted.values())
+    codes, width = _pack(values, p, max(len(tab), len(classes)), T.n)
+    packed = [[codes[c] for c in row] for row in rows]
+    bar_rows = [[codes[weighted[c, s]] for c, s in zip(row, sizes)] for row in rows]
+    first = _gram_holds(packed, bar_rows, [T.n] * len(tab), p, width)
     report["first_orthogonality"] = first
-    # like the first, the second relation is Hermitian: (d, c) is the
-    # conjugate of (c, d), so c <= d covers every pair
-    cols = list(zip(*packed))
-    bar_cols = [[codes[conj[v].coeffs] for v in col] for col in zip(*rows)]
-    second = all(
-        _unpack(sum(map(mul, cols[c], bar_cols[d])), p, width)
-        == Cyclo.integer(p, T.n // sizes[c] if c == d else 0)
-        for c in range(len(cols))
-        for d in range(c, len(cols))
-    )
+    bar_cols = [[codes[conj[c].coeffs] for c in col] for col in zip(*rows)]
+    second = _gram_holds(list(zip(*packed)), bar_cols, [T.n // s for s in sizes], p, width)
     report["second_orthogonality"] = second
     report["ok"] = (
         report["class_functions"]
@@ -605,22 +602,23 @@ def char_table_checks(p: int, e: int) -> dict:
     return report
 
 
-def _pack(values, p, terms):
+def _pack(values, p, terms, diag=0):
     """Kronecker codes of the distinct cyclotomic integers ``values`` (their
     coefficient tuples), and their slot width, for sums of up to ``terms``
-    products of codes.
+    products of codes compared with integers up to ``diag``.
 
     a + m * (1 + zeta + ... + zeta^{p-1}), m = max(0, -min a), is a again
     with p coordinates >= 0; they fill ``width``-bit slots of one int.  A
     product slot is at most p * top^2 (top: the largest coordinate), so a
-    sum of ``terms`` products never carries from one slot into the next.
+    sum of ``terms`` products never carries from one slot into the next,
+    and each of its slots and ``diag`` are below 2^(width - 1).
     """
     shifted = {}
     for v in values:
         m = max(0, -min(v))
         shifted[v] = [c + m for c in v] + [m]
     top = max((max(cs) for cs in shifted.values()), default=0)
-    width = (terms * p * top * top).bit_length() + 1
+    width = max(terms * p * top * top, diag).bit_length() + 1
     codes = {v: sum(c << (width * i) for i, c in enumerate(cs)) for v, cs in shifted.items()}
     return codes, width
 
@@ -631,6 +629,40 @@ def _unpack(code, p, width):
     mask = (1 << width) - 1
     slots = [(code >> (width * t)) & mask for t in range(2 * p - 1)] + [0]
     return _reduced(p, [slots[t] + slots[t + p] for t in range(p)])
+
+
+def _gram_holds(left, right, diag, p, width):
+    """Whether sum_r left[i][r] * right[j][r], over `_pack` codes of slot
+    width ``width``, is the integer diag[i] at j = i and 0 at every other j.
+
+    The vectors right[j] are stacked into one int per r, each j a cell of
+    2p - 1 slots at bit S * j (S: the cell's bits rounded up to whole
+    bytes), so row i of the Gram matrix is one sum of int products.  Masks
+    fold slot t + p onto slot t in every cell and read its top slot m; a
+    cell is the integer d exactly when its folded slots read (d + m, m, ...,
+    m), so the row is compared as one int.  d must lie in [0, 2^(width-1)),
+    where d + m cannot carry: any other d is refused.
+    """
+    if not all(0 <= d < 1 << (width - 1) for d in diag):
+        raise IncompatibleParams("a diagonal value beyond the slot width")
+    size, k = -(-(2 * p - 1) * width // 8), len(right)
+
+    def stack(codes):
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in codes), "little")
+
+    stacked = [stack(col) for col in zip(*right)]
+    shift = (p - 1) * width  # of the top slot
+    low, high, top = (
+        stack([mask] * k)
+        for mask in ((1 << shift + width) - 1, (1 << shift) - 1, (1 << width) - 1 << shift)
+    )
+    ones = sum(1 << (width * t) for t in range(p))
+    for i, row in enumerate(left):
+        cells = sum(map(mul, row, stacked))
+        folded = (cells & low) + (cells >> shift + width & high)
+        if folded != ((folded & top) >> shift) * ones + (diag[i] << 8 * size * i):
+            return False
+    return True
 
 
 def _class_reps(T: QPrimeTable):

@@ -2,12 +2,8 @@
 small residue fields F_q (q = p^f, f <= 2) with their characters.
 
 Elements of F_{p^2} are written a + b*s with s^2 equal to a fixed nonsquare
-of F_p, and a + b*s is the `make_gf(p, f)` code a + b*p.  Each residue field
-builds its q elements once, as a table indexed by that code, and all of its
-arithmetic (sums, products, powers, inverses, discrete logs) reads the
-`make_gf` tables and returns entries of the element table.  `FiniteField(p, f)`
-and `make_field(p, f)` return the one field of that size, built once.  The
-additive character is psi(x) = exp(2*pi*i*Tr(x)/p).
+of F_p, and a + b*s is the `make_gf(p, f)` code a + b*p.  The additive
+character is psi(x) = exp(2*pi*i*Tr(x)/p).
 """
 
 from __future__ import annotations
@@ -15,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     EvenCharacteristic,
@@ -134,7 +131,8 @@ class GF:
     Multiplication and powers go through the exp/log tables of one generator,
     addition through the Zech table: g^i + g^j = g^(i + Z(j - i)), where
     g^Z(n) = 1 + g^n.  The generator is the first code of multiplicative
-    order q - 1, found by an order test on the prime factors of q - 1.
+    order q - 1, found by an order test on the prime factors of q - 1; the
+    exp table walks its powers by the F_p-linear map y -> g*y.
     """
 
     zero = 0
@@ -154,12 +152,16 @@ class GF:
             for g in (p_digits(code, p, m) for code in range(1, self.q))
             if all(_pow_mod(g, k, modulus, p) != one for k in cofactors)
         )
-        exp = [one]
-        x = g
-        while x != one:
-            exp.append(x)
-            x = _mul_mod(g, x, modulus, p)  # g first: its zero digits are skipped
-        self._exp = exp = [sum(c * p**i for i, c in enumerate(x)) for x in exp]
+        # col[i] holds the digits of g*x^i in base m*p^2, a multiple of p
+        # above m(p-1)^2: digit k of sum(y_i * col[i]) is g*y's before mod p
+        pows, big = [p**k for k in range(m)], [(m * p * p) ** k for k in range(m)]
+        col = [sum(map(mul, _mul_mod(g, p_digits(c, p, m), modulus, p), big)) for c in pows]
+        exp, y = [1], one
+        for _ in range(order - 1):
+            v = sum(map(mul, y, col))
+            y = [v // b % p for b in big]
+            exp.append(sum(map(mul, y, pows)))
+        self._exp = exp
         self.gen = exp[1]
         self._log = [None] * self.q
         self._neg = [0] * self.q  # -1 = g^((q-1)/2)
@@ -431,9 +433,6 @@ class QuadExtension:
 
     def psi_tilde(self, u) -> complex:
         return self.base.psi(self.trace(u))
-
-
-# spec-level operation wrappers ---------------------------------------------
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import random
 import weakref
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -41,8 +42,8 @@ def test_gf_basic():
 
 def test_cyclo_arithmetic():
     z = Cyclo.zeta_pow(3, 1)
-    assert (z * z * z) == Cyclo.integer(3, 1)
-    s = Cyclo.integer(3, 1) + z + z * z
+    assert (z * z * z) == Cyclo(3, [1, 0])
+    s = Cyclo(3, [1, 0]) + z + z * z
     assert s == Cyclo(3)
     assert z.conj() == Cyclo.zeta_pow(3, 2)
 
@@ -185,6 +186,70 @@ def test_packed_dot_matches_termwise_products(p, length):
         codes, width = conductors._pack({v.coeffs for v in xs + ys}, p, length)
         cell = sum(codes[x.coeffs] * codes[y.coeffs] for x, y in zip(xs, ys))
         assert conductors._unpack(cell, p, width) == _dot_termwise(xs, ys, p)
+
+
+def _gram_by_cells(left, right, diag, p, width):
+    """The Gram check cell by cell: each sum of products through `_unpack`."""
+    return all(
+        conductors._unpack(sum(map(mul, row, col)), p, width)
+        == Cyclo(p, [diag[i] if i == j else 0] + [0] * (p - 2))
+        for i, row in enumerate(left)
+        for j, col in enumerate(right)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gram_rows_agree_with_per_cell_unpack(p):
+    """`_gram_holds` against `_gram_by_cells` on random vectors, on a Gram
+    matrix that is exactly diagonal, on that matrix with one cell off by one
+    unit in one slot (each slot, at a diagonal and an off-diagonal cell), and
+    at the diagonal's 2^(width - 1) edge, where a value is refused unless the
+    packing's bound covers it."""
+    rng = random.Random(70 + p)
+    k, length = 5, 8
+    zero, one = Cyclo(p), Cyclo(p, [1] + [0] * (p - 2))
+
+    def vectors(count, size):
+        return [
+            [Cyclo(p, [rng.randint(-50, 50) for _ in range(p - 1)]) for _ in range(size)]
+            for _ in range(count)
+        ]
+
+    def verdicts(left, right, diag, bound=0):
+        codes, width = conductors._pack(
+            {v.coeffs for vec in left + right for v in vec}, p, len(left[0]), bound
+        )
+        left, right = ([[codes[v.coeffs] for v in vec] for vec in vs] for vs in (left, right))
+        return conductors._gram_holds(left, right, diag, p, width), _gram_by_cells(
+            left, right, diag, p, width
+        )
+
+    # left[i] is the unit vector e_i, then a random tail; right[j] is d_j e_j
+    # less the tails' products, then a random tail: the Gram matrix is diag(d)
+    tails_l, tails_r = vectors(k, length), vectors(k, length)
+    diag = [rng.randint(1, 99) for _ in range(k)]
+    left = [[one if r == i else zero for r in range(k)] + tails_l[i] for i in range(k)]
+    right = [
+        [one * (diag[j] if i == j else 0) - _dot_termwise(tails_l[i], tails_r[j], p) for i in range(k)]
+        + tails_r[j]
+        for j in range(k)
+    ]
+    assert verdicts(left, right, diag) == (True, True)
+    assert verdicts(vectors(k, k + length), vectors(k, k + length), diag) == (False, False)
+    # only cell (i, j) moves when right[j][i] does, as left[i'][i] = 0 for i' != i
+    for i, j in ((2, 2), (1, 3)):
+        for t in range(p):
+            off = [list(vec) for vec in right]
+            off[j][i] = off[j][i] + Cyclo.zeta_pow(p, t)
+            assert verdicts(left, off, diag) == (False, False), (i, j, t)
+    values = {v.coeffs for vec in left + right for v in vec}
+    edge = 1 << (conductors._pack(values, p, k + length)[1] - 1)
+    for d in (edge, edge + diag[0], -1):
+        with pytest.raises(IncompatibleParams, match="beyond the slot width"):
+            verdicts(left, right, [d] + diag[1:])
+    assert verdicts(left, right, [edge - 1] + diag[1:]) == (False, False)
+    assert verdicts(left, right, [edge] + diag[1:], bound=edge) == (False, False)
+    assert verdicts(left, right, diag, bound=edge) == (True, True)
 
 
 def test_q_group_orders():
@@ -444,6 +509,60 @@ def test_the_certificate_agrees_with_the_full_table(monkeypatch, fault):
         q_group.cache_clear()
 
 
+def _all_triples_verdict(Q):
+    """Q's full table with an identity, inverses and (xy)z = x(yz) on all
+    |Q|^3 triples, one row per (x, y): the brute force that Light's test in
+    `q_group_check` stands for, kept as its reference."""
+    els = list(Q.elements())
+    idx = {x: i for i, x in enumerate(els)}
+    try:
+        table = [[idx[Q.mul(x, y)] for y in els] for x in els]
+    except KeyError:
+        return False
+    e = idx[Q.identity()]
+    if any(row[e] != i or table[e][i] != i or e not in row for i, row in enumerate(table)):
+        return False
+    return all(
+        table[ij] == list(map(row.__getitem__, table[j]))
+        for row in table
+        for j, ij in enumerate(row)
+    )
+
+
+@pytest.mark.parametrize("fault", [None, "swapped entry", "not a-invariant", "not additive"])
+def test_lights_test_agrees_with_all_triples(monkeypatch, fault):
+    """At (3, 1), with the two exhaustive routes taken as passed, the full
+    table's verdict is that of the brute force over all triples: on the true
+    Q, on two swapped products of one row, and on the two faulty betas of
+    `test_the_certificate_agrees_with_the_full_table`."""
+    params = HeisParams(3, 1)
+    beta, mul_ = QGroup.beta, QGroup.mul
+
+    def faulty(self, b1, b2):
+        out = beta(self, b1, b2)
+        if fault == "not a-invariant":
+            return self.F.add(out, b1 // 3 % 3 * (b2 // 3 % 3) % 3)
+        if fault == "not additive" and b1 == self.b_set[1] and b2 != self.F.zero:
+            return self.F.add(out, self.F.one)
+        return out
+
+    monkeypatch.setattr(QGroup, "beta", faulty)
+    q_group.cache_clear()
+    try:
+        Q = q_group(params)
+        if fault == "swapped entry":
+            x, y1, y2 = [g for g in Q.elements() if g != Q.identity()][:3]
+            swapped = {(x, y1): Q.mul(x, y2), (x, y2): Q.mul(x, y1)}
+            monkeypatch.setattr(
+                QGroup, "mul", lambda self, g, h: swapped.get((g, h)) or mul_(self, g, h)
+            )
+        monkeypatch.setattr(conductors, "_tables_hold", lambda Q: True)
+        monkeypatch.setattr(conductors, "_law_holds", lambda Q: True)
+        assert q_group_check(params) == _all_triples_verdict(Q) == (fault is None)
+    finally:
+        q_group.cache_clear()
+
+
 @pytest.mark.parametrize("p,e,calls", [(5, 1, 11_000), (3, 2, 17_720)])
 def test_q_group_check_mul_calls_are_pinned(monkeypatch, p, e, calls):
     """Four `mul` calls per element of Q (identity and inverse on both
@@ -552,11 +671,11 @@ def _checks_on_mutated_copy(monkeypatch, p, e, mutate):
     return char_table_checks(p, e)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
 def test_char_table_checks_catch_a_non_class_function(monkeypatch, p, e):
     def perturb_one_member(T, vals, cls):
         g = max(cls)  # not the representative, which is the smallest index
-        vals[g] = vals[g] + Cyclo.integer(p, 1)
+        vals[g] = vals[g] + Cyclo(p, [1] + [0] * (p - 2))
 
     rep = _checks_on_mutated_copy(monkeypatch, p, e, perturb_one_member)
     assert not rep["class_functions"]
@@ -565,13 +684,21 @@ def test_char_table_checks_catch_a_non_class_function(monkeypatch, p, e):
     assert not rep["ok"]
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
-def test_char_table_checks_catch_broken_orthogonality(monkeypatch, p, e):
-    def rotate_one_class(T, vals, cls):
-        for g in cls:
-            vals[g] = vals[g] * Cyclo.zeta_pow(p, 1)
+@pytest.mark.parametrize(
+    "p,e,change",
+    [pytest.param(p, e, "times zeta", id=f"{p}-{e}") for p, e in ((3, 1), (5, 1), (3, 2))]
+    + [pytest.param(p, e, "plus one", id=f"{p}-{e}-plus-one") for p, e in ((3, 1), (5, 1), (3, 2))],
+)
+def test_char_table_checks_catch_broken_orthogonality(monkeypatch, p, e, change):
+    """A nontrivial linear character times zeta, or plus 1, on the whole of
+    one non-central class: still a class function, orthogonal no more."""
+    step = Cyclo.zeta_pow(p, 1) if change == "times zeta" else Cyclo(p, [1] + [0] * (p - 2))
 
-    rep = _checks_on_mutated_copy(monkeypatch, p, e, rotate_one_class)
+    def change_one_class(T, vals, cls):
+        for g in cls:
+            vals[g] = vals[g] * step if change == "times zeta" else vals[g] + step
+
+    rep = _checks_on_mutated_copy(monkeypatch, p, e, change_one_class)
     assert rep["class_functions"]
     assert not rep["first_orthogonality"]
     assert not rep["second_orthogonality"]
