@@ -156,11 +156,11 @@ class GF:
         # above m(p-1)^2: digit k of sum(y_i * col[i]) is g*y's before mod p
         pows, big = [p**k for k in range(m)], [(m * p * p) ** k for k in range(m)]
         col = [sum(map(mul, _mul_mod(g, p_digits(c, p, m), modulus, p), big)) for c in pows]
-        exp, y = [1], one
-        for _ in range(order - 1):
+        exp, y = [1], g
+        while y != one:
+            exp.append(sum(map(mul, y, pows)))
             v = sum(map(mul, y, col))
             y = [v // b % p for b in big]
-            exp.append(sum(map(mul, y, pows)))
         self._exp = exp
         self.gen = exp[1]
         self._log = [None] * self.q
