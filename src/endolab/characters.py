@@ -3,11 +3,15 @@ independent routes to character values at "shallow" elements.
 
 ``char_brute_force`` runs the compact-induction character formula: it sums the
 inducing character over the finite torus index set attached to the element's
-coset, conjugating honest matrix data.  Each slot residue of a conjugate
-t * h * t^-1 reads at most two torus coordinates, so the route tabulates every
-slot once per histogram over the values its coordinates take, and each
-conjugate reads its slot tuple from these tables (on twisted GL, each
-conjugate computes only its (0, 0) and slot entries).  The sum reads the
+coset, conjugating honest matrix data.  On every kind a torus conjugate of the
+h-part h is lam * s*h*s^-1, with s diagonal and lam a scalar: 1 on the standard
+kinds, and on twisted GL, whose conjugate is t*h*t~ (t~ the reversed t), the
+last coordinate z off the phi coset and a*u on it.  Each entry of s is a
+constant times a monomial in the torus coordinates, so each slot residue reads
+at most two coordinates, those whose exponents do not cancel in s_i/s_j.  One
+walk serves every kind: it tabulates every slot once per histogram over the
+values its coordinates take, and each conjugate reads its slot tuple from
+these tables (on twisted GL led by the central residue).  The sum reads the
 parameters only through (kappa, a mod p), so each element keeps one psi-sum
 per such key and xi and zeta are applied to it afterwards.  On the plain coset
 the histogram reads no parameter: it is walked once per kappa into a p x p
@@ -161,12 +165,6 @@ def _int_rows(g: GroupMatrix, digits: int):
     if g.s:
         raise OutOfDomain("entry of negative valuation: outside the character's domain")
     return g.reduce(digits), g.p**digits
-
-
-def _slot_residue(x, mod, p, piw, pre=1, post=1):
-    """Residue of the entry pre*x*post at its slot level p^piw."""
-    v = (pre * x * post) % mod
-    return (v // p**piw) % p
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +321,6 @@ def _psi_counts(params: SSCParams, element: CharElement):
     return sign, _fold(table, params.a % element.matrix.p)
 
 
-def _histogram(params: SSCParams, element: CharElement):
-    """(sign, histogram) of the element's slot residues over its torus
-    conjugates, by the twisted linear or the standard walk."""
-    gl = element.group.kind is GroupKind.TWISTED_GL
-    return (_gl_histogram if gl else _standard_histogram)(params, element)
-
-
 def _count_table(params: SSCParams, element: CharElement, hist):
     """The histogram pushed forward to the counts T[t][s] of the conjugates
     whose last slot residue is t and whose form without that slot is s mod p
@@ -379,67 +370,96 @@ def _slot_column(reps, values, coords, residue):
     return map(table.__getitem__, zip(*(map(operator.itemgetter(c), reps) for c in coords)))
 
 
-def _standard_histogram(params: SSCParams, element: CharElement):
-    """(sign, histogram): the sign of the +-I+ coset and the slot residues of
-    the torus conjugates of the I+ part, each read from its slot's table.  The
-    conjugates run over the product of the ``torus_ranges``, read once, and a
-    slot's table over the ranges of the coordinates it reads."""
+def _histogram(params: SSCParams, element: CharElement):
+    """(sign, histogram) of the slot residues of the torus conjugates
+    lam * s*h*s^-1 of the h-part h, the conjugates read from
+    ``torus_index_set`` and each slot from its table over the coordinates it
+    reads.  s is (t_1..t_r, middle, t_r^-1..t_1^-1) on the standard kinds.
+    On twisted GL, s is (t_1..t_{n-1}, 1, ...) off the phi coset and
+    (a*u, t_1..t_{n-1}, w, ...) on it, and past the middle each entry is lam
+    over its partner's, the partner of d being N-1-d, resp. N-d.  A twisted
+    tuple is (lam*h00, h00^-1 times each slot residue of s*h*s^-1) mod p, the
+    residues of the conjugate scaled by its central residue; that reads h00
+    only mod p, because h is in Z*I+ and so every slot entry is divisible by
+    p^piw.  Elsewhere h is in +-I+ and the sign is that of its coset."""
     group = params.group
     p = element.matrix.p
+    gl = group.kind is GroupKind.TWISTED_GL
     m, mod = _int_rows(element.h_part, 4)
     sign = 1
     d0 = m[0][0] % p
-    if d0 == p - 1:
+    if gl:
+        if d0 == 0:
+            raise OutOfDomain("element is not in Z*I+")
+    elif d0 == p - 1:
         sign = -1
         m = [[(-x) % mod for x in row] for row in m]
     elif d0 != 1:
         raise OutOfDomain("element is not in the +-coset of I+")
     values = torus_ranges(params, element)
-    reps = list(product(*values))
+    reps = torus_index_set(params, element)
     if not reps:
         return sign, {}
-    K = make_field(p, 2)
     N = group.size
-    # the torus diagonal is (t_1..t_r, middle, t_r^-1..t_1^-1): the middle is
-    # 1, 1 on the ramified kind and the quadratic pair (the last coordinate)
-    # on the unramified one
-    r = len(values) - (group.kind is GroupKind.SO_UR)
+    n = group.n
+    width = len(values)
+    # a monomial is (constant, exponent per coordinate)
+    one = (1, (0,) * width)
 
-    def coordinate(d):
-        if d < r:
-            return d
-        if d >= N - r:
-            return N - 1 - d
-        return None
+    def coordinate(c):
+        return 1, tuple(int(k == c) for k in range(width))
 
-    def diag(d, xs):
-        """diagonal entry d at the coordinate values xs, 1 in the middle"""
-        c = coordinate(d)
-        if c is None:
-            return 1
-        return xs[c] if d < r else pow(xs[c], -1, mod)
+    def ratio(x, y):
+        return x[0] * pow(y[0], -1, mod) % mod, tuple(map(operator.sub, x[1], y[1]))
+
+    if not gl:
+        # the so_ur middle is the quadratic pair (the last coordinate), which
+        # the pair slots read directly
+        r = width - (group.kind is GroupKind.SO_UR)
+        lam, partner = one, N - 1
+        s = [coordinate(d) for d in range(r)] + [one] * (N // 2 - r)
+    elif not element.phi:
+        lam, partner = coordinate(n - 1), N - 1
+        s = [coordinate(d) for d in range(n - 1)] + [one]
+    else:
+        lam, partner = ((params.a * element.phi[0]) % p, one[1]), N
+        s = [lam] + [coordinate(d) for d in range(n)]
+    for d in range(len(s), N):
+        s.append(ratio(lam, s[partner - d]))
+
+    def column(mono, residue):
+        # residue at the monomial's value, tabulated over the coordinates
+        # whose exponents do not cancel
+        const, exps = mono
+        coords = tuple(k for k, e in enumerate(exps) if e)
+
+        def at(*xs):
+            v = const
+            for k, x in zip(coords, xs):
+                v = v * pow(x, exps[k], mod) % mod
+            return residue(v)
+
+        return _slot_column(reps, values, coords, at)
+
+    scale = pow(d0, -1, mod) if gl else 1
 
     def plain(i, j, piw):
-        coords = tuple(sorted({coordinate(i), coordinate(j)} - {None}))
-
-        def residue(*x):
-            xs = dict(zip(coords, x))
-            post = pow(diag(j, xs), -1, mod)
-            return _slot_residue(m[i][j], mod, p, piw, pre=diag(i, xs), post=post)
-
-        return _slot_column(reps, values, coords, residue)
+        # the residue of v * h_ij (times h00^-1 on twisted GL) at its slot level p^piw
+        x, level = m[i][j] * scale, p**piw
+        return column(ratio(s[i], s[j]), lambda v: v * x % mod // level % p)
 
     def pair(i1, j1, j2):
         # the middle slot (m_ij1 + m_ij2 * sqrt eps) * y^-1 * t_i in F_{p^2}, y the
         # norm-one coordinate, so y^-1 is its conjugate; both parts from one product
+        K = make_field(p, 2)
         mid = K.elem(m[i1][j1], m[i1][j2])
 
         def residue(t, y):
             return (mid * K.elem(y[0], -y[1]) * t).key()
 
-        return zip(*_slot_column(reps, values, (i1, r), residue))
+        return zip(*_slot_column(reps, values, (i1, width - 1), residue))
 
-    columns = []
+    columns = [column(lam, lambda v: v * d0 % p)] if gl else []
     for slot in group.component_slots():
         if isinstance(slot[0], tuple):
             (i1, j1, _), (_, j2, _) = slot
@@ -450,48 +470,6 @@ def _standard_histogram(params: SSCParams, element: CharElement):
     for tup in zip(*columns):
         hist[tup] = hist.get(tup, 0) + 1
     return sign, hist
-
-
-def _gl_histogram(params: SSCParams, element: CharElement):
-    """(1, histogram) of (central residue, slot residues) over the torus
-    conjugates, which lie in Z * I+.  Each conjugate's entries are computed
-    only at (0, 0) and at the slots."""
-    group = params.group
-    p = element.matrix.p
-    n = group.n
-    N = 2 * n
-    m, mod = _int_rows(element.matrix, 5)
-    slots = group.component_slots()
-    a_lift = params.a % p
-    inv = [None] + [pow(x, -1, mod) for x in range(1, p)]
-    mod_eff = mod // p if element.phi else mod
-    au = (params.a * element.phi[0]) % p if element.phi else None
-    # the (0, 0) entry and the slot entries of the conjugate t * m * t~, where
-    # t~ reverses t; on the coset the rows move down one and row 0 becomes
-    # a * (row N-1) / p
-    reads = [(0, 0)] + [slot[:2] for slot in slots]
-    rows = [(i - 1 if i else N - 1, j) for i, j in reads] if element.phi else reads
-    piws = [slot[2] for slot in slots]
-    hist: dict = {}
-    for rep in torus_index_set(params, element):
-        if not element.phi:
-            z = rep[-1]
-            t = list(rep[:-1]) + [1]
-            t += [(z * inv[t[N - 1 - i]]) % mod for i in range(n, N)]
-        else:
-            t = list(rep[:-1]) + [rep[-1] % p]
-            t += [(au * inv[t[N - 2 - i]]) % mod for i in range(n, N - 1)] + [1]
-        conj = [(t[i] * m[i][j] * t[N - 1 - j]) % mod for i, j in rows]
-        if element.phi:
-            conj = [v if i else (a_lift * (v // p)) % mod_eff for (i, _), v in zip(reads, conj)]
-        z_res = conj[0] % p
-        if z_res == 0:
-            raise OutOfDomain("conjugate fell outside Z*I+")
-        zinv = pow(z_res, -1, mod_eff)
-        vals = tuple(_slot_residue(x, mod_eff, p, piw, pre=zinv) for x, piw in zip(conj[1:], piws))
-        tup = (z_res,) + vals
-        hist[tup] = hist.get(tup, 0) + 1
-    return 1, hist
 
 
 # ---------------------------------------------------------------------------

@@ -234,18 +234,31 @@ def _pow_mod(a, n, modulus, p):
 
 
 def _is_irreducible(cs, p: int) -> bool:
-    # x^{p^k} == x mod f must fail for proper divisors k of m and hold for m
+    # Ben-Or's test: f of degree m is irreducible exactly when it has no
+    # irreducible factor of degree k <= m/2, i.e. is coprime to x^(p^k) - x
     m = len(cs)
-    x = [0, 1] + [0] * (m - 2)
-    t = x
-    for k in range(1, m + 1):
-        u = t
-        for _ in range(p - 1):
-            u = _mul_mod(u, t, cs, p)
-        t = u
-        if k < m and m % k == 0 and t == x:
+    t = x = [0, 1] + [0] * (m - 2)
+    for _ in range(m // 2):
+        t = _pow_mod(t, p, cs, p)
+        if not _coprime(list(cs) + [1], [c - d for c, d in zip(t, x)], p):
             return False
-    return t == x
+    return True
+
+
+def _coprime(a, b, p):
+    """Whether the polynomials a and b over F_p (coefficient lists, lowest
+    degree first) have gcd 1, by Euclid's algorithm."""
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a.pop() * inv
+            shift = len(a) - len(b) + 1
+            for i, y in enumerate(b[:-1]):
+                a[shift + i] = (a[shift + i] - c * y) % p
+        a, b = b, a
+    return len(a) == 1
 
 
 def _modulus(p: int, m: int) -> tuple:

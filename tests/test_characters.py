@@ -380,7 +380,6 @@ def test_count_vector_is_exact_on_every_coset(n, q):
     rng = random.Random(100 * n + q)
     for kind, variants in FAMILY_VARIANTS.items():
         gl = kind is GroupKind.TWISTED_GL
-        histogram = characters._gl_histogram if gl else characters._standard_histogram
         nu = nu_of_u(make_field(q), n, 1) if kind is GroupKind.SO_RAM else 0
         elements = [family_element(kind, n, q, u, v) for u in range(1, q) for v in variants]
         elements.append(random_affine_generic(GroupId(kind, n, nu), q, rng))
@@ -388,7 +387,7 @@ def test_count_vector_is_exact_on_every_coset(n, q):
             for kappa in (0, 1) if kind in characters.KAPPA_KINDS else (0,):
                 for a in range(1, q):
                     params = SSCParams(el.group, a, kappa=kappa)
-                    sign, hist = histogram(params, el)
+                    sign, hist = characters._histogram(params, el)
                     c_sign, counts = characters._psi_counts(params, el)
                     assert c_sign == sign
                     if not hist:
@@ -406,18 +405,17 @@ def test_count_vector_is_exact_on_every_coset(n, q):
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("n", [2, 3])
 def test_family_elements_certify_the_digits_the_brute_force_route_reads(n, p):
-    """The brute-force route reads the h-part mod p^4 and a twisted linear
-    matrix mod p^5; each family element must certify those digits, so one
-    more product on the path fails here, not with PrecisionExhausted at run
-    time.  The message is the witness (kind, variant, u, prec - s)."""
+    """The brute-force route reads the h-part mod p^4 on every kind; each
+    family element, matrix and h-part, must certify those digits, so one more
+    product on the path fails here, not with PrecisionExhausted at run time.
+    The message is the witness (kind, variant, u, prec - s)."""
     for kind, variants in FAMILY_VARIANTS.items():
-        gl = kind is GroupKind.TWISTED_GL
         for u in range(1, p):
             for variant in variants:
                 el = family_element(kind, n, p, u, variant)
-                for g in (el.matrix,) if gl else (el.matrix, el.h_part):
+                for g in (el.matrix, el.h_part):
                     certified = g.prec - g.s
-                    assert certified >= (5 if gl else 4), (kind.value, variant, u, certified)
+                    assert certified >= 4, (kind.value, variant, u, certified)
 
 
 @pytest.mark.parametrize("q, zeta", [(7, 1.0), (7, -1.0), (5, 1j), (5, -1j), (7, 0.5)])
@@ -583,14 +581,13 @@ def test_slot_tables_give_the_per_conjugate_histograms(n, q):
     compared = 0
     for kind in FAMILY_VARIANTS:
         gl = kind is GroupKind.TWISTED_GL
-        route = characters._gl_histogram if gl else characters._standard_histogram
         reference = _reference_gl_histogram if gl else _reference_standard_histogram
         for el in _oracle_elements(kind, n, q):
             # a histogram reads the parameters through (kappa, a mod q) only,
             # as the route's per-element psi-sums do: one tuple per key
             keys = {(s.kappa, s.a % q): s for s in _params_grid(el.group, q)}
             for params in keys.values():
-                sign, hist = route(params, el)
+                sign, hist = characters._histogram(params, el)
                 ref_sign, ref_hist = reference(params, el)
                 assert sign == ref_sign
                 assert list(hist.items()) == list(ref_hist.items()), (kind.value, params)
@@ -598,14 +595,72 @@ def test_slot_tables_give_the_per_conjugate_histograms(n, q):
     assert compared
 
 
+@pytest.mark.parametrize("n, q", [(4, 3), (2, 11), (2, 13)])
+def test_twisted_linear_slot_tables_at_the_larger_cells(n, q):
+    """The one walk against the per-representative twisted linear walk at
+    n = 4 and at q = 11, 13: every family element, plain coset and phi
+    coset, three seeded random elements, and each of these times the
+    central unit 2, whose h-part has h00 = 2 mod q, at every a, as ordered
+    item lists."""
+    kind = GroupKind.TWISTED_GL
+    rng = random.Random(1000 * n + q)
+    elements = [family_element(kind, n, q, u, var) for u in range(1, q) for var in FAMILY_VARIANTS[kind]]
+    elements += [random_affine_generic(GroupId(kind, n), q, rng) for _ in range(3)]
+    for el in list(elements):
+        g = el.matrix
+        scaled = GroupMatrix(g.group, q, [[2 * x for x in row] for row in g.a], g.s, g.prec)
+        elements.append(CharElement(el.group, scaled, el.phi))
+    compared = set()
+    for el in elements:
+        for a in range(1, q):
+            params = SSCParams(el.group, a)
+            sign, hist = characters._histogram(params, el)
+            assert (sign, list(hist.items())) == (1, list(_reference_gl_histogram(params, el)[1].items()))
+            if hist:
+                compared.add((bool(el.phi), el.h_part.a[0][0] % q))
+    assert compared == {(False, 1), (True, 1), (False, 2), (True, 2)}
+
+
+@pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
+def test_the_walk_counts_each_representative_of_the_index_set(kind, monkeypatch):
+    """char_brute_force on a fresh family element, plain coset and phi coset,
+    reads its conjugates from ``torus_index_set``, once, and its histogram
+    counts each representative returned once."""
+    q, n, u = 5, 2, 2
+    returned, counted = [], []
+    index_set, histogram = characters.torus_index_set, characters._histogram
+
+    def recorded_index_set(params, el):
+        reps = index_set(params, el)
+        returned.append(len(reps))
+        return reps
+
+    def recorded_histogram(params, el):
+        sign, hist = histogram(params, el)
+        counted.append(sum(hist.values()))
+        return sign, hist
+
+    monkeypatch.setattr(characters, "torus_index_set", recorded_index_set)
+    monkeypatch.setattr(characters, "_histogram", recorded_histogram)
+    for variant in FAMILY_VARIANTS[kind]:
+        el = family_element(kind, n, q, u, variant)
+        # the first (kappa, a) whose index set is not empty
+        kappas = (0, 1) if kind in characters.KAPPA_KINDS else (0,)
+        grid = (SSCParams(el.group, a, kappa=kappa) for kappa in kappas for a in range(1, q))
+        params = next(s for s in grid if all(torus_ranges(s, el)))
+        returned.clear()
+        counted.clear()
+        char_brute_force(params, el)
+        assert returned == counted and returned[0] > 0, (variant, returned, counted)
+
+
 @pytest.mark.parametrize("kind", list(FAMILY_VARIANTS))
 def test_a_perturbed_digit_fails_the_oracle_comparison(kind, monkeypatch):
-    """One digit more in the pi-scaled slot entry of the matrix the brute-force
-    route conjugates (the h-part; the matrix itself on twisted GL) moves the
-    brute-force values off the closed form of the unperturbed element, after
-    the same element was evaluated: no slot table outlives its histogram."""
+    """One digit more in the pi-scaled slot entry of the h-part, the matrix
+    the brute-force route conjugates, moves the brute-force values off the
+    closed form of the unperturbed element, after the same element was
+    evaluated: no slot table outlives its histogram."""
     q, n, u = 5, 2, 2
-    gl = kind is GroupKind.TWISTED_GL
     el = family_element(kind, n, q, u, "plus")
     desc = describe(el)
     grid = _params_grid(el.group, q)
@@ -615,12 +670,11 @@ def test_a_perturbed_digit_fails_the_oracle_comparison(kind, monkeypatch):
 
     assert worst(el) < 1e-6
     fresh = family_element(kind, n, q, u, "plus")
-    attr = "matrix" if gl else "h_part"
-    g = getattr(fresh, attr)
+    g = fresh.h_part
     i, j, piw = el.group.component_slots()[-1]
     rows = [list(row) for row in g.a]
     rows[i][j] += q**piw
-    monkeypatch.setattr(fresh, attr, GroupMatrix(g.group, q, rows, g.s, g.prec))
+    monkeypatch.setattr(fresh, "h_part", GroupMatrix(g.group, q, rows, g.s, g.prec))
     assert worst(fresh) > 1e-6
 
 

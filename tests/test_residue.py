@@ -16,6 +16,8 @@ from endolab.residue import (
     FiniteField,
     MultCharacter,
     QuadExtension,
+    _is_irreducible,
+    _modulus,
     eps_tilde,
     make_field,
     make_gf,
@@ -113,6 +115,41 @@ def test_gf_generator_is_first_code_of_full_order(p, m, gen):
     assert F._exp == [sum(c * p**i for i, c in enumerate(x)) for x in powers]
     assert F._log[0] is None
     assert [F._log[c] for c in F._exp] == list(range(F.q - 1))
+
+
+def _has_monic_factor(modulus, p, degree):
+    """Whether x^m + sum(modulus[i] * x^i) has a monic factor of the given
+    degree over F_p, by trial division with every such polynomial."""
+    for code in range(p**degree):
+        g = [code // p**i % p for i in range(degree)] + [1]
+        rem = list(modulus) + [1]
+        for d in reversed(range(degree, len(rem))):
+            top = rem.pop()
+            for i, c in enumerate(g[:-1]):
+                rem[d - degree + i] -= top * c
+        if all(c % p == 0 for c in rem):
+            return True
+    return False
+
+
+def test_a_reducible_sextic_is_refused():
+    """x^6 + x + 1 has the root 1 over F_3.  The degree-6 modulus, which the
+    [3-6] case below finds free of factors of degree 1, 2 and 3, gives a
+    field whose exp walk reaches every unit."""
+    assert _has_monic_factor((1, 1, 0, 0, 0, 0), 3, 1)
+    assert not _is_irreducible((1, 1, 0, 0, 0, 0), 3)
+    assert len(set(make_gf(3, 6)._exp)) == 3**6 - 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (3, 6), (3, 8)])
+def test_modulus_is_the_first_irreducible_in_code_order(p, m):
+    """The modulus is the first code with no monic factor of degree <= m/2,
+    found here by trial division."""
+    def irreducible(cs):
+        return not any(_has_monic_factor(cs, p, d) for d in range(1, m // 2 + 1))
+
+    first = next(cs for cs in ([code // p**i % p for i in range(m)] for code in range(p**m)) if irreducible(cs))
+    assert _modulus(p, m) == tuple(first)
 
 
 @pytest.mark.parametrize("f", [1, 2])
